@@ -25,15 +25,14 @@ import numpy as np
 from .channel import ChannelModel
 from .coding import CodeSpec
 from .harness import (
+    SCHEMES,
     ExperimentConfig,
     compare_bounds,
     csv_line,
-    report_csv_row,
     resolve_out,
     run_sweep,
     run_trial,
-    summary_json,
-    wilson_interval,
+    sweep_row,
 )
 from .multistate import (
     all_tables,
@@ -42,11 +41,10 @@ from .multistate import (
     coincidence_failure_trials,
     is_coinciding,
 )
-from .protocol import run_protocol
+from .protocol import markovian_advance, pad_protocol
 from .threestate import DisjInstance, count_transcript_triples, disj_via_protocol
 from .twostate import classify_advance, random_two_state_protocol, run_lookahead_exchange
 from .vertical import genie_lookahead, make_schedule
-from .protocol import pad_protocol
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -62,9 +60,7 @@ def _load_advance(spec: str) -> tuple[tuple[int, int], ...]:
     """An advance table from a JSON file ([[..],[..]] or flat row-major), or
     the builtin shorthand markovian:<log_M>."""
     if spec.startswith("markovian:"):
-        log_M = int(spec.split(":", 1)[1])
-        M = 1 << log_M
-        return tuple((((s << 1) & (M - 1)), ((s << 1) & (M - 1)) | 1) for s in range(M))
+        return markovian_advance(int(spec.split(":", 1)[1]))
     raw = json.loads(Path(spec).read_text())
     if raw and isinstance(raw[0], list):
         return tuple(tuple(int(v) for v in row) for row in raw)
@@ -97,26 +93,19 @@ def _cmd_simulate(args) -> int:
         trials=args.trials,
         base_seed=args.seed,
     )
+    reports = [run_trial(cfg, args.n, t) for t in range(cfg.trials)]
     lines = [csv_line(("seed", "N", "rate", "alice_ok", "bob_ok"))]
-    reports = []
-    from .vertical import accounting
-    audits_ok = True
-    for t in range(cfg.trials):
-        r = run_trial(cfg, args.n, t)
-        reports.append(r)
-        lines.append(csv_line((r.seed, r.channel_uses, r.achieved_rate,
-                               r.alice_correct, r.bob_correct)))
-        audits_ok &= accounting(r).passed
+    lines += [csv_line((r.seed, r.channel_uses, r.achieved_rate, r.alice_correct, r.bob_correct))
+              for r in reports]
     _write_or_print("\n".join(lines) + "\n", args.out)
-    failures = sum(1 for r in reports if not r.correct)
-    low, high = wilson_interval(failures, len(reports))
+    row, audits_ok = sweep_row(args.n, cfg.scheme, reports)
     summary = {
         "schema_version": 1,
-        "trials": len(reports),
-        "failures": failures,
-        "mean_pe": failures / len(reports),
-        "wilson_95": [low, high],
-        "mean_rate": float(np.mean([r.achieved_rate for r in reports])),
+        "trials": row.trials,
+        "failures": row.failures,
+        "mean_pe": row.mean_pe,
+        "wilson_95": [row.wilson_low, row.wilson_high],
+        "mean_rate": row.mean_rate,
         "audits_passed": audits_ok,
     }
     _write_or_print(json.dumps(summary, indent=2, sort_keys=True) + "\n", args.summary)
@@ -124,6 +113,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_lookahead(args) -> int:
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
     ch = ChannelModel.parse(args.channel)
     side = CodeSpec.parse(args.side_code)
     agree = 0
@@ -270,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--channel", default="bsc:0.05")
     sim.add_argument("--code", default="oracle:0.3", help="oracle:<R> | rep:<r> | rlc:<x>")
     sim.add_argument("--side-code", dest="side_code", help="code for side information")
-    sim.add_argument("--scheme", default="genie",
-                     choices=["genie", "two-state", "two-state-exhaustive", "m-state"])
+    sim.add_argument("--scheme", default="genie", choices=SCHEMES)
     sim.add_argument("--placement", default="last", choices=["last", "first"])
     sim.add_argument("--n", type=int, default=256)
     sim.add_argument("--trials", type=int, default=1)

@@ -4,7 +4,7 @@ and CSV/JSON emission.
 Determinism contract: trial t of a sweep runs on a fresh generator seeded
 with base_seed + t, protocols are drawn from that generator before any
 channel noise, and aggregation folds reports in trial order. Identical
-configuration therefore yields byte-identical outputs, at any parallelism.
+configuration therefore yields byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .channel import ChannelModel
 from .coding import CodeSpec
 from .multistate import all_tables, balanced_tables, simulate_mstate
-from .protocol import FiniteStateProtocol, load_protocol, make_markovian
+from .protocol import FiniteStateProtocol, load_protocol, markovian_advance, random_protocol
 from .twostate import exhaustive_two_state, random_two_state_protocol, simulate_two_state
 from .vertical import SimulationReport, accounting, genie_provider, simulate_vertical
 
@@ -137,8 +137,7 @@ def _draw_protocol(source: Mapping, n: int, rng: np.random.Generator) -> FiniteS
             fset = all_tables(M)
         else:
             fset = tuple(tuple(int(b) for b in t) for t in functions)
-        picks = rng.integers(0, len(fset), size=n)
-        return make_markovian(log_M, tuple(fset[int(k)] for k in picks))
+        return random_protocol(n, M, fset, rng, advance=markovian_advance(log_M))
     raise ValueError(f"unknown protocol source {kind!r}")
 
 
@@ -204,30 +203,36 @@ def report_csv_row(report: SimulationReport, trial: int) -> str:
                      report.lookahead_bits, coinc))
 
 
+def sweep_row(n: int, scheme: str, reports: Sequence[SimulationReport]) -> tuple[SweepRow, bool]:
+    """Aggregate one n's reports, in trial order, and whether all passed audit."""
+    failures = sum(1 for r in reports if not r.correct)
+    low, high = wilson_interval(failures, len(reports))
+    row = SweepRow(
+        n=n,
+        scheme=scheme,
+        trials=len(reports),
+        failures=failures,
+        mean_pe=failures / len(reports),
+        wilson_low=low,
+        wilson_high=high,
+        mean_rate=float(np.mean([r.achieved_rate for r in reports])),
+        mean_overhead=float(np.mean(
+            [r.channel_uses - r.n_padded / r.rate_target for r in reports])),
+        coincidence_failures=sum(1 for r in reports if r.coincidence_ok is False),
+    )
+    return row, all(accounting(r).passed for r in reports)
+
+
 def run_sweep(cfg: ExperimentConfig) -> SweepSummary:
     csv_lines = [csv_line(CSV_COLUMNS)]
     rows = []
     audits_passed = True
     for n in cfg.n_list:
         reports = [run_trial(cfg, n, t) for t in range(cfg.trials)]
-        for t, report in enumerate(reports):
-            csv_lines.append(report_csv_row(report, t))
-            audits_passed &= accounting(report).passed
-        failures = sum(1 for r in reports if not r.correct)
-        low, high = wilson_interval(failures, len(reports))
-        rows.append(SweepRow(
-            n=n,
-            scheme=cfg.scheme,
-            trials=len(reports),
-            failures=failures,
-            mean_pe=failures / len(reports),
-            wilson_low=low,
-            wilson_high=high,
-            mean_rate=float(np.mean([r.achieved_rate for r in reports])),
-            mean_overhead=float(np.mean(
-                [r.channel_uses - r.n_padded / r.rate_target for r in reports])),
-            coincidence_failures=sum(1 for r in reports if r.coincidence_ok is False),
-        ))
+        csv_lines += [report_csv_row(report, t) for t, report in enumerate(reports)]
+        row, audits_ok = sweep_row(n, cfg.scheme, reports)
+        rows.append(row)
+        audits_passed &= audits_ok
     summary = SweepSummary(tuple(rows), audits_passed)
 
     if cfg.csv_path:

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,13 +28,11 @@ from .coding import CodeSpec, convey
 from .protocol import (
     FiniteStateProtocol,
     Party,
-    PartyView,
     Table,
-    pad_protocol,
     party_view,
-    run_protocol,
 )
 from .vertical import (
+    ColumnWire,
     LookaheadProvider,
     LookaheadResult,
     SimulationReport,
@@ -331,6 +329,27 @@ def _exchange_tail_tables(
     return assembled, bits_used, channel_uses
 
 
+def _tail_finals(p: FiniteStateProtocol, tails: Mapping[Party, list[list[Table]]],
+                 blocks: int) -> tuple[dict[Party, list[int]], set[int]]:
+    """Walk all M trajectories over each of the first ``blocks`` tails, per
+    party. Returns each party's block finals (the first trajectory's when
+    they differ) and the blocks whose trajectories did not all merge."""
+    finals: dict[Party, list[int]] = {}
+    bad: set[int] = set()
+    for q, per_block in tails.items():
+        finals[q] = []
+        for r in range(blocks):
+            ok, ends = trajectories_coincide(p.advance, per_block[r], p.M)
+            if not ok:
+                bad.add(r)
+            finals[q].append(ends[0])
+    return finals, bad
+
+
+def _merge_failure(bad: set[int]) -> str:
+    return f"trajectories did not merge in blocks {sorted(bad)}"
+
+
 def tail_exhaustive_lookahead(p: FiniteStateProtocol, plan: TailPlan, ch: ChannelModel,
                               side_code: CodeSpec, rng: np.random.Generator) -> LookaheadResult:
     """Last-p placement: agree on every block's final state by simulating all
@@ -346,30 +365,39 @@ def tail_exhaustive_lookahead(p: FiniteStateProtocol, plan: TailPlan, ch: Channe
         warnings.warn("advance function is not coinciding; merges are not guaranteed",
                       stacklevel=2)
 
-    assembled, bits_used, channel_uses = _exchange_tail_tables(
-        p, sched, plan, ch, side_code, rng)
+    tails, bits_used, channel_uses = _exchange_tail_tables(p, sched, plan, ch, side_code, rng)
+    finals, bad = _tail_finals(p, tails, sched.rows - 1)
+    return LookaheadResult((p.initial_state, *finals[Party.ALICE]),
+                           (p.initial_state, *finals[Party.BOB]),
+                           bits_used, channel_uses,
+                           failure=_merge_failure(bad) if bad else None, tail_len=plan.p)
 
-    vectors: dict[Party, tuple[int, ...]] = {}
-    bad: set[int] = set()
-    for q, per_block in assembled.items():
-        vec = [p.initial_state]
-        for r in range(sched.rows - 1):
-            ok, finals = trajectories_coincide(p.advance, per_block[r], p.M)
-            if not ok:
-                bad.add(r)
-                vec.append(finals[0])
-            else:
-                vec.append(finals[0])
-        vectors[q] = tuple(vec)
 
-    failure = None
-    if bad:
-        failure = f"trajectories did not merge in blocks {sorted(bad)}"
-    return LookaheadResult(vectors[Party.ALICE], vectors[Party.BOB],
-                           bits_used, channel_uses, failure=failure, tail_len=plan.p)
+class TailWire(ColumnWire):
+    """Wire format of first-p placement, one branch per entry state.
+
+    The opening tail columns are never sent: each party runs all M branches
+    through them with its own tables and the counterpart's tables it heard
+    in the lookahead exchange. Later columns carry plain transcript bits.
+    """
+
+    def __init__(self, tails: Mapping[Party, np.ndarray]):
+        _, self.p, M = tails[Party.ALICE].shape
+        super().__init__(M)
+        self.branches = M
+        self.tails = tails
+
+    def encode(self, party, j, tables, taus):
+        return None if j <= self.p else super().encode(party, j, tables, taus)
+
+    def decode(self, party, j, bits):
+        return self.tails[party][:, j - 1] if j <= self.p else super().decode(party, j, bits)
 
 
 def mstate_provider(side_code: CodeSpec, K: int | None = None) -> LookaheadProvider:
+    """Last-p placement. A non-coinciding advance function, or a tail that
+    does not fit in a block, fails before any channel use."""
+
     def provide(pp: FiniteStateProtocol, sched: VerticalSchedule,
                 ch: ChannelModel, rng: np.random.Generator) -> LookaheadResult:
         horizon = K
@@ -379,8 +407,43 @@ def mstate_provider(side_code: CodeSpec, K: int | None = None) -> LookaheadProvi
                 return LookaheadResult((), (), 0, 0,
                                        failure="advance function is not coinciding")
             horizon = max(1, cert.K)
-        plan = make_tail_plan(sched.n_padded, horizon, "last")
+        try:
+            plan = make_tail_plan(sched.n_padded, horizon, "last")
+        except ValueError as exc:  # the tail does not fit in a block
+            return LookaheadResult((), (), 0, 0, failure=str(exc))
         return tail_exhaustive_lookahead(pp, plan, ch, side_code, rng)
+
+    return provide
+
+
+def _first_tail_provider(side_code: CodeSpec, K: int | None) -> LookaheadProvider:
+    """First-p placement. Both parties learn every block's opening tail
+    tables and check that all M trajectories merge over them; the column
+    loop then reconstructs the tails for all M entry states, and chaining
+    the blocks picks the real one."""
+
+    def provide(pp: FiniteStateProtocol, sched: VerticalSchedule,
+                ch: ChannelModel, rng: np.random.Generator) -> LookaheadResult:
+        horizon = K
+        if horizon is None:
+            cert = is_coinciding(pp.advance, pp.M)
+            if cert is None:
+                warnings.warn("advance function is not coinciding; merges are not guaranteed",
+                              stacklevel=4)
+            horizon = max(1, cert.K) if cert else 1
+        try:
+            plan = make_tail_plan(sched.n_padded, horizon, "first")
+        except ValueError as exc:  # the tail does not fit in a block
+            return LookaheadResult((), (), 0, 0, failure=str(exc))
+        tails, bits_used, channel_uses = _exchange_tail_tables(
+            pp, sched, plan, ch, side_code, rng)
+        _, bad = _tail_finals(pp, tails, sched.rows)
+        if bad:
+            return LookaheadResult((), (), bits_used, channel_uses,
+                                   failure=_merge_failure(bad), tail_len=plan.p)
+        wire = TailWire({q: np.array(tails[q], dtype=np.intp) for q in tails})
+        return LookaheadResult((), (), bits_used, channel_uses, tail_len=plan.p,
+                               coincidence_ok=True, wire=wire)
 
     return provide
 
@@ -391,120 +454,15 @@ def simulate_mstate(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpe
                     K: int | None = None) -> SimulationReport:
     """Tail-exhaustive simulation in either placement.
 
-    last-p composes the lookahead with the vertical engine. first-p instead
-    leaves the first p columns of every block untransmitted: both parties
-    reconstruct them for all M initial states from the exchanged tail
-    tables, transmit one transcript bit per row for the remaining columns,
-    and resolve the actual trajectory by chaining block finals at the end.
+    last-p agrees on every block's initial state before the columns. first-p
+    instead leaves the first p columns of every block untransmitted: both
+    parties reconstruct them for all M initial states from the exchanged
+    tail tables, transmit one transcript bit per row for the remaining
+    columns, and resolve the actual trajectory by chaining block finals.
     """
-    if placement == "last":
-        return simulate_vertical(p, ch, code_spec, mstate_provider(side_spec, K=K),
-                                 rng, scheme="m-state-last", seed=seed,
-                                 side_rate=side_spec.rate)
-    if placement != "first":
+    providers = {"last": mstate_provider, "first": _first_tail_provider}
+    if placement not in providers:
         raise ValueError("placement must be 'last' or 'first'")
-
-    sched = make_schedule(p.n)
-    pp = pad_protocol(p, sched.n_padded)
-    m = sched.m
-    if K is None:
-        cert = is_coinciding(pp.advance, pp.M)
-        if cert is None:
-            warnings.warn("advance function is not coinciding; merges are not guaranteed",
-                          stacklevel=2)
-        K = max(1, cert.K) if cert else 1
-    plan = make_tail_plan(sched.n_padded, K, "first")
-
-    assembled, lookahead_bits, lookahead_uses = _exchange_tail_tables(
-        pp, sched, plan, ch, side_spec, rng)
-
-    def report(alice_ok: bool, bob_ok: bool, vertical_uses: int,
-               column_errors: tuple[bool, ...], failure: str | None,
-               coincidence_ok: bool) -> SimulationReport:
-        return SimulationReport(
-            scheme="m-state-first",
-            channel=ch.name,
-            code=code_spec.name,
-            seed=seed,
-            n_logical=p.n,
-            n_padded=sched.n_padded,
-            m=m,
-            rows=sched.rows,
-            states=pp.M,
-            channel_uses=vertical_uses + lookahead_uses,
-            vertical_uses=vertical_uses,
-            lookahead_uses=lookahead_uses,
-            lookahead_bits=lookahead_bits,
-            rate_target=code_spec.rate,
-            side_rate=side_spec.rate,
-            alice_correct=alice_ok,
-            bob_correct=bob_ok,
-            column_errors=column_errors,
-            lookahead_failure=failure,
-            coincidence_ok=coincidence_ok,
-            tail_len=plan.p,
-        )
-
-    # every party simulates all M trajectories over the opening tail
-    parties = (Party.ALICE, Party.BOB)
-    trajectories: dict[Party, list[list[tuple[list[int], int]]]] = {}
-    bad: set[int] = set()
-    for q in parties:
-        per_block = []
-        for r in range(sched.rows):
-            branches = []
-            for s0 in range(pp.M):
-                s = s0
-                bits = []
-                for table in assembled[q][r]:
-                    tau = table[s]
-                    bits.append(tau)
-                    s = pp.advance[s][tau]
-                branches.append((bits, s))
-            finals = {s for _, s in branches}
-            if len(finals) > 1:
-                bad.add(r)
-            per_block.append(branches)
-        trajectories[q] = per_block
-
-    if bad:
-        failure = f"trajectories did not merge in blocks {sorted(bad)}"
-        return report(False, False, 0, (), failure, False)
-
-    views = {q: party_view(pp, q) for q in parties}
-    merged = {q: [trajectories[q][r][0][1] for r in range(sched.rows)] for q in parties}
-    suffix = {q: [[] for _ in range(sched.rows)] for q in parties}
-    vertical_uses = 0
-    column_errors = []
-    for j in range(plan.p + 1, m + 1):
-        sender = Party.ALICE if j % 2 else Party.BOB
-        receiver = sender.other
-        column = [
-            views[sender].table(r * m + j)[merged[sender][r]]
-            for r in range(sched.rows)
-        ]
-        transfer = convey(code_spec, column, ch, rng, matrix_seed=j)
-        vertical_uses += transfer.channel_uses
-        column_errors.append(not transfer.intact)
-        for q, bits in ((sender, column), (receiver, transfer.decoded)):
-            for r in range(sched.rows):
-                b = int(bits[r])
-                suffix[q][r].append(b)
-                merged[q][r] = pp.advance[merged[q][r]][b]
-
-    truth = run_protocol(pp).bits
-    correct = {}
-    for q in parties:
-        out: list[int] = []
-        s = pp.initial_state
-        for r in range(sched.rows):
-            bits, final = trajectories[q][r][s]
-            out.extend(bits)
-            out.extend(suffix[q][r])
-            s = final
-            for b in suffix[q][r]:
-                s = pp.advance[s][b]
-        correct[q] = tuple(out) == truth
-
-    return report(correct[Party.ALICE], correct[Party.BOB], vertical_uses,
-                  tuple(column_errors), None, True)
+    return simulate_vertical(p, ch, code_spec, providers[placement](side_spec, K=K), rng,
+                             scheme=f"m-state-{placement}", seed=seed,
+                             side_rate=side_spec.rate)

@@ -26,6 +26,9 @@ class Party(Enum):
     ALICE = "alice"
     BOB = "bob"
 
+    # members are singletons; identity hashing keeps Party-keyed dicts cheap
+    __hash__ = object.__hash__
+
     @property
     def parity(self) -> int:
         """Residue mod 2 of the 1-based round indices this party owns."""
@@ -155,22 +158,25 @@ def run_protocol(p: FiniteStateProtocol, initial_state: int | None = None) -> Tr
     return TranscriptTrace(tuple(bits), tuple(states))
 
 
-def make_markovian(log_M: int, transmissions: Sequence[Sequence[int]],
-                   initial_state: int = 0) -> FiniteStateProtocol:
-    """Protocol whose state is the window of the last ``log_M`` transcript bits.
+def markovian_advance(log_M: int) -> tuple[tuple[int, int], ...]:
+    """Shift-register advance over the window of the last ``log_M`` bits.
 
-    The advance table is the shift register dropping the oldest bit; the
-    oldest bit is the high-order bit of the integer state encoding.
+    The state drops its oldest bit, the high-order bit of the integer state
+    encoding, and appends the new one.
     """
     if log_M < 1:
         raise ValueError("window length must be positive")
     M = 1 << log_M
-    advance = tuple(
-        (((s << 1) & (M - 1)) | 0, ((s << 1) & (M - 1)) | 1) for s in range(M)
-    )
+    return tuple(((s << 1) & (M - 1), ((s << 1) & (M - 1)) | 1) for s in range(M))
+
+
+def make_markovian(log_M: int, transmissions: Sequence[Sequence[int]],
+                   initial_state: int = 0) -> FiniteStateProtocol:
+    """Protocol whose state is the window of the last ``log_M`` transcript bits."""
+    advance = markovian_advance(log_M)
     return FiniteStateProtocol(
         n=len(transmissions),
-        M=M,
+        M=len(advance),
         advance=advance,
         transmissions=tuple(transmissions),
         initial_state=initial_state,
@@ -201,7 +207,8 @@ def random_protocol(n: int, M: int, function_set: Sequence[Sequence[int]],
 
 
 def party_view(p: FiniteStateProtocol, party: Party) -> PartyView:
-    tables = {i: p.transmissions[i - 1] for i in range(1, p.n + 1) if i % 2 == party.parity}
+    first = 2 - party.parity
+    tables = dict(zip(range(first, p.n + 1, 2), p.transmissions[first - 1::2]))
     return PartyView(
         party=party,
         n=p.n,

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,17 +31,15 @@ from .protocol import (
     Party,
     PartyView,
     Table,
-    pad_protocol,
     party_view,
-    run_protocol,
 )
 from .vertical import (
+    ColumnWire,
     LookaheadProvider,
     LookaheadResult,
     SimulationReport,
     VerticalSchedule,
-    known_states_provider,
-    make_schedule,
+    run_columns,
     simulate_vertical,
 )
 
@@ -368,38 +367,45 @@ def random_two_state_protocol(n: int, seed: int | np.random.Generator,
 # ---------------------------------------------------------------------------
 # exhaustive alternative: simulate both initial states until they merge
 
-class _PairTracker:
-    """Both-initial-state reconstruction of one block.
+@lru_cache(maxsize=None)
+def _exhaustive_format(cls: AdvanceClass) -> tuple[np.ndarray, np.ndarray]:
+    """Wire format by phase (0 before the merge point, 1 at it, 2 after).
 
-    Keeps, for each possible entry state, the transcript so far and the
-    current state. Applying a known transmission table advances both
-    branches; applying a raw transcript bit is only meaningful once the
-    branches have merged, but degrades gracefully if they have not.
+    ``naming[phase, t0, t1, tau]`` is the wire bit the owner sends for table
+    (t0, t1) whose branch-0 transcript bit is tau; ``tables[phase, w]`` is the
+    table the receiver rebuilds from wire bit w.
+    """
+    groups = (cls.free_tables, cls.constant_making)
+    naming = np.zeros((3, 2, 2, 2), dtype=np.intp)
+    for k, group in enumerate(groups):
+        for w, (t0, t1) in enumerate(group):
+            naming[k, t0, t1] = w
+    naming[2] = (0, 1)
+    return naming, np.array([*groups, ((0, 0), (1, 1))])
+
+
+class ExhaustiveWire(ColumnWire):
+    """Wire format of the exhaustive scheme, one branch per entry state.
+
+    Before a row's merge point the owner names its table among the two free
+    tables, at the merge point among the two constant-making tables, and
+    after it sends the transcript bit of branch 0. ``beliefs[q]`` holds party
+    q's merge point of every row, for a grid of ``m`` columns.
     """
 
-    __slots__ = ("advance", "states", "bits")
+    branches = 2
 
-    def __init__(self, advance):
-        self.advance = advance
-        self.states = [0, 1]
-        self.bits: tuple[list[int], list[int]] = ([], [])
+    def __init__(self, cls: AdvanceClass, beliefs: Mapping[Party, np.ndarray], m: int):
+        super().__init__(2)
+        self.naming, self.tables = _exhaustive_format(cls)
+        cols = np.arange(1, m + 1)
+        self.phase = {q: np.sign(cols - b[:, None]) + 1 for q, b in beliefs.items()}
 
-    @property
-    def merged(self) -> bool:
-        return self.states[0] == self.states[1]
+    def encode(self, party, j, tables, taus):
+        return self.naming[self.phase[party][:, j - 1], tables[:, 0], tables[:, 1], taus[:, 0]]
 
-    def apply_table(self, table: Table) -> None:
-        for k in (0, 1):
-            s = self.states[k]
-            tau = table[s]
-            self.bits[k].append(tau)
-            self.states[k] = self.advance[s][tau]
-
-    def apply_transcript_bit(self, tau: int) -> None:
-        for k in (0, 1):
-            s = self.states[k]
-            self.bits[k].append(tau)
-            self.states[k] = self.advance[s][tau]
+    def decode(self, party, j, bits):
+        return self.tables[self.phase[party][:, j - 1], bits]
 
 
 @dataclass(frozen=True)
@@ -424,170 +430,107 @@ def _resolve_first(own_t: int, other_t: int, m: int) -> int:
     return min(candidates) if candidates else m + 1
 
 
-def _owner_bit(table: Table, t: int, belief: int, tracker: _PairTracker,
-               cls: AdvanceClass) -> int:
-    """The bit the round owner puts on the wire for its round t."""
-    if t > belief:
-        return table[tracker.states[0]]
-    if t == belief:
-        return cls.constant_making.index(table)
-    return cls.free_tables.index(table)
-
-
-def _absorb_bit(w: int, t: int, belief: int, tracker: _PairTracker,
-                cls: AdvanceClass) -> None:
-    """Advance a receiver's tracker by one decoded wire bit."""
-    if t > belief:
-        tracker.apply_transcript_bit(w)
-    elif t == belief:
-        tracker.apply_table(cls.constant_making[w])
-    else:
-        tracker.apply_table(cls.free_tables[w])
-
-
 def run_exhaustive_block(eta, tables: Sequence[Table]) -> tuple[BlockReconstruction, BlockReconstruction]:
     """Noiseless single-block core of the exhaustive scheme.
 
     Both parties exchange their first-constant locations, then one bit per
-    round: the owner's table identity before the merge point, the constant
-    table identity at it, the shared transcript bit after. Returns Alice's
-    and Bob's reconstructions, which must agree with each other and with
-    direct iteration from both entry states.
+    round in the scheme's wire format, through the same column loop as the
+    full simulation with the block as a one-row grid. Returns Alice's and
+    Bob's reconstructions, which must agree with each other and with direct
+    iteration from both entry states.
     """
     cls = classify_advance(eta)
     if not cls.interactive:
         raise ValueError("the exhaustive scheme requires an interactive advance function")
     m = len(tables)
-    nus = {Party.ALICE: {}, Party.BOB: {}}
-    for t, table in enumerate(tables, start=1):
-        owner = Party.ALICE if t % 2 else Party.BOB
-        nus[owner][t] = composite_from(eta, table)
-    first = {q: _first_const(nus[q]) for q in (Party.ALICE, Party.BOB)}
-    belief = _resolve_first(first[Party.ALICE], first[Party.BOB], m)
-    bits_used = m + sum(_index_width(m, q) for q in (Party.ALICE, Party.BOB))
-
-    trackers = {q: _PairTracker(eta) for q in (Party.ALICE, Party.BOB)}
-    for t, table in enumerate(tables, start=1):
-        owner = Party.ALICE if t % 2 else Party.BOB
-        w = _owner_bit(table, t, belief, trackers[owner], cls)
-        trackers[owner].apply_table(table)
-        _absorb_bit(w, t, belief, trackers[owner.other], cls)
+    parties = (Party.ALICE, Party.BOB)
+    first = {
+        q: _first_const({t: composite_from(eta, tables[t - 1])
+                         for t in range(2 - q.parity, m + 1, 2)})
+        for q in parties
+    }
+    belief = np.array([_resolve_first(first[Party.ALICE], first[Party.BOB], m)])
+    bits_used = m + sum(_index_width(m, q) for q in parties)
+    owned = {q: np.array(tables[1 - q.parity::2], dtype=np.intp).reshape(1, -1, 2)
+             for q in parties}
+    both = np.arange(2)[None, :]
+    runs = run_columns(owned, np.array(eta), {q: both for q in parties},
+                       ExhaustiveWire(cls, {q: belief for q in parties}, m),
+                       lambda j, bits: bits)
 
     def snapshot(q: Party) -> BlockReconstruction:
-        tr = trackers[q]
+        bits, finals = runs[q]
         return BlockReconstruction(
-            (tuple(tr.bits[0]), tuple(tr.bits[1])),
-            (tr.states[0], tr.states[1]),
+            (tuple(bits[0, :, 0].tolist()), tuple(bits[0, :, 1].tolist())),
+            (int(finals[0, 0]), int(finals[0, 1])),
             bits_used,
         )
 
     return snapshot(Party.ALICE), snapshot(Party.BOB)
 
 
-def exhaustive_two_state(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpec,
-                         side_spec: CodeSpec, rng: np.random.Generator,
-                         seed: int | None = None) -> SimulationReport:
-    """Full exhaustive-scheme simulation over the vertical grid.
+def _exhaustive_provider(side_code: CodeSpec) -> LookaheadProvider:
+    """Lookahead of the exhaustive scheme: each party sends the compressed
+    index of its first constant-making round per block; the earlier of the
+    two is the block's merge point for the column wire format.
 
     A non-interactive advance function fixes the whole state sequence
     independently of the transcript, so both parties compute the block
-    starts locally and the run degenerates to the plain vertical loop.
+    starts locally and the columns carry plain transcript bits.
     """
+
+    def provide(pp: FiniteStateProtocol, sched: VerticalSchedule,
+                ch: ChannelModel, rng: np.random.Generator) -> LookaheadResult:
+        cls = classify_advance(pp.advance)
+        if not cls.interactive:
+            successor = (pp.advance[0][0], pp.advance[1][0])
+            starts = []
+            s = pp.initial_state
+            for _ in range(sched.rows):
+                starts.append(s)
+                for _ in range(sched.m):
+                    s = successor[s]
+            return LookaheadResult(tuple(starts), tuple(starts), 0, 0)
+
+        m = sched.m
+        parties = (Party.ALICE, Party.BOB)
+        views = {q: party_view(pp, q) for q in parties}
+        own_first = {
+            q: [_first_const(_party_composites(views[q], m, r)) for r in range(sched.rows)]
+            for q in parties
+        }
+        width = {q: _index_width(m, q) for q in parties}
+        bits_used = 0
+        channel_uses = 0
+        heard: dict[Party, list[int]] = {}
+        for k, sender in enumerate(parties):
+            payload = [b for t in own_first[sender]
+                       for b in _int_to_bits(_encode_index(t), width[sender])]
+            transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 1 + k)
+            bits_used += len(payload)
+            channel_uses += transfer.channel_uses
+            w = width[sender]
+            heard[sender.other] = [
+                _decode_index(_bits_to_int(transfer.decoded[r * w: (r + 1) * w]), m, sender)
+                for r in range(sched.rows)
+            ]
+        beliefs = {
+            q: np.array([_resolve_first(own_first[q][r], heard[q][r], m)
+                         for r in range(sched.rows)])
+            for q in parties
+        }
+        return LookaheadResult((), (), bits_used, channel_uses,
+                               wire=ExhaustiveWire(cls, beliefs, m))
+
+    return provide
+
+
+def exhaustive_two_state(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpec,
+                         side_spec: CodeSpec, rng: np.random.Generator,
+                         seed: int | None = None) -> SimulationReport:
+    """Full exhaustive-scheme simulation over the vertical grid."""
     if p.M != 2:
         raise ValueError("the exhaustive scheme requires a two-state protocol")
-    sched = make_schedule(p.n)
-    pp = pad_protocol(p, sched.n_padded)
-    cls = classify_advance(pp.advance)
-    scheme = "two-state-exhaustive"
-
-    if not cls.interactive:
-        successor = (pp.advance[0][0], pp.advance[1][0])
-        starts = []
-        s = pp.initial_state
-        for _ in range(sched.rows):
-            starts.append(s)
-            for _ in range(sched.m):
-                s = successor[s]
-        return simulate_vertical(p, ch, code_spec, known_states_provider(tuple(starts)),
-                                 rng, scheme=scheme, seed=seed, side_rate=side_spec.rate)
-
-    m = sched.m
-    parties = (Party.ALICE, Party.BOB)
-    views = {q: party_view(pp, q) for q in parties}
-
-    own_first = {
-        q: [_first_const(_party_composites(views[q], m, r)) for r in range(sched.rows)]
-        for q in parties
-    }
-    width = {q: _index_width(m, q) for q in parties}
-    lookahead_bits = 0
-    lookahead_uses = 0
-    heard: dict[Party, list[int]] = {}
-    for k, sender in enumerate(parties):
-        payload = [b for t in own_first[sender] for b in _int_to_bits(_encode_index(t), width[sender])]
-        transfer = convey(side_spec, payload, ch, rng, matrix_seed=m + 1 + k)
-        lookahead_bits += len(payload)
-        lookahead_uses += transfer.channel_uses
-        w = width[sender]
-        heard[sender.other] = [
-            _decode_index(_bits_to_int(transfer.decoded[r * w: (r + 1) * w]), m, sender)
-            for r in range(sched.rows)
-        ]
-    belief = {
-        q: [
-            _resolve_first(own_first[q][r], heard[q][r], m)
-            for r in range(sched.rows)
-        ]
-        for q in parties
-    }
-
-    trackers = {q: [_PairTracker(pp.advance) for _ in range(sched.rows)] for q in parties}
-    vertical_uses = 0
-    column_errors = []
-    for j in range(1, m + 1):
-        sender = Party.ALICE if j % 2 else Party.BOB
-        receiver = sender.other
-        column = [
-            _owner_bit(views[sender].table(r * m + j), j, belief[sender][r],
-                       trackers[sender][r], cls)
-            for r in range(sched.rows)
-        ]
-        transfer = convey(code_spec, column, ch, rng, matrix_seed=j)
-        vertical_uses += transfer.channel_uses
-        column_errors.append(not transfer.intact)
-        for r in range(sched.rows):
-            trackers[sender][r].apply_table(views[sender].table(r * m + j))
-            _absorb_bit(transfer.decoded[r], j, belief[receiver][r],
-                        trackers[receiver][r], cls)
-
-    truth = run_protocol(pp).bits
-    correct = {}
-    for q in parties:
-        assembled: list[int] = []
-        s = pp.initial_state
-        for r in range(sched.rows):
-            tr = trackers[q][r]
-            assembled.extend(tr.bits[s])
-            s = tr.states[s]
-        correct[q] = tuple(assembled) == truth
-
-    return SimulationReport(
-        scheme=scheme,
-        channel=ch.name,
-        code=code_spec.name,
-        seed=seed,
-        n_logical=p.n,
-        n_padded=sched.n_padded,
-        m=m,
-        rows=sched.rows,
-        states=2,
-        channel_uses=vertical_uses + lookahead_uses,
-        vertical_uses=vertical_uses,
-        lookahead_uses=lookahead_uses,
-        lookahead_bits=lookahead_bits,
-        rate_target=code_spec.rate,
-        side_rate=side_spec.rate,
-        alice_correct=correct[Party.ALICE],
-        bob_correct=correct[Party.BOB],
-        column_errors=tuple(column_errors),
-    )
+    return simulate_vertical(p, ch, code_spec, _exhaustive_provider(side_spec), rng,
+                             scheme="two-state-exhaustive", seed=seed,
+                             side_rate=side_spec.rate)

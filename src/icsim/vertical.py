@@ -9,23 +9,27 @@ lookahead provider, which is where the different schemes differ: a genie can
 just read them off the clean execution, while real providers pay extra
 channel uses to agree on them.
 
-After the lookahead phase the column loop is common to every scheme: the
-column owner evaluates its transmission functions on its current state
-vector, the bits cross the channel under the configured block code, and both
-parties advance their own copies of the per-row states using their own
-(possibly differing) versions of the column bits.
+After the lookahead phase one column loop serves every scheme. Each party
+holds a (rows x branches) array of candidate states: one branch when the
+row-start states are agreed, one per possible start state when they are
+not. For each column the owner maps its tables to one wire bit per row, one
+coded block carries them, and both parties apply one table per row to every
+branch: the owner its own, the receiver one rebuilt from the decoded bits.
+A scheme changes only that wire mapping (``ColumnWire``). This module alone
+checks the reconstructed transcripts against ``run_protocol`` and builds
+the ``SimulationReport``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Protocol as TypingProtocol
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .channel import ChannelModel
-from .coding import CodeSpec, convey
+from .coding import CodeSpec, TransferResult, convey
 from .protocol import (
     FiniteStateProtocol,
     Party,
@@ -66,14 +70,42 @@ def make_schedule(n: int) -> VerticalSchedule:
     return VerticalSchedule(n, root * root, root)
 
 
+class ColumnWire:
+    """What a sent column carries: here, the transcript bit of each row.
+
+    A party keeps ``branches`` candidate states per row: one, or one per
+    possible row-start state (branch b then starts in state b). The owner of
+    column j maps its (rows x M) tables and the (rows x branches) transcript
+    bits they give on its branches to one wire bit per row, or to None when
+    the column is not sent. The receiver maps the decoded bits (None for an
+    unsent column) back to one table per row and applies it to every
+    branch; for plain bits that is the constant table.
+    """
+
+    branches = 1
+
+    def __init__(self, M: int):
+        self.M = M
+
+    def encode(self, party: Party, j: int, tables: np.ndarray,
+               taus: np.ndarray) -> np.ndarray | None:
+        return taus[:, 0]
+
+    def decode(self, party: Party, j: int, bits: np.ndarray | None) -> np.ndarray:
+        return np.repeat(bits[:, None], self.M, axis=1)
+
+
 @dataclass(frozen=True)
 class LookaheadResult:
     """Block-initial states as each party believes them, plus its cost.
 
     ``alice_states`` and ``bob_states`` are length-``rows`` tuples giving the
-    state at the start of each row. ``failure`` is a diagnostic string when
+    state at the start of each row; they are empty when ``wire`` carries one
+    branch per start state instead. ``failure`` is a diagnostic string when
     the provider could not commit to an answer (the simulation then aborts
-    rather than run from states known to be wrong).
+    rather than run from states known to be wrong). ``coincidence_ok`` is the
+    report's value for a run that does not abort; ``wire`` replaces the plain
+    transcript-bit columns.
     """
 
     alice_states: tuple[int, ...]
@@ -82,6 +114,8 @@ class LookaheadResult:
     channel_uses: int
     failure: str | None = None
     tail_len: int | None = None
+    coincidence_ok: bool | None = None
+    wire: ColumnWire | None = None
 
 
 LookaheadProvider = Callable[
@@ -155,26 +189,56 @@ class SimulationReport:
         return self.alice_correct and self.bob_correct
 
 
-class _StateTracker:
-    """One party's running per-row state vector during the column loop."""
+def _owned_tables(view: PartyView, rows: int) -> np.ndarray:
+    """A party's own tables as a (rows, own columns, M) array, in round order.
 
-    def __init__(self, view: PartyView, initial: tuple[int, ...]):
-        self.view = view
-        self.states = list(initial)
-        self.transcript: dict[int, int] = {}
+    With an even grid side (or a single round) column j of a row is the
+    party's ((j - 1) // 2)-th own round in that row.
+    """
+    return np.array(list(view.tables.values()), dtype=np.intp).reshape(rows, -1, view.M)
 
-    def column_bits(self, sched: VerticalSchedule, j: int) -> list[int]:
-        tables = [self.view.table(r * sched.m + j) for r in range(sched.rows)]
-        return [t[s] for t, s in zip(tables, self.states)]
 
-    def absorb(self, sched: VerticalSchedule, j: int, bits) -> None:
-        adv = self.view.advance
-        for r, b in enumerate(bits):
-            self.transcript[r * sched.m + j] = int(b)
-            self.states[r] = adv[self.states[r]][int(b)]
+def run_columns(owned: Mapping[Party, np.ndarray], advance: np.ndarray,
+                starts: Mapping[Party, np.ndarray], wire: ColumnWire,
+                carry: Callable[[int, np.ndarray], np.ndarray],
+                ) -> dict[Party, tuple[np.ndarray, np.ndarray]]:
+    """The column loop of every scheme.
 
-    def assembled(self, n_padded: int) -> tuple[int, ...]:
-        return tuple(self.transcript[i] for i in range(1, n_padded + 1))
+    ``owned[q]`` holds party q's tables as ``_owned_tables`` lays them out and
+    ``starts[q]`` its (rows, branches) start states. ``carry(j, bits)``
+    takes column j's wire bits to the receiver. Returns, per party, the
+    (rows, columns, branches) transcript bits of every branch and the final
+    (rows, branches) states.
+    """
+    cols = sum(a.shape[1] for a in owned.values())
+    rows = np.arange(len(starts[Party.ALICE]))[:, None]
+    states = dict(starts)
+    bits = {q: np.empty((len(rows), cols, wire.branches), dtype=np.intp) for q in states}
+    for j in range(1, cols + 1):
+        owner, receiver = owner_of_round(j), owner_of_round(j + 1)
+        tables = owned[owner][:, (j - 1) // 2]
+        taus = tables[rows, states[owner]]
+        sent = wire.encode(owner, j, tables, taus)
+        heard = None if sent is None else carry(j, sent)
+        applied = wire.decode(receiver, j, heard)
+        for q, tau in ((owner, taus), (receiver, applied[rows, states[receiver]])):
+            bits[q][:, j - 1] = tau
+            states[q] = advance[states[q], tau]
+    return {q: (bits[q], states[q]) for q in states}
+
+
+def _transcript(bits: np.ndarray, finals: np.ndarray, initial_state: int) -> tuple[int, ...]:
+    """Chain one party's branches into its transcript: branch 0 of every row
+    when there is one branch, else the branch that starts in the state the
+    previous row ended in."""
+    rows, _, branches = bits.shape
+    picks = np.zeros(rows, dtype=np.intp)
+    if branches > 1:
+        s = initial_state
+        for r in range(rows):
+            picks[r] = s
+            s = finals[r, s]
+    return tuple(bits[np.arange(rows), :, picks].ravel().tolist())
 
 
 def simulate_vertical(
@@ -187,57 +251,59 @@ def simulate_vertical(
     seed: int | None = None,
     side_rate: float | None = None,
 ) -> SimulationReport:
-    """Run one vertical simulation and compare against the clean execution."""
+    """Run one vertical simulation and compare against the clean execution.
+
+    The provider's lookahead comes first; unless it failed, one coded
+    transfer per sent column follows, in column order.
+    """
     sched = make_schedule(p.n)
     pp = pad_protocol(p, sched.n_padded)
     la = provider(pp, sched, ch, rng)
+    transfers: list[TransferResult] = []
+    correct = {Party.ALICE: False, Party.BOB: False}
+    if la.failure is None:
+        wire = la.wire or ColumnWire(pp.M)
+        if wire.branches == 1:
+            starts = {Party.ALICE: np.array(la.alice_states)[:, None],
+                      Party.BOB: np.array(la.bob_states)[:, None]}
+        else:
+            both = np.tile(np.arange(wire.branches), (sched.rows, 1))
+            starts = {Party.ALICE: both, Party.BOB: both}
 
-    def report(alice_ok: bool, bob_ok: bool, vertical_uses: int,
-               column_errors: tuple[bool, ...]) -> SimulationReport:
-        return SimulationReport(
-            scheme=scheme,
-            channel=ch.name,
-            code=code_spec.name,
-            seed=seed,
-            n_logical=p.n,
-            n_padded=sched.n_padded,
-            m=sched.m,
-            rows=sched.rows,
-            states=p.M,
-            channel_uses=vertical_uses + la.channel_uses,
-            vertical_uses=vertical_uses,
-            lookahead_uses=la.channel_uses,
-            lookahead_bits=la.bits_used,
-            rate_target=code_spec.rate,
-            side_rate=side_rate,
-            alice_correct=alice_ok,
-            bob_correct=bob_ok,
-            column_errors=column_errors,
-            lookahead_failure=la.failure,
-            coincidence_ok=None if la.failure is None else False,
-            tail_len=la.tail_len,
-        )
+        def carry(j: int, bits: np.ndarray) -> np.ndarray:
+            transfer = convey(code_spec, bits.tolist(), ch, rng, matrix_seed=j)
+            transfers.append(transfer)
+            return np.array(transfer.decoded, dtype=np.intp)
 
-    if la.failure is not None:
-        return report(False, False, 0, ())
+        owned = {q: _owned_tables(party_view(pp, q), sched.rows) for q in starts}
+        runs = run_columns(owned, np.array(pp.advance), starts, wire, carry)
+        truth = run_protocol(pp).bits
+        correct = {q: _transcript(*runs[q], pp.initial_state) == truth for q in runs}
 
-    alice = _StateTracker(party_view(pp, Party.ALICE), la.alice_states)
-    bob = _StateTracker(party_view(pp, Party.BOB), la.bob_states)
-    column_errors = []
-    vertical_uses = 0
-    for j in range(1, sched.m + 1):
-        sender, receiver = (alice, bob) if owner_of_round(j) is Party.ALICE else (bob, alice)
-        bits = sender.column_bits(sched, j)
-        transfer = convey(code_spec, bits, ch, rng, matrix_seed=j)
-        vertical_uses += transfer.channel_uses
-        column_errors.append(not transfer.intact)
-        sender.absorb(sched, j, bits)
-        receiver.absorb(sched, j, transfer.decoded)
-
-    truth = run_protocol(pp).bits
-    return report(alice.assembled(sched.n_padded) == truth,
-                  bob.assembled(sched.n_padded) == truth,
-                  vertical_uses, tuple(column_errors))
+    vertical_uses = sum(t.channel_uses for t in transfers)
+    return SimulationReport(
+        scheme=scheme,
+        channel=ch.name,
+        code=code_spec.name,
+        seed=seed,
+        n_logical=p.n,
+        n_padded=sched.n_padded,
+        m=sched.m,
+        rows=sched.rows,
+        states=p.M,
+        channel_uses=vertical_uses + la.channel_uses,
+        vertical_uses=vertical_uses,
+        lookahead_uses=la.channel_uses,
+        lookahead_bits=la.bits_used,
+        rate_target=code_spec.rate,
+        side_rate=side_rate,
+        alice_correct=correct[Party.ALICE],
+        bob_correct=correct[Party.BOB],
+        column_errors=tuple(not t.intact for t in transfers),
+        lookahead_failure=la.failure,
+        coincidence_ok=False if la.failure is not None else la.coincidence_ok,
+        tail_len=la.tail_len,
+    )
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,22 @@ def test_lookahead_diagnostics(capsys):
     assert "bits_per_block=" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_lookahead_rejects_too_few_trials(capsys, trials):
+    assert main(["lookahead", "--n", "64", "--trials", trials]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trials" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_scheme_choices_match_harness(capsys):
+    from icsim.harness import SCHEMES
+    with pytest.raises(SystemExit):
+        main(["simulate", "--scheme", "no-such-scheme"])
+    err = capsys.readouterr().err
+    assert all(scheme in err for scheme in SCHEMES)
+
+
 def test_coincidence_markovian_passes(capsys):
     code = main(["coincidence", "--advance", "markovian:2", "--p", "80",
                  "--trials", "500", "--seed", "0"])

@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -92,7 +93,9 @@ def write_case(name: str, out: Path) -> None:
     }
     (out / "config.json").write_text(json.dumps(config, indent=1, sort_keys=True) + "\n")
     log = []
-    with contextlib.chdir(out):
+    cwd = os.getcwd()
+    os.chdir(out)  # contextlib.chdir needs Python 3.11
+    try:
         log.append(_run_cli(["sweep", "--config", "config.json",
                              "--out", "sweep.csv", "--summary", "sweep.json"]))
         for n in N_VALUES:
@@ -101,6 +104,8 @@ def write_case(name: str, out: Path) -> None:
                  "--channel", case["channel"], "--code", case["code"], *_optional(case),
                  "--n", str(n), "--trials", str(TRIALS), "--seed", str(SEED),
                  "--out", f"simulate-{n}.csv", "--summary", f"simulate-{n}.json"]))
+    finally:
+        os.chdir(cwd)
     (out / "cli.txt").write_text("".join(log))
 
     cfg = ExperimentConfig(scheme=case["scheme"], protocol=protocol,

@@ -316,3 +316,15 @@ def test_mstate_side_information_accounting():
     # raw truth tables: 4 bits per own tail round, 4 such rounds, 64 blocks, 2 parties
     assert report.lookahead_bits == 2 * 64 * 4 * 4
     assert report.lookahead_bits <= 2 * 64 * math.ceil(8 / 2) * 4
+
+
+@pytest.mark.parametrize("placement", ["last", "first"])
+def test_mstate_tail_longer_than_block_fails_the_lookahead(placement):
+    # n=1 is a single round; a K=2 tail needs two, so no tail plan fits
+    rep1 = CodeSpec.parse("rep:1")
+    p = random_protocol(1, 4, balanced_tables(4), 0, advance=MARKOV4)
+    report = simulate_mstate(p, NOISELESS, rep1, rep1, placement, np.random.default_rng(0))
+    assert "does not fit" in report.lookahead_failure
+    assert report.channel_uses == 0 and report.column_errors == ()
+    assert not report.alice_correct and not report.bob_correct
+    assert report.coincidence_ok is False
