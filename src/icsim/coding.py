@@ -11,8 +11,18 @@ Three code families:
                          random-coding probability p* = exp(-(k/R) Er(R) ln 2)
                          and charges ceil(k/R) channel uses.
 
-Decoding is maximum likelihood under the channel law with ties broken toward
-the lexicographically smallest message.
+Decoding is maximum likelihood under the channel law. A repetition bit tie
+goes to 0. A random linear code picks the first maximum of its floating-point
+codeword scores ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]`` (``cb`` the codebook,
+rows in message order, ``L`` the bit log-likelihoods). On exact ties the
+summation rounding decides, so the winner need not be the smallest message.
+
+``convey`` with ``rlc`` splits the payload into chunks with one seeded code
+each, builds all chunk codebooks in one array, sends the concatenated
+codewords through one ``ChannelModel.transmit`` call and scores up to 64
+chunks in one batched product. numpy's Generator yields the same values from one
+draw of size a+b as from a draw of a then b, so this consumes the random
+stream exactly as one transmit per chunk would.
 """
 
 from __future__ import annotations
@@ -35,9 +45,9 @@ class DecodeResult:
     ml_score: float
 
 
-def _as_bits(message: Sequence[int]) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in message)
-    if any(b not in (0, 1) for b in bits):
+def _as_bits(message: Sequence[int]) -> np.ndarray:
+    bits = np.asarray(message, dtype=np.int64)
+    if bits.ndim != 1 or ((bits < 0) | (bits > 1)).any():
         raise ValueError("message must be a bit vector")
     return bits
 
@@ -61,9 +71,9 @@ class RepetitionCode:
 
     def encode(self, message: Sequence[int]) -> np.ndarray:
         bits = _as_bits(message)
-        if len(bits) != self.k:
+        if bits.size != self.k:
             raise ValueError(f"expected {self.k} message bits")
-        return np.repeat(np.asarray(bits, dtype=np.int64), self.repeats)
+        return np.repeat(bits, self.repeats)
 
     def decode(self, outputs, channel: ChannelModel) -> DecodeResult:
         ll = channel.bit_log_likelihoods(outputs)
@@ -74,7 +84,7 @@ class RepetitionCode:
         # float summation noise on exact ties without touching real decisions
         picks = (per_bit[:, 1] > per_bit[:, 0] + 1e-9).astype(int)
         score = float(per_bit[np.arange(self.k), picks].sum())
-        return DecodeResult(tuple(int(b) for b in picks), score)
+        return DecodeResult(tuple(picks.tolist()), score)
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -89,7 +99,11 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-@lru_cache(maxsize=4096)
+# A trial at n = 65536 (m = 256) with rlc chunks of 8 bits walks 8,192 column
+# matrices plus the side-channel ones, in the same order every trial; an LRU
+# smaller than that misses on every lookup. An entry of rlc:3 costs about
+# 400 bytes, so a full cache stays under 7 MB.
+@lru_cache(maxsize=1 << 14)
 def _linear_code_matrix(k: int, b: int, seed: int) -> bytes:
     """Draw generator matrices from successive seeds until one has rank k."""
     attempt = seed
@@ -99,6 +113,54 @@ def _linear_code_matrix(k: int, b: int, seed: int) -> bytes:
         if _gf2_rank(as_ints) == k:
             return g.astype(np.uint8).tobytes()
         attempt += 1
+
+
+def _generators(k: int, b: int, seeds: Sequence[int]) -> np.ndarray:
+    """Stacked (len(seeds), k, b) uint8 generator matrices."""
+    raw = b"".join(_linear_code_matrix(k, b, s) for s in seeds)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(seeds), k, b)
+
+
+def _codebooks(generators: np.ndarray) -> np.ndarray:
+    """(..., k, b) generators -> (..., 2^k, b) uint8 codebooks.
+
+    Row w is the codeword of the message whose bits, read as a big-endian
+    integer, equal w. Built by XOR doubling: after the last t generator rows
+    the first 2^t codewords are done, and XOR with the next row up gives
+    the following 2^t. The codeword axis is built first in memory, so each
+    step is one contiguous XOR.
+    """
+    k = generators.shape[-2]
+    books = np.zeros((1 << k,) + generators.shape[:-2] + generators.shape[-1:], dtype=np.uint8)
+    h = 1
+    for i in range(k - 1, -1, -1):
+        np.bitwise_xor(books[:h], generators[..., i, :], out=books[h:2 * h])
+        h *= 2
+    return books.swapaxes(0, -2)
+
+
+def _ml_scores(books: np.ndarray, ll: np.ndarray) -> np.ndarray:
+    """Log-likelihood of every codeword: (..., 2^k, b) codebooks ``cb`` and
+    (..., b, 2) bit log-likelihoods ``L`` -> (..., 2^k) scores
+    ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]``.
+
+    Its rounding decides exact ties, so outputs depend on this formula bit
+    for bit; an algebraically equal rewrite would change them.
+    """
+    cb = books.astype(np.float64)
+    ones = cb @ ll[..., 1, None]
+    zeros = np.subtract(1.0, cb, out=cb) @ ll[..., 0, None]  # reuses cb's memory
+    return (ones + zeros)[..., 0]
+
+
+def _message_index(bits: np.ndarray) -> np.ndarray:
+    """Big-endian integer of each (..., k) bit row."""
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
+
+
+def _index_bits(index: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of ``_message_index``: (...) integers -> (..., k) bits."""
+    return (np.asarray(index)[..., None] >> np.arange(k - 1, -1, -1)) & 1
 
 
 @dataclass(frozen=True)
@@ -119,32 +181,25 @@ class RandomLinearCode:
 
     @cached_property
     def generator(self) -> np.ndarray:
-        raw = _linear_code_matrix(self.k, self.codeword_length, self.seed)
-        return np.frombuffer(raw, dtype=np.uint8).reshape(self.k, self.codeword_length).astype(np.int64)
-
-    @cached_property
-    def _messages(self) -> np.ndarray:
-        ids = np.arange(1 << self.k)[:, None]
-        shifts = np.arange(self.k - 1, -1, -1)[None, :]
-        return (ids >> shifts) & 1  # row index == message as big-endian integer
+        return _generators(self.k, self.codeword_length, [self.seed])[0].astype(np.int64)
 
     @cached_property
     def _codebook(self) -> np.ndarray:
-        return (self._messages @ self.generator) % 2
+        return _codebooks(_generators(self.k, self.codeword_length, [self.seed]))[0]
 
     def encode(self, message: Sequence[int]) -> np.ndarray:
         bits = _as_bits(message)
-        if len(bits) != self.k:
+        if bits.size != self.k:
             raise ValueError(f"expected {self.k} message bits")
-        return (np.asarray(bits, dtype=np.int64) @ self.generator) % 2
+        return self._codebook[_message_index(bits)].astype(np.int64)
 
     def decode(self, outputs, channel: ChannelModel) -> DecodeResult:
         ll = channel.bit_log_likelihoods(outputs)
         if ll.shape[0] != self.codeword_length:
             raise ValueError("output length does not match codeword length")
-        scores = self._codebook @ ll[:, 1] + (1 - self._codebook) @ ll[:, 0]
-        best = int(np.argmax(scores))  # first maximum: lexicographic tie-break
-        return DecodeResult(tuple(int(b) for b in self._messages[best]), float(scores[best]))
+        scores = _ml_scores(self._codebook, ll)
+        best = int(np.argmax(scores))  # first maximum of the float scores
+        return DecodeResult(tuple(_index_bits(best, self.k).tolist()), float(scores[best]))
 
 
 @dataclass(frozen=True)
@@ -178,18 +233,18 @@ class OracleCode:
 
     def encode(self, message: Sequence[int]) -> np.ndarray:
         bits = _as_bits(message)
-        if len(bits) != self.k:
+        if bits.size != self.k:
             raise ValueError(f"expected {self.k} message bits")
-        return np.asarray(bits, dtype=np.int64)
+        return bits
 
     def decode(self, outputs, channel: ChannelModel) -> DecodeResult:
-        return DecodeResult(_as_bits(outputs), 0.0)
+        return DecodeResult(tuple(_as_bits(outputs).tolist()), 0.0)
 
     def oracle_transmit(self, message: Sequence[int],
                         rng: np.random.Generator) -> tuple[tuple[int, ...], bool]:
         """Return (possibly corrupted message, error flag); always consumes
         exactly one uniform draw for the corruption decision."""
-        bits = _as_bits(message)
+        bits = tuple(_as_bits(message).tolist())
         if len(bits) != self.k:
             raise ValueError(f"expected {self.k} message bits")
         if rng.random() >= self.corruption_probability:
@@ -265,26 +320,47 @@ def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
     parties (and reruns) agree on the code; it must not depend on rng state.
     """
     payload = _as_bits(bits)
-    if not payload:
+    if not payload.size:
         return TransferResult((), 0, True)
     if spec.kind == "oracle":
-        code = OracleCode(len(payload), spec.value, ch)
+        code = OracleCode(payload.size, spec.value, ch)
         out, corrupted = code.oracle_transmit(payload, rng)
         return TransferResult(out, code.codeword_length, not corrupted)
     if spec.kind == "rep":
-        code = RepetitionCode(len(payload), int(spec.value))
+        code = RepetitionCode(payload.size, int(spec.value))
         received = ch.transmit(code.encode(payload), rng)
         decoded = code.decode(received, ch).message
-        return TransferResult(decoded, code.codeword_length, decoded == payload)
-    # rlc: one independent code per chunk
-    decoded_bits: list[int] = []
-    uses = 0
-    for idx in range(0, len(payload), spec.chunk):
-        part = payload[idx: idx + spec.chunk]
-        b = math.ceil(len(part) * spec.value)
-        code = RandomLinearCode(len(part), b, seed=matrix_seed * 1000003 + idx)
-        received = ch.transmit(code.encode(part), rng)
-        decoded_bits.extend(code.decode(received, ch).message)
-        uses += code.codeword_length
-    decoded = tuple(decoded_bits)
-    return TransferResult(decoded, uses, decoded == payload)
+        uses = code.codeword_length
+    else:
+        decoded, uses = _convey_rlc(spec, payload, ch, rng, matrix_seed)
+    return TransferResult(decoded, uses, decoded == tuple(payload.tolist()))
+
+
+_SCORE_SLAB = 64  # chunks scored per product; bounds the float codebook copies
+
+
+def _convey_rlc(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,
+                rng: np.random.Generator, matrix_seed: int) -> tuple[tuple[int, ...], int]:
+    """One independent code per chunk of ``spec.chunk`` bits (the last chunk
+    may be shorter), all sent through one transmit call; returns the decoded
+    bits and the channel uses."""
+    full = payload.size - payload.size % spec.chunk
+    codes = []  # (chunk size, codebooks, codewords) of the full chunks, then the short one
+    for start, msgs in ((0, payload[:full].reshape(-1, spec.chunk)), (full, payload[None, full:])):
+        if msgs.size:
+            count, size = msgs.shape
+            first = matrix_seed * 1000003 + start
+            seeds = range(first, first + count * size, size)
+            books = _codebooks(_generators(size, math.ceil(size * spec.value), seeds))
+            codes.append((size, books, books[np.arange(count), _message_index(msgs)]))
+    sent = np.concatenate([words.ravel() for _, _, words in codes])
+    ll = ch.bit_log_likelihoods(ch.transmit(sent, rng))
+    decoded = []
+    at = 0
+    for size, books, words in codes:
+        chunk_ll = ll[at: at + words.size].reshape(*words.shape, 2)
+        at += words.size
+        for i in range(0, len(books), _SCORE_SLAB):
+            scores = _ml_scores(books[i: i + _SCORE_SLAB], chunk_ll[i: i + _SCORE_SLAB])
+            decoded.append(_index_bits(scores.argmax(axis=-1), size).ravel())
+    return tuple(np.concatenate(decoded).tolist()), sent.size

@@ -172,6 +172,7 @@ def test_convey_noiseless_round_trip(spec):
     payload = tuple(rng.integers(0, 2, 19))  # forces a ragged final chunk
     result = convey(CodeSpec.parse(spec), payload, NOISELESS, rng, matrix_seed=4)
     assert result.decoded == payload
+    assert all(type(b) is int for b in result.decoded)
     assert result.intact
     assert result.channel_uses > 0
 
@@ -197,3 +198,100 @@ def test_convey_deterministic_given_rng_state():
     a = convey(CodeSpec.parse("rlc:2"), payload, ch, np.random.default_rng(77), matrix_seed=1)
     b = convey(CodeSpec.parse("rlc:2"), payload, ch, np.random.default_rng(77), matrix_seed=1)
     assert a == b
+
+
+def _reference_codebook(code):
+    """Messages in big-endian order and their codewords, from a plain int64
+    matrix product."""
+    messages = np.array(list(itertools.product((0, 1), repeat=code.k)), dtype=np.int64)
+    return messages, (messages @ code.generator) % 2
+
+
+@pytest.mark.parametrize("spec", ["bsc:0.02", "bsc:0.3", "bec:0.2", "awgn:0.8"])
+def test_linear_decode_is_first_argmax_of_float_score(spec):
+    # on BSC many codewords tie in exact arithmetic; the float score decides
+    ch = ChannelModel.parse(spec)
+    rng = np.random.default_rng(5)
+    for seed in range(30):
+        code = RandomLinearCode(k=6, codeword_length=12, seed=seed)
+        messages, cb = _reference_codebook(code)
+        for msg, word in zip(messages, cb):
+            assert np.array_equal(code.encode(msg), word)
+        for _ in range(5):
+            out = ch.transmit(cb[rng.integers(64)], rng)
+            ll = ch.bit_log_likelihoods(out)
+            ref = cb @ ll[:, 1] + (1 - cb) @ ll[:, 0]
+            best = int(np.argmax(ref))
+            got = code.decode(out, ch)
+            assert got.message == tuple(messages[best].tolist())
+            assert got.ml_score == ref[best]
+
+
+def _convey_per_chunk(spec, payload, ch, rng, matrix_seed):
+    """One code, one transmit and one decode per chunk."""
+    decoded, uses = [], 0
+    for idx in range(0, len(payload), spec.chunk):
+        part = payload[idx: idx + spec.chunk]
+        code = RandomLinearCode(len(part), math.ceil(len(part) * spec.value),
+                                seed=matrix_seed * 1000003 + idx)
+        decoded.extend(code.decode(ch.transmit(code.encode(part), rng), ch).message)
+        uses += code.codeword_length
+    return tuple(decoded), uses, tuple(decoded) == tuple(payload)
+
+
+@pytest.mark.parametrize("channel", ["bsc:0.02", "bsc:0.3", "bec:0.2", "awgn:0.8"])
+@pytest.mark.parametrize("code", ["rlc:2", "rlc:3"])
+def test_convey_rlc_matches_per_chunk_transfers(code, channel):
+    spec, ch = CodeSpec.parse(code), ChannelModel.parse(channel)
+    draw = np.random.default_rng(11)
+    for length in range(1, 41):  # the last chunk is short unless length % 8 == 0
+        payload = tuple(draw.integers(0, 2, length).tolist())
+        rng_a, rng_b = np.random.default_rng(length), np.random.default_rng(length)
+        got = convey(spec, payload, ch, rng_a, matrix_seed=length % 5)
+        want = _convey_per_chunk(spec, payload, ch, rng_b, matrix_seed=length % 5)
+        assert (got.decoded, got.channel_uses, got.intact) == want
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_convey_rlc_makes_one_transmit_call(monkeypatch):
+    calls = []
+    transmit = ChannelModel.transmit
+    monkeypatch.setattr(ChannelModel, "transmit",
+                        lambda self, bits, rng: calls.append(len(bits)) or transmit(self, bits, rng))
+    result = convey(CodeSpec.parse("rlc:3"), [1, 0] * 20, ChannelModel.bsc(0.1),
+                    np.random.default_rng(0), matrix_seed=2)
+    assert calls == [result.channel_uses] == [5 * 24]
+
+
+@pytest.mark.parametrize("draw", ["random", "standard_normal"])
+def test_one_draw_equals_two_consecutive_draws(draw):
+    # the batched rlc transmit relies on this to keep the random stream
+    for a, b in [(1, 1), (3, 24), (24, 24), (100, 7), (1000, 513)]:
+        one = getattr(np.random.default_rng(a * b), draw)(a + b)
+        rng = np.random.default_rng(a * b)
+        two = np.concatenate([getattr(rng, draw)(a), getattr(rng, draw)(b)])
+        assert np.array_equal(one, two)
+
+
+def test_generator_cache_holds_a_whole_large_trial():
+    # a trial at n = 65536 sends 256-bit columns; one spare seed for a side transfer
+    from icsim.coding import _linear_code_matrix
+
+    spec, ch = CodeSpec.parse("rlc:2"), ChannelModel.bsc(0.0)
+    payload = (1, 0, 0, 1) * 64
+    rng = np.random.default_rng(0)
+
+    def send_all_columns():
+        for j in range(257):
+            convey(spec, payload, ch, rng, matrix_seed=j)
+
+    send_all_columns()
+    misses = _linear_code_matrix.cache_info().misses
+    send_all_columns()
+    assert _linear_code_matrix.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("bad", [[0, 2], [-1, 1], [[0, 1]]])
+def test_convey_rejects_non_bit_payloads(bad):
+    with pytest.raises(ValueError, match="bit vector"):
+        convey(CodeSpec.parse("rep:3"), bad, NOISELESS, np.random.default_rng(0))
