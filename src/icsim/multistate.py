@@ -25,12 +25,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .coding import CodeSpec, convey
-from .protocol import (
-    FiniteStateProtocol,
-    Party,
-    Table,
-    party_view,
-)
+from .protocol import FiniteStateProtocol, Party, Table
 from .vertical import (
     ColumnWire,
     LookaheadProvider,
@@ -281,68 +276,42 @@ def _exchange_tail_tables(
     ch: ChannelModel,
     side_code: CodeSpec,
     rng: np.random.Generator,
-) -> tuple[dict[Party, list[list[Table]]], int, int]:
+) -> tuple[dict[Party, np.ndarray], int, int]:
     """Each party sends raw M-bit truth tables for its rounds in every
-    block's tail. Returns, per party, its assembled per-block tail tables
+    block's tail. Returns, per party, its assembled (rows, p, M) tail tables
     (own rounds exact, counterpart rounds as decoded), plus the logical bits
     and channel uses spent."""
-    M = pp.M
-    m = sched.m
-    parties = (Party.ALICE, Party.BOB)
-    views = {q: party_view(pp, q) for q in parties}
-    positions = list(_tail_positions(m, plan))
-    own_pos = {q: [t for t in positions if t % 2 == q.parity] for q in parties}
-
+    positions = _tail_positions(sched.m, plan)
+    tails = pp.tables.reshape(sched.rows, sched.m, pp.M)[:, positions.start - 1:positions.stop - 1]
+    assembled = {q: tails.copy() for q in (Party.ALICE, Party.BOB)}
     bits_used = 0
     channel_uses = 0
-    heard: dict[Party, dict[tuple[int, int], Table]] = {}
-    for k, sender in enumerate(parties):
-        payload = [
-            b
-            for r in range(sched.rows)
-            for t in own_pos[sender]
-            for b in views[sender].table(r * m + t)
-        ]
-        transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 5 + k)
-        bits_used += len(payload)
+    for k, sender in enumerate((Party.ALICE, Party.BOB)):
+        # the sender's tail columns: tail offsets whose round has its parity
+        own = np.s_[:, (sender.parity - positions.start) % 2::2]
+        payload = tails[own]
+        transfer = convey(side_code, payload.ravel(), ch, rng, matrix_seed=sched.m + 5 + k)
+        bits_used += payload.size
         channel_uses += transfer.channel_uses
-        decoded = {}
-        idx = 0
-        for r in range(sched.rows):
-            for t in own_pos[sender]:
-                decoded[(r, t)] = tuple(transfer.decoded[idx: idx + M])
-                idx += M
-        heard[sender.other] = decoded
-
-    assembled: dict[Party, list[list[Table]]] = {}
-    for q in parties:
-        per_block = []
-        for r in range(sched.rows):
-            tables = []
-            for t in positions:
-                if t % 2 == q.parity:
-                    tables.append(views[q].table(r * m + t))
-                else:
-                    tables.append(heard[q][(r, t)])
-            per_block.append(tables)
-        assembled[q] = per_block
+        assembled[sender.other][own] = np.reshape(transfer.decoded, payload.shape)
     return assembled, bits_used, channel_uses
 
 
-def _tail_finals(p: FiniteStateProtocol, tails: Mapping[Party, list[list[Table]]],
+def _tail_finals(p: FiniteStateProtocol, tails: Mapping[Party, np.ndarray],
                  blocks: int) -> tuple[dict[Party, list[int]], set[int]]:
-    """Walk all M trajectories over each of the first ``blocks`` tails, per
-    party. Returns each party's block finals (the first trajectory's when
-    they differ) and the blocks whose trajectories did not all merge."""
+    """Walk all M trajectories over each of the first ``blocks`` tails, all
+    blocks at once, per party. Returns each party's block finals (the first
+    trajectory's when they differ) and the blocks whose trajectories did not
+    all merge."""
     finals: dict[Party, list[int]] = {}
     bad: set[int] = set()
-    for q, per_block in tails.items():
-        finals[q] = []
-        for r in range(blocks):
-            ok, ends = trajectories_coincide(p.advance, per_block[r], p.M)
-            if not ok:
-                bad.add(r)
-            finals[q].append(ends[0])
+    rows = np.arange(blocks)[:, None]
+    for q, grid in tails.items():
+        states = np.tile(np.arange(p.M), (blocks, 1))
+        for k in range(grid.shape[1]):
+            states = p.advance_array[states, grid[rows, k, states]]
+        bad.update(np.flatnonzero((states != states[:, :1]).any(axis=1)).tolist())
+        finals[q] = states[:, 0].tolist()
     return finals, bad
 
 
@@ -394,23 +363,31 @@ class TailWire(ColumnWire):
         return self.tails[party][:, j - 1] if j <= self.p else super().decode(party, j, bits)
 
 
+def _tail_plan(pp: FiniteStateProtocol, sched: VerticalSchedule, K: int | None,
+               placement: str) -> TailPlan | str:
+    """The tail plan of a run, or why there is none: a non-coinciding
+    advance function (when K is not given) or a tail that does not fit in a
+    block. Either way the run fails before any channel use."""
+    if K is None:
+        cert = is_coinciding(pp.advance, pp.M)
+        if cert is None:
+            return "advance function is not coinciding"
+        K = max(1, cert.K)
+    try:
+        return make_tail_plan(sched.n_padded, K, placement)
+    except ValueError as exc:  # the tail does not fit in a block
+        return str(exc)
+
+
 def mstate_provider(side_code: CodeSpec, K: int | None = None) -> LookaheadProvider:
     """Last-p placement. A non-coinciding advance function, or a tail that
     does not fit in a block, fails before any channel use."""
 
     def provide(pp: FiniteStateProtocol, sched: VerticalSchedule,
                 ch: ChannelModel, rng: np.random.Generator) -> LookaheadResult:
-        horizon = K
-        if horizon is None:
-            cert = is_coinciding(pp.advance, pp.M)
-            if cert is None:
-                return LookaheadResult((), (), 0, 0,
-                                       failure="advance function is not coinciding")
-            horizon = max(1, cert.K)
-        try:
-            plan = make_tail_plan(sched.n_padded, horizon, "last")
-        except ValueError as exc:  # the tail does not fit in a block
-            return LookaheadResult((), (), 0, 0, failure=str(exc))
+        plan = _tail_plan(pp, sched, K, "last")
+        if isinstance(plan, str):
+            return LookaheadResult((), (), 0, 0, failure=plan)
         return tail_exhaustive_lookahead(pp, plan, ch, side_code, rng)
 
     return provide
@@ -420,30 +397,22 @@ def _first_tail_provider(side_code: CodeSpec, K: int | None) -> LookaheadProvide
     """First-p placement. Both parties learn every block's opening tail
     tables and check that all M trajectories merge over them; the column
     loop then reconstructs the tails for all M entry states, and chaining
-    the blocks picks the real one."""
+    the blocks picks the real one. Fails before any channel use where
+    last-p placement does."""
 
     def provide(pp: FiniteStateProtocol, sched: VerticalSchedule,
                 ch: ChannelModel, rng: np.random.Generator) -> LookaheadResult:
-        horizon = K
-        if horizon is None:
-            cert = is_coinciding(pp.advance, pp.M)
-            if cert is None:
-                warnings.warn("advance function is not coinciding; merges are not guaranteed",
-                              stacklevel=4)
-            horizon = max(1, cert.K) if cert else 1
-        try:
-            plan = make_tail_plan(sched.n_padded, horizon, "first")
-        except ValueError as exc:  # the tail does not fit in a block
-            return LookaheadResult((), (), 0, 0, failure=str(exc))
+        plan = _tail_plan(pp, sched, K, "first")
+        if isinstance(plan, str):
+            return LookaheadResult((), (), 0, 0, failure=plan)
         tails, bits_used, channel_uses = _exchange_tail_tables(
             pp, sched, plan, ch, side_code, rng)
         _, bad = _tail_finals(pp, tails, sched.rows)
         if bad:
             return LookaheadResult((), (), bits_used, channel_uses,
                                    failure=_merge_failure(bad), tail_len=plan.p)
-        wire = TailWire({q: np.array(tails[q], dtype=np.intp) for q in tails})
         return LookaheadResult((), (), bits_used, channel_uses, tail_len=plan.p,
-                               coincidence_ok=True, wire=wire)
+                               coincidence_ok=True, wire=TailWire(tails))
 
     return provide
 

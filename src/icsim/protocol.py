@@ -7,6 +7,12 @@ bit, and both parties advance the state through the shared state-advance
 table. Everything downstream of this module (channel simulation, vertical
 block schemes, lookahead exchanges) treats ``run_protocol`` as the ground
 truth it has to reproduce.
+
+A protocol stores its n transmission tables once, as a read-only (n, M)
+uint8 array validated in one numpy pass, and its advance table also as an
+(M, 2) array. A party's view is the odd or even row stride of that array,
+so the schemes index tables for whole rows or columns of the vertical grid
+at once instead of walking rounds in Python.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,61 +50,102 @@ def owner_of_round(i: int) -> Party:
     return Party.ALICE if i % 2 == 1 else Party.BOB
 
 
-def _as_table(table: Sequence[int], M: int) -> Table:
-    t = tuple(int(b) for b in table)
-    if len(t) != M:
-        raise ValueError(f"transmission table needs {M} entries, got {len(t)}")
-    for b in t:
-        if b not in (0, 1):
-            raise ValueError("transmission table entries must be bits")
-    return t
+def _bit_rows(rows: Sequence[Sequence[int]] | np.ndarray, count: int, M: int) -> np.ndarray:
+    """A read-only (count, M) uint8 copy of ``rows``, checked in one pass."""
+    if len(rows) != count:
+        raise ValueError(f"expected {count} transmission tables, got {len(rows)}")
+    try:
+        arr = np.array(rows)
+    except ValueError:
+        raise ValueError(f"transmission tables are ragged; each needs {M} entries") from None
+    if arr.ndim != 2 or arr.shape[1] != M:
+        raise ValueError(f"transmission table needs {M} entries, got shape {arr.shape[1:]}")
+    if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("transmission table entries must be bits")
+    tables = arr.astype(np.uint8, copy=False)
+    tables.flags.writeable = False
+    return tables
 
 
-def _as_advance(advance: Sequence[Sequence[int]], M: int) -> tuple[tuple[int, int], ...]:
-    rows = tuple(tuple(int(s) for s in row) for row in advance)
-    if len(rows) != M or any(len(r) != 2 for r in rows):
-        raise ValueError(f"advance table must be {M}x2")
-    for r in rows:
-        for s in r:
-            if not 0 <= s < M:
-                raise ValueError(f"advance entry {s} outside 0..{M - 1}")
-    return rows
+def _advance_rows(advance: Sequence[Sequence[int]] | np.ndarray, M: int) -> np.ndarray:
+    """A read-only (M, 2) copy of the advance table, checked in one pass."""
+    try:
+        arr = np.array(advance)
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape != (M, 2) or arr.dtype.kind not in "iu":
+        raise ValueError(f"advance table must be {M}x2 state indices")
+    bad = arr[(arr < 0) | (arr >= M)]
+    if bad.size:
+        raise ValueError(f"advance entry {bad[0]} outside 0..{M - 1}")
+    arr = arr.astype(np.intp, copy=False)
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
 class FiniteStateProtocol:
     """Immutable description of an n-round protocol over M states.
 
-    ``advance[s][bit]`` is the successor state, ``transmissions[i-1][s]``
-    the bit sent at round i from state s. ``initial_state`` is known to
-    both parties before the first round.
+    ``tables[i-1, s]`` is the bit sent at round i from state s, held in one
+    read-only (n, M) uint8 array; ``transmissions`` and ``table(i)`` give the
+    same bits as tuples. ``advance[s][bit]`` is the successor state, also
+    held as the read-only (M, 2) array ``advance_array``. ``initial_state``
+    is known to both parties before the first round. The constructor copies
+    its inputs, so later changes to the caller's arrays do not reach the
+    protocol, and two protocols are equal when their contents are.
     """
 
-    n: int
-    M: int
-    advance: tuple[tuple[int, int], ...]
-    transmissions: tuple[Table, ...]
-    initial_state: int = 0
+    __slots__ = ("n", "M", "advance", "advance_array", "tables", "initial_state")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, M: int, advance: Sequence[Sequence[int]] | np.ndarray,
+                 transmissions: Sequence[Sequence[int]] | np.ndarray,
+                 initial_state: int = 0) -> None:
+        if n < 1:
             raise ValueError("protocol needs at least one round")
-        if self.M < 2:
+        if M < 2:
             raise ValueError("need at least two states")
-        object.__setattr__(self, "advance", _as_advance(self.advance, self.M))
-        if len(self.transmissions) != self.n:
-            raise ValueError(f"expected {self.n} transmission tables, got {len(self.transmissions)}")
-        object.__setattr__(
-            self, "transmissions", tuple(_as_table(t, self.M) for t in self.transmissions)
-        )
-        if not 0 <= self.initial_state < self.M:
+        advance_array = _advance_rows(advance, M)
+        tables = _bit_rows(transmissions, n, M)
+        if not 0 <= initial_state < M:
             raise ValueError("initial state out of range")
+        advance_rows = tuple(map(tuple, advance_array.tolist()))
+        for name, value in (("n", n), ("M", M), ("advance", advance_rows),
+                            ("advance_array", advance_array), ("tables", tables),
+                            ("initial_state", initial_state)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not attribute by attribute
+        return type(self), (self.n, self.M, self.advance_array, self.tables, self.initial_state)
+
+    def _key(self) -> tuple:
+        return self.n, self.M, self.advance, self.initial_state, self.tables.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteStateProtocol):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"FiniteStateProtocol(n={self.n}, M={self.M}, advance={self.advance}, "
+                f"initial_state={self.initial_state})")
+
+    @property
+    def transmissions(self) -> tuple[Table, ...]:
+        """Every round's transmission table, in round order."""
+        return tuple(map(tuple, self.tables.tolist()))
 
     def table(self, i: int) -> Table:
         """Transmission table of 1-based round ``i``."""
         if not 1 <= i <= self.n:
             raise IndexError(f"round {i} outside 1..{self.n}")
-        return self.transmissions[i - 1]
+        return tuple(self.tables[i - 1].tolist())
 
     def advance_state(self, s: int, bit: int) -> int:
         return self.advance[s][bit]
@@ -116,12 +163,13 @@ class TranscriptTrace:
             raise ValueError("trace must hold one more state than bits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartyView:
     """One party's private slice of a protocol.
 
-    Holds only the transmission tables at rounds of that party's parity;
-    asking for a counterpart round raises. The shared pieces (advance
+    ``tables`` holds only the tables of that party's rounds, in round order:
+    the odd (Alice) or even (Bob) row stride of the protocol's table array.
+    Asking for a counterpart round raises. The shared pieces (advance
     table, initial state, n, M) are included since both parties know them.
     """
 
@@ -130,16 +178,16 @@ class PartyView:
     M: int
     advance: tuple[tuple[int, int], ...]
     initial_state: int
-    tables: Mapping[int, Table] = field(repr=False)
+    tables: np.ndarray = field(repr=False)
 
     def table(self, i: int) -> Table:
-        if i not in self.tables:
+        if not 1 <= i <= self.n or i % 2 != self.party.parity:
             raise KeyError(f"round {i} is not owned by {self.party.value}")
-        return self.tables[i]
+        return tuple(self.tables[(i - 1) // 2].tolist())
 
     @property
     def rounds(self) -> tuple[int, ...]:
-        return tuple(sorted(self.tables))
+        return tuple(range(2 - self.party.parity, self.n + 1, 2))
 
 
 def run_protocol(p: FiniteStateProtocol, initial_state: int | None = None) -> TranscriptTrace:
@@ -147,11 +195,14 @@ def run_protocol(p: FiniteStateProtocol, initial_state: int | None = None) -> Tr
     s = p.initial_state if initial_state is None else initial_state
     if not 0 <= s < p.M:
         raise ValueError(f"start state {s} outside 0..{p.M - 1}")
+    # column[s][i - 1] is the bit of round i from state s; indexing bytes is
+    # as cheap as indexing a tuple, and no per-round object is built
+    column = [p.tables[:, k].tobytes() for k in range(p.M)]
+    adv = p.advance
     bits: list[int] = []
     states = [s]
-    adv = p.advance
-    for tbl in p.transmissions:
-        tau = tbl[s]
+    for i in range(p.n):
+        tau = column[s][i]
         s = adv[s][tau]
         bits.append(tau)
         states.append(s)
@@ -178,7 +229,7 @@ def make_markovian(log_M: int, transmissions: Sequence[Sequence[int]],
         n=len(transmissions),
         M=len(advance),
         advance=advance,
-        transmissions=tuple(transmissions),
+        transmissions=transmissions,
         initial_state=initial_state,
     )
 
@@ -195,27 +246,24 @@ def random_protocol(n: int, M: int, function_set: Sequence[Sequence[int]],
     if not function_set:
         raise ValueError("function set must be nonempty")
     rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
-    fset = tuple(_as_table(t, M) for t in function_set)
-    picks = rng.integers(0, len(fset), size=n)
+    fset = _bit_rows(function_set, len(function_set), M)
     return FiniteStateProtocol(
         n=n,
         M=M,
         advance=advance,
-        transmissions=tuple(fset[int(k)] for k in picks),
+        transmissions=fset[rng.integers(0, len(fset), size=n)],
         initial_state=initial_state,
     )
 
 
 def party_view(p: FiniteStateProtocol, party: Party) -> PartyView:
-    first = 2 - party.parity
-    tables = dict(zip(range(first, p.n + 1, 2), p.transmissions[first - 1::2]))
     return PartyView(
         party=party,
         n=p.n,
         M=p.M,
         advance=p.advance,
         initial_state=p.initial_state,
-        tables=tables,
+        tables=p.tables[1 - party.parity::2],
     )
 
 
@@ -225,12 +273,12 @@ def pad_protocol(p: FiniteStateProtocol, n_padded: int) -> FiniteStateProtocol:
         raise ValueError("cannot pad to a shorter length")
     if n_padded == p.n:
         return p
-    zero = (0,) * p.M
+    zeros = np.zeros((n_padded - p.n, p.M), dtype=np.uint8)
     return FiniteStateProtocol(
         n=n_padded,
         M=p.M,
-        advance=p.advance,
-        transmissions=p.transmissions + (zero,) * (n_padded - p.n),
+        advance=p.advance_array,
+        transmissions=np.vstack((p.tables, zeros)),
         initial_state=p.initial_state,
     )
 
@@ -245,7 +293,7 @@ def protocol_to_dict(p: FiniteStateProtocol) -> dict:
         "M": p.M,
         "initial_state": p.initial_state,
         "advance": flat,
-        "transmissions": [list(t) for t in p.transmissions],
+        "transmissions": p.tables.tolist(),
     }
 
 
@@ -259,7 +307,7 @@ def protocol_from_dict(d: dict) -> FiniteStateProtocol:
         n=int(d["n"]),
         M=M,
         advance=advance,
-        transmissions=tuple(tuple(int(b) for b in t) for t in d["transmissions"]),
+        transmissions=d["transmissions"],
         initial_state=int(d.get("initial_state", 0)),
     )
 

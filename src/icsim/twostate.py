@@ -13,6 +13,10 @@ exchange is therefore sequential: first each party reports the location and
 value of its last own-parity constant, then, the overall last-constant
 location being settled, each party reports the flip parity of its rounds
 after that location.
+
+``CompositeFunction`` and ``block_messages`` state this algebra one block
+at a time. The schemes compute the same reports for the whole grid at once
+from the protocol's table array: ``nu[:, s] = advance[s, tables[:, s]]``.
 """
 
 from __future__ import annotations
@@ -29,9 +33,7 @@ from .coding import CodeSpec, convey
 from .protocol import (
     FiniteStateProtocol,
     Party,
-    PartyView,
     Table,
-    party_view,
 )
 from .vertical import (
     ColumnWire,
@@ -159,7 +161,7 @@ def block_messages(nus: Sequence[CompositeFunction],
 
 
 # ---------------------------------------------------------------------------
-# wire format helpers
+# the lookahead exchange over the whole grid
 
 def _own_round_count(m: int, party: Party) -> int:
     return (m + party.parity) // 2
@@ -169,37 +171,39 @@ def _index_width(m: int, party: Party) -> int:
     return _own_round_count(m, party).bit_length()
 
 
-def _encode_index(t: int) -> int:
-    # both parities compress to 1..count; 0 stays the "none" sentinel
-    return (t + 1) // 2
+def _grid_composites(tables: np.ndarray, advance: np.ndarray,
+                     m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every round's composite on the (rows, m) grid, from ``nu[:, s] =
+    advance[s, tables[:, s]]``: a round is constant where its two entries
+    agree, and its value (the constant, or the flip's xor) is ``nu[:, 0]``."""
+    nu = advance[np.arange(2), tables].reshape(-1, m, 2)
+    return nu[..., 0] == nu[..., 1], nu[..., 0]
 
 
-def _decode_index(e: int, m: int, party: Party) -> int:
-    count = _own_round_count(m, party)
-    if e <= 0 or e > count:
-        return 0
-    return 2 * e - 1 if party is Party.ALICE else 2 * e
+def _own_const_index(const: np.ndarray, party: Party, last: bool) -> np.ndarray:
+    """Block-local (1-based) index of each row's last, or first, constant
+    composite at ``party``'s rounds; 0 in rows where it has none."""
+    own = np.zeros_like(const)
+    own[:, 1 - party.parity::2] = const[:, 1 - party.parity::2]
+    if last:
+        index = const.shape[1] - own[:, ::-1].argmax(axis=1)
+    else:
+        index = own.argmax(axis=1) + 1
+    return np.where(own.any(axis=1), index, 0)
 
 
-def _int_to_bits(x: int, width: int) -> list[int]:
-    return [(x >> (width - 1 - k)) & 1 for k in range(width)]
+def _pack_index(t: np.ndarray, width: int) -> np.ndarray:
+    """(rows, width) big-endian bits of each index compressed to
+    ``(t + 1) // 2``: both parities map to 1..count and 0 stays "none"."""
+    return ((t + 1) // 2)[:, None] >> np.arange(width - 1, -1, -1) & 1
 
 
-def _bits_to_int(bits: Sequence[int]) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
-
-
-def _party_composites(view: PartyView, m: int, block: int) -> dict[int, CompositeFunction]:
-    """Own-parity composites of one block, keyed by block-local index."""
-    base = block * m
-    start = 1 if view.party is Party.ALICE else 2
-    return {
-        t: composite_from(view.advance, view.table(base + t))
-        for t in range(start, m + 1, 2)
-    }
+def _unpack_index(bits: np.ndarray, m: int, party: Party) -> np.ndarray:
+    """Block-local indices from received (rows, width) bits; a code outside
+    1..count decodes to 0."""
+    e = (bits << np.arange(bits.shape[1] - 1, -1, -1)).sum(axis=1)
+    ok = (e >= 1) & (e <= _own_round_count(m, party))
+    return np.where(ok, 2 * e - party.parity, 0)
 
 
 def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
@@ -217,69 +221,55 @@ def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
     if m * m != p.n or (m > 1 and m % 2):
         raise ValueError("protocol length must be a padded square with even side")
     parties = (Party.ALICE, Party.BOB)
-    views = {q: party_view(p, q) for q in parties}
-    width = {q: _index_width(m, q) for q in parties}
-
-    composites = {q: [_party_composites(views[q], m, r) for r in range(m)] for q in parties}
-    own_last: dict[Party, list[tuple[int, int]]] = {}
-    for q in parties:
-        per_block = []
-        for nus in composites[q]:
-            t_last, val = 0, 0
-            for t, nu in sorted(nus.items()):
-                if nu.constant:
-                    t_last, val = t, nu.value
-            per_block.append((t_last, val))
-        own_last[q] = per_block
+    rows = np.arange(m)
+    const, value = _grid_composites(p.tables, p.advance_array, m)
+    own_last = {q: _own_const_index(const, q, last=True) for q in parties}
+    # the value at index t; t - 1 = -1 wraps harmlessly where t = 0
+    own_value = {q: np.where(own_last[q] > 0, value[rows, own_last[q] - 1], 0) for q in parties}
 
     # first exchange: per block, the compressed last-constant index and value
-    payload1 = {
-        q: [b for t, v in own_last[q] for b in (*_int_to_bits(_encode_index(t), width[q]), v)]
-        for q in parties
-    }
-    heard1: dict[Party, list[tuple[int, int]]] = {}
+    heard_last: dict[Party, np.ndarray] = {}
+    heard_value: dict[Party, np.ndarray] = {}
     bits_used = 0
     channel_uses = 0
     for k, sender in enumerate(parties):
-        transfer = convey(side_code, payload1[sender], ch, rng, matrix_seed=m + 1 + k)
-        bits_used += len(payload1[sender])
+        payload = np.hstack((_pack_index(own_last[sender], _index_width(m, sender)),
+                             own_value[sender][:, None])).ravel()
+        transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 1 + k)
+        bits_used += payload.size
         channel_uses += transfer.channel_uses
-        stride = width[sender] + 1
-        decoded = []
-        for r in range(m):
-            chunk = transfer.decoded[r * stride: (r + 1) * stride]
-            t = _decode_index(_bits_to_int(chunk[:-1]), m, sender)
-            decoded.append((t, chunk[-1]))
-        heard1[sender.other] = decoded  # what the counterpart now believes
+        decoded = np.array(transfer.decoded).reshape(m, -1)
+        # what the counterpart now believes
+        heard_last[sender.other] = _unpack_index(decoded[:, :-1], m, sender)
+        heard_value[sender.other] = decoded[:, -1]
 
-    # second exchange: flip parities after each block's agreed last constant
-    parities: dict[Party, list[int]] = {}
+    # second exchange: flip parities after each block's agreed last constant;
+    # after[:, i] is the xor of the party's values at block-local rounds > i
+    parities: dict[Party, np.ndarray] = {}
     for q in parties:
-        per_block = []
-        for r in range(m):
-            i_const = max(own_last[q][r][0], heard1[q][r][0])
-            d = 0
-            for t, nu in composites[q][r].items():
-                if t > i_const:
-                    d ^= nu.value
-            per_block.append(d)
-        parities[q] = per_block
-    heard2: dict[Party, list[int]] = {}
+        own = np.zeros((m, m + 1), dtype=value.dtype)
+        own[:, 1 - q.parity:m:2] = value[:, 1 - q.parity::2]
+        after = np.bitwise_xor.accumulate(own[:, ::-1], axis=1)[:, ::-1]
+        parities[q] = after[rows, np.maximum(own_last[q], heard_last[q])]
+    heard_parity: dict[Party, np.ndarray] = {}
     for k, sender in enumerate(parties):
         transfer = convey(side_code, parities[sender], ch, rng, matrix_seed=m + 3 + k)
         bits_used += m
         channel_uses += transfer.channel_uses
-        heard2[sender.other] = list(transfer.decoded)
+        heard_parity[sender.other] = np.array(transfer.decoded)
 
     def fold(q: Party) -> tuple[int, ...]:
+        # a block ends in the later constant's value (or its entry state when
+        # neither party has one), xored with both parties' parities
+        mine, theirs = own_last[q], heard_last[q]
+        reset = np.maximum(mine, theirs) > 0
+        base = np.where(mine > theirs, own_value[q], heard_value[q])
+        flip = parities[q] ^ heard_parity[q]
         vec = []
         s = p.initial_state
-        for r in range(m):
+        for r, b, x in zip(reset.tolist(), base.tolist(), flip.tolist()):
             vec.append(s)
-            own = BlockLookaheadMessage(q, *own_last[q][r], parities[q][r])
-            other = BlockLookaheadMessage(q.other, *heard1[q][r], heard2[q][r])
-            a, b = (own, other) if q is Party.ALICE else (other, own)
-            s = block_lookahead(a, b, s)
+            s = (b if r else s) ^ x
         return tuple(vec)
 
     return LookaheadResult(fold(Party.ALICE), fold(Party.BOB), bits_used, channel_uses)
@@ -359,7 +349,7 @@ def random_two_state_protocol(n: int, seed: int | np.random.Generator,
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if advance is None:
         advance = all_two_state_advances()[int(rng.integers(16))]
-    tables = tuple(ALL_TABLES2[i] for i in rng.integers(0, 4, size=n))
+    tables = np.array(ALL_TABLES2, dtype=np.uint8)[rng.integers(0, 4, size=n)]
     return FiniteStateProtocol(n=n, M=2, advance=advance, transmissions=tables,
                                initial_state=initial_state)
 
@@ -418,16 +408,9 @@ class BlockReconstruction:
     bits_used: int
 
 
-def _first_const(nus: dict[int, CompositeFunction]) -> int:
-    for t in sorted(nus):
-        if nus[t].constant:
-            return t
-    return 0
-
-
-def _resolve_first(own_t: int, other_t: int, m: int) -> int:
-    candidates = [t for t in (own_t, other_t) if t]
-    return min(candidates) if candidates else m + 1
+def _resolve_first(own: np.ndarray, other: np.ndarray, m: int) -> np.ndarray:
+    """Per row, the earlier of two first-constant indices, m + 1 if neither."""
+    return np.minimum(np.where(own > 0, own, m + 1), np.where(other > 0, other, m + 1))
 
 
 def run_exhaustive_block(eta, tables: Sequence[Table]) -> tuple[BlockReconstruction, BlockReconstruction]:
@@ -444,17 +427,15 @@ def run_exhaustive_block(eta, tables: Sequence[Table]) -> tuple[BlockReconstruct
         raise ValueError("the exhaustive scheme requires an interactive advance function")
     m = len(tables)
     parties = (Party.ALICE, Party.BOB)
-    first = {
-        q: _first_const({t: composite_from(eta, tables[t - 1])
-                         for t in range(2 - q.parity, m + 1, 2)})
-        for q in parties
-    }
-    belief = np.array([_resolve_first(first[Party.ALICE], first[Party.BOB], m)])
+    tables = np.array(tables, dtype=np.intp)
+    advance = np.array(eta, dtype=np.intp)
+    # noiseless exchange: the merge point is the block's first constant round
+    const, _ = _grid_composites(tables, advance, m)
+    belief = np.where(const.any(axis=1), const.argmax(axis=1) + 1, m + 1)
     bits_used = m + sum(_index_width(m, q) for q in parties)
-    owned = {q: np.array(tables[1 - q.parity::2], dtype=np.intp).reshape(1, -1, 2)
-             for q in parties}
+    owned = {q: tables[1 - q.parity::2].reshape(1, -1, 2) for q in parties}
     both = np.arange(2)[None, :]
-    runs = run_columns(owned, np.array(eta), {q: both for q in parties},
+    runs = run_columns(owned, advance, {q: both for q in parties},
                        ExhaustiveWire(cls, {q: belief for q in parties}, m),
                        lambda j, bits: bits)
 
@@ -494,31 +475,20 @@ def _exhaustive_provider(side_code: CodeSpec) -> LookaheadProvider:
 
         m = sched.m
         parties = (Party.ALICE, Party.BOB)
-        views = {q: party_view(pp, q) for q in parties}
-        own_first = {
-            q: [_first_const(_party_composites(views[q], m, r)) for r in range(sched.rows)]
-            for q in parties
-        }
-        width = {q: _index_width(m, q) for q in parties}
+        const, _ = _grid_composites(pp.tables, pp.advance_array, m)
+        own_first = {q: _own_const_index(const, q, last=False) for q in parties}
         bits_used = 0
         channel_uses = 0
-        heard: dict[Party, list[int]] = {}
+        heard: dict[Party, np.ndarray] = {}
         for k, sender in enumerate(parties):
-            payload = [b for t in own_first[sender]
-                       for b in _int_to_bits(_encode_index(t), width[sender])]
+            width = _index_width(m, sender)
+            payload = _pack_index(own_first[sender], width).ravel()
             transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 1 + k)
-            bits_used += len(payload)
+            bits_used += payload.size
             channel_uses += transfer.channel_uses
-            w = width[sender]
-            heard[sender.other] = [
-                _decode_index(_bits_to_int(transfer.decoded[r * w: (r + 1) * w]), m, sender)
-                for r in range(sched.rows)
-            ]
-        beliefs = {
-            q: np.array([_resolve_first(own_first[q][r], heard[q][r], m)
-                         for r in range(sched.rows)])
-            for q in parties
-        }
+            decoded = np.array(transfer.decoded, dtype=np.int64).reshape(sched.rows, width)
+            heard[sender.other] = _unpack_index(decoded, m, sender)
+        beliefs = {q: _resolve_first(own_first[q], heard[q], m) for q in parties}
         return LookaheadResult((), (), bits_used, channel_uses,
                                wire=ExhaustiveWire(cls, beliefs, m))
 

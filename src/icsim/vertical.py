@@ -23,7 +23,9 @@ the ``SimulationReport``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -33,7 +35,6 @@ from .coding import CodeSpec, TransferResult, convey
 from .protocol import (
     FiniteStateProtocol,
     Party,
-    PartyView,
     owner_of_round,
     pad_protocol,
     party_view,
@@ -154,9 +155,12 @@ def known_states_provider(states: tuple[int, ...]) -> LookaheadProvider:
     return provide
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationReport:
-    """Everything one simulated execution produced, for audits and CSV rows."""
+    """Everything one simulated execution produced, for audits and CSV rows.
+
+    A sweep holds every report of an n, so reports are slotted and share
+    their name strings and column-error patterns (``_shared``)."""
 
     scheme: str
     channel: str
@@ -189,23 +193,14 @@ class SimulationReport:
         return self.alice_correct and self.bob_correct
 
 
-def _owned_tables(view: PartyView, rows: int) -> np.ndarray:
-    """A party's own tables as a (rows, own columns, M) array, in round order.
-
-    With an even grid side (or a single round) column j of a row is the
-    party's ((j - 1) // 2)-th own round in that row.
-    """
-    return np.array(list(view.tables.values()), dtype=np.intp).reshape(rows, -1, view.M)
-
-
 def run_columns(owned: Mapping[Party, np.ndarray], advance: np.ndarray,
                 starts: Mapping[Party, np.ndarray], wire: ColumnWire,
                 carry: Callable[[int, np.ndarray], np.ndarray],
                 ) -> dict[Party, tuple[np.ndarray, np.ndarray]]:
     """The column loop of every scheme.
 
-    ``owned[q]`` holds party q's tables as ``_owned_tables`` lays them out and
-    ``starts[q]`` its (rows, branches) start states. ``carry(j, bits)``
+    ``owned[q]`` holds party q's tables as a (rows, own columns, M) array in
+    round order, and ``starts[q]`` its (rows, branches) start states. ``carry(j, bits)``
     takes column j's wire bits to the receiver. Returns, per party, the
     (rows, columns, branches) transcript bits of every branch and the final
     (rows, branches) states.
@@ -225,6 +220,12 @@ def run_columns(owned: Mapping[Party, np.ndarray], advance: np.ndarray,
             bits[q][:, j - 1] = tau
             states[q] = advance[states[q], tau]
     return {q: (bits[q], states[q]) for q in states}
+
+
+@lru_cache(maxsize=256)
+def _shared(errors: tuple[bool, ...]) -> tuple[bool, ...]:
+    """One object per recent column-error pattern, usually all-intact."""
+    return errors
 
 
 def _transcript(bits: np.ndarray, finals: np.ndarray, initial_state: int) -> tuple[int, ...]:
@@ -275,16 +276,18 @@ def simulate_vertical(
             transfers.append(transfer)
             return np.array(transfer.decoded, dtype=np.intp)
 
-        owned = {q: _owned_tables(party_view(pp, q), sched.rows) for q in starts}
-        runs = run_columns(owned, np.array(pp.advance), starts, wire, carry)
+        # with an even grid side (or one round) column j of a row is the owner's
+        # ((j - 1) // 2)-th round in that row, so a reshape of its row stride
+        owned = {q: party_view(pp, q).tables.reshape(sched.rows, -1, pp.M) for q in starts}
+        runs = run_columns(owned, pp.advance_array, starts, wire, carry)
         truth = run_protocol(pp).bits
         correct = {q: _transcript(*runs[q], pp.initial_state) == truth for q in runs}
 
     vertical_uses = sum(t.channel_uses for t in transfers)
     return SimulationReport(
         scheme=scheme,
-        channel=ch.name,
-        code=code_spec.name,
+        channel=sys.intern(ch.name),
+        code=sys.intern(code_spec.name),
         seed=seed,
         n_logical=p.n,
         n_padded=sched.n_padded,
@@ -299,7 +302,7 @@ def simulate_vertical(
         side_rate=side_rate,
         alice_correct=correct[Party.ALICE],
         bob_correct=correct[Party.BOB],
-        column_errors=tuple(not t.intact for t in transfers),
+        column_errors=_shared(tuple(not t.intact for t in transfers)),
         lookahead_failure=la.failure,
         coincidence_ok=False if la.failure is not None else la.coincidence_ok,
         tail_len=la.tail_len,

@@ -2,14 +2,18 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from icsim.channel import ChannelModel
-from icsim.coding import CodeSpec
+from icsim.coding import CodeSpec, convey
 from icsim.multistate import (
     TailPlan,
+    _first_tail_provider,
     all_blocks_coincidence_bound,
     all_tables,
     balanced_tables,
@@ -24,8 +28,14 @@ from icsim.multistate import (
     tail_exhaustive_lookahead,
     trajectories_coincide,
 )
-from icsim.protocol import make_markovian, pad_protocol, random_protocol
-from icsim.vertical import genie_lookahead, make_schedule, simulate_vertical
+from icsim.protocol import (
+    Party,
+    markovian_advance,
+    pad_protocol,
+    party_view,
+    random_protocol,
+)
+from icsim.vertical import LookaheadResult, genie_lookahead, make_schedule, simulate_vertical
 
 NOISELESS = ChannelModel.bsc(0.0)
 EXAMPLE2 = ((0, 1), (0, 2), (2, 2))
@@ -296,12 +306,14 @@ def test_mstate_provider_plugs_into_vertical_engine():
     assert report.tail_len == 8
 
 
-def test_mstate_refuses_non_coinciding_advance():
+@pytest.mark.parametrize("placement", ["last", "first"])
+def test_mstate_refuses_non_coinciding_advance(placement):
     rng = np.random.default_rng(0)
     p = random_protocol(16, 2, [(0, 1), (1, 0)], rng, advance=((0, 0), (1, 1)))
     report = simulate_mstate(p, NOISELESS, CodeSpec.parse("rep:1"),
-                             CodeSpec.parse("rep:1"), "last", np.random.default_rng(1))
-    assert report.lookahead_failure is not None
+                             CodeSpec.parse("rep:1"), placement, np.random.default_rng(1))
+    assert report.lookahead_failure == "advance function is not coinciding"
+    assert report.channel_uses == 0 and report.column_errors == ()
     assert not report.correct
 
 
@@ -328,3 +340,105 @@ def test_mstate_tail_longer_than_block_fails_the_lookahead(placement):
     assert report.channel_uses == 0 and report.column_errors == ()
     assert not report.alice_correct and not report.bob_correct
     assert report.coincidence_ok is False
+
+
+# ---------------------------------------------------------------------------
+# per-round reference loops for the vectorised tail exchange and walk
+
+def reference_tail_exchange(pp, sched, plan, ch, side_code, rng):
+    """Raw tail tables sent one round at a time; per party, each block's
+    list of tail tables (own exact, counterpart's as decoded)."""
+    M, m = pp.M, sched.m
+    parties = (Party.ALICE, Party.BOB)
+    views = {q: party_view(pp, q) for q in parties}
+    positions = (list(range(m - plan.p + 1, m + 1)) if plan.placement == "last"
+                 else list(range(1, plan.p + 1)))
+    own_pos = {q: [t for t in positions if t % 2 == q.parity] for q in parties}
+    bits_used = channel_uses = 0
+    heard = {}
+    for k, sender in enumerate(parties):
+        payload = [b for r in range(sched.rows) for t in own_pos[sender]
+                   for b in views[sender].table(r * m + t)]
+        transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 5 + k)
+        bits_used += len(payload)
+        channel_uses += transfer.channel_uses
+        slots = [(r, t) for r in range(sched.rows) for t in own_pos[sender]]
+        heard[sender.other] = {rt: tuple(transfer.decoded[i * M:(i + 1) * M])
+                               for i, rt in enumerate(slots)}
+    tails = {q: [[views[q].table(r * m + t) if t % 2 == q.parity else heard[q][(r, t)]
+                  for t in positions] for r in range(sched.rows)] for q in parties}
+    return tails, bits_used, channel_uses
+
+
+def reference_tail_walk(p, tails, blocks):
+    """Every block's M trajectories walked one block at a time."""
+    finals, bad = {}, set()
+    for q, per_block in tails.items():
+        finals[q] = []
+        for r in range(blocks):
+            ok, ends = trajectories_coincide(p.advance, per_block[r], p.M)
+            if not ok:
+                bad.add(r)
+            finals[q].append(ends[0])
+    return finals, bad
+
+
+@st.composite
+def tail_cases(draw):
+    """A padded protocol with a coinciding markovian advance, or a random
+    advance (non-coinciding ones run with K = 1), and a tail plan that fits."""
+    n = draw(st.integers(1, 1100))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        log_M = draw(st.integers(1, 3))
+        M, advance = 1 << log_M, markovian_advance(log_M)
+    else:
+        M = draw(st.integers(2, 6))
+        advance = draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)),
+                                min_size=M, max_size=M))
+    sched = make_schedule(n)
+    p = pad_protocol(random_protocol(n, M, all_tables(M), seed, advance=advance,
+                                     initial_state=draw(st.integers(0, M - 1))),
+                     sched.n_padded)
+    cert = is_coinciding(p.advance, M)
+    K = max(1, cert.K) if cert else 1
+    assume(fourth_root_ceil(sched.n_padded) <= sched.m - K + 1)
+    return sched, p, K, seed
+
+
+@pytest.mark.filterwarnings("ignore:advance function is not coinciding")
+@settings(max_examples=60)
+@given(case=tail_cases(), channel=st.sampled_from(["bsc:0.05", "bec:0.1"]),
+       side=st.sampled_from(["rep:1", "rep:3", "rlc:2"]))
+def test_tail_lookaheads_match_per_round_reference(case, channel, side):
+    sched, p, K, seed = case
+    ch, code = ChannelModel.parse(channel), CodeSpec.parse(side)
+
+    plan = make_tail_plan(sched.n_padded, K, "last")
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = tail_exhaustive_lookahead(p, plan, ch, code, rng)
+    tails, bits_used, channel_uses = reference_tail_exchange(p, sched, plan, ch, code, ref_rng)
+    finals, bad = reference_tail_walk(p, tails, sched.rows - 1)
+    failure = f"trajectories did not merge in blocks {sorted(bad)}" if bad else None
+    assert got == LookaheadResult((p.initial_state, *finals[Party.ALICE]),
+                                  (p.initial_state, *finals[Party.BOB]),
+                                  bits_used, channel_uses, failure=failure, tail_len=plan.p)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    plan = make_tail_plan(sched.n_padded, K, "first")
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _first_tail_provider(code, K)(p, sched, ch, rng)
+    tails, bits_used, channel_uses = reference_tail_exchange(p, sched, plan, ch, code, ref_rng)
+    _, bad = reference_tail_walk(p, tails, sched.rows)
+    if bad:
+        want = LookaheadResult((), (), bits_used, channel_uses,
+                               failure=f"trajectories did not merge in blocks {sorted(bad)}",
+                               tail_len=plan.p)
+        assert got == want
+    else:
+        want = LookaheadResult((), (), bits_used, channel_uses, tail_len=plan.p,
+                               coincidence_ok=True)
+        assert replace(got, wire=None) == want
+        for q in (Party.ALICE, Party.BOB):
+            assert np.array_equal(got.wire.tails[q], np.array(tails[q]).reshape(sched.rows, plan.p, -1))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -1,6 +1,8 @@
-"""Protocol layer: traces, views, serialization, padding."""
+"""Protocol layer: array storage, traces, views, serialization, padding."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from icsim.protocol import (
     save_protocol,
     load_protocol,
 )
+from icsim.twostate import ALL_TABLES2, all_two_state_advances, random_two_state_protocol
 
 IDENTITY2 = ((0, 0), (1, 1))   # advance ignores the bit
 FOLLOW2 = ((0, 1), (0, 1))     # next state equals the bit
@@ -179,3 +182,78 @@ def test_serialization_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["advance"] == [v for row in p.advance for v in row]
     assert len(doc["advance"]) == 2 * p.M
+
+
+def test_tables_are_read_only():
+    p = random_protocol(8, 2, ALL_TABLES2, seed=0, advance=FOLLOW2)
+    with pytest.raises(ValueError, match="read-only"):
+        p.tables[0, 0] ^= 1
+    with pytest.raises(ValueError, match="read-only"):
+        p.advance_array[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        party_view(p, Party.BOB).tables[0, 0] ^= 1
+    with pytest.raises(AttributeError):
+        p.tables = np.zeros((8, 2), dtype=np.uint8)
+
+
+def test_protocol_copies_the_callers_arrays():
+    tables = np.zeros((4, 2), dtype=np.uint8)
+    advance = np.array(FOLLOW2)
+    p = FiniteStateProtocol(n=4, M=2, advance=advance, transmissions=tables)
+    tables[:] = 1
+    advance[:] = 0
+    assert p.transmissions == ((0, 0),) * 4
+    assert p.advance == FOLLOW2
+    assert run_protocol(p).bits == (0,) * 4
+
+
+def test_tuple_accessors_and_content_equality():
+    tables = ((0, 1), (1, 1), (0, 0))
+    p = FiniteStateProtocol(n=3, M=2, advance=FOLLOW2, transmissions=tables)
+    q = FiniteStateProtocol(n=3, M=2, advance=np.array(FOLLOW2),
+                            transmissions=np.array(tables, dtype=np.uint8))
+    assert p.transmissions == tables and p.table(2) == (1, 1)
+    assert isinstance(p.table(2)[0], int)
+    assert p == q and hash(p) == hash(q)
+    assert p != FiniteStateProtocol(n=3, M=2, advance=FOLLOW2, transmissions=tables,
+                                    initial_state=1)
+    assert party_view(p, Party.ALICE).table(3) == (0, 0)
+    assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"transmissions": ((0, 1),) * 3}, "expected 4 transmission tables, got 3"),
+    ({"transmissions": ((0, 1, 1),) * 4}, "needs 2 entries"),
+    ({"transmissions": ((0, 1), (0, 1), (0,), (1, 0))}, "ragged"),
+    ({"transmissions": ((0, 1), (0, 2), (0, 1), (1, 0))}, "must be bits"),
+    ({"transmissions": ((0, 1), (0, -1), (0, 1), (1, 0))}, "must be bits"),
+    ({"transmissions": ((0, 1), (0, 0.5), (0, 1), (1, 0))}, "must be bits"),
+    ({"transmissions": np.full((4, 2), 2, dtype=np.uint8)}, "must be bits"),
+    ({"advance": ((0, 1), (0, 2))}, r"advance entry 2 outside 0\.\.1"),
+    ({"advance": ((0, 1), (-1, 1))}, r"advance entry -1 outside 0\.\.1"),
+    ({"advance": ((0, 1),)}, "advance table must be 2x2"),
+    ({"initial_state": 2}, "initial state out of range"),
+])
+def test_constructor_rejects_bad_input(change, message):
+    args = {"n": 4, "M": 2, "advance": FOLLOW2, "transmissions": ((0, 1),) * 4, **change}
+    with pytest.raises(ValueError, match=message):
+        FiniteStateProtocol(**args)
+
+
+@pytest.mark.parametrize("n", [1, 37, 1024])
+def test_draws_consume_the_reference_rng_stream(n):
+    ref = np.random.default_rng(n)
+    advance = all_two_state_advances()[int(ref.integers(16))]
+    picks = ref.integers(0, 4, size=n)
+    rng = np.random.default_rng(n)
+    p = random_two_state_protocol(n, rng)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert p.advance == advance
+    assert p.transmissions == tuple(ALL_TABLES2[k] for k in picks)
+
+    ref = np.random.default_rng(n)
+    picks = ref.integers(0, 4, size=n)
+    rng = np.random.default_rng(n)
+    p = random_protocol(n, 2, ALL_TABLES2, rng, advance=FOLLOW2)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert p.transmissions == tuple(ALL_TABLES2[k] for k in picks)

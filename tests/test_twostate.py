@@ -2,20 +2,29 @@
 the exhaustive alternative."""
 
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icsim.channel import ChannelModel
 from icsim.coding import CodeSpec
+from icsim.coding import convey
 from icsim.protocol import (
     FiniteStateProtocol,
+    Party,
     pad_protocol,
+    party_view,
     run_protocol,
 )
 from icsim.twostate import (
     ALL_TABLES2,
+    BlockLookaheadMessage,
     CompositeFunction,
+    _exhaustive_provider,
     all_two_state_advances,
     block_lookahead,
     block_messages,
@@ -30,7 +39,7 @@ from icsim.twostate import (
     run_lookahead_exchange,
     simulate_two_state,
 )
-from icsim.vertical import accounting, genie_lookahead, make_schedule
+from icsim.vertical import LookaheadResult, accounting, genie_lookahead, make_schedule
 
 NOISELESS = ChannelModel.bsc(0.0)
 FOLLOW = ((0, 1), (0, 1))          # eta(s, tau) = tau
@@ -277,3 +286,154 @@ def test_random_two_state_protocol_determinism_and_shape():
     assert a == b and a.M == 2 and a.n == 50
     forced = random_two_state_protocol(50, seed=9, advance=AND)
     assert forced.advance == AND
+
+
+# ---------------------------------------------------------------------------
+# per-round reference loops for the vectorised lookaheads
+
+def _ref_int_to_bits(x, width):
+    return [(x >> (width - 1 - k)) & 1 for k in range(width)]
+
+
+def _ref_bits_to_int(bits):
+    out = 0
+    for b in bits:
+        out = (out << 1) | int(b)
+    return out
+
+
+def _ref_width(m, party):
+    return ((m + party.parity) // 2).bit_length()
+
+
+def _ref_decode_index(e, m, party):
+    if e <= 0 or e > (m + party.parity) // 2:
+        return 0
+    return 2 * e - 1 if party is Party.ALICE else 2 * e
+
+
+def _ref_composites(view, m, block):
+    """One party's composites of one block, keyed by block-local index."""
+    return {t: composite_from(view.advance, view.table(block * m + t))
+            for t in range(2 - view.party.parity, m + 1, 2)}
+
+
+def reference_lookahead_exchange(p, ch, side_code, rng):
+    """The parity exchange one block and one round at a time."""
+    m = math.isqrt(p.n)
+    parties = (Party.ALICE, Party.BOB)
+    views = {q: party_view(p, q) for q in parties}
+    composites = {q: [_ref_composites(views[q], m, r) for r in range(m)] for q in parties}
+    own_last = {}
+    for q in parties:
+        own_last[q] = []
+        for nus in composites[q]:
+            t_last, val = 0, 0
+            for t, nu in sorted(nus.items()):
+                if nu.constant:
+                    t_last, val = t, nu.value
+            own_last[q].append((t_last, val))
+    bits_used = channel_uses = 0
+    heard1 = {}
+    for k, sender in enumerate(parties):
+        width = _ref_width(m, sender)
+        payload = [b for t, v in own_last[sender]
+                   for b in (*_ref_int_to_bits((t + 1) // 2, width), v)]
+        transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 1 + k)
+        bits_used += len(payload)
+        channel_uses += transfer.channel_uses
+        chunks = [transfer.decoded[r * (width + 1):(r + 1) * (width + 1)] for r in range(m)]
+        heard1[sender.other] = [(_ref_decode_index(_ref_bits_to_int(c[:-1]), m, sender), c[-1])
+                                for c in chunks]
+    parities = {}
+    for q in parties:
+        parities[q] = []
+        for r in range(m):
+            i_const = max(own_last[q][r][0], heard1[q][r][0])
+            d = 0
+            for t, nu in composites[q][r].items():
+                if t > i_const:
+                    d ^= nu.value
+            parities[q].append(d)
+    heard2 = {}
+    for k, sender in enumerate(parties):
+        transfer = convey(side_code, parities[sender], ch, rng, matrix_seed=m + 3 + k)
+        bits_used += m
+        channel_uses += transfer.channel_uses
+        heard2[sender.other] = list(transfer.decoded)
+
+    def fold(q):
+        vec, s = [], p.initial_state
+        for r in range(m):
+            vec.append(s)
+            own = BlockLookaheadMessage(q, *own_last[q][r], parities[q][r])
+            other = BlockLookaheadMessage(q.other, *heard1[q][r], heard2[q][r])
+            s = block_lookahead(*((own, other) if q is Party.ALICE else (other, own)), s)
+        return tuple(vec)
+
+    return LookaheadResult(fold(Party.ALICE), fold(Party.BOB), bits_used, channel_uses)
+
+
+def reference_merge_points(p, ch, side_code, rng):
+    """The exhaustive scheme's first-constant exchange, one block at a time:
+    each party's believed merge point per block, plus bits and uses spent."""
+    m = math.isqrt(p.n)
+    parties = (Party.ALICE, Party.BOB)
+    views = {q: party_view(p, q) for q in parties}
+    own_first = {q: [min((t for t, nu in _ref_composites(views[q], m, r).items() if nu.constant),
+                         default=0) for r in range(m)] for q in parties}
+    bits_used = channel_uses = 0
+    heard = {}
+    for k, sender in enumerate(parties):
+        w = _ref_width(m, sender)
+        payload = [b for t in own_first[sender] for b in _ref_int_to_bits((t + 1) // 2, w)]
+        transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 1 + k)
+        bits_used += len(payload)
+        channel_uses += transfer.channel_uses
+        heard[sender.other] = [
+            _ref_decode_index(_ref_bits_to_int(transfer.decoded[r * w:(r + 1) * w]), m, sender)
+            for r in range(m)]
+    beliefs = {q: [min([t for t in (own_first[q][r], heard[q][r]) if t], default=m + 1)
+                   for r in range(m)] for q in parties}
+    return beliefs, bits_used, channel_uses
+
+
+def _noisy_two_state(n, seed, interactive):
+    sched = make_schedule(n)
+    advance = None
+    if interactive:
+        advances = interactive_two_state_advances()
+        advance = advances[seed % len(advances)]
+    return sched, pad_protocol(random_two_state_protocol(n, seed, advance=advance),
+                               sched.n_padded)
+
+
+NOISY = st.sampled_from(["bsc:0.05", "bec:0.1"])
+SIDE = st.sampled_from(["rep:1", "rep:3", "rlc:2"])
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1), channel=NOISY, side=SIDE)
+def test_lookahead_exchange_matches_per_round_reference(n, seed, channel, side):
+    _, p = _noisy_two_state(n, seed, interactive=False)
+    ch, code = ChannelModel.parse(channel), CodeSpec.parse(side)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = run_lookahead_exchange(p, ch, code, rng)
+    assert got == reference_lookahead_exchange(p, ch, code, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1), channel=NOISY, side=SIDE)
+def test_exhaustive_merge_points_match_per_round_reference(n, seed, channel, side):
+    sched, p = _noisy_two_state(n, seed, interactive=True)
+    ch, code = ChannelModel.parse(channel), CodeSpec.parse(side)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _exhaustive_provider(code)(p, sched, ch, rng)
+    beliefs, bits_used, channel_uses = reference_merge_points(p, ch, code, ref_rng)
+    assert replace(got, wire=None) == LookaheadResult((), (), bits_used, channel_uses)
+    cols = np.arange(1, sched.m + 1)
+    for q in (Party.ALICE, Party.BOB):
+        want = np.sign(cols - np.array(beliefs[q])[:, None]) + 1
+        assert np.array_equal(got.wire.phase[q], want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -179,3 +179,13 @@ def test_vertical_engine_handles_multistate_protocols():
     rng = np.random.default_rng(5)
     report = simulate_vertical(p, NOISELESS, CodeSpec.parse("rep:2"), genie_provider, rng)
     assert report.correct and report.states == 4
+
+
+def test_reports_are_slotted_and_share_repeated_fields():
+    # a sweep keeps every report of an n, so equal fields share one object
+    code = CodeSpec.parse("rep:1")
+    a, b = (simulate_vertical(random_two_state_protocol(64, seed=s), ChannelModel.parse("bsc:0"),
+                              code, genie_provider, np.random.default_rng(s)) for s in (1, 2))
+    assert not hasattr(a, "__dict__")
+    assert a.column_errors == (False,) * 8 and a.column_errors is b.column_errors
+    assert a.channel is b.channel and a.code is b.code
