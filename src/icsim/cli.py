@@ -25,6 +25,7 @@ import numpy as np
 from .channel import ChannelModel
 from .coding import CodeSpec
 from .harness import (
+    SCHEMA_VERSION,
     SCHEMES,
     ExperimentConfig,
     compare_bounds,
@@ -100,7 +101,7 @@ def _cmd_simulate(args) -> int:
     _write_or_print("\n".join(lines) + "\n", args.out)
     row, audits_ok = sweep_row(args.n, cfg.scheme, reports)
     summary = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "trials": row.trials,
         "failures": row.failures,
         "mean_pe": row.mean_pe,

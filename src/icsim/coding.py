@@ -255,9 +255,6 @@ class OracleCode:
                 return wrong, True
 
 
-BlockCode = RepetitionCode | RandomLinearCode | OracleCode
-
-
 # ---------------------------------------------------------------------------
 # code specs and the transport helper used by the simulation engines
 

@@ -31,6 +31,8 @@ OUTDIR_ENV = "ICSIM_OUTDIR"
 
 CSV_COLUMNS = ("n", "scheme", "trial", "seed", "N", "rate",
                "alice_ok", "bob_ok", "lookahead_bits", "coincidence_ok")
+# config file keys that differ from the ExperimentConfig field names
+JSON_KEYS = {"n": "n_list", "csv": "csv_path", "json": "json_path"}
 
 
 def resolve_out(path: str | Path) -> Path:
@@ -53,6 +55,10 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scheme: str = "genie"
@@ -68,11 +74,24 @@ class ExperimentConfig:
     json_path: str | None = None
 
     def __post_init__(self) -> None:
+        def expect(name: str, ok: bool, what: str) -> None:
+            if not ok:
+                raise ValueError(f"{name} must be {what}, not {getattr(self, name)!r}")
+
+        for name in ("scheme", "channel", "code", "placement"):
+            expect(name, isinstance(getattr(self, name), str), "a string")
+        for name in ("side_code", "csv_path", "json_path"):
+            expect(name, isinstance(getattr(self, name), (str, type(None))), "a string or null")
+        for name in ("trials", "base_seed"):
+            expect(name, _is_int(getattr(self, name)), "an integer")
+        expect("protocol", isinstance(self.protocol, Mapping), "an object")
+        expect("n_list", isinstance(self.n_list, (list, tuple)) and all(map(_is_int, self.n_list)),
+               "a list of integers (config key n)")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list", tuple(self.n_list))
         if any(n < 1 for n in self.n_list):
             raise ValueError("all n must be positive")
         # fail fast on dangling references, not mid-sweep
@@ -95,21 +114,16 @@ class ExperimentConfig:
             raw = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read config {path}: {exc}") from exc
-        kwargs = {
-            "scheme": raw.get("scheme", "genie"),
-            "protocol": raw.get("protocol", {"type": "two-state"}),
-            "channel": raw.get("channel", "bsc:0.05"),
-            "code": raw.get("code", "oracle:0.3"),
-            "side_code": raw.get("side_code"),
-            "placement": raw.get("placement", "last"),
-            "trials": raw.get("trials", 1),
-            "base_seed": raw.get("base_seed", 0),
-            "csv_path": raw.get("csv"),
-            "json_path": raw.get("json"),
-        }
-        n = raw.get("n", [256])
-        kwargs["n_list"] = tuple(n) if isinstance(n, (list, tuple)) else (int(n),)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config {path} must be a JSON object, not {type(raw).__name__}")
         known = {f.name for f in fields(cls)}
+        keys = known - set(JSON_KEYS.values()) | set(JSON_KEYS)
+        unknown = sorted(set(raw) - keys)
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown} in {path}; known: {sorted(keys)}")
+        kwargs = {JSON_KEYS.get(key, key): value for key, value in raw.items()}
+        if _is_int(kwargs.get("n_list")):
+            kwargs["n_list"] = (kwargs["n_list"],)
         for key, value in overrides.items():
             if key not in known:
                 raise TypeError(f"unknown override {key!r}")

@@ -15,23 +15,21 @@ from a useful set.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .channel import ChannelModel
-from .coding import CodeSpec, convey
+from .coding import CodeSpec
 from .protocol import FiniteStateProtocol, Party, Table
 from .vertical import (
     ColumnWire,
-    LookaheadProvider,
     LookaheadResult,
     SimulationReport,
-    VerticalSchedule,
+    exchange,
     make_schedule,
     simulate_vertical,
 )
@@ -52,13 +50,6 @@ class CoincidenceCertificate:
 
     K: int
     witnesses: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]
-
-
-def _drive(advance: Sequence[Sequence[int]], start: int, bits: Sequence[int]) -> int:
-    s = start
-    for b in bits:
-        s = advance[s][b]
-    return s
 
 
 @lru_cache(maxsize=1024)
@@ -265,13 +256,9 @@ def coincidence_failure_trials(eta, function_set: Sequence[Table], p: int,
 # ---------------------------------------------------------------------------
 # the tail-exhaustive scheme
 
-def _tail_positions(m: int, plan: TailPlan) -> range:
-    return range(m - plan.p + 1, m + 1) if plan.placement == "last" else range(1, plan.p + 1)
-
-
 def _exchange_tail_tables(
     pp: FiniteStateProtocol,
-    sched: VerticalSchedule,
+    m: int,
     plan: TailPlan,
     ch: ChannelModel,
     side_code: CodeSpec,
@@ -281,19 +268,15 @@ def _exchange_tail_tables(
     block's tail. Returns, per party, its assembled (rows, p, M) tail tables
     (own rounds exact, counterpart rounds as decoded), plus the logical bits
     and channel uses spent."""
-    positions = _tail_positions(sched.m, plan)
-    tails = pp.tables.reshape(sched.rows, sched.m, pp.M)[:, positions.start - 1:positions.stop - 1]
-    assembled = {q: tails.copy() for q in (Party.ALICE, Party.BOB)}
-    bits_used = 0
-    channel_uses = 0
-    for k, sender in enumerate((Party.ALICE, Party.BOB)):
-        # the sender's tail columns: tail offsets whose round has its parity
-        own = np.s_[:, (sender.parity - positions.start) % 2::2]
-        payload = tails[own]
-        transfer = convey(side_code, payload.ravel(), ch, rng, matrix_seed=sched.m + 5 + k)
-        bits_used += payload.size
-        channel_uses += transfer.channel_uses
-        assembled[sender.other][own] = np.reshape(transfer.decoded, payload.shape)
+    start = m - plan.p if plan.placement == "last" else 0  # columns before the tail
+    tails = pp.tables.reshape(m, m, pp.M)[:, start:start + plan.p]
+    # a party's tail columns: tail offsets whose round has its parity
+    own = {q: np.s_[:, (q.parity - start - 1) % 2::2] for q in (Party.ALICE, Party.BOB)}
+    heard, bits_used, channel_uses = exchange({q: tails[own[q]] for q in own}, side_code,
+                                              ch, rng, matrix_seed=m + 5)
+    assembled = {q: tails.copy() for q in own}
+    for q in own:
+        assembled[q][own[q.other]] = heard[q]
     return assembled, bits_used, channel_uses
 
 
@@ -319,29 +302,6 @@ def _merge_failure(bad: set[int]) -> str:
     return f"trajectories did not merge in blocks {sorted(bad)}"
 
 
-def tail_exhaustive_lookahead(p: FiniteStateProtocol, plan: TailPlan, ch: ChannelModel,
-                              side_code: CodeSpec, rng: np.random.Generator) -> LookaheadResult:
-    """Last-p placement: agree on every block's final state by simulating all
-    M trajectories over the tail; block r+1's initial state is block r's
-    common final. A block whose trajectories do not merge is a coincidence
-    failure and aborts the run (reported, never silently wrong)."""
-    sched = make_schedule(p.n)
-    if sched.n_padded != p.n:
-        raise ValueError("protocol length must be the padded square")
-    if plan.placement != "last":
-        raise ValueError("this lookahead uses a last-p tail plan")
-    if is_coinciding(p.advance, p.M) is None:
-        warnings.warn("advance function is not coinciding; merges are not guaranteed",
-                      stacklevel=2)
-
-    tails, bits_used, channel_uses = _exchange_tail_tables(p, sched, plan, ch, side_code, rng)
-    finals, bad = _tail_finals(p, tails, sched.rows - 1)
-    return LookaheadResult((p.initial_state, *finals[Party.ALICE]),
-                           (p.initial_state, *finals[Party.BOB]),
-                           bits_used, channel_uses,
-                           failure=_merge_failure(bad) if bad else None, tail_len=plan.p)
-
-
 class TailWire(ColumnWire):
     """Wire format of first-p placement, one branch per entry state.
 
@@ -363,64 +323,53 @@ class TailWire(ColumnWire):
         return self.tails[party][:, j - 1] if j <= self.p else super().decode(party, j, bits)
 
 
-def _tail_plan(pp: FiniteStateProtocol, sched: VerticalSchedule, K: int | None,
-               placement: str) -> TailPlan | str:
-    """The tail plan of a run, or why there is none: a non-coinciding
-    advance function (when K is not given) or a tail that does not fit in a
-    block. Either way the run fails before any channel use."""
-    if K is None:
-        cert = is_coinciding(pp.advance, pp.M)
-        if cert is None:
-            return "advance function is not coinciding"
-        K = max(1, cert.K)
+def tail_exhaustive_lookahead(p: FiniteStateProtocol, plan: TailPlan, ch: ChannelModel,
+                              side_code: CodeSpec, rng: np.random.Generator) -> LookaheadResult:
+    """Both parties learn every block's tail tables and walk all M
+    trajectories over them. A block whose trajectories do not merge is a
+    coincidence failure and aborts the run (reported, never silently wrong).
+
+    last-p: block r+1's initial state is block r's common final. first-p:
+    the result carries a ``TailWire``; the column loop reconstructs the
+    tails for all M entry states, and chaining the blocks picks the real one.
+    """
+    sched = make_schedule(p.n)
+    if sched.n_padded != p.n:
+        raise ValueError("protocol length must be the padded square")
+    tails, bits_used, channel_uses = _exchange_tail_tables(p, sched.m, plan, ch, side_code, rng)
+    if plan.placement == "last":
+        finals, bad = _tail_finals(p, tails, sched.rows - 1)
+        return LookaheadResult((p.initial_state, *finals[Party.ALICE]),
+                               (p.initial_state, *finals[Party.BOB]),
+                               bits_used, channel_uses,
+                               failure=_merge_failure(bad) if bad else None, tail_len=plan.p)
+    _, bad = _tail_finals(p, tails, sched.rows)
+    if bad:
+        return LookaheadResult((), (), bits_used, channel_uses,
+                               failure=_merge_failure(bad), tail_len=plan.p)
+    return LookaheadResult((), (), bits_used, channel_uses, tail_len=plan.p,
+                           coincidence_ok=True, wire=TailWire(tails))
+
+
+def tail_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: CodeSpec,
+                   rng: np.random.Generator, placement: str) -> LookaheadResult:
+    """The m-state lookahead in either placement, with the tail plan taken
+    from the advance function's coincidence certificate. A non-coinciding
+    advance function, or a tail that does not fit in a block, fails before
+    any channel use."""
+    cert = is_coinciding(pp.advance, pp.M)
+    if cert is None:
+        return LookaheadResult((), (), 0, 0, failure="advance function is not coinciding")
     try:
-        return make_tail_plan(sched.n_padded, K, placement)
+        plan = make_tail_plan(pp.n, max(1, cert.K), placement)
     except ValueError as exc:  # the tail does not fit in a block
-        return str(exc)
-
-
-def mstate_provider(side_code: CodeSpec, K: int | None = None) -> LookaheadProvider:
-    """Last-p placement. A non-coinciding advance function, or a tail that
-    does not fit in a block, fails before any channel use."""
-
-    def provide(pp: FiniteStateProtocol, sched: VerticalSchedule,
-                ch: ChannelModel, rng: np.random.Generator) -> LookaheadResult:
-        plan = _tail_plan(pp, sched, K, "last")
-        if isinstance(plan, str):
-            return LookaheadResult((), (), 0, 0, failure=plan)
-        return tail_exhaustive_lookahead(pp, plan, ch, side_code, rng)
-
-    return provide
-
-
-def _first_tail_provider(side_code: CodeSpec, K: int | None) -> LookaheadProvider:
-    """First-p placement. Both parties learn every block's opening tail
-    tables and check that all M trajectories merge over them; the column
-    loop then reconstructs the tails for all M entry states, and chaining
-    the blocks picks the real one. Fails before any channel use where
-    last-p placement does."""
-
-    def provide(pp: FiniteStateProtocol, sched: VerticalSchedule,
-                ch: ChannelModel, rng: np.random.Generator) -> LookaheadResult:
-        plan = _tail_plan(pp, sched, K, "first")
-        if isinstance(plan, str):
-            return LookaheadResult((), (), 0, 0, failure=plan)
-        tails, bits_used, channel_uses = _exchange_tail_tables(
-            pp, sched, plan, ch, side_code, rng)
-        _, bad = _tail_finals(pp, tails, sched.rows)
-        if bad:
-            return LookaheadResult((), (), bits_used, channel_uses,
-                                   failure=_merge_failure(bad), tail_len=plan.p)
-        return LookaheadResult((), (), bits_used, channel_uses, tail_len=plan.p,
-                               coincidence_ok=True, wire=TailWire(tails))
-
-    return provide
+        return LookaheadResult((), (), 0, 0, failure=str(exc))
+    return tail_exhaustive_lookahead(pp, plan, ch, side_code, rng)
 
 
 def simulate_mstate(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpec,
                     side_spec: CodeSpec, placement: str,
-                    rng: np.random.Generator, seed: int | None = None,
-                    K: int | None = None) -> SimulationReport:
+                    rng: np.random.Generator, seed: int | None = None) -> SimulationReport:
     """Tail-exhaustive simulation in either placement.
 
     last-p agrees on every block's initial state before the columns. first-p
@@ -429,9 +378,7 @@ def simulate_mstate(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpe
     tail tables, transmit one transcript bit per row for the remaining
     columns, and resolve the actual trajectory by chaining block finals.
     """
-    providers = {"last": mstate_provider, "first": _first_tail_provider}
-    if placement not in providers:
+    if placement not in ("last", "first"):
         raise ValueError("placement must be 'last' or 'first'")
-    return simulate_vertical(p, ch, code_spec, providers[placement](side_spec, K=K), rng,
-                             scheme=f"m-state-{placement}", seed=seed,
-                             side_rate=side_spec.rate)
+    return simulate_vertical(p, ch, code_spec, partial(tail_lookahead, placement=placement),
+                             rng, scheme=f"m-state-{placement}", seed=seed, side=side_spec)

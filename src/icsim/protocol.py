@@ -147,9 +147,6 @@ class FiniteStateProtocol:
             raise IndexError(f"round {i} outside 1..{self.n}")
         return tuple(self.tables[i - 1].tolist())
 
-    def advance_state(self, s: int, bit: int) -> int:
-        return self.advance[s][bit]
-
 
 @dataclass(frozen=True)
 class TranscriptTrace:

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .channel import ChannelModel
-from .coding import CodeSpec, convey
+from .coding import CodeSpec
 from .protocol import (
     FiniteStateProtocol,
     Party,
@@ -37,10 +37,9 @@ from .protocol import (
 )
 from .vertical import (
     ColumnWire,
-    LookaheadProvider,
     LookaheadResult,
     SimulationReport,
-    VerticalSchedule,
+    exchange,
     run_columns,
     simulate_vertical,
 )
@@ -228,20 +227,11 @@ def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
     own_value = {q: np.where(own_last[q] > 0, value[rows, own_last[q] - 1], 0) for q in parties}
 
     # first exchange: per block, the compressed last-constant index and value
-    heard_last: dict[Party, np.ndarray] = {}
-    heard_value: dict[Party, np.ndarray] = {}
-    bits_used = 0
-    channel_uses = 0
-    for k, sender in enumerate(parties):
-        payload = np.hstack((_pack_index(own_last[sender], _index_width(m, sender)),
-                             own_value[sender][:, None])).ravel()
-        transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 1 + k)
-        bits_used += payload.size
-        channel_uses += transfer.channel_uses
-        decoded = np.array(transfer.decoded).reshape(m, -1)
-        # what the counterpart now believes
-        heard_last[sender.other] = _unpack_index(decoded[:, :-1], m, sender)
-        heard_value[sender.other] = decoded[:, -1]
+    heard, bits_used, channel_uses = exchange(
+        {q: np.hstack((_pack_index(own_last[q], _index_width(m, q)), own_value[q][:, None]))
+         for q in parties}, side_code, ch, rng, matrix_seed=m + 1)
+    heard_last = {q: _unpack_index(heard[q][:, :-1], m, q.other) for q in parties}
+    heard_value = {q: heard[q][:, -1] for q in parties}
 
     # second exchange: flip parities after each block's agreed last constant;
     # after[:, i] is the xor of the party's values at block-local rounds > i
@@ -251,12 +241,9 @@ def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
         own[:, 1 - q.parity:m:2] = value[:, 1 - q.parity::2]
         after = np.bitwise_xor.accumulate(own[:, ::-1], axis=1)[:, ::-1]
         parities[q] = after[rows, np.maximum(own_last[q], heard_last[q])]
-    heard_parity: dict[Party, np.ndarray] = {}
-    for k, sender in enumerate(parties):
-        transfer = convey(side_code, parities[sender], ch, rng, matrix_seed=m + 3 + k)
-        bits_used += m
-        channel_uses += transfer.channel_uses
-        heard_parity[sender.other] = np.array(transfer.decoded)
+    heard_parity, bits, uses = exchange(parities, side_code, ch, rng, matrix_seed=m + 3)
+    bits_used += bits
+    channel_uses += uses
 
     def fold(q: Party) -> tuple[int, ...]:
         # a block ends in the later constant's value (or its entry state when
@@ -275,19 +262,11 @@ def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
     return LookaheadResult(fold(Party.ALICE), fold(Party.BOB), bits_used, channel_uses)
 
 
-def twostate_provider(side_code: CodeSpec) -> LookaheadProvider:
-    def provide(p: FiniteStateProtocol, sched: VerticalSchedule,
-                ch: ChannelModel, rng: np.random.Generator) -> LookaheadResult:
-        return run_lookahead_exchange(p, ch, side_code, rng)
-
-    return provide
-
-
 def simulate_two_state(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpec,
                        side_spec: CodeSpec, rng: np.random.Generator,
                        seed: int | None = None) -> SimulationReport:
-    return simulate_vertical(p, ch, code_spec, twostate_provider(side_spec), rng,
-                             scheme="two-state", seed=seed, side_rate=side_spec.rate)
+    return simulate_vertical(p, ch, code_spec, run_lookahead_exchange, rng,
+                             scheme="two-state", seed=seed, side=side_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +387,6 @@ class BlockReconstruction:
     bits_used: int
 
 
-def _resolve_first(own: np.ndarray, other: np.ndarray, m: int) -> np.ndarray:
-    """Per row, the earlier of two first-constant indices, m + 1 if neither."""
-    return np.minimum(np.where(own > 0, own, m + 1), np.where(other > 0, other, m + 1))
-
-
 def run_exhaustive_block(eta, tables: Sequence[Table]) -> tuple[BlockReconstruction, BlockReconstruction]:
     """Noiseless single-block core of the exhaustive scheme.
 
@@ -450,7 +424,8 @@ def run_exhaustive_block(eta, tables: Sequence[Table]) -> tuple[BlockReconstruct
     return snapshot(Party.ALICE), snapshot(Party.BOB)
 
 
-def _exhaustive_provider(side_code: CodeSpec) -> LookaheadProvider:
+def exhaustive_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: CodeSpec,
+                         rng: np.random.Generator) -> LookaheadResult:
     """Lookahead of the exhaustive scheme: each party sends the compressed
     index of its first constant-making round per block; the earlier of the
     two is the block's merge point for the column wire format.
@@ -459,40 +434,30 @@ def _exhaustive_provider(side_code: CodeSpec) -> LookaheadProvider:
     independently of the transcript, so both parties compute the block
     starts locally and the columns carry plain transcript bits.
     """
+    cls = classify_advance(pp.advance)
+    m = math.isqrt(pp.n)
+    if not cls.interactive:
+        successor = (pp.advance[0][0], pp.advance[1][0])
+        starts = []
+        s = pp.initial_state
+        for _ in range(m):
+            starts.append(s)
+            for _ in range(m):
+                s = successor[s]
+        return LookaheadResult(tuple(starts), tuple(starts), 0, 0)
 
-    def provide(pp: FiniteStateProtocol, sched: VerticalSchedule,
-                ch: ChannelModel, rng: np.random.Generator) -> LookaheadResult:
-        cls = classify_advance(pp.advance)
-        if not cls.interactive:
-            successor = (pp.advance[0][0], pp.advance[1][0])
-            starts = []
-            s = pp.initial_state
-            for _ in range(sched.rows):
-                starts.append(s)
-                for _ in range(sched.m):
-                    s = successor[s]
-            return LookaheadResult(tuple(starts), tuple(starts), 0, 0)
-
-        m = sched.m
-        parties = (Party.ALICE, Party.BOB)
-        const, _ = _grid_composites(pp.tables, pp.advance_array, m)
-        own_first = {q: _own_const_index(const, q, last=False) for q in parties}
-        bits_used = 0
-        channel_uses = 0
-        heard: dict[Party, np.ndarray] = {}
-        for k, sender in enumerate(parties):
-            width = _index_width(m, sender)
-            payload = _pack_index(own_first[sender], width).ravel()
-            transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 1 + k)
-            bits_used += payload.size
-            channel_uses += transfer.channel_uses
-            decoded = np.array(transfer.decoded, dtype=np.int64).reshape(sched.rows, width)
-            heard[sender.other] = _unpack_index(decoded, m, sender)
-        beliefs = {q: _resolve_first(own_first[q], heard[q], m) for q in parties}
-        return LookaheadResult((), (), bits_used, channel_uses,
-                               wire=ExhaustiveWire(cls, beliefs, m))
-
-    return provide
+    parties = (Party.ALICE, Party.BOB)
+    const, _ = _grid_composites(pp.tables, pp.advance_array, m)
+    own_first = {q: _own_const_index(const, q, last=False) for q in parties}
+    heard, bits_used, channel_uses = exchange(
+        {q: _pack_index(own_first[q], _index_width(m, q)) for q in parties},
+        side_code, ch, rng, matrix_seed=m + 1)
+    # per row, the earlier of the two first-constant indices, m + 1 if neither
+    beliefs = {q: np.minimum(*(np.where(t > 0, t, m + 1)
+                               for t in (own_first[q], _unpack_index(heard[q], m, q.other))))
+               for q in parties}
+    return LookaheadResult((), (), bits_used, channel_uses,
+                           wire=ExhaustiveWire(cls, beliefs, m))
 
 
 def exhaustive_two_state(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpec,
@@ -501,6 +466,5 @@ def exhaustive_two_state(p: FiniteStateProtocol, ch: ChannelModel, code_spec: Co
     """Full exhaustive-scheme simulation over the vertical grid."""
     if p.M != 2:
         raise ValueError("the exhaustive scheme requires a two-state protocol")
-    return simulate_vertical(p, ch, code_spec, _exhaustive_provider(side_spec), rng,
-                             scheme="two-state-exhaustive", seed=seed,
-                             side_rate=side_spec.rate)
+    return simulate_vertical(p, ch, code_spec, exhaustive_lookahead, rng,
+                             scheme="two-state-exhaustive", seed=seed, side=side_spec)

@@ -7,7 +7,10 @@ produced in one shot and carried by a single block code, provided both parties
 know the state each row starts in. Those block-initial states come from a
 lookahead provider, which is where the different schemes differ: a genie can
 just read them off the clean execution, while real providers pay extra
-channel uses to agree on them.
+channel uses to agree on them. A provider is a plain function
+``(pp, ch, side, rng) -> LookaheadResult`` of the padded protocol, the
+channel, the side-information code (None for the genie) and the trial's
+generator; every side exchange goes through ``exchange``.
 
 After the lookahead phase one column loop serves every scheme. Each party
 holds a (rows x branches) array of candidate states: one branch when the
@@ -120,16 +123,32 @@ class LookaheadResult:
 
 
 LookaheadProvider = Callable[
-    [FiniteStateProtocol, VerticalSchedule, ChannelModel, np.random.Generator],
+    [FiniteStateProtocol, ChannelModel, CodeSpec | None, np.random.Generator],
     LookaheadResult,
 ]
 
 
-def genie_lookahead(p: FiniteStateProtocol,
-                    m: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def exchange(payloads: Mapping[Party, np.ndarray], side: CodeSpec, ch: ChannelModel,
+             rng: np.random.Generator, matrix_seed: int,
+             ) -> tuple[dict[Party, np.ndarray], int, int]:
+    """One side exchange: Alice sends her payload, then Bob his, each as one
+    coded transfer with ``side`` and generator seed ``matrix_seed + k``.
+    Returns what each party heard from the other, in the shape of the sent
+    payload, plus the bits sent and the channel uses."""
+    heard: dict[Party, np.ndarray] = {}
+    bits_used = channel_uses = 0
+    for k, sender in enumerate((Party.ALICE, Party.BOB)):
+        payload = payloads[sender]
+        transfer = convey(side, payload.ravel(), ch, rng, matrix_seed=matrix_seed + k)
+        bits_used += payload.size
+        channel_uses += transfer.channel_uses
+        heard[sender.other] = np.array(transfer.decoded, dtype=np.intp).reshape(payload.shape)
+    return heard, bits_used, channel_uses
+
+
+def genie_lookahead(p: FiniteStateProtocol) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Exact block-initial states read off a clean execution, for both parties."""
-    if m is None:
-        m = math.isqrt(p.n)
+    m = math.isqrt(p.n)
     if m * m != p.n:
         raise ValueError("protocol length must be the padded square")
     trace = run_protocol(p)
@@ -137,22 +156,10 @@ def genie_lookahead(p: FiniteStateProtocol,
     return states, states
 
 
-def genie_provider(p: FiniteStateProtocol, sched: VerticalSchedule,
-                   ch: ChannelModel, rng: np.random.Generator) -> LookaheadResult:
-    alice, bob = genie_lookahead(p, sched.m)
+def genie_provider(pp: FiniteStateProtocol, ch: ChannelModel, side: CodeSpec | None,
+                   rng: np.random.Generator) -> LookaheadResult:
+    alice, bob = genie_lookahead(pp)
     return LookaheadResult(alice, bob, 0, 0)
-
-
-def known_states_provider(states: tuple[int, ...]) -> LookaheadProvider:
-    """Provider for schemes that compute the block-initial states locally."""
-
-    def provide(p: FiniteStateProtocol, sched: VerticalSchedule,
-                ch: ChannelModel, rng: np.random.Generator) -> LookaheadResult:
-        if len(states) != sched.rows:
-            raise ValueError("state vector length does not match row count")
-        return LookaheadResult(states, states, 0, 0)
-
-    return provide
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,16 +257,16 @@ def simulate_vertical(
     rng: np.random.Generator,
     scheme: str = "genie",
     seed: int | None = None,
-    side_rate: float | None = None,
+    side: CodeSpec | None = None,
 ) -> SimulationReport:
     """Run one vertical simulation and compare against the clean execution.
 
-    The provider's lookahead comes first; unless it failed, one coded
-    transfer per sent column follows, in column order.
+    The provider's lookahead comes first, with ``side`` as its code; unless
+    it failed, one coded transfer per sent column follows, in column order.
     """
     sched = make_schedule(p.n)
     pp = pad_protocol(p, sched.n_padded)
-    la = provider(pp, sched, ch, rng)
+    la = provider(pp, ch, side, rng)
     transfers: list[TransferResult] = []
     correct = {Party.ALICE: False, Party.BOB: False}
     if la.failure is None:
@@ -299,7 +306,7 @@ def simulate_vertical(
         lookahead_uses=la.channel_uses,
         lookahead_bits=la.bits_used,
         rate_target=code_spec.rate,
-        side_rate=side_rate,
+        side_rate=None if side is None else side.rate,
         alice_correct=correct[Party.ALICE],
         bob_correct=correct[Party.BOB],
         column_errors=_shared(tuple(not t.intact for t in transfers)),
@@ -326,7 +333,7 @@ def overhead_bound(report: SimulationReport) -> float:
     """Scheme-specific ceiling on channel uses beyond n_padded / rate."""
     n = report.n_padded
     m = report.m
-    if report.scheme in ("genie", "known-states"):
+    if report.scheme == "genie":
         # only the padding and per-column ceil slack
         return float(m)
     if report.scheme.startswith("two-state"):

@@ -196,6 +196,22 @@ def test_sweep_missing_config_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"trails": 50}', "unknown config keys ['trails']"),
+    ('{"trials": "5"}', "trials must be an integer, not '5'"),
+    ('[{"trials": 5}]', "must be a JSON object, not list"),
+    ('{"protocol": "two-state"}', "protocol must be an object, not 'two-state'"),
+], ids=["misspelt-key", "string-trials", "top-level-list", "string-protocol"])
+def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_outputs_honor_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("ICSIM_OUTDIR", str(tmp_path))
     code = main(["capacity", "--channel", "bsc:0.1", "--out", "nested/cap.csv"])

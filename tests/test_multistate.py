@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from icsim.channel import ChannelModel
 from icsim.coding import CodeSpec, convey
 from icsim.multistate import (
     TailPlan,
-    _first_tail_provider,
     all_blocks_coincidence_bound,
     all_tables,
     balanced_tables,
@@ -23,9 +23,9 @@ from icsim.multistate import (
     is_coinciding,
     is_useful,
     make_tail_plan,
-    mstate_provider,
     simulate_mstate,
     tail_exhaustive_lookahead,
+    tail_lookahead,
     trajectories_coincide,
 )
 from icsim.protocol import (
@@ -218,7 +218,7 @@ def test_tail_with_flushed_window_always_merges():
     la = tail_exhaustive_lookahead(forced, plan, NOISELESS, CodeSpec.parse("rep:1"),
                                    np.random.default_rng(0))
     assert la.failure is None
-    truth, _ = genie_lookahead(forced, sched.m)
+    truth, _ = genie_lookahead(forced)
     assert la.alice_states == truth and la.bob_states == truth
 
 
@@ -227,9 +227,8 @@ def test_tail_failure_names_blocks():
     rng = np.random.default_rng(1)
     p = random_protocol(16, 2, [(0, 1), (1, 0)], rng, advance=((0, 0), (1, 1)))
     plan = TailPlan(p=2, placement="last", K=1)
-    with pytest.warns(UserWarning, match="not coinciding"):
-        la = tail_exhaustive_lookahead(p, plan, NOISELESS, CodeSpec.parse("rep:1"),
-                                       np.random.default_rng(0))
+    la = tail_exhaustive_lookahead(p, plan, NOISELESS, CodeSpec.parse("rep:1"),
+                                   np.random.default_rng(0))
     assert la.failure is not None and "block" in la.failure
 
 
@@ -298,9 +297,9 @@ def test_mstate_provider_plugs_into_vertical_engine():
     sched = make_schedule(4096)
     p = _force_tail_constants(random_protocol(4096, 4, fset, 3, advance=MARKOV4), sched)
     rng = np.random.default_rng(3)
-    provider = mstate_provider(CodeSpec.parse("rep:1"))
-    report = simulate_vertical(p, NOISELESS, CodeSpec.parse("rep:1"), provider,
-                               rng, scheme="m-state-last", side_rate=1.0)
+    rep1 = CodeSpec.parse("rep:1")
+    report = simulate_vertical(p, NOISELESS, rep1, partial(tail_lookahead, placement="last"),
+                               rng, scheme="m-state-last", side=rep1)
     assert report.lookahead_failure is None
     assert report.correct
     assert report.tail_len == 8
@@ -406,7 +405,6 @@ def tail_cases(draw):
     return sched, p, K, seed
 
 
-@pytest.mark.filterwarnings("ignore:advance function is not coinciding")
 @settings(max_examples=60)
 @given(case=tail_cases(), channel=st.sampled_from(["bsc:0.05", "bec:0.1"]),
        side=st.sampled_from(["rep:1", "rep:3", "rlc:2"]))
@@ -427,7 +425,7 @@ def test_tail_lookaheads_match_per_round_reference(case, channel, side):
 
     plan = make_tail_plan(sched.n_padded, K, "first")
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _first_tail_provider(code, K)(p, sched, ch, rng)
+    got = tail_exhaustive_lookahead(p, plan, ch, code, rng)
     tails, bits_used, channel_uses = reference_tail_exchange(p, sched, plan, ch, code, ref_rng)
     _, bad = reference_tail_walk(p, tails, sched.rows)
     if bad:

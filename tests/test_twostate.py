@@ -24,13 +24,13 @@ from icsim.twostate import (
     ALL_TABLES2,
     BlockLookaheadMessage,
     CompositeFunction,
-    _exhaustive_provider,
     all_two_state_advances,
     block_lookahead,
     block_messages,
     classify_advance,
     composite_from,
     composite_of,
+    exhaustive_lookahead,
     exhaustive_two_state,
     interactive_two_state_advances,
     iterate_composites,
@@ -155,7 +155,7 @@ def test_exchange_all_constant_tables_reports_late_indices():
     sched = make_schedule(n)
     rng = np.random.default_rng(3)
     la = run_lookahead_exchange(p, NOISELESS, CodeSpec.parse("rep:1"), rng)
-    truth, _ = genie_lookahead(p, sched.m)
+    truth, _ = genie_lookahead(p)
     assert la.alice_states == truth
 
 
@@ -429,7 +429,7 @@ def test_exhaustive_merge_points_match_per_round_reference(n, seed, channel, sid
     sched, p = _noisy_two_state(n, seed, interactive=True)
     ch, code = ChannelModel.parse(channel), CodeSpec.parse(side)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _exhaustive_provider(code)(p, sched, ch, rng)
+    got = exhaustive_lookahead(p, ch, code, rng)
     beliefs, bits_used, channel_uses = reference_merge_points(p, ch, code, ref_rng)
     assert replace(got, wire=None) == LookaheadResult((), (), bits_used, channel_uses)
     cols = np.arange(1, sched.m + 1)

@@ -8,7 +8,6 @@ from icsim.coding import CodeSpec
 from icsim.protocol import (
     FiniteStateProtocol,
     make_markovian,
-    pad_protocol,
     random_protocol,
     run_protocol,
 )
@@ -18,7 +17,6 @@ from icsim.vertical import (
     accounting,
     genie_lookahead,
     genie_provider,
-    known_states_provider,
     make_schedule,
     simulate_vertical,
 )
@@ -95,19 +93,8 @@ def test_above_capacity_oracle_code_fails_loudly():
     assert not report.correct
 
 
-def test_alternating_ownership_via_known_states():
-    # known-states provider must agree with the genie end to end
-    sched = make_schedule(64)
-    p = pad_protocol(random_two_state_protocol(64, seed=8), sched.n_padded)
-    states, _ = genie_lookahead(p, sched.m)
-    rng = np.random.default_rng(0)
-    report = simulate_vertical(p, NOISELESS, CodeSpec.parse("rep:1"),
-                               known_states_provider(states), rng)
-    assert report.correct
-
-
 def test_lookahead_failure_aborts_without_guessing():
-    def broken_provider(p, sched, ch, rng):
+    def broken_provider(pp, ch, side, rng):
         return LookaheadResult((), (), 12, 30, failure="no merge in block 2")
 
     p = random_two_state_protocol(16, seed=2)
@@ -133,8 +120,8 @@ def test_accounting_zero_overhead_when_rate_divides():
 
 
 def test_accounting_exact_split():
-    def costly_provider(p, sched, ch, rng):
-        states, _ = genie_lookahead(p, sched.m)
+    def costly_provider(pp, ch, side, rng):
+        states, _ = genie_lookahead(pp)
         return LookaheadResult(states, states, 40, 100)
 
     p = random_two_state_protocol(64, seed=3)
