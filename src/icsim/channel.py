@@ -7,6 +7,10 @@ Three channel families are supported, each a (kind, parameter) pair:
 * ``awgn`` : antipodal signaling 0 -> +1, 1 -> -1 plus Gaussian noise with
              standard deviation sigma; real-valued output
 
+``bit_log_likelihoods`` gathers each bsc or bec output's row from a cached
+read-only table per channel; an output outside {0, 1} (bsc) or {0, 1,
+ERASURE} (bec), or of a float type, raises ValueError.
+
 Capacity is the mutual information under uniform inputs, in bits per use.
 ``gallager_e0`` is the random-coding exponent function
 
@@ -121,11 +125,10 @@ class ChannelModel:
         x = np.asarray(bits, dtype=np.int64)
         if x.ndim != 1:
             raise ValueError("transmit expects a flat bit vector")
-        if x.size and (x.min() < 0 or x.max() > 1):
+        if np.count_nonzero(x & ~1):
             raise ValueError("inputs must be bits")
         if self.kind == "bsc":
-            flips = rng.random(x.size) < self.param
-            return np.where(flips, 1 - x, x)
+            return x ^ (rng.random(x.size) < self.param)
         if self.kind == "bec":
             erased = rng.random(x.size) < self.param
             return np.where(erased, ERASURE, x)
@@ -134,25 +137,13 @@ class ChannelModel:
 
     def bit_log_likelihoods(self, outputs) -> np.ndarray:
         """Return an array L with L[j, b] = log P(outputs[j] | input bit b)."""
-        y = np.asarray(outputs)
-        if self.kind == "bsc":
-            eps = min(max(self.param, _TINY), 1.0 - 1e-16)
-            l_match = math.log(1.0 - eps) if eps < 1.0 else math.log(_TINY)
-            l_mis = math.log(max(eps, _TINY))
-            out = np.empty((y.size, 2))
-            out[:, 0] = np.where(y == 0, l_match, l_mis)
-            out[:, 1] = np.where(y == 1, l_match, l_mis)
-            return out
-        if self.kind == "bec":
-            delta = self.param
-            l_keep = math.log(max(1.0 - delta, _TINY))
-            l_erase = math.log(max(delta, _TINY))
-            l_never = math.log(_TINY)
-            out = np.empty((y.size, 2))
-            for b in (0, 1):
-                out[:, b] = np.where(y == ERASURE, l_erase,
-                                     np.where(y == b, l_keep, l_never))
-            return out
+        y = np.asarray(outputs).reshape(-1)
+        if self.kind != "awgn":
+            table = _likelihood_table(self.kind, self.param)
+            # in the unsigned view a negative output is out of range too
+            if y.dtype.kind not in "iu" or np.count_nonzero(y.view(f"u{y.itemsize}") >= len(table)):
+                raise ValueError(f"{self.kind} outputs must be integers in its alphabet")
+            return table.take(y, axis=0)
         s2 = self.param * self.param
         norm = -0.5 * math.log(2.0 * math.pi * s2)
         out = np.empty((y.size, 2))
@@ -190,6 +181,22 @@ class ChannelModel:
             raise ValueError(f"rate {rate} outside (0, capacity={cap:.6f}); bound is vacuous")
         er = self.error_exponent(rate)
         return min(1.0, copies * math.exp(-(block_bits / rate) * er * LN2))
+
+
+@lru_cache(maxsize=4096)
+def _likelihood_table(kind: str, param: float) -> np.ndarray:
+    """Read-only rows (log P(y | 0), log P(y | 1)) for each output y: 0 and
+    1 on bsc, 0, 1 and ERASURE on bec."""
+    if kind == "bsc":
+        eps = min(max(param, _TINY), 1.0 - 1e-16)
+        l_match = math.log(1.0 - eps) if eps < 1.0 else math.log(_TINY)
+        l_mis = math.log(max(eps, _TINY))
+        table = np.array([[l_match, l_mis], [l_mis, l_match]])
+    else:
+        keep, erase, never = (math.log(max(v, _TINY)) for v in (1.0 - param, param, 0.0))
+        table = np.array([[keep, never], [never, keep], [erase, erase]])
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=4096)

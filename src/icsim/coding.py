@@ -11,8 +11,12 @@ Three code families:
                          random-coding probability p* = exp(-(k/R) Er(R) ln 2)
                          and charges ceil(k/R) channel uses.
 
-Decoding is maximum likelihood under the channel law. A repetition bit tie
-goes to 0. A random linear code picks the first maximum of its floating-point
+Decoding is maximum likelihood under the channel law. ``convey`` with
+``rep:r`` makes one ``ChannelModel.transmit`` call for the r-fold repeated
+payload and, like ``RepetitionCode.decode``, sums each bit's log-likelihoods
+by strided adds ``ll[0::r] + ll[1::r] + ...`` in repeat order; a bit is 1
+only if its 1-sum beats its 0-sum by more than 1e-9, so ties go to 0. A
+random linear code picks the first maximum of its floating-point
 codeword scores ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]`` (``cb`` the codebook,
 rows in message order, ``L`` the bit log-likelihoods). On exact ties the
 summation rounding decides, so the winner need not be the smallest message.
@@ -45,10 +49,13 @@ class DecodeResult:
     ml_score: float
 
 
-def _as_bits(message: Sequence[int]) -> np.ndarray:
+def _as_bits(message: Sequence[int], k: int | None = None) -> np.ndarray:
+    """The message as an int64 bit vector, of length ``k`` when given."""
     bits = np.asarray(message, dtype=np.int64)
-    if bits.ndim != 1 or ((bits < 0) | (bits > 1)).any():
+    if bits.ndim != 1 or np.count_nonzero(bits & ~1):
         raise ValueError("message must be a bit vector")
+    if k is not None and bits.size != k:
+        raise ValueError(f"expected {k} message bits")
     return bits
 
 
@@ -70,21 +77,26 @@ class RepetitionCode:
         return self.k * self.repeats
 
     def encode(self, message: Sequence[int]) -> np.ndarray:
-        bits = _as_bits(message)
-        if bits.size != self.k:
-            raise ValueError(f"expected {self.k} message bits")
-        return np.repeat(bits, self.repeats)
+        return np.repeat(_as_bits(message, self.k), self.repeats)
 
     def decode(self, outputs, channel: ChannelModel) -> DecodeResult:
         ll = channel.bit_log_likelihoods(outputs)
         if ll.shape[0] != self.codeword_length:
             raise ValueError("output length does not match codeword length")
-        per_bit = ll.reshape(self.k, self.repeats, 2).sum(axis=1)
-        # ties go to 0, the lexicographically smaller bit; the margin absorbs
-        # float summation noise on exact ties without touching real decisions
-        picks = (per_bit[:, 1] > per_bit[:, 0] + 1e-9).astype(int)
+        per_bit, picks = _repetition_decide(ll, self.repeats)
         score = float(per_bit[np.arange(self.k), picks].sum())
         return DecodeResult(tuple(picks.tolist()), score)
+
+
+def _repetition_decide(ll: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 2) sums ``ll[0::r] + ll[1::r] + ...`` of a repetition
+    codeword's (k * r, 2) bit log-likelihoods, and the uint8 pick of each
+    bit. The 1e-9 margin absorbs float summation noise on exact ties, which
+    go to 0, without touching real decisions."""
+    per_bit = ll[0::r]
+    for i in range(1, r):
+        per_bit = per_bit + ll[i::r]
+    return per_bit, (per_bit[:, 1] > per_bit[:, 0] + 1e-9).view(np.uint8)
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -188,10 +200,7 @@ class RandomLinearCode:
         return _codebooks(_generators(self.k, self.codeword_length, [self.seed]))[0]
 
     def encode(self, message: Sequence[int]) -> np.ndarray:
-        bits = _as_bits(message)
-        if bits.size != self.k:
-            raise ValueError(f"expected {self.k} message bits")
-        return self._codebook[_message_index(bits)].astype(np.int64)
+        return self._codebook[_message_index(_as_bits(message, self.k))].astype(np.int64)
 
     def decode(self, outputs, channel: ChannelModel) -> DecodeResult:
         ll = channel.bit_log_likelihoods(outputs)
@@ -232,10 +241,7 @@ class OracleCode:
         return math.exp(-(self.k / self.rate) * er * LN2)
 
     def encode(self, message: Sequence[int]) -> np.ndarray:
-        bits = _as_bits(message)
-        if bits.size != self.k:
-            raise ValueError(f"expected {self.k} message bits")
-        return bits
+        return _as_bits(message, self.k)
 
     def decode(self, outputs, channel: ChannelModel) -> DecodeResult:
         return DecodeResult(tuple(_as_bits(outputs).tolist()), 0.0)
@@ -244,9 +250,7 @@ class OracleCode:
                         rng: np.random.Generator) -> tuple[tuple[int, ...], bool]:
         """Return (possibly corrupted message, error flag); always consumes
         exactly one uniform draw for the corruption decision."""
-        bits = tuple(_as_bits(message).tolist())
-        if len(bits) != self.k:
-            raise ValueError(f"expected {self.k} message bits")
+        bits = tuple(_as_bits(message, self.k).tolist())
         if rng.random() >= self.corruption_probability:
             return bits, False
         while True:
@@ -324,12 +328,12 @@ def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
         out, corrupted = code.oracle_transmit(payload, rng)
         return TransferResult(out, code.codeword_length, not corrupted)
     if spec.kind == "rep":
-        code = RepetitionCode(payload.size, int(spec.value))
-        received = ch.transmit(code.encode(payload), rng)
-        decoded = code.decode(received, ch).message
-        uses = code.codeword_length
-    else:
-        decoded, uses = _convey_rlc(spec, payload, ch, rng, matrix_seed)
+        r = int(spec.value)
+        ll = ch.bit_log_likelihoods(ch.transmit(payload.repeat(r), rng))
+        picks = _repetition_decide(ll, r)[1]
+        return TransferResult(tuple(picks.tolist()), payload.size * r,
+                              not np.count_nonzero(picks != payload))
+    decoded, uses = _convey_rlc(spec, payload, ch, rng, matrix_seed)
     return TransferResult(decoded, uses, decoded == tuple(payload.tolist()))
 
 

@@ -59,6 +59,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_int_rows(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(row, (list, tuple)) and all(map(_is_int, row)) for row in value)
+
+
+# each protocol source's keys besides "type", with a check of the value
+PROTOCOL_KEYS = {
+    "two-state": {"advance": (lambda v: v is None or _is_int_rows(v),
+                              "null or a list of integer rows")},
+    "markovian": {"log_M": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+                  "functions": (lambda v: v in ("balanced", "all") if isinstance(v, str)
+                                else _is_int_rows(v),
+                                '"balanced", "all" or a list of integer rows')},
+    "file": {"path": (lambda v: isinstance(v, str), "a string")},
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scheme: str = "genie"
@@ -100,12 +117,19 @@ class ExperimentConfig:
         if self.side_code is not None:
             CodeSpec.parse(self.side_code)
         kind = self.protocol.get("type", "two-state")
+        if not isinstance(kind, str) or kind not in PROTOCOL_KEYS:
+            raise ValueError(f"unknown protocol source {kind!r}")
+        checks = PROTOCOL_KEYS[kind]
+        unknown = sorted(map(str, set(self.protocol) - {"type", *checks}))
+        if unknown:
+            raise ValueError(f"unknown {kind} protocol keys {unknown}; known: {sorted(checks)}")
+        for key, (ok, what) in checks.items():
+            if key in self.protocol and not ok(self.protocol[key]):
+                raise ValueError(f"protocol {key} must be {what}, not {self.protocol[key]!r}")
         if kind == "file":
             path = Path(self.protocol.get("path", ""))
             if not path.is_file():
                 raise ValueError(f"protocol file not found: {path}")
-        elif kind not in ("two-state", "markovian"):
-            raise ValueError(f"unknown protocol source {kind!r}")
 
     @classmethod
     def from_json(cls, path: str | Path, **overrides) -> "ExperimentConfig":

@@ -38,6 +38,7 @@ from .coding import CodeSpec, TransferResult, convey
 from .protocol import (
     FiniteStateProtocol,
     Party,
+    TranscriptTrace,
     owner_of_round,
     pad_protocol,
     party_view,
@@ -96,7 +97,7 @@ class ColumnWire:
         return taus[:, 0]
 
     def decode(self, party: Party, j: int, bits: np.ndarray | None) -> np.ndarray:
-        return np.repeat(bits[:, None], self.M, axis=1)
+        return bits[:, None].repeat(self.M, axis=1)
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,8 @@ class LookaheadResult:
     the provider could not commit to an answer (the simulation then aborts
     rather than run from states known to be wrong). ``coincidence_ok`` is the
     report's value for a run that does not abort; ``wire`` replaces the plain
-    transcript-bit columns.
+    transcript-bit columns. ``trace`` is the clean execution of the padded
+    protocol when the provider already ran it; the truth check then reuses it.
     """
 
     alice_states: tuple[int, ...]
@@ -120,6 +122,7 @@ class LookaheadResult:
     tail_len: int | None = None
     coincidence_ok: bool | None = None
     wire: ColumnWire | None = None
+    trace: TranscriptTrace | None = None
 
 
 LookaheadProvider = Callable[
@@ -146,20 +149,23 @@ def exchange(payloads: Mapping[Party, np.ndarray], side: CodeSpec, ch: ChannelMo
     return heard, bits_used, channel_uses
 
 
-def genie_lookahead(p: FiniteStateProtocol) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exact block-initial states read off a clean execution, for both parties."""
+def genie_lookahead(p: FiniteStateProtocol, trace: TranscriptTrace | None = None,
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exact block-initial states read off a clean execution (``trace``, or
+    a fresh ``run_protocol``), for both parties."""
     m = math.isqrt(p.n)
     if m * m != p.n:
         raise ValueError("protocol length must be the padded square")
-    trace = run_protocol(p)
+    trace = trace or run_protocol(p)
     states = tuple(trace.states[r * m] for r in range(m))
     return states, states
 
 
 def genie_provider(pp: FiniteStateProtocol, ch: ChannelModel, side: CodeSpec | None,
                    rng: np.random.Generator) -> LookaheadResult:
-    alice, bob = genie_lookahead(pp)
-    return LookaheadResult(alice, bob, 0, 0)
+    trace = run_protocol(pp)
+    alice, bob = genie_lookahead(pp, trace)
+    return LookaheadResult(alice, bob, 0, 0, trace=trace)
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,7 +285,7 @@ def simulate_vertical(
             starts = {Party.ALICE: both, Party.BOB: both}
 
         def carry(j: int, bits: np.ndarray) -> np.ndarray:
-            transfer = convey(code_spec, bits.tolist(), ch, rng, matrix_seed=j)
+            transfer = convey(code_spec, bits, ch, rng, matrix_seed=j)
             transfers.append(transfer)
             return np.array(transfer.decoded, dtype=np.intp)
 
@@ -287,7 +293,7 @@ def simulate_vertical(
         # ((j - 1) // 2)-th round in that row, so a reshape of its row stride
         owned = {q: party_view(pp, q).tables.reshape(sched.rows, -1, pp.M) for q in starts}
         runs = run_columns(owned, pp.advance_array, starts, wire, carry)
-        truth = run_protocol(pp).bits
+        truth = (la.trace or run_protocol(pp)).bits
         correct = {q: _transcript(*runs[q], pp.initial_state) == truth for q in runs}
 
     vertical_uses = sum(t.channel_uses for t in transfers)

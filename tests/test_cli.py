@@ -1,6 +1,10 @@
 """Command-line interface: subcommand behavior, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,7 +205,14 @@ def test_sweep_missing_config_exits_2(tmp_path, capsys):
     ('{"trials": "5"}', "trials must be an integer, not '5'"),
     ('[{"trials": 5}]', "must be a JSON object, not list"),
     ('{"protocol": "two-state"}', "protocol must be an object, not 'two-state'"),
-], ids=["misspelt-key", "string-trials", "top-level-list", "string-protocol"])
+    ('{"protocol": {"type": "two-state", "advance": 5}}',
+     "protocol advance must be null or a list of integer rows, not 5"),
+    ('{"protocol": {"type": "markovian", "functions": 7}}',
+     'protocol functions must be "balanced", "all" or a list of integer rows, not 7'),
+    ('{"protocol": {"type": "markovian", "log_m": 3}}',
+     "unknown markovian protocol keys ['log_m']"),
+], ids=["misspelt-key", "string-trials", "top-level-list", "string-protocol",
+        "integer-advance", "integer-functions", "misspelt-protocol-key"])
 def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(doc)
@@ -217,3 +228,12 @@ def test_outputs_honor_outdir_env(tmp_path, monkeypatch):
     code = main(["capacity", "--channel", "bsc:0.1", "--out", "nested/cap.csv"])
     assert code == 0
     assert (tmp_path / "nested" / "cap.csv").is_file()
+
+
+def test_python_dash_m_runs_the_cli():
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-m", "icsim", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: icsim")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from icsim.channel import ChannelModel
+from icsim.channel import ERASURE, ChannelModel
 from icsim.coding import (
     CodeSpec,
     OracleCode,
@@ -295,3 +295,95 @@ def test_generator_cache_holds_a_whole_large_trial():
 def test_convey_rejects_non_bit_payloads(bad):
     with pytest.raises(ValueError, match="bit vector"):
         convey(CodeSpec.parse("rep:3"), bad, NOISELESS, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the repetition path against a plain reference: repeat, send, reshape and sum
+
+def _reference_transmit(ch, x, rng):
+    if ch.kind == "bsc":
+        return np.where(rng.random(x.size) < ch.param, 1 - x, x)
+    if ch.kind == "bec":
+        return np.where(rng.random(x.size) < ch.param, ERASURE, x)
+    return (1.0 - 2.0 * x) + ch.param * rng.standard_normal(x.size)
+
+
+def _reference_log_likelihoods(ch, y):
+    """The per-symbol ``np.where`` formulas the likelihood table replaces."""
+    out = np.empty((y.size, 2))
+    if ch.kind == "bsc":
+        eps = min(max(ch.param, 1e-300), 1.0 - 1e-16)
+        l_match = math.log(1.0 - eps) if eps < 1.0 else math.log(1e-300)
+        l_mis = math.log(max(eps, 1e-300))
+        out[:, 0] = np.where(y == 0, l_match, l_mis)
+        out[:, 1] = np.where(y == 1, l_match, l_mis)
+    elif ch.kind == "bec":
+        l_keep = math.log(max(1.0 - ch.param, 1e-300))
+        l_erase, l_never = math.log(max(ch.param, 1e-300)), math.log(1e-300)
+        for b in (0, 1):
+            out[:, b] = np.where(y == ERASURE, l_erase, np.where(y == b, l_keep, l_never))
+    else:
+        s2 = ch.param * ch.param
+        norm = -0.5 * math.log(2.0 * math.pi * s2)
+        out[:, 0] = norm - (y - 1.0) ** 2 / (2.0 * s2)
+        out[:, 1] = norm - (y + 1.0) ** 2 / (2.0 * s2)
+    return out
+
+
+def _reference_rep_convey(r, payload, ch, rng):
+    x = np.repeat(np.array(payload, dtype=np.int64), r)
+    ll = _reference_log_likelihoods(ch, _reference_transmit(ch, x, rng))
+    per_bit = ll.reshape(len(payload), r, 2).sum(axis=1)
+    decoded = tuple((per_bit[:, 1] > per_bit[:, 0] + 1e-9).astype(int).tolist())
+    return decoded, len(payload) * r, decoded == tuple(payload)
+
+
+@pytest.mark.parametrize("channel", ["bsc:0", "bsc:0.05", "bsc:0.5", "bec:0", "bec:0.2",
+                                     "awgn:0.4", "awgn:1.3"])
+def test_convey_rep_matches_reshape_and_sum_reference(channel):
+    ch = ChannelModel.parse(channel)
+    draw = np.random.default_rng(17)
+    for r in range(1, 10):
+        spec = CodeSpec.parse(f"rep:{r}")
+        for length in range(1, 201):
+            payload = tuple(draw.integers(0, 2, length).tolist())
+            rng_a, rng_b = np.random.default_rng(length), np.random.default_rng(length)
+            got = convey(spec, np.array(payload) if length % 2 else payload, ch, rng_a)
+            assert (got.decoded, got.channel_uses, got.intact) == \
+                _reference_rep_convey(r, payload, ch, rng_b)
+            assert all(type(b) is int for b in got.decoded)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("channel", ["bsc:0", "bsc:0.02", "bsc:0.5", "bsc:1",
+                                     "bec:0", "bec:0.05", "bec:1"])
+def test_log_likelihood_table_matches_where_formulas_bitwise(channel):
+    ch = ChannelModel.parse(channel)
+    alphabet = 2 if ch.kind == "bsc" else 3
+    y = np.random.default_rng(3).integers(0, alphabet, 500)
+    assert ch.bit_log_likelihoods(y).tobytes() == _reference_log_likelihoods(ch, y).tobytes()
+    assert ch.bit_log_likelihoods(list(range(alphabet))).tobytes() == \
+        _reference_log_likelihoods(ch, np.arange(alphabet)).tobytes()
+
+
+@pytest.mark.parametrize("channel, outputs", [
+    ("bsc:0.1", [0, 2]), ("bsc:0.1", [-1, 0]), ("bsc:0.1", [0.0, 1.0]),
+    ("bec:0.1", [0, 3]), ("bec:0.1", [-1, 2]), ("bec:0.1", [1.0, 2.0]),
+])
+def test_log_likelihoods_reject_outputs_outside_the_alphabet(channel, outputs):
+    with pytest.raises(ValueError, match="outputs must"):
+        ChannelModel.parse(channel).bit_log_likelihoods(outputs)
+
+
+def test_convey_rep_makes_one_transmit_and_one_likelihood_call(monkeypatch):
+    calls = []
+    for name in ("transmit", "bit_log_likelihoods"):
+        original = getattr(ChannelModel, name)
+        monkeypatch.setattr(ChannelModel, name, lambda self, *a, _f=original, _n=name:
+                            calls.append(_n) or _f(self, *a))
+    rng = np.random.default_rng(0)
+    for spec in ("rep:1", "rep:3"):
+        for channel in ("bsc:0.1", "bec:0.1", "awgn:0.8"):
+            calls.clear()
+            convey(CodeSpec.parse(spec), [1, 0] * 20, ChannelModel.parse(channel), rng)
+            assert calls == ["transmit", "bit_log_likelihoods"]

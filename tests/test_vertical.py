@@ -66,6 +66,20 @@ def test_genie_reads_block_boundaries_off_the_trace():
     assert alice == bob
 
 
+def test_genie_trial_runs_the_protocol_once(monkeypatch):
+    import icsim.vertical
+    from icsim.harness import ExperimentConfig, run_trial
+
+    calls = []
+    monkeypatch.setattr(icsim.vertical, "run_protocol",
+                        lambda pp: calls.append(pp.n) or run_protocol(pp))
+    cfg = ExperimentConfig(scheme="genie", channel="bsc:0.02", code="rep:3")
+    for trial in range(3):
+        calls.clear()
+        report = run_trial(cfg, 100, trial)
+        assert calls == [report.n_padded]
+
+
 def test_genie_rejects_unpadded_lengths():
     p = random_two_state_protocol(10, seed=0)
     with pytest.raises(ValueError):
