@@ -146,10 +146,7 @@ class ChannelModel:
             return table.take(y, axis=0)
         s2 = self.param * self.param
         norm = -0.5 * math.log(2.0 * math.pi * s2)
-        out = np.empty((y.size, 2))
-        out[:, 0] = norm - (y - 1.0) ** 2 / (2.0 * s2)
-        out[:, 1] = norm - (y + 1.0) ** 2 / (2.0 * s2)
-        return out
+        return norm - (y[:, None] - [1.0, -1.0]) ** 2 / (2.0 * s2)
 
     # -- information quantities ---------------------------------------------
 

@@ -228,8 +228,12 @@ def _cmd_sweep(args) -> int:
         overrides["channel"] = args.channel
     if args.code:
         overrides["code"] = args.code
-    if args.n:
-        overrides["n_list"] = tuple(int(v) for v in args.n.split(","))
+    if args.n is not None:
+        try:
+            overrides["n_list"] = tuple(int(v) for v in args.n.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--n must be a comma-separated list of integers, not {args.n!r}") from None
     if args.out:
         overrides["csv_path"] = args.out
     if args.summary:

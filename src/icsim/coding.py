@@ -306,11 +306,19 @@ class CodeSpec:
         return f"{self.kind}:{self.value:g}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferResult:
-    decoded: tuple[int, ...]
+    bits: np.ndarray  # the decoded bits; convey makes them a read-only uint8 array
     channel_uses: int
     intact: bool  # ground-truth flag: decoded equals what was sent
+
+    @property
+    def decoded(self) -> tuple[int, ...]:
+        return tuple(self.bits.tolist())
+
+    def __eq__(self, other) -> bool:
+        key = lambda t: (t.decoded, t.channel_uses, t.intact)
+        return isinstance(other, TransferResult) and key(self) == key(other)
 
 
 def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
@@ -322,29 +330,29 @@ def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
     """
     payload = _as_bits(bits)
     if not payload.size:
-        return TransferResult((), 0, True)
-    if spec.kind == "oracle":
+        decoded, uses = payload.astype(np.uint8), 0
+    elif spec.kind == "oracle":  # a corrupted message always differs from the sent one
         code = OracleCode(payload.size, spec.value, ch)
-        out, corrupted = code.oracle_transmit(payload, rng)
-        return TransferResult(out, code.codeword_length, not corrupted)
-    if spec.kind == "rep":
+        decoded = np.array(code.oracle_transmit(payload, rng)[0], dtype=np.uint8)
+        uses = code.codeword_length
+    elif spec.kind == "rep":
         r = int(spec.value)
         ll = ch.bit_log_likelihoods(ch.transmit(payload.repeat(r), rng))
-        picks = _repetition_decide(ll, r)[1]
-        return TransferResult(tuple(picks.tolist()), payload.size * r,
-                              not np.count_nonzero(picks != payload))
-    decoded, uses = _convey_rlc(spec, payload, ch, rng, matrix_seed)
-    return TransferResult(decoded, uses, decoded == tuple(payload.tolist()))
+        decoded, uses = _repetition_decide(ll, r)[1], payload.size * r
+    else:
+        decoded, uses = _convey_rlc(spec, payload, ch, rng, matrix_seed)
+    decoded.flags.writeable = False
+    return TransferResult(decoded, uses, not np.count_nonzero(decoded != payload))
 
 
 _SCORE_SLAB = 64  # chunks scored per product; bounds the float codebook copies
 
 
 def _convey_rlc(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,
-                rng: np.random.Generator, matrix_seed: int) -> tuple[tuple[int, ...], int]:
+                rng: np.random.Generator, matrix_seed: int) -> tuple[np.ndarray, int]:
     """One independent code per chunk of ``spec.chunk`` bits (the last chunk
     may be shorter), all sent through one transmit call; returns the decoded
-    bits and the channel uses."""
+    bits as uint8 and the channel uses."""
     full = payload.size - payload.size % spec.chunk
     codes = []  # (chunk size, codebooks, codewords) of the full chunks, then the short one
     for start, msgs in ((0, payload[:full].reshape(-1, spec.chunk)), (full, payload[None, full:])):
@@ -364,4 +372,4 @@ def _convey_rlc(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,
         for i in range(0, len(books), _SCORE_SLAB):
             scores = _ml_scores(books[i: i + _SCORE_SLAB], chunk_ll[i: i + _SCORE_SLAB])
             decoded.append(_index_bits(scores.argmax(axis=-1), size).ravel())
-    return tuple(np.concatenate(decoded).tolist()), sent.size
+    return np.concatenate(decoded).astype(np.uint8), sent.size

@@ -102,8 +102,8 @@ class ExperimentConfig:
         for name in ("trials", "base_seed"):
             expect(name, _is_int(getattr(self, name)), "an integer")
         expect("protocol", isinstance(self.protocol, Mapping), "an object")
-        expect("n_list", isinstance(self.n_list, (list, tuple)) and all(map(_is_int, self.n_list)),
-               "a list of integers (config key n)")
+        expect("n_list", isinstance(self.n_list, (list, tuple)) and len(self.n_list) > 0
+               and all(map(_is_int, self.n_list)), "a non-empty list of integers (config key n)")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.trials < 1:

@@ -311,16 +311,15 @@ class TailWire(ColumnWire):
     """
 
     def __init__(self, tails: Mapping[Party, np.ndarray]):
-        _, self.p, M = tails[Party.ALICE].shape
-        super().__init__(M)
-        self.branches = M
+        _, self.p, self.branches = tails[Party.ALICE].shape
         self.tails = tails
 
     def encode(self, party, j, tables, taus):
         return None if j <= self.p else super().encode(party, j, tables, taus)
 
-    def decode(self, party, j, bits):
-        return self.tails[party][:, j - 1] if j <= self.p else super().decode(party, j, bits)
+    def decode(self, party, j, bits, states):
+        return (super().decode(party, j, bits, states) if j > self.p
+                else self.tails[party][np.arange(len(states))[:, None], j - 1, states])
 
 
 def tail_exhaustive_lookahead(p: FiniteStateProtocol, plan: TailPlan, ch: ChannelModel,

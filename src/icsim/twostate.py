@@ -365,7 +365,6 @@ class ExhaustiveWire(ColumnWire):
     branches = 2
 
     def __init__(self, cls: AdvanceClass, beliefs: Mapping[Party, np.ndarray], m: int):
-        super().__init__(2)
         self.naming, self.tables = _exhaustive_format(cls)
         cols = np.arange(1, m + 1)
         self.phase = {q: np.sign(cols - b[:, None]) + 1 for q, b in beliefs.items()}
@@ -373,8 +372,8 @@ class ExhaustiveWire(ColumnWire):
     def encode(self, party, j, tables, taus):
         return self.naming[self.phase[party][:, j - 1], tables[:, 0], tables[:, 1], taus[:, 0]]
 
-    def decode(self, party, j, bits):
-        return self.tables[self.phase[party][:, j - 1], bits]
+    def decode(self, party, j, bits, states):
+        return self.tables[self.phase[party][:, j - 1, None], bits[:, None], states]
 
 
 @dataclass(frozen=True)
@@ -416,7 +415,7 @@ def run_exhaustive_block(eta, tables: Sequence[Table]) -> tuple[BlockReconstruct
     def snapshot(q: Party) -> BlockReconstruction:
         bits, finals = runs[q]
         return BlockReconstruction(
-            (tuple(bits[0, :, 0].tolist()), tuple(bits[0, :, 1].tolist())),
+            (tuple(bits[:, 0, 0].tolist()), tuple(bits[:, 0, 1].tolist())),
             (int(finals[0, 0]), int(finals[0, 1])),
             bits_used,
         )

@@ -16,11 +16,11 @@ After the lookahead phase one column loop serves every scheme. Each party
 holds a (rows x branches) array of candidate states: one branch when the
 row-start states are agreed, one per possible start state when they are
 not. For each column the owner maps its tables to one wire bit per row, one
-coded block carries them, and both parties apply one table per row to every
-branch: the owner its own, the receiver one rebuilt from the decoded bits.
-A scheme changes only that wire mapping (``ColumnWire``). This module alone
-checks the reconstructed transcripts against ``run_protocol`` and builds
-the ``SimulationReport``.
+coded block carries them as an array, and the receiver reads one bit per
+row and branch off the decoded bits at its current states. A scheme changes
+only that wire mapping (``ColumnWire``). This module alone builds the
+``SimulationReport`` and decides each party's correctness, by a consistency
+check against the tables that runs the protocol only after an error.
 """
 
 from __future__ import annotations
@@ -82,22 +82,20 @@ class ColumnWire:
     possible row-start state (branch b then starts in state b). The owner of
     column j maps its (rows x M) tables and the (rows x branches) transcript
     bits they give on its branches to one wire bit per row, or to None when
-    the column is not sent. The receiver maps the decoded bits (None for an
-    unsent column) back to one table per row and applies it to every
-    branch; for plain bits that is the constant table.
+    the column is not sent. ``decode`` gives the receiver its bits at its
+    (rows x branches) states from the decoded bits (None for an unsent
+    column); a plain bit is the same on every branch, a (rows x 1) column.
     """
 
     branches = 1
-
-    def __init__(self, M: int):
-        self.M = M
 
     def encode(self, party: Party, j: int, tables: np.ndarray,
                taus: np.ndarray) -> np.ndarray | None:
         return taus[:, 0]
 
-    def decode(self, party: Party, j: int, bits: np.ndarray | None) -> np.ndarray:
-        return bits[:, None].repeat(self.M, axis=1)
+    def decode(self, party: Party, j: int, bits: np.ndarray | None,
+               states: np.ndarray) -> np.ndarray:
+        return bits[:, None]
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class LookaheadResult:
     rather than run from states known to be wrong). ``coincidence_ok`` is the
     report's value for a run that does not abort; ``wire`` replaces the plain
     transcript-bit columns. ``trace`` is the clean execution of the padded
-    protocol when the provider already ran it; the truth check then reuses it.
+    protocol when the provider already ran it; a fallback check reuses it.
     """
 
     alice_states: tuple[int, ...]
@@ -145,7 +143,7 @@ def exchange(payloads: Mapping[Party, np.ndarray], side: CodeSpec, ch: ChannelMo
         transfer = convey(side, payload.ravel(), ch, rng, matrix_seed=matrix_seed + k)
         bits_used += payload.size
         channel_uses += transfer.channel_uses
-        heard[sender.other] = np.array(transfer.decoded, dtype=np.intp).reshape(payload.shape)
+        heard[sender.other] = transfer.bits.reshape(payload.shape)
     return heard, bits_used, channel_uses
 
 
@@ -215,22 +213,22 @@ def run_columns(owned: Mapping[Party, np.ndarray], advance: np.ndarray,
     ``owned[q]`` holds party q's tables as a (rows, own columns, M) array in
     round order, and ``starts[q]`` its (rows, branches) start states. ``carry(j, bits)``
     takes column j's wire bits to the receiver. Returns, per party, the
-    (rows, columns, branches) transcript bits of every branch and the final
+    (columns, rows, branches) transcript bits of every branch and the final
     (rows, branches) states.
     """
     cols = sum(a.shape[1] for a in owned.values())
     rows = np.arange(len(starts[Party.ALICE]))[:, None]
     states = dict(starts)
-    bits = {q: np.empty((len(rows), cols, wire.branches), dtype=np.intp) for q in states}
+    bits = {q: np.empty((cols, len(rows), wire.branches), dtype=np.intp) for q in states}
     for j in range(1, cols + 1):
         owner, receiver = owner_of_round(j), owner_of_round(j + 1)
         tables = owned[owner][:, (j - 1) // 2]
         taus = tables[rows, states[owner]]
         sent = wire.encode(owner, j, tables, taus)
         heard = None if sent is None else carry(j, sent)
-        applied = wire.decode(receiver, j, heard)
-        for q, tau in ((owner, taus), (receiver, applied[rows, states[receiver]])):
-            bits[q][:, j - 1] = tau
+        applied = wire.decode(receiver, j, heard, states[receiver])
+        for q, tau in ((owner, taus), (receiver, applied)):
+            bits[q][j - 1] = tau
             states[q] = advance[states[q], tau]
     return {q: (bits[q], states[q]) for q in states}
 
@@ -241,18 +239,43 @@ def _shared(errors: tuple[bool, ...]) -> tuple[bool, ...]:
     return errors
 
 
-def _transcript(bits: np.ndarray, finals: np.ndarray, initial_state: int) -> tuple[int, ...]:
-    """Chain one party's branches into its transcript: branch 0 of every row
-    when there is one branch, else the branch that starts in the state the
-    previous row ended in."""
-    rows, _, branches = bits.shape
-    picks = np.zeros(rows, dtype=np.intp)
-    if branches > 1:
+def _picks(finals: np.ndarray, initial_state: int) -> np.ndarray:
+    """One party's chosen branch of every row: branch 0 when there is one,
+    else the branch that starts in the state the previous row ended in."""
+    picks = np.zeros(len(finals), dtype=np.intp)
+    if finals.shape[1] > 1:
         s = initial_state
-        for r in range(rows):
-            picks[r] = s
-            s = finals[r, s]
-    return tuple(bits[np.arange(rows), :, picks].ravel().tolist())
+        for r, ends in enumerate(finals.tolist()):
+            picks[r], s = s, ends[s]
+    return picks
+
+
+def _correct(pp: FiniteStateProtocol, runs: Mapping[Party, tuple[np.ndarray, np.ndarray]],
+             starts: Mapping[Party, np.ndarray], trace: TranscriptTrace | None,
+             ) -> dict[Party, bool]:
+    """Whether each party's transcript (its chosen branches) equals the clean
+    execution's: exactly when each bit equals its round's table at the state
+    the transcript drives from the initial state. If all chosen rows chain
+    (each starts where the previous one ended, the first in the initial
+    state), one walk over the columns gives those states. Otherwise, only
+    after an error, compare with ``trace`` or a fresh ``run_protocol``."""
+    rows = np.arange(len(starts[Party.ALICE]))
+    picks = {q: _picks(finals, pp.initial_state) for q, (_, finals) in runs.items()}
+    # (columns, parties, rows): each step of the walk reads contiguous rows
+    paths = np.ascontiguousarray(np.stack([runs[q][0][:, rows, picks[q]] for q in runs], axis=1))
+    begin = np.stack([starts[q][rows, picks[q]] for q in runs])
+    end = np.stack([runs[q][1][rows, picks[q]] for q in runs])
+    if (begin[:, 0] != pp.initial_state).any() or (begin[:, 1:] != end[:, :-1]).any():
+        truth = (trace or run_protocol(pp)).bits
+        return {q: tuple(paths[:, k].T.ravel().tolist()) == truth for k, q in enumerate(runs)}
+    states = np.empty(paths.shape, dtype=np.intp)
+    s = states[0] = begin
+    next_state = pp.advance_array.T.ravel()  # at tau * M + s
+    for taus, out in zip(paths[:-1] * pp.M, states[1:]):
+        s = out[...] = next_state.take(taus + s)
+    at = (len(paths) * rows + np.arange(len(paths))[:, None, None]) * pp.M  # round r * m + j
+    ok = pp.tables.ravel().take(at + states) == paths
+    return dict(zip(runs, ok.all(axis=(0, 2)).tolist()))
 
 
 def simulate_vertical(
@@ -276,7 +299,7 @@ def simulate_vertical(
     transfers: list[TransferResult] = []
     correct = {Party.ALICE: False, Party.BOB: False}
     if la.failure is None:
-        wire = la.wire or ColumnWire(pp.M)
+        wire = la.wire or ColumnWire()
         if wire.branches == 1:
             starts = {Party.ALICE: np.array(la.alice_states)[:, None],
                       Party.BOB: np.array(la.bob_states)[:, None]}
@@ -287,14 +310,13 @@ def simulate_vertical(
         def carry(j: int, bits: np.ndarray) -> np.ndarray:
             transfer = convey(code_spec, bits, ch, rng, matrix_seed=j)
             transfers.append(transfer)
-            return np.array(transfer.decoded, dtype=np.intp)
+            return transfer.bits
 
         # with an even grid side (or one round) column j of a row is the owner's
         # ((j - 1) // 2)-th round in that row, so a reshape of its row stride
         owned = {q: party_view(pp, q).tables.reshape(sched.rows, -1, pp.M) for q in starts}
         runs = run_columns(owned, pp.advance_array, starts, wire, carry)
-        truth = (la.trace or run_protocol(pp)).bits
-        correct = {q: _transcript(*runs[q], pp.initial_state) == truth for q in runs}
+        correct = _correct(pp, runs, starts, la.trace)
 
     vertical_uses = sum(t.channel_uses for t in transfers)
     return SimulationReport(

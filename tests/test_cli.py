@@ -200,23 +200,27 @@ def test_sweep_missing_config_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-@pytest.mark.parametrize("doc, message", [
-    ('{"trails": 50}', "unknown config keys ['trails']"),
-    ('{"trials": "5"}', "trials must be an integer, not '5'"),
-    ('[{"trials": 5}]', "must be a JSON object, not list"),
-    ('{"protocol": "two-state"}', "protocol must be an object, not 'two-state'"),
-    ('{"protocol": {"type": "two-state", "advance": 5}}',
+@pytest.mark.parametrize("doc, args, message", [
+    ('{"trails": 50}', [], "unknown config keys ['trails']"),
+    ('{"trials": "5"}', [], "trials must be an integer, not '5'"),
+    ('[{"trials": 5}]', [], "must be a JSON object, not list"),
+    ('{"protocol": "two-state"}', [], "protocol must be an object, not 'two-state'"),
+    ('{"protocol": {"type": "two-state", "advance": 5}}', [],
      "protocol advance must be null or a list of integer rows, not 5"),
-    ('{"protocol": {"type": "markovian", "functions": 7}}',
+    ('{"protocol": {"type": "markovian", "functions": 7}}', [],
      'protocol functions must be "balanced", "all" or a list of integer rows, not 7'),
-    ('{"protocol": {"type": "markovian", "log_m": 3}}',
+    ('{"protocol": {"type": "markovian", "log_m": 3}}', [],
      "unknown markovian protocol keys ['log_m']"),
+    ('{"n": []}', [], "n_list must be a non-empty list of integers (config key n), not []"),
+    ('{}', ["--n", "abc"], "--n must be a comma-separated list of integers, not 'abc'"),
+    ('{}', ["--n", "16,,32"], "--n must be a comma-separated list of integers, not '16,,32'"),
 ], ids=["misspelt-key", "string-trials", "top-level-list", "string-protocol",
-        "integer-advance", "integer-functions", "misspelt-protocol-key"])
-def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, message):
+        "integer-advance", "integer-functions", "misspelt-protocol-key", "empty-n",
+        "garbled-n", "empty-n-item"])
+def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, args, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(doc)
-    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert main(["sweep", "--config", str(cfg), *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

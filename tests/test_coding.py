@@ -175,12 +175,16 @@ def test_convey_noiseless_round_trip(spec):
     assert all(type(b) is int for b in result.decoded)
     assert result.intact
     assert result.channel_uses > 0
+    assert result.bits.dtype == np.uint8 and result.bits.tolist() == list(payload)
+    with pytest.raises(ValueError, match="read-only"):
+        result.bits[0] ^= 1
 
 
 def test_convey_empty_payload():
     rng = np.random.default_rng(0)
     result = convey(CodeSpec.parse("rep:3"), (), NOISELESS, rng)
     assert result.decoded == () and result.channel_uses == 0 and result.intact
+    assert result.bits.dtype == np.uint8 and not result.bits.flags.writeable
 
 
 def test_convey_accounting_matches_spec_rate():
@@ -364,6 +368,14 @@ def test_log_likelihood_table_matches_where_formulas_bitwise(channel):
     assert ch.bit_log_likelihoods(y).tobytes() == _reference_log_likelihoods(ch, y).tobytes()
     assert ch.bit_log_likelihoods(list(range(alphabet))).tobytes() == \
         _reference_log_likelihoods(ch, np.arange(alphabet)).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.4, 0.8, 1.3, 3.0])
+def test_awgn_log_likelihoods_match_two_column_formula_bitwise(sigma):
+    ch = ChannelModel.parse(f"awgn:{sigma}")
+    y = ch.transmit(np.random.default_rng(3).integers(0, 2, 20_000), np.random.default_rng(4))
+    y = np.concatenate((y, [0.0, 1.0, -1.0, 1e-300, -40.0, 40.0]))
+    assert ch.bit_log_likelihoods(y).tobytes() == _reference_log_likelihoods(ch, y).tobytes()
 
 
 @pytest.mark.parametrize("channel, outputs", [

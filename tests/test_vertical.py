@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import icsim.vertical
 from icsim.channel import ChannelModel
 from icsim.coding import CodeSpec
+from icsim.harness import ExperimentConfig, run_trial
 from icsim.protocol import (
     FiniteStateProtocol,
+    Party,
     make_markovian,
     random_protocol,
     run_protocol,
@@ -14,6 +19,7 @@ from icsim.protocol import (
 from icsim.twostate import random_two_state_protocol
 from icsim.vertical import (
     LookaheadResult,
+    _correct,
     accounting,
     genie_lookahead,
     genie_provider,
@@ -66,13 +72,16 @@ def test_genie_reads_block_boundaries_off_the_trace():
     assert alice == bob
 
 
-def test_genie_trial_runs_the_protocol_once(monkeypatch):
-    import icsim.vertical
-    from icsim.harness import ExperimentConfig, run_trial
-
+def _count_protocol_runs(monkeypatch) -> list[int]:
+    """Record the length of every protocol ``icsim.vertical`` runs."""
     calls = []
     monkeypatch.setattr(icsim.vertical, "run_protocol",
                         lambda pp: calls.append(pp.n) or run_protocol(pp))
+    return calls
+
+
+def test_genie_trial_runs_the_protocol_once(monkeypatch):
+    calls = _count_protocol_runs(monkeypatch)
     cfg = ExperimentConfig(scheme="genie", channel="bsc:0.02", code="rep:3")
     for trial in range(3):
         calls.clear()
@@ -190,3 +199,96 @@ def test_reports_are_slotted_and_share_repeated_fields():
     assert not hasattr(a, "__dict__")
     assert a.column_errors == (False,) * 8 and a.column_errors is b.column_errors
     assert a.channel is b.channel and a.code is b.code
+
+
+@pytest.mark.parametrize("scheme, protocol, placement", [
+    ("two-state", {"type": "two-state"}, "last"),
+    ("two-state-exhaustive", {"type": "two-state"}, "last"),
+    ("m-state", {"type": "markovian", "log_M": 1, "functions": "all"}, "last"),
+    ("m-state", {"type": "markovian", "log_M": 1, "functions": "all"}, "first"),
+])
+def test_noiseless_trials_check_transcripts_without_running_the_protocol(
+        monkeypatch, scheme, protocol, placement):
+    calls = _count_protocol_runs(monkeypatch)
+    cfg = ExperimentConfig(scheme=scheme, protocol=protocol, placement=placement,
+                           channel="bsc:0", code="rep:1")
+    completed = 0
+    for trial in range(8):
+        report = run_trial(cfg, 150, trial)
+        completed += report.lookahead_failure is None
+        assert report.correct == (report.lookahead_failure is None)
+    assert calls == [] and completed
+
+
+@pytest.mark.parametrize("tables, correct", [((0, 1), False), ((1, 1), True)],
+                         ids=["state-dependent", "state-blind"])
+def test_a_wrong_row_start_falls_back_to_the_clean_execution(monkeypatch, tables, correct):
+    # the bit follows the state (or ignores it) and the state is the last bit,
+    # so a wrong start in row 2 breaks the chain and spoils row 2 (or not)
+    p = FiniteStateProtocol(n=36, M=2, advance=FOLLOW2, transmissions=(tables,) * 36,
+                            initial_state=0)
+
+    def one_wrong_start(pp, ch, side, rng):
+        states = list(genie_lookahead(pp, run_protocol(pp))[0])
+        states[2] ^= 1
+        return LookaheadResult(tuple(states), tuple(states), 0, 0)
+
+    calls = _count_protocol_runs(monkeypatch)
+    report = simulate_vertical(p, NOISELESS, CodeSpec.parse("rep:1"), one_wrong_start,
+                               np.random.default_rng(0))
+    assert calls == [36]
+    assert (report.alice_correct, report.bob_correct) == (correct, correct)
+
+
+@st.composite
+def column_runs(draw):
+    """A protocol on an m x m grid and, per party, row starts, the bits of
+    every branch and the finals they drive to, as ``run_columns`` returns
+    them, with flipped bits and wrong row starts mixed in."""
+    M, m = draw(st.integers(2, 5)), draw(st.sampled_from([1, 2, 4, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    advance = rng.integers(0, M, size=(M, 2))
+    p = FiniteStateProtocol(n=m * m, M=M, advance=advance,
+                            transmissions=rng.integers(0, 2, size=(m * m, M)),
+                            initial_state=draw(st.integers(0, M - 1)))
+    branches = draw(st.sampled_from([1, M]))
+    flip, wrong_start = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5])), draw(st.booleans())
+    row_starts = np.array(run_protocol(p).states[:-1:m])
+    runs, starts = {}, {}
+    for q in (Party.ALICE, Party.BOB):
+        if branches > 1:
+            start = np.tile(np.arange(M), (m, 1))
+        else:
+            start = row_starts[:, None].copy()
+            if wrong_start:
+                start[rng.integers(m), 0] = rng.integers(M)
+        bits = np.empty((m, m, branches), dtype=np.intp)
+        finals = start.copy()
+        for j in range(m):
+            tau = p.tables[np.arange(m) * m + j][np.arange(m)[:, None], finals]
+            bits[j] = tau ^ (rng.random(tau.shape) < flip)
+            finals = advance[finals, bits[j]]
+        runs[q], starts[q] = (bits, finals), start
+    return p, runs, starts
+
+
+def _reference_transcript(bits, finals, initial_state):
+    """Chain one party's (columns, rows, branches) bits into its transcript:
+    branch 0 of every row when there is one branch, else the branch that
+    starts in the state the previous row ended in."""
+    _, rows, branches = bits.shape
+    out, s = [], initial_state
+    for r in range(rows):
+        pick = 0 if branches == 1 else s
+        out.extend(bits[:, r, pick].tolist())
+        s = finals[r, pick]
+    return tuple(out)
+
+
+@settings(max_examples=300)
+@given(column_runs())
+def test_consistency_check_equals_the_transcript_comparison(case):
+    p, runs, starts = case
+    truth = run_protocol(p).bits
+    assert _correct(p, runs, starts, None) == \
+        {q: _reference_transcript(*runs[q], p.initial_state) == truth for q in runs}
