@@ -25,49 +25,43 @@ import numpy as np
 from .channel import ChannelModel
 from .coding import CodeSpec
 from .harness import (
-    SCHEMA_VERSION,
     SCHEMES,
     ExperimentConfig,
     compare_bounds,
-    csv_line,
-    resolve_out,
+    json_text,
     run_sweep,
-    run_trial,
-    sweep_row,
+    summary_doc,
+    sweep_csv,
+    write_out,
 )
 from .multistate import (
-    all_tables,
-    balanced_tables,
     coincidence_bound,
     coincidence_failure_trials,
     is_coinciding,
+    resolve_functions,
 )
-from .protocol import markovian_advance, pad_protocol
+from .protocol import advance_table, markovian_advance, pad_protocol
 from .threestate import DisjInstance, count_transcript_triples, disj_via_protocol
 from .twostate import classify_advance, random_two_state_protocol, run_lookahead_exchange
 from .vertical import genie_lookahead, make_schedule
 
 
-def _write_or_print(text: str, path: str | None) -> None:
-    if path:
-        out = resolve_out(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-    else:
-        sys.stdout.write(text)
+# the simulate outputs: columns of the sweep CSV, keys of its one JSON row
+SIMULATE_COLUMNS = ("seed", "N", "rate", "alice_ok", "bob_ok")
+SIMULATE_KEYS = ("trials", "failures", "mean_pe", "wilson_95", "mean_rate")
 
 
-def _load_advance(spec: str) -> tuple[tuple[int, int], ...]:
-    """An advance table from a JSON file ([[..],[..]] or flat row-major), or
-    the builtin shorthand markovian:<log_M>."""
+def _at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, not {value}")
+
+
+def _load_advance(spec: str):
+    """An advance table from a JSON file (rows or flat row-major, see
+    ``protocol.advance_table``), or the builtin shorthand markovian:<log_M>."""
     if spec.startswith("markovian:"):
         return markovian_advance(int(spec.split(":", 1)[1]))
-    raw = json.loads(Path(spec).read_text())
-    if raw and isinstance(raw[0], list):
-        return tuple(tuple(int(v) for v in row) for row in raw)
-    if len(raw) % 2:
-        raise ValueError("flat advance table must have 2M entries")
-    return tuple((int(raw[2 * s]), int(raw[2 * s + 1])) for s in range(len(raw) // 2))
+    return advance_table(json.loads(Path(spec).read_text()))
 
 
 def _cmd_capacity(args) -> int:
@@ -77,11 +71,12 @@ def _cmd_capacity(args) -> int:
     for k in range(args.points):
         r = cap * k / (args.points - 1) if args.points > 1 else 0.0
         lines.append(f"{r:.6f},{ch.error_exponent(r):.6f}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    write_out(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    """A one-n sweep, cut to ``SIMULATE_COLUMNS`` and ``SIMULATE_KEYS``."""
     protocol = {"type": "file", "path": args.protocol} if args.protocol else {"type": args.family}
     cfg = ExperimentConfig(
         scheme=args.scheme,
@@ -94,28 +89,17 @@ def _cmd_simulate(args) -> int:
         trials=args.trials,
         base_seed=args.seed,
     )
-    reports = [run_trial(cfg, args.n, t) for t in range(cfg.trials)]
-    lines = [csv_line(("seed", "N", "rate", "alice_ok", "bob_ok"))]
-    lines += [csv_line((r.seed, r.channel_uses, r.achieved_rate, r.alice_correct, r.bob_correct))
-              for r in reports]
-    _write_or_print("\n".join(lines) + "\n", args.out)
-    row, audits_ok = sweep_row(args.n, cfg.scheme, reports)
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "trials": row.trials,
-        "failures": row.failures,
-        "mean_pe": row.mean_pe,
-        "wilson_95": [row.wilson_low, row.wilson_high],
-        "mean_rate": row.mean_rate,
-        "audits_passed": audits_ok,
-    }
-    _write_or_print(json.dumps(summary, indent=2, sort_keys=True) + "\n", args.summary)
-    return 0 if audits_ok else 1
+    summary = run_sweep(cfg)
+    write_out(args.out, sweep_csv(summary, SIMULATE_COLUMNS))
+    doc = summary_doc(summary)
+    view = {key: doc["rows"][0][key] for key in SIMULATE_KEYS}
+    view.update(schema_version=doc["schema_version"], audits_passed=doc["audits_passed"])
+    write_out(args.summary, json_text(view))
+    return 0 if summary.audits_passed else 1
 
 
 def _cmd_lookahead(args) -> int:
-    if args.trials < 1:
-        raise ValueError("trials must be at least 1")
+    _at_least("trials", args.trials, 1)
     ch = ChannelModel.parse(args.channel)
     side = CodeSpec.parse(args.side_code)
     agree = 0
@@ -136,16 +120,16 @@ def _cmd_lookahead(args) -> int:
 
 
 def _cmd_coincidence(args) -> int:
+    _at_least("trials", args.trials, 1)
+    _at_least("p", args.p, 0)
     eta = _load_advance(args.advance)
     M = len(eta)
     if args.M and args.M != M:
         raise ValueError(f"advance table has {M} states, not {args.M}")
-    if args.functions == "balanced":
-        fset = balanced_tables(M)
-    elif args.functions == "all":
-        fset = all_tables(M)
-    else:
-        fset = tuple(tuple(int(b) for b in t) for t in json.loads(Path(args.functions).read_text()))
+    functions = args.functions
+    if functions not in ("balanced", "all"):
+        functions = json.loads(Path(functions).read_text())
+    fset = resolve_functions(functions, M)
     cert = is_coinciding(eta, M)
     if cert is None:
         print("advance function is not coinciding; no bound applies")
@@ -183,26 +167,23 @@ def _cmd_classify(args) -> int:
 
 def _cmd_disjointness(args) -> int:
     u = args.universe
-    mismatches = 0
     if args.exhaustive:
         if u > 10:
             raise ValueError("exhaustive mode supported up to universe 10")
-        cases = 0
-        for xm in range(1 << u):
-            x = frozenset(k + 1 for k in range(u) if xm >> k & 1)
-            for ym in range(1 << u):
-                y = frozenset(k + 1 for k in range(u) if ym >> k & 1)
-                inst = DisjInstance(u, x, y)
-                mismatches += disj_via_protocol(inst) != inst.disj()
-                cases += 1
+        sets = [frozenset(k + 1 for k in range(u) if xm >> k & 1) for xm in range(1 << u)]
+        instances = (DisjInstance(u, x, y) for x in sets for y in sets)
     else:
+        _at_least("trials", args.trials, 1)
         rng = np.random.default_rng(args.seed)
-        cases = args.trials
-        for _ in range(args.trials):
-            x = frozenset(int(k) + 1 for k in np.flatnonzero(rng.integers(0, 2, u)))
-            y = frozenset(int(k) + 1 for k in np.flatnonzero(rng.integers(0, 2, u)))
-            inst = DisjInstance(u, x, y)
-            mismatches += disj_via_protocol(inst) != inst.disj()
+
+        def draw() -> frozenset:
+            return frozenset(int(k) + 1 for k in np.flatnonzero(rng.integers(0, 2, u)))
+
+        instances = (DisjInstance(u, draw(), draw()) for _ in range(args.trials))
+    cases = mismatches = 0
+    for inst in instances:
+        mismatches += disj_via_protocol(inst) != inst.disj()
+        cases += 1
     print(f"universe={u} cases={cases} mismatches={mismatches} "
           f"-> {'pass' if mismatches == 0 else 'fail'}")
     if args.count_triples:
@@ -217,28 +198,15 @@ def _cmd_disjointness(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.scheme:
-        overrides["scheme"] = args.scheme
-    if args.channel:
-        overrides["channel"] = args.channel
-    if args.code:
-        overrides["code"] = args.code
-    if args.n is not None:
-        try:
-            overrides["n_list"] = tuple(int(v) for v in args.n.split(","))
-        except ValueError:
-            raise ValueError(
-                f"--n must be a comma-separated list of integers, not {args.n!r}") from None
-    if args.out:
-        overrides["csv_path"] = args.out
-    if args.summary:
-        overrides["json_path"] = args.summary
-    cfg = ExperimentConfig.from_json(args.config, **overrides)
+    try:
+        n_list = None if args.n is None else tuple(int(v) for v in args.n.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--n must be a comma-separated list of integers, not {args.n!r}") from None
+    cfg = ExperimentConfig.from_json(
+        args.config, trials=args.trials, base_seed=args.seed, scheme=args.scheme,
+        channel=args.channel, code=args.code, n_list=n_list, csv_path=args.out,
+        json_path=args.summary)
     summary = run_sweep(cfg)
     for row in summary.rows:
         print(f"n={row.n} scheme={row.scheme} trials={row.trials} "

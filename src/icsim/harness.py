@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .coding import CodeSpec
-from .multistate import all_tables, balanced_tables, simulate_mstate
+from .multistate import resolve_functions, simulate_mstate
 from .protocol import FiniteStateProtocol, load_protocol, markovian_advance, random_protocol
 from .twostate import exhaustive_two_state, random_two_state_protocol, simulate_two_state
 from .vertical import SimulationReport, accounting, genie_provider, simulate_vertical
@@ -42,6 +43,16 @@ def resolve_out(path: str | Path) -> Path:
     if base and not path.is_absolute():
         path = Path(base) / path
     return path
+
+
+def write_out(path: str | Path | None, text: str) -> None:
+    """Write ``text`` to ``path`` (see ``resolve_out``), or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    out = resolve_out(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -161,20 +172,11 @@ def _draw_protocol(source: Mapping, n: int, rng: np.random.Generator) -> FiniteS
     if kind == "file":
         return load_protocol(source["path"])
     if kind == "two-state":
-        advance = source.get("advance")
-        if advance is not None:
-            advance = tuple(tuple(row) for row in advance)
-        return random_two_state_protocol(n, rng, advance=advance)
+        return random_two_state_protocol(n, rng, advance=source.get("advance"))
     if kind == "markovian":
         log_M = int(source.get("log_M", 2))
         M = 1 << log_M
-        functions = source.get("functions", "balanced")
-        if functions == "balanced":
-            fset = balanced_tables(M)
-        elif functions == "all":
-            fset = all_tables(M)
-        else:
-            fset = tuple(tuple(int(b) for b in t) for t in functions)
+        fset = resolve_functions(source.get("functions", "balanced"), M)
         return random_protocol(n, M, fset, rng, advance=markovian_advance(log_M))
     raise ValueError(f"unknown protocol source {kind!r}")
 
@@ -211,8 +213,14 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepSummary:
+    """A sweep's rows, and each row's reports in trial order."""
+
     rows: tuple[SweepRow, ...]
-    audits_passed: bool
+    reports: tuple[tuple[SimulationReport, ...], ...]
+
+    @property
+    def audits_passed(self) -> bool:
+        return all(accounting(r).passed for reports in self.reports for r in reports)
 
     def row(self, n: int) -> SweepRow:
         for row in self.rows:
@@ -233,19 +241,29 @@ def csv_line(values: Sequence) -> str:
     return ",".join(_fmt(v) for v in values)
 
 
-def report_csv_row(report: SimulationReport, trial: int) -> str:
+def _csv_cells(report: SimulationReport, trial: int) -> tuple:
     coinc = "" if report.coincidence_ok is None else report.coincidence_ok
-    return csv_line((report.n_logical, report.scheme, trial, report.seed,
-                     report.channel_uses, report.achieved_rate,
-                     report.alice_correct, report.bob_correct,
-                     report.lookahead_bits, coinc))
+    return (report.n_logical, report.scheme, trial, report.seed,
+            report.channel_uses, report.achieved_rate,
+            report.alice_correct, report.bob_correct,
+            report.lookahead_bits, coinc)
 
 
-def sweep_row(n: int, scheme: str, reports: Sequence[SimulationReport]) -> tuple[SweepRow, bool]:
-    """Aggregate one n's reports, in trial order, and whether all passed audit."""
+def sweep_csv(summary: SweepSummary, columns: Sequence[str] = CSV_COLUMNS) -> str:
+    """The sweep table: a header and one line per trial, in trial order, cut
+    to ``columns`` (a subsequence of ``CSV_COLUMNS``)."""
+    rows = (_csv_cells(r, t) for reports in summary.reports for t, r in enumerate(reports))
+    if columns != CSV_COLUMNS:
+        keep = [CSV_COLUMNS.index(c) for c in columns]
+        rows = ([cells[i] for i in keep] for cells in rows)
+    return "\n".join(map(csv_line, (columns, *rows))) + "\n"
+
+
+def sweep_row(n: int, scheme: str, reports: Sequence[SimulationReport]) -> SweepRow:
+    """Aggregate one n's reports, in trial order."""
     failures = sum(1 for r in reports if not r.correct)
     low, high = wilson_interval(failures, len(reports))
-    row = SweepRow(
+    return SweepRow(
         n=n,
         scheme=scheme,
         trials=len(reports),
@@ -258,51 +276,30 @@ def sweep_row(n: int, scheme: str, reports: Sequence[SimulationReport]) -> tuple
             [r.channel_uses - r.n_padded / r.rate_target for r in reports])),
         coincidence_failures=sum(1 for r in reports if r.coincidence_ok is False),
     )
-    return row, all(accounting(r).passed for r in reports)
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepSummary:
-    csv_lines = [csv_line(CSV_COLUMNS)]
-    rows = []
-    audits_passed = True
-    for n in cfg.n_list:
-        reports = [run_trial(cfg, n, t) for t in range(cfg.trials)]
-        csv_lines += [report_csv_row(report, t) for t, report in enumerate(reports)]
-        row, audits_ok = sweep_row(n, cfg.scheme, reports)
-        rows.append(row)
-        audits_passed &= audits_ok
-    summary = SweepSummary(tuple(rows), audits_passed)
-
+    reports = tuple(tuple(run_trial(cfg, n, t) for t in range(cfg.trials)) for n in cfg.n_list)
+    rows = tuple(sweep_row(n, cfg.scheme, batch) for n, batch in zip(cfg.n_list, reports))
+    summary = SweepSummary(rows, reports)
     if cfg.csv_path:
-        out = resolve_out(cfg.csv_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("\n".join(csv_lines) + "\n")
+        write_out(cfg.csv_path, sweep_csv(summary))
     if cfg.json_path:
-        out = resolve_out(cfg.json_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(summary_json(summary))
+        write_out(cfg.json_path, json_text(summary_doc(summary)))
     return summary
 
 
-def summary_json(summary: SweepSummary) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "audits_passed": summary.audits_passed,
-        "rows": [
-            {
-                "n": r.n,
-                "scheme": r.scheme,
-                "trials": r.trials,
-                "failures": r.failures,
-                "mean_pe": r.mean_pe,
-                "wilson_95": [r.wilson_low, r.wilson_high],
-                "mean_rate": r.mean_rate,
-                "mean_overhead": r.mean_overhead,
-                "coincidence_failures": r.coincidence_failures,
-            }
-            for r in summary.rows
-        ],
-    }
+def summary_doc(summary: SweepSummary) -> dict:
+    """The sweep's JSON summary: each row is its ``SweepRow`` with the Wilson
+    bounds joined into ``wilson_95``."""
+    rows = [asdict(row) for row in summary.rows]
+    for row in rows:
+        row["wilson_95"] = [row.pop("wilson_low"), row.pop("wilson_high")]
+    return {"schema_version": SCHEMA_VERSION, "audits_passed": summary.audits_passed,
+            "rows": rows}
+
+
+def json_text(doc: Mapping) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

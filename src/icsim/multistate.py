@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .coding import CodeSpec
-from .protocol import FiniteStateProtocol, Party, Table
+from .protocol import FiniteStateProtocol, Party, Table, _advance_rows, _bit_rows
 from .vertical import (
     ColumnWire,
     LookaheadResult,
@@ -100,9 +100,7 @@ def _coincidence_search(advance: tuple[tuple[int, int], ...]) -> CoincidenceCert
 def is_coinciding(eta, M: int) -> CoincidenceCertificate | None:
     """Certificate with minimal-length witnesses, or None when some pair of
     states can never be driven to a common state."""
-    advance = tuple(tuple(int(v) for v in row) for row in eta)
-    if len(advance) != M or any(len(r) != 2 or not all(0 <= v < M for v in r) for r in advance):
-        raise ValueError(f"advance table does not describe {M} states")
+    advance = tuple(map(tuple, _advance_rows(eta, M).tolist()))
     if M == 1:
         return CoincidenceCertificate(0, {})
     return _coincidence_search(advance)
@@ -143,6 +141,17 @@ def balanced_tables(M: int) -> tuple[Table, ...]:
     if M % 2:
         raise ValueError("balanced tables require an even number of states")
     return tuple(t for t in all_tables(M) if sum(t) == M // 2)
+
+
+def resolve_functions(spec, M: int) -> Sequence[Table] | np.ndarray:
+    """The transmission-function set ``spec`` names for M states: "balanced",
+    "all", or a nonempty list of M-entry bit rows (checked, as uint8)."""
+    if spec in ("balanced", "all"):
+        return balanced_tables(M) if spec == "balanced" else all_tables(M)
+    if not isinstance(spec, (list, tuple)) or not spec:
+        raise ValueError('function set must be "balanced", "all" or a nonempty list of '
+                         f'tables, not {spec!r}')
+    return _bit_rows(spec, len(spec), M)
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +230,26 @@ def make_tail_plan(n_padded: int, K: int, placement: str = "last") -> TailPlan:
     return TailPlan(p, placement, K)
 
 
+def walk_all_states(advance: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Walk every start state through each of B table sequences at once.
+
+    ``tables`` is (B, p, M), sequence b's round k table in ``tables[b, k]``.
+    Returns the (B, M) final states, column s for start state s.
+    """
+    B, p, M = tables.shape
+    rows = np.arange(B)[:, None]
+    states = np.tile(np.arange(M), (B, 1))
+    for k in range(p):
+        states = advance[states, tables[rows, k, states]]
+    return states
+
+
 def trajectories_coincide(eta, tables: Sequence[Table],
                           M: int) -> tuple[bool, tuple[int, ...]]:
     """Walk every possible initial state through the table sequence; report
     whether all finals agree, and the finals themselves."""
-    finals = []
-    for s0 in range(M):
-        s = s0
-        for table in tables:
-            s = eta[s][table[s]]
-        finals.append(s)
+    steps = np.asarray(tables, dtype=np.intp).reshape(1, -1, M)
+    finals = walk_all_states(np.asarray(eta, dtype=np.intp), steps)[0].tolist()
     return len(set(finals)) == 1, tuple(finals)
 
 
@@ -238,19 +257,13 @@ def coincidence_failure_trials(eta, function_set: Sequence[Table], p: int,
                                trials: int, base_seed: int) -> int:
     """Monte Carlo count of tails whose M trajectories fail to merge, with
     tables drawn i.i.d. uniform from the set, one seed per trial."""
-    M = len(eta)
-    adv = np.asarray(eta, dtype=np.int64)
-    fset = np.asarray(function_set, dtype=np.int64)
+    fset = np.asarray(function_set, dtype=np.uint8)
     picks = np.stack([
         np.random.default_rng(base_seed + t).integers(0, len(fset), size=p)
         for t in range(trials)
     ])
-    states = np.tile(np.arange(M), (trials, 1))
-    for i in range(p):
-        tables = fset[picks[:, i]]
-        taus = np.take_along_axis(tables, states, axis=1)
-        states = adv[states, taus]
-    return int((states.min(axis=1) != states.max(axis=1)).sum())
+    finals = walk_all_states(np.asarray(eta, dtype=np.intp), fset[picks])
+    return int((finals.min(axis=1) != finals.max(axis=1)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +301,8 @@ def _tail_finals(p: FiniteStateProtocol, tails: Mapping[Party, np.ndarray],
     all merge."""
     finals: dict[Party, list[int]] = {}
     bad: set[int] = set()
-    rows = np.arange(blocks)[:, None]
     for q, grid in tails.items():
-        states = np.tile(np.arange(p.M), (blocks, 1))
-        for k in range(grid.shape[1]):
-            states = p.advance_array[states, grid[rows, k, states]]
+        states = walk_all_states(p.advance_array, grid[:blocks])
         bad.update(np.flatnonzero((states != states[:, :1]).any(axis=1)).tolist())
         finals[q] = states[:, 0].tolist()
     return finals, bad

@@ -294,16 +294,26 @@ def protocol_to_dict(p: FiniteStateProtocol) -> dict:
     }
 
 
+def advance_table(raw) -> np.ndarray:
+    """A read-only (M, 2) advance table from its JSON form: a list of M
+    [next on 0, next on 1] rows, or the same entries flat in row-major
+    order."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"advance table must be a list of rows or a flat list, not {raw!r}")
+    if raw and not isinstance(raw[0], (list, tuple)):
+        if len(raw) % 2:
+            raise ValueError("flat advance table must have 2M entries")
+        raw = [raw[k:k + 2] for k in range(0, len(raw), 2)]
+    if len(raw) < 2:
+        raise ValueError(f"advance table needs at least two states, not {len(raw)}")
+    return _advance_rows(raw, len(raw))
+
+
 def protocol_from_dict(d: dict) -> FiniteStateProtocol:
-    M = int(d["M"])
-    flat = list(d["advance"])
-    if len(flat) != 2 * M:
-        raise ValueError("flat advance table must have 2*M entries")
-    advance = tuple((int(flat[2 * s]), int(flat[2 * s + 1])) for s in range(M))
     return FiniteStateProtocol(
         n=int(d["n"]),
-        M=M,
-        advance=advance,
+        M=int(d["M"]),
+        advance=advance_table(d["advance"]),
         transmissions=d["transmissions"],
         initial_state=int(d.get("initial_state", 0)),
     )

@@ -376,51 +376,36 @@ class ExhaustiveWire(ColumnWire):
         return self.tables[self.phase[party][:, j - 1, None], bits[:, None], states]
 
 
-@dataclass(frozen=True)
-class BlockReconstruction:
-    """One party's view of a block after the exhaustive exchange: transcript
-    and final state for each possible entry state, plus logical bits spent."""
+def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.ndarray]], int]:
+    """Noiseless block core of the exhaustive scheme, for a stack of blocks.
 
-    transcripts: tuple[tuple[int, ...], tuple[int, ...]]
-    finals: tuple[int, int]
-    bits_used: int
-
-
-def run_exhaustive_block(eta, tables: Sequence[Table]) -> tuple[BlockReconstruction, BlockReconstruction]:
-    """Noiseless single-block core of the exhaustive scheme.
-
-    Both parties exchange their first-constant locations, then one bit per
-    round in the scheme's wire format, through the same column loop as the
-    full simulation with the block as a one-row grid. Returns Alice's and
-    Bob's reconstructions, which must agree with each other and with direct
-    iteration from both entry states.
+    ``blocks`` is a (blocks, m, 2) stack of transmission tables, one block
+    per row. Both parties exchange their first-constant locations, then one
+    bit per round in the scheme's wire format, through the same column loop
+    as the full simulation with the blocks as the rows of one grid. Returns,
+    per party, the (blocks, 2, m) transcripts and the (blocks, 2) final
+    states from entry states 0 and 1, which must agree with each other and
+    with direct iteration; and the logical bits each block spends.
     """
     cls = classify_advance(eta)
     if not cls.interactive:
         raise ValueError("the exhaustive scheme requires an interactive advance function")
-    m = len(tables)
+    tables = np.asarray(blocks, dtype=np.intp)
+    if tables.ndim != 3 or tables.shape[2] != 2:
+        raise ValueError(f"blocks must be a (blocks, m, 2) stack, not shape {tables.shape}")
+    m = tables.shape[1]
     parties = (Party.ALICE, Party.BOB)
-    tables = np.array(tables, dtype=np.intp)
     advance = np.array(eta, dtype=np.intp)
     # noiseless exchange: the merge point is the block's first constant round
     const, _ = _grid_composites(tables, advance, m)
     belief = np.where(const.any(axis=1), const.argmax(axis=1) + 1, m + 1)
     bits_used = m + sum(_index_width(m, q) for q in parties)
-    owned = {q: tables[1 - q.parity::2].reshape(1, -1, 2) for q in parties}
-    both = np.arange(2)[None, :]
+    owned = {q: tables[:, 1 - q.parity::2] for q in parties}
+    both = np.tile(np.arange(2), (len(tables), 1))
     runs = run_columns(owned, advance, {q: both for q in parties},
                        ExhaustiveWire(cls, {q: belief for q in parties}, m),
                        lambda j, bits: bits)
-
-    def snapshot(q: Party) -> BlockReconstruction:
-        bits, finals = runs[q]
-        return BlockReconstruction(
-            (tuple(bits[:, 0, 0].tolist()), tuple(bits[:, 0, 1].tolist())),
-            (int(finals[0, 0]), int(finals[0, 1])),
-            bits_used,
-        )
-
-    return snapshot(Party.ALICE), snapshot(Party.BOB)
+    return {q: (bits.transpose(1, 2, 0), finals) for q, (bits, finals) in runs.items()}, bits_used
 
 
 def exhaustive_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: CodeSpec,

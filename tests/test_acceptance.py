@@ -27,6 +27,7 @@ from icsim.multistate import (
     coincidence_failure_trials,
     is_coinciding,
 )
+from icsim.protocol import Party
 from icsim.threestate import (
     EXAMPLE2_ADVANCE,
     DisjInstance,
@@ -96,20 +97,21 @@ def test_criterion_3_exhaustive_two_state_blocks():
             b = t[s]
             bits.append(b)
             s = eta[s][b]
-        return tuple(bits)
+        return bits
 
     checked = 0
     for m in range(1, 7):
         budget = m + 2 * math.ceil(math.log2(m + 1)) + 2
+        blocks = list(product(ts.ALL_TABLES2, repeat=m))
         for eta in interactive_two_state_advances():
-            for tables in product(ts.ALL_TABLES2, repeat=m):
-                rec_a, rec_b = run_exhaustive_block(eta, tables)
+            runs, bits_used = run_exhaustive_block(eta, blocks)
+            assert bits_used <= budget
+            alice, bob = (runs[q][0].tolist() for q in (Party.ALICE, Party.BOB))
+            for b, tables in enumerate(blocks):
                 for s0 in (0, 1):
                     truth = direct(eta, tables, s0)
-                    assert rec_a.transcripts[s0] == truth
-                    assert rec_b.transcripts[s0] == truth
-                assert rec_a.bits_used == rec_b.bits_used
-                assert rec_a.bits_used <= budget
+                    assert alice[b][s0] == truth
+                    assert bob[b][s0] == truth
                 checked += 1
     assert checked == 65520
     print(f"criterion 3: PASS ({checked} blocks reconstructed within budget)")

@@ -58,6 +58,32 @@ def test_simulate_writes_csv_and_summary(tmp_path):
     assert doc["mean_rate"] == 1.0
 
 
+def test_simulate_is_the_view_of_a_one_n_sweep(tmp_path):
+    # a noisy two-state run at a non-square n, so failures and rates vary
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": "two-state", "channel": "bsc:0.05", "code": "rep:3",
+                               "side_code": "rep:1", "n": 100, "trials": 6, "base_seed": 4}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv"),
+                 "--summary", str(tmp_path / "sweep.json")]) == 0
+    assert main(["simulate", "--scheme", "two-state", "--channel", "bsc:0.05", "--code", "rep:3",
+                 "--side-code", "rep:1", "--n", "100", "--trials", "6", "--seed", "4",
+                 "--out", str(tmp_path / "sim.csv"), "--summary", str(tmp_path / "sim.json")]) == 0
+
+    columns = ["seed", "N", "rate", "alice_ok", "bob_ok"]
+    sweep = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()]
+    keep = [sweep[0].index(c) for c in columns]
+    view = "".join(",".join(cells[i] for i in keep) + "\n" for cells in sweep)
+    assert (tmp_path / "sim.csv").read_text() == view
+    assert view.startswith(",".join(columns) + "\n") and view.count("\n") == 1 + 6
+
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    keys = ["trials", "failures", "mean_pe", "wilson_95", "mean_rate"]
+    expected = {key: doc["rows"][0][key] for key in keys}
+    expected.update(schema_version=doc["schema_version"], audits_passed=doc["audits_passed"])
+    assert json.loads((tmp_path / "sim.json").read_text()) == expected
+    assert 0 < expected["failures"] < 6
+
+
 def test_simulate_protocol_file(tmp_path):
     import numpy as np
     from icsim.protocol import save_protocol
@@ -224,6 +250,42 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["classify", "--advance", "{file}"], "[]", "advance table needs at least two states, not 0"),
+    (["classify", "--advance", "{file}"], "5", "advance table must be a list of rows or a flat list, not 5"),
+    (["classify", "--advance", "{file}"], '{"a": 1}', "advance table must be a list"),
+    (["classify", "--advance", "{file}"], "[0, 1, 0]", "flat advance table must have 2M entries"),
+    (["classify", "--advance", "{file}"], "[[0, 1], [0, 2]]", "advance entry 2 outside 0..1"),
+    (["coincidence", "--advance", "markovian:2", "--functions", "{file}"], "7",
+     'function set must be "balanced", "all" or a nonempty list of tables, not 7'),
+    (["coincidence", "--advance", "markovian:2", "--functions", "{file}"], "[]",
+     "nonempty list of tables, not []"),
+    (["coincidence", "--advance", "markovian:2", "--functions", "{file}"], "[[0, 1, 1]]",
+     "transmission table needs 4 entries"),
+    (["coincidence", "--advance", "markovian:2", "--functions", "{file}"], "[[0, 1, 1, 2]]",
+     "transmission table entries must be bits"),
+    (["coincidence", "--advance", "markovian:2", "--trials", "0"], None,
+     "trials must be at least 1, not 0"),
+    (["coincidence", "--advance", "markovian:2", "--p", "-4"], None, "p must be at least 0, not -4"),
+    (["disjointness", "--trials", "0"], None, "trials must be at least 1, not 0"),
+    (["disjointness", "--trials", "-3"], None, "trials must be at least 1, not -3"),
+    (["sweep", "--config", "{file}", "--scheme", ""], "{}", "unknown scheme ''"),
+], ids=["advance-empty", "advance-integer", "advance-object", "advance-odd-flat",
+        "advance-out-of-range", "functions-integer", "functions-empty", "functions-short-row",
+        "functions-non-bit", "coincidence-zero-trials", "coincidence-negative-p",
+        "disjointness-zero-trials", "disjointness-negative-trials", "sweep-empty-scheme"])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(doc)
+    assert main([arg.replace("{file}", str(path)) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
     assert message in captured.err
 
 

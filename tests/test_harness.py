@@ -12,10 +12,10 @@ from icsim.harness import (
     ExperimentConfig,
     compare_bounds,
     csv_line,
-    report_csv_row,
     resolve_out,
     run_sweep,
     run_trial,
+    sweep_csv,
     wilson_interval,
 )
 
@@ -142,8 +142,7 @@ def test_csv_value_formats():
 def test_csv_row_blank_coincidence_for_genie():
     cfg = ExperimentConfig(scheme="genie", channel="bsc:0", code="rep:1",
                            n_list=(16,), trials=1)
-    report = run_trial(cfg, 16, 0)
-    row = report_csv_row(report, 0)
+    row = sweep_csv(run_sweep(cfg)).splitlines()[1]
     assert row.endswith(",")
     assert row.split(",")[1] == "genie"
 

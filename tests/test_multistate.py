@@ -375,8 +375,12 @@ def reference_tail_walk(p, tails, blocks):
     for q, per_block in tails.items():
         finals[q] = []
         for r in range(blocks):
-            ok, ends = trajectories_coincide(p.advance, per_block[r], p.M)
-            if not ok:
+            ends = []
+            for s in range(p.M):
+                for table in per_block[r]:
+                    s = p.advance[s][table[s]]
+                ends.append(s)
+            if len(set(ends)) > 1:
                 bad.add(r)
             finals[q].append(ends[0])
     return finals, bad

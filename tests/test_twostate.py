@@ -189,30 +189,39 @@ def test_classification_partitions_all_sixteen():
     assert counts == {"non-interactive": 4, "type-i": 4, "type-ii": 4, "type-iii": 4}
 
 
+def _agreed(runs):
+    """Alice's (transcripts, finals) of a block stack, after checking that
+    Bob reconstructed the same."""
+    (bits_a, finals_a), (bits_b, finals_b) = runs[Party.ALICE], runs[Party.BOB]
+    assert np.array_equal(bits_a, bits_b) and np.array_equal(finals_a, finals_b)
+    return bits_a, finals_a
+
+
 def test_exhaustive_block_immediate_merge():
     # constant-making table in round 1 merges both branches right away
-    rec_a, rec_b = run_exhaustive_block(FOLLOW, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert rec_a == rec_b
-    assert rec_a.transcripts[0][1:] == rec_a.transcripts[1][1:]
-    truth0 = _direct_block(FOLLOW, [(0, 0), (0, 1), (1, 0), (1, 1)], 0)
-    assert rec_a.transcripts[0] == truth0[0] and rec_a.finals[0] == truth0[1]
+    tables = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    bits, finals = _agreed(run_exhaustive_block(FOLLOW, [tables])[0])
+    assert np.array_equal(bits[0, 0, 1:], bits[0, 1, 1:])
+    truth0 = _direct_block(FOLLOW, tables, 0)
+    assert tuple(bits[0, 0].tolist()) == truth0[0] and finals[0, 0] == truth0[1]
 
 
 def test_exhaustive_block_no_constant_stays_complementary():
     # flip-only tables: branches never merge but both transcripts are right
     eta = FOLLOW
     tables = [(0, 1), (1, 0), (0, 1), (1, 0)]
-    rec_a, rec_b = run_exhaustive_block(eta, tables)
-    assert rec_a == rec_b
+    bits, finals = _agreed(run_exhaustive_block(eta, [tables])[0])
     for s0 in (0, 1):
-        bits, final = _direct_block(eta, tables, s0)
-        assert rec_a.transcripts[s0] == bits
-        assert rec_a.finals[s0] == final
+        truth, final = _direct_block(eta, tables, s0)
+        assert tuple(bits[0, s0].tolist()) == truth
+        assert finals[0, s0] == final
 
 
 def test_exhaustive_block_rejects_non_interactive():
     with pytest.raises(ValueError):
-        run_exhaustive_block(((0, 0), (1, 1)), [(0, 1)] * 4)
+        run_exhaustive_block(((0, 0), (1, 1)), [[(0, 1)] * 4])
+    with pytest.raises(ValueError, match="stack"):
+        run_exhaustive_block(FOLLOW, [(0, 1)] * 4)  # one block, not a stack of them
 
 
 def _direct_block(eta, tables, s0):
@@ -226,14 +235,14 @@ def _direct_block(eta, tables, s0):
 
 
 def test_exhaustive_block_exhaustive_m3():
+    blocks = list(itertools.product(ALL_TABLES2, repeat=3))
     for eta in interactive_two_state_advances():
-        for tables in itertools.product(ALL_TABLES2, repeat=3):
-            rec_a, rec_b = run_exhaustive_block(eta, tables)
-            assert rec_a == rec_b
+        bits, finals = _agreed(run_exhaustive_block(eta, blocks)[0])
+        for b, tables in enumerate(blocks):
             for s0 in (0, 1):
-                bits, final = _direct_block(eta, tables, s0)
-                assert rec_a.transcripts[s0] == bits
-                assert rec_a.finals[s0] == final
+                truth, final = _direct_block(eta, tables, s0)
+                assert tuple(bits[b, s0].tolist()) == truth
+                assert finals[b, s0] == final
 
 
 def test_exhaustive_end_to_end_noiseless_matches_oracle():
