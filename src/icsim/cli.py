@@ -205,8 +205,9 @@ def _cmd_sweep(args) -> int:
             f"--n must be a comma-separated list of integers, not {args.n!r}") from None
     cfg = ExperimentConfig.from_json(
         args.config, trials=args.trials, base_seed=args.seed, scheme=args.scheme,
-        channel=args.channel, code=args.code, n_list=n_list, csv_path=args.out,
-        json_path=args.summary)
+        channel=args.channel, code=args.code, n_list=n_list,
+        # an empty --out or --summary leaves the config's path in place
+        csv_path=args.out or None, json_path=args.summary or None)
     summary = run_sweep(cfg)
     for row in summary.rows:
         print(f"n={row.n} scheme={row.scheme} trials={row.trials} "

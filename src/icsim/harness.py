@@ -22,7 +22,8 @@ import numpy as np
 from .channel import ChannelModel
 from .coding import CodeSpec
 from .multistate import resolve_functions, simulate_mstate
-from .protocol import FiniteStateProtocol, load_protocol, markovian_advance, random_protocol
+from .protocol import (FiniteStateProtocol, _advance_rows, load_protocol, markovian_advance,
+                       random_protocol)
 from .twostate import exhaustive_two_state, random_two_state_protocol, simulate_two_state
 from .vertical import SimulationReport, accounting, genie_provider, simulate_vertical
 
@@ -70,20 +71,26 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_int_rows(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(
-        isinstance(row, (list, tuple)) and all(map(_is_int, row)) for row in value)
+def _require(ok: bool) -> None:
+    if not ok:
+        raise ValueError
 
 
-# each protocol source's keys besides "type", with a check of the value
+def _function_set(source: Mapping) -> np.ndarray:
+    """A markovian source's transmission tables, checked."""
+    return resolve_functions(source.get("functions", "balanced"), 1 << source.get("log_M", 2))
+
+
+# each protocol source's keys besides "type": a check of the source that
+# raises ValueError on a bad value for that key (advance tables and function
+# sets go through the parsers each trial's draw uses), and what the value must be
 PROTOCOL_KEYS = {
-    "two-state": {"advance": (lambda v: v is None or _is_int_rows(v),
+    "two-state": {"advance": (lambda s: s["advance"] is None or _advance_rows(s["advance"], 2),
                               "null or a list of integer rows")},
-    "markovian": {"log_M": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-                  "functions": (lambda v: v in ("balanced", "all") if isinstance(v, str)
-                                else _is_int_rows(v),
-                                '"balanced", "all" or a list of integer rows')},
-    "file": {"path": (lambda v: isinstance(v, str), "a string")},
+    "markovian": {"log_M": (lambda s: _require(_is_int(s["log_M"]) and s["log_M"] >= 1),
+                            "a positive integer"),
+                  "functions": (_function_set, '"balanced", "all" or a list of integer rows')},
+    "file": {"path": (lambda s: _require(isinstance(s["path"], str)), "a string")},
 }
 
 
@@ -134,9 +141,15 @@ class ExperimentConfig:
         unknown = sorted(map(str, set(self.protocol) - {"type", *checks}))
         if unknown:
             raise ValueError(f"unknown {kind} protocol keys {unknown}; known: {sorted(checks)}")
-        for key, (ok, what) in checks.items():
-            if key in self.protocol and not ok(self.protocol[key]):
-                raise ValueError(f"protocol {key} must be {what}, not {self.protocol[key]!r}")
+        for key, (check, what) in checks.items():
+            if key not in self.protocol:
+                continue
+            try:
+                check(self.protocol)
+            except ValueError as exc:
+                why = f" ({exc})" if str(exc) else ""
+                raise ValueError(
+                    f"protocol {key} must be {what}, not {self.protocol[key]!r}{why}") from None
         if kind == "file":
             path = Path(self.protocol.get("path", ""))
             if not path.is_file():
@@ -174,10 +187,9 @@ def _draw_protocol(source: Mapping, n: int, rng: np.random.Generator) -> FiniteS
     if kind == "two-state":
         return random_two_state_protocol(n, rng, advance=source.get("advance"))
     if kind == "markovian":
-        log_M = int(source.get("log_M", 2))
-        M = 1 << log_M
-        fset = resolve_functions(source.get("functions", "balanced"), M)
-        return random_protocol(n, M, fset, rng, advance=markovian_advance(log_M))
+        log_M = source.get("log_M", 2)
+        return random_protocol(n, 1 << log_M, _function_set(source), rng,
+                               advance=markovian_advance(log_M))
     raise ValueError(f"unknown protocol source {kind!r}")
 
 

@@ -143,12 +143,13 @@ def balanced_tables(M: int) -> tuple[Table, ...]:
     return tuple(t for t in all_tables(M) if sum(t) == M // 2)
 
 
-def resolve_functions(spec, M: int) -> Sequence[Table] | np.ndarray:
-    """The transmission-function set ``spec`` names for M states: "balanced",
-    "all", or a nonempty list of M-entry bit rows (checked, as uint8)."""
+def resolve_functions(spec, M: int) -> np.ndarray:
+    """The transmission-function set ``spec`` names for M states, as checked
+    read-only (count, M) uint8 rows: "balanced", "all", or a nonempty list of
+    M-entry bit rows."""
     if spec in ("balanced", "all"):
-        return balanced_tables(M) if spec == "balanced" else all_tables(M)
-    if not isinstance(spec, (list, tuple)) or not spec:
+        spec = balanced_tables(M) if spec == "balanced" else all_tables(M)
+    elif not isinstance(spec, (list, tuple)) or not spec:
         raise ValueError('function set must be "balanced", "all" or a nonempty list of '
                          f'tables, not {spec!r}')
     return _bit_rows(spec, len(spec), M)

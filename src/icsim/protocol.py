@@ -240,7 +240,7 @@ def random_protocol(n: int, M: int, function_set: Sequence[Sequence[int]],
     The state-advance table is an explicit argument: a protocol is not
     complete without one, even though only the transmissions are random.
     """
-    if not function_set:
+    if len(function_set) == 0:
         raise ValueError("function set must be nonempty")
     rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
     fset = _bit_rows(function_set, len(function_set), M)

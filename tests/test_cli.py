@@ -222,6 +222,15 @@ def test_sweep_with_overrides(tmp_path, capsys):
     assert len(csv_lines) == 1 + 20
 
 
+def test_sweep_empty_out_keeps_the_config_paths(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": [64], "trials": 2, "csv": str(tmp_path / "c.csv"),
+                               "json": str(tmp_path / "c.json")}))
+    assert main(["sweep", "--config", str(cfg), "--out", "", "--summary", ""]) == 0
+    assert len((tmp_path / "c.csv").read_text().splitlines()) == 1 + 2
+    assert json.loads((tmp_path / "c.json").read_text())["rows"][0]["trials"] == 2
+
+
 def test_sweep_missing_config_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -235,13 +244,15 @@ def test_sweep_missing_config_exits_2(tmp_path, capsys):
      "protocol advance must be null or a list of integer rows, not 5"),
     ('{"protocol": {"type": "markovian", "functions": 7}}', [],
      'protocol functions must be "balanced", "all" or a list of integer rows, not 7'),
+    ('{"protocol": {"type": "markovian", "log_M": 1, "functions": [[0, 1, 1]]}}', [],
+     "protocol functions must be"),
     ('{"protocol": {"type": "markovian", "log_m": 3}}', [],
      "unknown markovian protocol keys ['log_m']"),
     ('{"n": []}', [], "n_list must be a non-empty list of integers (config key n), not []"),
     ('{}', ["--n", "abc"], "--n must be a comma-separated list of integers, not 'abc'"),
     ('{}', ["--n", "16,,32"], "--n must be a comma-separated list of integers, not '16,,32'"),
 ], ids=["misspelt-key", "string-trials", "top-level-list", "string-protocol",
-        "integer-advance", "integer-functions", "misspelt-protocol-key", "empty-n",
+        "integer-advance", "integer-functions", "long-function-row", "misspelt-protocol-key", "empty-n",
         "garbled-n", "empty-n-item"])
 def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, args, message):
     cfg = tmp_path / "cfg.json"

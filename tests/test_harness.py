@@ -173,6 +173,39 @@ def test_markovian_source_draws_valid_protocols():
     assert summary.audits_passed
 
 
+def test_markovian_source_takes_a_list_of_tables(tmp_path):
+    def sweep(functions, name):
+        cfg = ExperimentConfig(scheme="m-state", channel="bsc:0.01", code="rep:3",
+                               protocol={"type": "markovian", "log_M": 1,
+                                         "functions": functions},
+                               n_list=(1024,), trials=4, base_seed=5,
+                               csv_path=str(tmp_path / name))
+        return run_sweep(cfg), (tmp_path / name).read_text()
+
+    # the same tables as a list draw the same protocols as "all"
+    listed, listed_csv = sweep([[0, 0], [0, 1], [1, 0], [1, 1]], "list.csv")
+    named, named_csv = sweep("all", "all.csv")
+    assert listed_csv == named_csv and listed.rows == named.rows
+    assert listed.row(1024).failures == 2
+    # two flips never merge the trajectories, so every trial fails to coincide
+    flips, _ = sweep([[0, 1], [1, 0]], "flips.csv")
+    assert flips.row(1024).coincidence_failures == 4
+
+
+@pytest.mark.parametrize("protocol, message", [
+    ({"type": "markovian", "log_M": 1, "functions": [[0, 1, 1]]},
+     "transmission table needs 2 entries"),
+    ({"type": "markovian", "log_M": 1, "functions": [[0, 2]]}, "entries must be bits"),
+    ({"type": "markovian", "log_M": 5, "functions": "all"}, "M <= 16"),
+    ({"type": "two-state", "advance": [[0, 1], [1, 0], [0, 0]]}, "2x2 state indices"),
+    ({"type": "two-state", "advance": [[0, 1], [1, 2]]}, "advance entry 2 outside 0..1"),
+], ids=["long-row", "non-bit-entry", "too-many-states", "three-state-advance",
+        "advance-out-of-range"])
+def test_config_parses_protocol_tables_before_any_trial(protocol, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(protocol=protocol)
+
+
 def test_resolve_out_respects_env(tmp_path, monkeypatch):
     monkeypatch.setenv("ICSIM_OUTDIR", str(tmp_path))
     assert resolve_out("x/y.csv") == tmp_path / "x" / "y.csv"
