@@ -35,9 +35,11 @@ from .harness import (
     write_out,
 )
 from .multistate import (
+    PLACEMENTS,
     coincidence_bound,
     coincidence_failure_trials,
     is_coinciding,
+    is_useful,
     resolve_functions,
 )
 from .protocol import advance_table, markovian_advance, pad_protocol
@@ -65,6 +67,7 @@ def _load_advance(spec: str):
 
 
 def _cmd_capacity(args) -> int:
+    _at_least("points", args.points, 1)
     ch = ChannelModel.parse(args.channel)
     cap = ch.capacity()
     lines = [f"# {ch.name} capacity {cap:.6f} bits/use", "R,Er_bits"]
@@ -76,19 +79,15 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    """A one-n sweep, cut to ``SIMULATE_COLUMNS`` and ``SIMULATE_KEYS``."""
-    protocol = {"type": "file", "path": args.protocol} if args.protocol else {"type": args.family}
-    cfg = ExperimentConfig(
-        scheme=args.scheme,
-        protocol=protocol,
-        channel=args.channel,
-        code=args.code,
-        side_code=args.side_code,
-        placement=args.placement,
-        n_list=(args.n,),
-        trials=args.trials,
-        base_seed=args.seed,
-    )
+    """A one-n sweep, cut to ``SIMULATE_COLUMNS`` and ``SIMULATE_KEYS``. An
+    option left out takes its ``ExperimentConfig`` default."""
+    protocol = {"type": "file", "path": args.protocol} if args.protocol else (
+        {"type": args.family} if args.family else None)
+    given = dict(scheme=args.scheme, protocol=protocol, channel=args.channel, code=args.code,
+                 side_code=args.side_code, placement=args.placement,
+                 n_list=None if args.n is None else (args.n,), trials=args.trials,
+                 base_seed=args.seed)
+    cfg = ExperimentConfig(**{key: value for key, value in given.items() if value is not None})
     summary = run_sweep(cfg)
     write_out(args.out, sweep_csv(summary, SIMULATE_COLUMNS))
     doc = summary_doc(summary)
@@ -124,8 +123,6 @@ def _cmd_coincidence(args) -> int:
     _at_least("p", args.p, 0)
     eta = _load_advance(args.advance)
     M = len(eta)
-    if args.M and args.M != M:
-        raise ValueError(f"advance table has {M} states, not {args.M}")
     functions = args.functions
     if functions not in ("balanced", "all"):
         functions = json.loads(Path(functions).read_text())
@@ -133,6 +130,9 @@ def _cmd_coincidence(args) -> int:
     cert = is_coinciding(eta, M)
     if cert is None:
         print("advance function is not coinciding; no bound applies")
+        return 1
+    if not is_useful(fset, M).useful:
+        print("function set is not useful; no bound applies")
         return 1
     k = cert.K if cert.K else 1
     p = args.p - args.p % k
@@ -166,7 +166,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_disjointness(args) -> int:
-    u = args.universe
+    u, m = args.universe, args.count_triples
+    count = None if m is None else count_transcript_triples(m)  # a bad m fails before any output
     if args.exhaustive:
         if u > 10:
             raise ValueError("exhaustive mode supported up to universe 10")
@@ -186,9 +187,7 @@ def _cmd_disjointness(args) -> int:
         cases += 1
     print(f"universe={u} cases={cases} mismatches={mismatches} "
           f"-> {'pass' if mismatches == 0 else 'fail'}")
-    if args.count_triples:
-        m = args.count_triples
-        count = count_transcript_triples(m)
+    if count is not None:
         expected = 1 << (3 * m // 2)
         print(f"transcript triples m={m}: {count} (expected {expected}) "
               f"-> {'pass' if count == expected else 'fail'}")
@@ -231,15 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run seeded simulation trials")
     sim.add_argument("--protocol", help="protocol JSON file (else a random family)")
-    sim.add_argument("--family", default="two-state", choices=["two-state", "markovian"])
-    sim.add_argument("--channel", default="bsc:0.05")
-    sim.add_argument("--code", default="oracle:0.3", help="oracle:<R> | rep:<r> | rlc:<x>")
+    sim.add_argument("--family", choices=["two-state", "markovian"])
+    sim.add_argument("--channel")
+    sim.add_argument("--code", help="oracle:<R> | rep:<r> | rlc:<x>")
     sim.add_argument("--side-code", dest="side_code", help="code for side information")
-    sim.add_argument("--scheme", default="genie", choices=SCHEMES)
-    sim.add_argument("--placement", default="last", choices=["last", "first"])
-    sim.add_argument("--n", type=int, default=256)
-    sim.add_argument("--trials", type=int, default=1)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--scheme", choices=SCHEMES)
+    sim.add_argument("--placement", choices=PLACEMENTS)
+    sim.add_argument("--n", type=int)
+    sim.add_argument("--trials", type=int)
+    sim.add_argument("--seed", type=int)
     sim.add_argument("--out", help="CSV output path")
     sim.add_argument("--summary", help="JSON summary path")
     sim.set_defaults(func=_cmd_simulate)
@@ -253,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     look.set_defaults(func=_cmd_lookahead)
 
     coin = sub.add_parser("coincidence", help="coincidence failure rate vs. bound")
-    coin.add_argument("--M", type=int)
     coin.add_argument("--advance", required=True,
                       help="JSON advance table file or markovian:<log_M>")
     coin.add_argument("--functions", default="balanced",

@@ -14,14 +14,15 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .channel import ChannelModel
 from .coding import CodeSpec
-from .multistate import resolve_functions, simulate_mstate
+from .multistate import PLACEMENTS, resolve_functions, simulate_mstate
 from .protocol import (FiniteStateProtocol, _advance_rows, load_protocol, markovian_advance,
                        random_protocol)
 from .twostate import exhaustive_two_state, random_two_state_protocol, simulate_two_state
@@ -71,27 +72,51 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require(ok: bool) -> None:
-    if not ok:
-        raise ValueError
+# each protocol source's keys besides "type"
+PROTOCOL_KEYS = {"two-state": ("advance",), "markovian": ("log_M", "functions"), "file": ("path",)}
+MAX_LOG_M = 16  # the largest window a markovian source may ask for
+Draw = Callable[[int, np.random.Generator], FiniteStateProtocol]  # (n, rng) -> protocol
 
 
-def _function_set(source: Mapping) -> np.ndarray:
-    """A markovian source's transmission tables, checked."""
-    return resolve_functions(source.get("functions", "balanced"), 1 << source.get("log_M", 2))
-
-
-# each protocol source's keys besides "type": a check of the source that
-# raises ValueError on a bad value for that key (advance tables and function
-# sets go through the parsers each trial's draw uses), and what the value must be
-PROTOCOL_KEYS = {
-    "two-state": {"advance": (lambda s: s["advance"] is None or _advance_rows(s["advance"], 2),
-                              "null or a list of integer rows")},
-    "markovian": {"log_M": (lambda s: _require(_is_int(s["log_M"]) and s["log_M"] >= 1),
-                            "a positive integer"),
-                  "functions": (_function_set, '"balanced", "all" or a list of integer rows')},
-    "file": {"path": (lambda s: _require(isinstance(s["path"], str)), "a string")},
-}
+def protocol_draw(source: Mapping) -> Draw:
+    """Parse a protocol source, once and before any trial, into each trial's
+    draw ``(n, rng) -> protocol``. The draw looks up this module's draw
+    functions by name at call time, so a wrapper put in their place sees it."""
+    kind = source.get("type", "two-state")
+    if not isinstance(kind, str) or kind not in PROTOCOL_KEYS:
+        raise ValueError(f"unknown protocol source {kind!r}")
+    known = PROTOCOL_KEYS[kind]
+    unknown = sorted(map(str, set(source) - {"type", *known}))
+    if unknown:
+        raise ValueError(f"unknown {kind} protocol keys {unknown}; known: {sorted(known)}")
+    if kind == "two-state":
+        advance = source.get("advance")
+        try:
+            rows = None if advance is None else _advance_rows(advance, 2)
+        except ValueError as exc:
+            raise ValueError("protocol advance must be null or a list of integer rows, "
+                             f"not {advance!r} ({exc})") from None
+        return lambda n, rng: random_two_state_protocol(n, rng, advance=rows)
+    if kind == "markovian":
+        log_M = source.get("log_M", 2)
+        if not (_is_int(log_M) and 1 <= log_M <= MAX_LOG_M):
+            raise ValueError(
+                f"protocol log_M must be an integer from 1 to {MAX_LOG_M}, not {log_M!r}")
+        functions = source.get("functions", "balanced")
+        try:
+            fset = resolve_functions(functions, 1 << log_M)
+        except ValueError as exc:
+            raise ValueError('protocol functions must be "balanced", "all" or a list of integer '
+                             f"rows, not {functions!r} ({exc})") from None
+        advance = markovian_advance(log_M)
+        return lambda n, rng: random_protocol(n, len(advance), fset, rng, advance=advance)
+    path = source.get("path", "")
+    if not isinstance(path, str):
+        raise ValueError(f"protocol path must be a string, not {path!r}")
+    if not Path(path).is_file():
+        raise ValueError(f"protocol file not found: {Path(path)}")
+    protocol = load_protocol(path)  # read once; every trial runs this protocol
+    return lambda n, rng: protocol
 
 
 @dataclass(frozen=True)
@@ -107,6 +132,11 @@ class ExperimentConfig:
     base_seed: int = 0
     csv_path: str | None = None
     json_path: str | None = None
+    # what each trial uses, parsed once from the fields above when the config is built
+    draw: Draw = field(init=False, repr=False, compare=False)
+    channel_model: ChannelModel = field(init=False, repr=False, compare=False)
+    code_spec: CodeSpec = field(init=False, repr=False, compare=False)
+    side_spec: CodeSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         def expect(name: str, ok: bool, what: str) -> None:
@@ -124,36 +154,19 @@ class ExperimentConfig:
                and all(map(_is_int, self.n_list)), "a non-empty list of integers (config key n)")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+        if self.placement not in PLACEMENTS:
+            raise ValueError(f"unknown placement {self.placement!r}; choose from {PLACEMENTS}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        object.__setattr__(self, "n_list", tuple(self.n_list))
         if any(n < 1 for n in self.n_list):
             raise ValueError("all n must be positive")
-        # fail fast on dangling references, not mid-sweep
-        ChannelModel.parse(self.channel)
-        CodeSpec.parse(self.code)
-        if self.side_code is not None:
-            CodeSpec.parse(self.side_code)
-        kind = self.protocol.get("type", "two-state")
-        if not isinstance(kind, str) or kind not in PROTOCOL_KEYS:
-            raise ValueError(f"unknown protocol source {kind!r}")
-        checks = PROTOCOL_KEYS[kind]
-        unknown = sorted(map(str, set(self.protocol) - {"type", *checks}))
-        if unknown:
-            raise ValueError(f"unknown {kind} protocol keys {unknown}; known: {sorted(checks)}")
-        for key, (check, what) in checks.items():
-            if key not in self.protocol:
-                continue
-            try:
-                check(self.protocol)
-            except ValueError as exc:
-                why = f" ({exc})" if str(exc) else ""
-                raise ValueError(
-                    f"protocol {key} must be {what}, not {self.protocol[key]!r}{why}") from None
-        if kind == "file":
-            path = Path(self.protocol.get("path", ""))
-            if not path.is_file():
-                raise ValueError(f"protocol file not found: {path}")
+        put = partial(object.__setattr__, self)  # the class is frozen
+        put("n_list", tuple(self.n_list))
+        put("channel_model", ChannelModel.parse(self.channel))
+        put("code_spec", CodeSpec.parse(self.code))
+        side = self.side_code
+        put("side_spec", self.code_spec if side is None else CodeSpec.parse(side))
+        put("draw", protocol_draw(self.protocol))
 
     @classmethod
     def from_json(cls, path: str | Path, **overrides) -> "ExperimentConfig":
@@ -164,7 +177,7 @@ class ExperimentConfig:
             raise ValueError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"config {path} must be a JSON object, not {type(raw).__name__}")
-        known = {f.name for f in fields(cls)}
+        known = {f.name for f in fields(cls) if f.init}
         keys = known - set(JSON_KEYS.values()) | set(JSON_KEYS)
         unknown = sorted(set(raw) - keys)
         if unknown:
@@ -180,26 +193,11 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def _draw_protocol(source: Mapping, n: int, rng: np.random.Generator) -> FiniteStateProtocol:
-    kind = source.get("type", "two-state")
-    if kind == "file":
-        return load_protocol(source["path"])
-    if kind == "two-state":
-        return random_two_state_protocol(n, rng, advance=source.get("advance"))
-    if kind == "markovian":
-        log_M = source.get("log_M", 2)
-        return random_protocol(n, 1 << log_M, _function_set(source), rng,
-                               advance=markovian_advance(log_M))
-    raise ValueError(f"unknown protocol source {kind!r}")
-
-
 def run_trial(cfg: ExperimentConfig, n: int, trial: int) -> SimulationReport:
     seed = cfg.base_seed + trial
     rng = np.random.default_rng(seed)
-    p = _draw_protocol(cfg.protocol, n, rng)
-    ch = ChannelModel.parse(cfg.channel)
-    code = CodeSpec.parse(cfg.code)
-    side = CodeSpec.parse(cfg.side_code) if cfg.side_code else code
+    p = cfg.draw(n, rng)
+    ch, code, side = cfg.channel_model, cfg.code_spec, cfg.side_spec
     if cfg.scheme == "genie":
         return simulate_vertical(p, ch, code, genie_provider, rng, scheme="genie", seed=seed)
     if cfg.scheme == "two-state":

@@ -187,6 +187,9 @@ def all_blocks_coincidence_bound(M: int, F_size: int, K: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 # tail plans and the trajectory machinery
 
+PLACEMENTS = ("last", "first")  # where each block's exhaustive tail sits
+
+
 @dataclass(frozen=True)
 class TailPlan:
     """How much of each block is simulated exhaustively and where.
@@ -202,8 +205,8 @@ class TailPlan:
     K: int
 
     def __post_init__(self) -> None:
-        if self.placement not in ("last", "first"):
-            raise ValueError("placement must be 'last' or 'first'")
+        if self.placement not in PLACEMENTS:
+            raise ValueError(f"placement must be one of {PLACEMENTS}, not {self.placement!r}")
         if self.K < 1 or self.p < 1:
             raise ValueError("p and K must be positive")
         if self.p % self.K:
@@ -388,7 +391,7 @@ def simulate_mstate(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpe
     tail tables, transmit one transcript bit per row for the remaining
     columns, and resolve the actual trajectory by chaining block finals.
     """
-    if placement not in ("last", "first"):
-        raise ValueError("placement must be 'last' or 'first'")
+    if placement not in PLACEMENTS:
+        raise ValueError(f"placement must be one of {PLACEMENTS}, not {placement!r}")
     return simulate_vertical(p, ch, code_spec, partial(tail_lookahead, placement=placement),
                              rng, scheme=f"m-state-{placement}", seed=seed, side=side_spec)

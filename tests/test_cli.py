@@ -84,6 +84,18 @@ def test_simulate_is_the_view_of_a_one_n_sweep(tmp_path):
     assert 0 < expected["failures"] < 6
 
 
+def test_simulate_defaults_are_the_config_defaults(tmp_path):
+    from icsim.cli import SIMULATE_COLUMNS, build_parser
+    from icsim.harness import ExperimentConfig, run_sweep, sweep_csv
+    args = build_parser().parse_args(["simulate"])
+    assert all(getattr(args, key) is None for key in
+               ("family", "channel", "code", "scheme", "placement", "n", "trials", "seed"))
+    assert main(["simulate", "--out", str(tmp_path / "s.csv"),
+                 "--summary", str(tmp_path / "s.json")]) == 0
+    expected = sweep_csv(run_sweep(ExperimentConfig()), SIMULATE_COLUMNS)
+    assert (tmp_path / "s.csv").read_text() == expected
+
+
 def test_simulate_protocol_file(tmp_path):
     import numpy as np
     from icsim.protocol import save_protocol
@@ -165,9 +177,11 @@ def test_coincidence_refuses_identity(tmp_path, capsys):
     assert "not coinciding" in capsys.readouterr().out
 
 
-def test_coincidence_m_mismatch_exits_2(capsys):
-    assert main(["coincidence", "--M", "8", "--advance", "markovian:2"]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_coincidence_refuses_a_function_set_that_is_not_useful(capsys):
+    # both balanced tables of M=2 flip the state bit, so no tail ever merges
+    assert main(["coincidence", "--advance", "markovian:1", "--functions", "balanced",
+                 "--trials", "5"]) == 1
+    assert capsys.readouterr().out == "function set is not useful; no bound applies\n"
 
 
 def test_classify_flat_table(tmp_path, capsys):
@@ -248,11 +262,16 @@ def test_sweep_missing_config_exits_2(tmp_path, capsys):
      "protocol functions must be"),
     ('{"protocol": {"type": "markovian", "log_m": 3}}', [],
      "unknown markovian protocol keys ['log_m']"),
+    ('{"protocol": {"type": "markovian", "log_M": 1000000000000}}', [],
+     "protocol log_M must be an integer from 1 to 16, not 1000000000000"),
+    ('{"scheme": "genie", "placement": "middle"}', [],
+     "unknown placement 'middle'; choose from ('last', 'first')"),
     ('{"n": []}', [], "n_list must be a non-empty list of integers (config key n), not []"),
     ('{}', ["--n", "abc"], "--n must be a comma-separated list of integers, not 'abc'"),
     ('{}', ["--n", "16,,32"], "--n must be a comma-separated list of integers, not '16,,32'"),
 ], ids=["misspelt-key", "string-trials", "top-level-list", "string-protocol",
-        "integer-advance", "integer-functions", "long-function-row", "misspelt-protocol-key", "empty-n",
+        "integer-advance", "integer-functions", "long-function-row", "misspelt-protocol-key",
+        "huge-log-m", "unknown-placement", "empty-n",
         "garbled-n", "empty-n-item"])
 def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, args, message):
     cfg = tmp_path / "cfg.json"
@@ -284,10 +303,17 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
     (["disjointness", "--trials", "0"], None, "trials must be at least 1, not 0"),
     (["disjointness", "--trials", "-3"], None, "trials must be at least 1, not -3"),
     (["sweep", "--config", "{file}", "--scheme", ""], "{}", "unknown scheme ''"),
+    (["disjointness", "--universe", "4", "--trials", "5", "--count-triples", "3"], None,
+     "m must be even and positive"),
+    (["capacity", "--channel", "bsc:0.1", "--points", "-2"], None,
+     "points must be at least 1, not -2"),
+    (["capacity", "--channel", "bsc:0.1", "--points", "0"], None,
+     "points must be at least 1, not 0"),
 ], ids=["advance-empty", "advance-integer", "advance-object", "advance-odd-flat",
         "advance-out-of-range", "functions-integer", "functions-empty", "functions-short-row",
         "functions-non-bit", "coincidence-zero-trials", "coincidence-negative-p",
-        "disjointness-zero-trials", "disjointness-negative-trials", "sweep-empty-scheme"])
+        "disjointness-zero-trials", "disjointness-negative-trials", "sweep-empty-scheme",
+        "disjointness-odd-triples", "capacity-negative-points", "capacity-zero-points"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "input.json"
     if doc is not None:

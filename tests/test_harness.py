@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from icsim import harness
 from icsim.harness import (
     CSV_COLUMNS,
     SCHEMA_VERSION,
@@ -204,6 +206,54 @@ def test_markovian_source_takes_a_list_of_tables(tmp_path):
 def test_config_parses_protocol_tables_before_any_trial(protocol, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(protocol=protocol)
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Replace ``harness.<name>`` with a wrapper that records each call."""
+    calls = []
+    inner = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_sweep_parses_its_protocol_source_once(tmp_path, monkeypatch):
+    from icsim.protocol import make_markovian, save_protocol
+    path = tmp_path / "proto.json"
+    save_protocol(make_markovian(1, [(0, 1), (1, 0)] * 8), path)
+    loads = _counting(monkeypatch, "load_protocol")
+    run_sweep(ExperimentConfig(channel="bsc:0", code="rep:1", trials=3, n_list=(16,),
+                               protocol={"type": "file", "path": str(path)}))
+    assert len(loads) == 1
+    resolves = _counting(monkeypatch, "resolve_functions")
+    run_sweep(ExperimentConfig(scheme="m-state", channel="bsc:0", code="rep:1", trials=3,
+                               n_list=(16,), protocol={"type": "markovian", "log_M": 1,
+                                                       "functions": "all"}))
+    assert len(resolves) == 1
+
+
+def test_draw_calls_the_draw_functions_by_name(monkeypatch):
+    # a wrapper put in place after the config is built still sees every draw
+    two_state = ExperimentConfig(channel="bsc:0", code="rep:1", trials=3, n_list=(16,))
+    markovian = replace(two_state, scheme="m-state",
+                        protocol={"type": "markovian", "log_M": 1, "functions": "all"})
+    draws = _counting(monkeypatch, "random_two_state_protocol")
+    run_sweep(two_state)
+    assert len(draws) == 3
+    draws = _counting(monkeypatch, "random_protocol")
+    run_sweep(markovian)
+    assert len(draws) == 3
+
+
+def test_config_keys_are_its_init_fields(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"draw": None}))
+    with pytest.raises(ValueError, match=r"unknown config keys \['draw'\]"):
+        ExperimentConfig.from_json(path)
 
 
 def test_resolve_out_respects_env(tmp_path, monkeypatch):
