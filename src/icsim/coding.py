@@ -1,30 +1,32 @@
 """Block codes used to carry vertical-block and side-channel payloads.
 
-Three code families:
+``convey`` moves one payload with the code a ``CodeSpec`` names:
 
-* ``RepetitionCode``   : each message bit repeated r times, per-bit ML decode.
-* ``RandomLinearCode`` : seeded random full-rank generator matrix over GF(2),
-                         exact ML decoding by exhaustive search (k <= 16).
-* ``OracleCode``       : statistical stand-in for an optimal code. Nothing is
-                         physically transmitted; ``oracle_transmit`` corrupts
-                         the message to a uniformly random wrong one with the
-                         random-coding probability p* = exp(-(k/R) Er(R) ln 2)
-                         and charges ceil(k/R) channel uses.
+* ``rep:r``    : each bit repeated r times, per-bit ML decode.
+* ``rlc:x``    : a seeded random full-rank linear code over GF(2) at rate
+                 1/x per chunk of ``RLC_CHUNK`` bits, exact ML decoding by
+                 exhaustive search. ``RandomLinearCode`` gives one chunk
+                 code's generator matrix.
+* ``oracle:R`` : ``OracleCode``, a statistical stand-in for an optimal code.
+                 Nothing is physically transmitted; ``oracle_transmit``
+                 corrupts the message to a uniformly random wrong one with
+                 the random-coding probability p* = exp(-(k/R) Er(R) ln 2)
+                 and charges ceil(k/R) channel uses.
 
-Decoding is maximum likelihood under the channel law. ``convey`` with
-``rep:r`` makes one ``ChannelModel.transmit`` call for the r-fold repeated
-payload and, like ``RepetitionCode.decode``, sums each bit's log-likelihoods
-by strided adds ``ll[0::r] + ll[1::r] + ...`` in repeat order; a bit is 1
-only if its 1-sum beats its 0-sum by more than 1e-9, so ties go to 0. A
-random linear code picks the first maximum of its floating-point
-codeword scores ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]`` (``cb`` the codebook,
-rows in message order, ``L`` the bit log-likelihoods). On exact ties the
-summation rounding decides, so the winner need not be the smallest message.
+Decoding is maximum likelihood under the channel law. ``rep:r`` makes one
+``ChannelModel.transmit`` call for the r-fold repeated payload and sums each
+bit's log-likelihoods by strided adds ``ll[0::r] + ll[1::r] + ...`` in
+repeat order; a bit is 1 only if its 1-sum beats its 0-sum by more than
+1e-9, so ties go to 0. A random linear code picks the first maximum of its
+floating-point codeword scores ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]`` (``cb``
+the codebook, rows in message order, ``L`` the bit log-likelihoods). On
+exact ties the summation rounding decides, so the winner need not be the
+smallest message.
 
-``convey`` with ``rlc`` splits the payload into chunks with one seeded code
-each, builds all chunk codebooks in one array, sends the concatenated
-codewords through one ``ChannelModel.transmit`` call and scores up to 64
-chunks in one batched product. numpy's Generator yields the same values from one
+``rlc`` gives each chunk its own seeded code, builds all chunk codebooks in
+one array, sends the concatenated codewords through one
+``ChannelModel.transmit`` call and scores up to 64 chunks in one batched
+product. numpy's Generator yields the same values from one
 draw of size a+b as from a draw of a then b, so this consumes the random
 stream exactly as one transmit per chunk would.
 """
@@ -41,12 +43,7 @@ import numpy as np
 from .channel import LN2, ChannelModel
 
 _MAX_EXHAUSTIVE_K = 16
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    message: tuple[int, ...]
-    ml_score: float
+RLC_CHUNK = 8  # message bits per rlc chunk code; exhaustive ML decoding stays tractable
 
 
 def _as_bits(message: Sequence[int], k: int | None = None) -> np.ndarray:
@@ -57,35 +54,6 @@ def _as_bits(message: Sequence[int], k: int | None = None) -> np.ndarray:
     if k is not None and bits.size != k:
         raise ValueError(f"expected {k} message bits")
     return bits
-
-
-@dataclass(frozen=True)
-class RepetitionCode:
-    """k message bits, each sent ``repeats`` times."""
-
-    k: int
-    repeats: int
-
-    kind = "repetition"
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.repeats < 1:
-            raise ValueError("k and repeats must be positive")
-
-    @property
-    def codeword_length(self) -> int:
-        return self.k * self.repeats
-
-    def encode(self, message: Sequence[int]) -> np.ndarray:
-        return np.repeat(_as_bits(message, self.k), self.repeats)
-
-    def decode(self, outputs, channel: ChannelModel) -> DecodeResult:
-        ll = channel.bit_log_likelihoods(outputs)
-        if ll.shape[0] != self.codeword_length:
-            raise ValueError("output length does not match codeword length")
-        per_bit, picks = _repetition_decide(ll, self.repeats)
-        score = float(per_bit[np.arange(self.k), picks].sum())
-        return DecodeResult(tuple(picks.tolist()), score)
 
 
 def _repetition_decide(ll: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -177,13 +145,12 @@ def _index_bits(index: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RandomLinearCode:
-    """Random full-rank linear code over GF(2) with exhaustive ML decoding."""
+    """Random full-rank linear code over GF(2): the (k, codeword_length)
+    generator that ``convey`` draws for an rlc chunk code of that seed."""
 
     k: int
     codeword_length: int
     seed: int = 0
-
-    kind = "linear"
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= _MAX_EXHAUSTIVE_K:
@@ -194,21 +161,6 @@ class RandomLinearCode:
     @cached_property
     def generator(self) -> np.ndarray:
         return _generators(self.k, self.codeword_length, [self.seed])[0].astype(np.int64)
-
-    @cached_property
-    def _codebook(self) -> np.ndarray:
-        return _codebooks(_generators(self.k, self.codeword_length, [self.seed]))[0]
-
-    def encode(self, message: Sequence[int]) -> np.ndarray:
-        return self._codebook[_message_index(_as_bits(message, self.k))].astype(np.int64)
-
-    def decode(self, outputs, channel: ChannelModel) -> DecodeResult:
-        ll = channel.bit_log_likelihoods(outputs)
-        if ll.shape[0] != self.codeword_length:
-            raise ValueError("output length does not match codeword length")
-        scores = _ml_scores(self._codebook, ll)
-        best = int(np.argmax(scores))  # first maximum of the float scores
-        return DecodeResult(tuple(_index_bits(best, self.k).tolist()), float(scores[best]))
 
 
 @dataclass(frozen=True)
@@ -222,8 +174,6 @@ class OracleCode:
     k: int
     rate: float
     channel: ChannelModel
-
-    kind = "oracle"
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -239,12 +189,6 @@ class OracleCode:
     def corruption_probability(self) -> float:
         er = self.channel.error_exponent(self.rate)
         return math.exp(-(self.k / self.rate) * er * LN2)
-
-    def encode(self, message: Sequence[int]) -> np.ndarray:
-        return _as_bits(message, self.k)
-
-    def decode(self, outputs, channel: ChannelModel) -> DecodeResult:
-        return DecodeResult(tuple(_as_bits(outputs).tolist()), 0.0)
 
     def oracle_transmit(self, message: Sequence[int],
                         rng: np.random.Generator) -> tuple[tuple[int, ...], bool]:
@@ -267,15 +211,13 @@ class CodeSpec:
     """Parsed form of a --code flag.
 
     * ``oracle:<rate>``   : OracleCode at that rate
-    * ``rep:<r>``         : RepetitionCode with r repeats (rate 1/r)
-    * ``rlc:<x>``         : RandomLinearCode at rate 1/x, applied to chunks
-                            of at most ``chunk`` message bits so exhaustive
-                            ML decoding stays tractable
+    * ``rep:<r>``         : r repeats of each bit (rate 1/r)
+    * ``rlc:<x>``         : random linear codes at rate 1/x, one per chunk
+                            of at most ``RLC_CHUNK`` message bits
     """
 
     kind: str
     value: float
-    chunk: int = 8
 
     def __post_init__(self) -> None:
         if self.kind not in ("oracle", "rep", "rlc"):
@@ -350,12 +292,12 @@ _SCORE_SLAB = 64  # chunks scored per product; bounds the float codebook copies
 
 def _convey_rlc(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,
                 rng: np.random.Generator, matrix_seed: int) -> tuple[np.ndarray, int]:
-    """One independent code per chunk of ``spec.chunk`` bits (the last chunk
+    """One independent code per chunk of ``RLC_CHUNK`` bits (the last chunk
     may be shorter), all sent through one transmit call; returns the decoded
     bits as uint8 and the channel uses."""
-    full = payload.size - payload.size % spec.chunk
+    full = payload.size - payload.size % RLC_CHUNK
     codes = []  # (chunk size, codebooks, codewords) of the full chunks, then the short one
-    for start, msgs in ((0, payload[:full].reshape(-1, spec.chunk)), (full, payload[None, full:])):
+    for start, msgs in ((0, payload[:full].reshape(-1, RLC_CHUNK)), (full, payload[None, full:])):
         if msgs.size:
             count, size = msgs.shape
             first = matrix_seed * 1000003 + start

@@ -15,16 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+import numpy as np
+
 from .protocol import FiniteStateProtocol, run_protocol
 
 EXAMPLE2_ADVANCE: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (2, 2))
 
 
 def _as_bit_vector(bits, name: str) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
+    out = tuple(bits)
+    if not set(out) <= {0, 1}:  # 0.7 is rejected, not truncated to 0
         raise ValueError(f"{name} must be a bit vector")
-    return out
+    return tuple(map(int, out))
 
 
 @dataclass(frozen=True)
@@ -75,43 +77,42 @@ class ThreeStateInstance:
     def rounds(self) -> int:
         return len(self.alpha)
 
+    def protocol(self, initial_state: int = 0) -> FiniteStateProtocol:
+        """Three-state protocol over the fixed advance table: Alice's table
+        at odd i is (a_i, a_i, b_i), Bob's at even i is (0, a_i, b_i)."""
+        tables = np.array((self.alpha, self.alpha, self.beta), dtype=np.uint8).T
+        tables[1::2, 0] = 0
+        return FiniteStateProtocol(n=self.rounds, M=3, advance=EXAMPLE2_ADVANCE,
+                                   transmissions=tables, initial_state=initial_state)
+
 
 def build_example2(alpha, beta, initial_state: int = 0) -> FiniteStateProtocol:
-    """Three-state protocol over the fixed advance table: Alice's table at
-    odd i is (a_i, a_i, b_i), Bob's at even i is (0, a_i, b_i)."""
-    inst = ThreeStateInstance(_as_bit_vector(alpha, "alpha"), _as_bit_vector(beta, "beta"))
-    tables = []
-    for i in range(1, inst.rounds + 1):
-        a, b = inst.alpha[i - 1], inst.beta[i - 1]
-        tables.append((a, a, b) if i % 2 else (0, a, b))
-    return FiniteStateProtocol(n=inst.rounds, M=3, advance=EXAMPLE2_ADVANCE,
-                               transmissions=tuple(tables), initial_state=initial_state)
+    """The hardness protocol of the bit vectors ``alpha`` and ``beta``."""
+    return ThreeStateInstance(alpha, beta).protocol(initial_state)
 
 
 def reduce_disjointness(inst: DisjInstance) -> ThreeStateInstance:
     """alpha interleaves the membership indicators (Alice's set on odd
     positions, Bob's on even); beta is irrelevant and set to zero."""
-    alpha = []
-    for k in range(1, inst.universe + 1):
-        alpha.append(1 if k in inst.x else 0)
-        alpha.append(1 if k in inst.y else 0)
+    alpha = [0] * inst.rounds
+    for k in inst.x:
+        alpha[2 * k - 2] = 1
+    for k in inst.y:
+        alpha[2 * k - 1] = 1
     return ThreeStateInstance(tuple(alpha), (0,) * inst.rounds)
 
 
 def disj_via_protocol(inst: DisjInstance) -> int:
     """Disjointness decided by the final state: the walk hits the absorbing
     state exactly when some element is in both sets."""
-    three = reduce_disjointness(inst)
-    trace = run_protocol(build_example2(three.alpha, three.beta))
+    trace = run_protocol(reduce_disjointness(inst).protocol())
     return 1 if trace.states[-1] in (0, 1) else 0
 
 
 def transcript_triple(alpha, beta) -> tuple[tuple[int, ...], ...]:
     """Transcripts of the instance from each of the three initial states."""
-    return tuple(
-        run_protocol(build_example2(alpha, beta, initial_state=s0)).bits
-        for s0 in range(3)
-    )
+    p = build_example2(alpha, beta)
+    return tuple(run_protocol(p, s0).bits for s0 in range(3))
 
 
 def count_transcript_triples(m: int) -> int:

@@ -1,6 +1,6 @@
-"""Two-state scheme machinery: composite functions, the last-constant-index
-parity lookahead, the advance-function taxonomy, and the exhaustive
-dual-trajectory alternative.
+"""Two-state scheme machinery: the last-constant-index parity lookahead,
+the advance-function taxonomy, and the exhaustive dual-trajectory
+alternative.
 
 For M = 2 the one-step state map ν_i(s) = η(s, ψ_i(s)) is one of four
 functions: Const(0), Const(1), Flip(0) = identity, Flip(1) = negation. A
@@ -14,9 +14,9 @@ value of its last own-parity constant, then, the overall last-constant
 location being settled, each party reports the flip parity of its rounds
 after that location.
 
-``CompositeFunction`` and ``block_messages`` state this algebra one block
-at a time. The schemes compute the same reports for the whole grid at once
-from the protocol's table array: ``nu[:, s] = advance[s, tables[:, s]]``.
+The schemes compute every block's reports at once from the protocol's
+table array: ``nu[:, s] = advance[s, tables[:, s]]``, and a round is
+constant where its two entries agree.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -45,118 +45,6 @@ from .vertical import (
 )
 
 ALL_TABLES2: tuple[Table, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-@dataclass(frozen=True)
-class CompositeFunction:
-    """One-step state self-map on {0,1}: Const(value) or Flip(value)."""
-
-    constant: bool
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value not in (0, 1):
-            raise ValueError("value must be a bit")
-
-    @classmethod
-    def const(cls, b: int) -> "CompositeFunction":
-        return cls(True, b)
-
-    @classmethod
-    def flip(cls, c: int) -> "CompositeFunction":
-        return cls(False, c)
-
-    def apply(self, s: int) -> int:
-        return self.value if self.constant else s ^ self.value
-
-
-def composite_from(advance: Sequence[Sequence[int]], table: Table) -> CompositeFunction:
-    nu0 = advance[0][table[0]]
-    nu1 = advance[1][table[1]]
-    if nu0 not in (0, 1) or nu1 not in (0, 1):
-        raise ValueError("composite functions require a two-state advance table")
-    if nu0 == nu1:
-        return CompositeFunction.const(nu0)
-    return CompositeFunction.flip(nu0)
-
-
-def composite_of(p: FiniteStateProtocol, i: int) -> CompositeFunction:
-    if p.M != 2:
-        raise ValueError("composite functions are defined for two-state protocols")
-    return composite_from(p.advance, p.table(i))
-
-
-def iterate_composites(nus: Iterable[CompositeFunction], s0: int) -> int:
-    s = s0
-    for nu in nus:
-        s = nu.apply(s)
-    return s
-
-
-# ---------------------------------------------------------------------------
-# blockwise lookahead algebra
-
-@dataclass(frozen=True)
-class BlockLookaheadMessage:
-    """One party's report about one block.
-
-    ``last_const_index`` is the block-local (1-based) position of the party's
-    last constant composite, 0 when it has none. ``parity_bit`` is the xor of
-    the party's flip constants after the block's overall last-constant
-    position, so it is only well defined once both indices are known.
-    """
-
-    party: Party
-    last_const_index: int
-    const_value: int
-    parity_bit: int
-
-    def __post_init__(self) -> None:
-        if self.last_const_index < 0:
-            raise ValueError("index must be nonnegative")
-        if self.last_const_index and self.last_const_index % 2 != self.party.parity:
-            raise ValueError(f"index {self.last_const_index} is not a {self.party.name} round")
-        if self.const_value not in (0, 1) or self.parity_bit not in (0, 1):
-            raise ValueError("const_value and parity_bit must be bits")
-
-
-def block_lookahead(msg_alice: BlockLookaheadMessage, msg_bob: BlockLookaheadMessage,
-                    s_block_start_proxy: int) -> int:
-    """Final state of the block from the two reports and the entry state."""
-    i_const = max(msg_alice.last_const_index, msg_bob.last_const_index)
-    if i_const == 0:
-        b = s_block_start_proxy
-    elif i_const == msg_alice.last_const_index:
-        b = msg_alice.const_value
-    else:
-        b = msg_bob.const_value
-    return b ^ msg_alice.parity_bit ^ msg_bob.parity_bit
-
-
-def block_messages(nus: Sequence[CompositeFunction],
-                   ) -> tuple[BlockLookaheadMessage, BlockLookaheadMessage]:
-    """Noiseless reference messages for one block's composite sequence.
-
-    Block-local index i (1-based) belongs to Alice when odd. Parity bits are
-    anchored at the true overall last-constant index, as they would be after
-    an error-free exchange.
-    """
-    last = {Party.ALICE: 0, Party.BOB: 0}
-    value = {Party.ALICE: 0, Party.BOB: 0}
-    for i, nu in enumerate(nus, start=1):
-        if nu.constant:
-            owner = Party.ALICE if i % 2 else Party.BOB
-            last[owner] = i
-            value[owner] = nu.value
-    i_const = max(last.values())
-    parity = {Party.ALICE: 0, Party.BOB: 0}
-    for i in range(i_const + 1, len(nus) + 1):
-        owner = Party.ALICE if i % 2 else Party.BOB
-        parity[owner] ^= nus[i - 1].value
-    return (
-        BlockLookaheadMessage(Party.ALICE, last[Party.ALICE], value[Party.ALICE], parity[Party.ALICE]),
-        BlockLookaheadMessage(Party.BOB, last[Party.BOB], value[Party.BOB], parity[Party.BOB]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +189,7 @@ def classify_advance(eta: Sequence[Sequence[int]]) -> AdvanceClass:
     const1 = eta[1][0] == eta[1][1]
     if const0 and const1:
         return AdvanceClass("non-interactive", ())
-    making = tuple(sorted(t for t in ALL_TABLES2 if composite_from(eta, t).constant))
+    making = tuple(sorted(t for t in ALL_TABLES2 if eta[0][t[0]] == eta[1][t[1]]))
     if not const0 and not const1:
         category = "type-i"
     else:

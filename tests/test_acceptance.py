@@ -27,7 +27,7 @@ from icsim.multistate import (
     coincidence_failure_trials,
     is_coinciding,
 )
-from icsim.protocol import Party
+from icsim.protocol import FiniteStateProtocol, Party
 from icsim.threestate import (
     EXAMPLE2_ADVANCE,
     DisjInstance,
@@ -35,11 +35,7 @@ from icsim.threestate import (
     disj_via_protocol,
 )
 from icsim.twostate import (
-    block_lookahead,
-    block_messages,
-    composite_from,
     interactive_two_state_advances,
-    iterate_composites,
     random_two_state_protocol,
     run_exhaustive_block,
     simulate_two_state,
@@ -78,16 +74,35 @@ def test_criterion_2_lookahead_algebra():
     reps = [eta for cat in sorted(by_type) for eta in sorted(by_type[cat])[:2]]
     assert len(reps) == 6
 
+    # every length-4 sequence from both entry states, as rows of noiseless
+    # 4x4 grids. The block starts a grid reports give the finals of rows
+    # 0-2, so each of those rows takes a case not yet checked from the state
+    # it is entered in, while one remains; row 3 is filler.
+    blocks = list(product(ts.ALL_TABLES2, repeat=4))
+    side, rng = CodeSpec.parse("rep:1"), np.random.default_rng(0)
     checked = 0
     for eta in reps:
-        for tables in product(ts.ALL_TABLES2, repeat=4):
-            nus = [composite_from(eta, t) for t in tables]
-            msg_a, msg_b = block_messages(nus)
-            for proxy in (0, 1):
-                got = block_lookahead(msg_a, msg_b, proxy)
-                assert got == iterate_composites(nus, proxy)
-                checked += 1
-    print(f"criterion 2: PASS ({checked} block_lookahead cases, 6 advance reps)")
+        def final(i, s):
+            for t in blocks[i]:
+                s = eta[s][t[s]]
+            return s
+
+        todo = {(i, s) for i in range(len(blocks)) for s in (0, 1)}
+        while todo:
+            rows, starts = [], [min(todo)[1]]
+            for _ in range(3):
+                s = starts[-1]
+                i = min((j for j, e in todo if e == s), default=0)
+                checked += (i, s) in todo
+                todo.discard((i, s))
+                rows.append(i)
+                starts.append(final(i, s))
+            p = FiniteStateProtocol(n=16, M=2, advance=eta, initial_state=starts[0],
+                                    transmissions=[t for i in rows + [0] for t in blocks[i]])
+            la = ts.run_lookahead_exchange(p, NOISELESS, side, rng)
+            assert la.alice_states == la.bob_states == tuple(starts)
+    assert checked == 3072
+    print(f"criterion 2: PASS ({checked} lookahead cases, 6 advance reps)")
 
 
 def test_criterion_3_exhaustive_two_state_blocks():

@@ -1,4 +1,5 @@
-"""Block codes: repetition, seeded random linear, the statistical oracle."""
+"""Block codes through ``convey``: repetition, seeded random linear, the
+statistical oracle."""
 
 import itertools
 import math
@@ -7,59 +8,83 @@ import numpy as np
 import pytest
 
 from icsim.channel import ERASURE, ChannelModel
-from icsim.coding import (
-    CodeSpec,
-    OracleCode,
-    RandomLinearCode,
-    RepetitionCode,
-    convey,
-)
+from icsim.coding import RLC_CHUNK, CodeSpec, OracleCode, RandomLinearCode, convey
 
 NOISELESS = ChannelModel.bsc(0.0)
 LN2 = math.log(2)
+SEED_STRIDE = 1000003  # an rlc chunk code's seed is matrix_seed * SEED_STRIDE + chunk offset
 
 
-def test_repetition_encode():
-    code = RepetitionCode(k=2, repeats=3)
-    assert list(code.encode([1, 0])) == [1, 1, 1, 0, 0, 0]
-    assert code.codeword_length == 6
+def _transmits(monkeypatch):
+    """Every (sent, received) pair of ``ChannelModel.transmit`` from now on."""
+    pairs = []
+    transmit = ChannelModel.transmit
+    monkeypatch.setattr(ChannelModel, "transmit", lambda self, bits, rng:
+                        pairs.append((np.array(bits), transmit(self, bits, rng))) or pairs[-1][1])
+    return pairs
 
 
-def test_repetition_majority_decode():
-    code = RepetitionCode(k=1, repeats=3)
+def _reference_codebook(code):
+    """Messages in big-endian order and their codewords, from a plain int64
+    matrix product."""
+    messages = np.array(list(itertools.product((0, 1), repeat=code.k)), dtype=np.int64)
+    return messages, (messages @ code.generator) % 2
+
+
+def _first_argmax(messages, cb, ll):
+    """The message of the first maximum of the float codeword scores."""
+    return tuple(messages[int(np.argmax(cb @ ll[:, 1] + (1 - cb) @ ll[:, 0]))].tolist())
+
+
+def test_repetition_encode(monkeypatch):
+    sent = _transmits(monkeypatch)
+    result = convey(CodeSpec.parse("rep:3"), [1, 0], NOISELESS, np.random.default_rng(0))
+    assert [x.tolist() for x, _ in sent] == [[1, 1, 1, 0, 0, 0]]
+    assert result.channel_uses == 6
+
+
+def _rep_decode(monkeypatch, outputs, ch):
+    """``convey``'s rep:r decision for one bit whose r repeats arrive as
+    ``outputs``."""
+    monkeypatch.setattr(ChannelModel, "transmit", lambda self, bits, rng: np.array(outputs))
+    spec = CodeSpec.parse(f"rep:{len(outputs)}")
+    return convey(spec, [0], ch, np.random.default_rng(0)).decoded
+
+
+def test_repetition_majority_decode(monkeypatch):
     ch = ChannelModel.bsc(0.2)
-    assert code.decode([1, 1, 0], ch).message == (1,)
-    assert code.decode([0, 1, 0], ch).message == (0,)
+    assert _rep_decode(monkeypatch, [1, 1, 0], ch) == (1,)
+    assert _rep_decode(monkeypatch, [0, 1, 0], ch) == (0,)
 
 
 @pytest.mark.parametrize("repeats", [1, 2, 3, 4, 5])
-def test_repetition_ml_equals_majority(repeats):
+def test_repetition_ml_equals_majority(repeats, monkeypatch):
     # ties (even splits) go to 0, the lexicographically smaller message
-    code = RepetitionCode(k=1, repeats=repeats)
     ch = ChannelModel.bsc(0.2)
     for pattern in itertools.product((0, 1), repeat=repeats):
         ones = sum(pattern)
         want = 1 if ones * 2 > repeats else 0
-        assert code.decode(list(pattern), ch).message == (want,)
+        assert _rep_decode(monkeypatch, list(pattern), ch) == (want,)
 
 
-def test_linear_zero_message_zero_codeword():
-    code = RandomLinearCode(k=4, codeword_length=8, seed=7)
-    assert not any(code.encode([0, 0, 0, 0]))
+def test_linear_zero_message_zero_codeword(monkeypatch):
+    sent = _transmits(monkeypatch)
+    convey(CodeSpec.parse("rlc:2"), [0, 0, 0, 0], NOISELESS, np.random.default_rng(0),
+           matrix_seed=7)
+    assert sent[0][0].size == 8 and not sent[0][0].any()
 
 
 def test_linear_round_trip_all_messages():
-    code = RandomLinearCode(k=4, codeword_length=8, seed=7)
+    rng = np.random.default_rng(0)
     for msg in itertools.product((0, 1), repeat=4):
-        sent = code.encode(msg)
-        assert code.decode(sent, NOISELESS).message == msg
+        got = convey(CodeSpec.parse("rlc:2"), msg, NOISELESS, rng, matrix_seed=7)
+        assert got.decoded == msg
 
 
 def test_linear_generator_full_rank_across_seeds():
     for seed in range(25):
-        code = RandomLinearCode(k=6, codeword_length=10, seed=seed)
-        seen = {tuple(code.encode(m)) for m in itertools.product((0, 1), repeat=6)}
-        assert len(seen) == 64
+        _, cb = _reference_codebook(RandomLinearCode(k=6, codeword_length=10, seed=seed))
+        assert len({tuple(word) for word in cb}) == 64
 
 
 def test_linear_rejects_large_k():
@@ -69,21 +94,17 @@ def test_linear_rejects_large_k():
 
 def test_linear_bhattacharyya_union_bound():
     eps = 0.05
-    code = RandomLinearCode(k=4, codeword_length=12, seed=3)
-    ch = ChannelModel.bsc(eps)
-    # weight enumerator of the actual codebook; linearity makes the
-    # all-zeros transmission representative
-    weights = [sum(code.encode(m)) for m in itertools.product((0, 1), repeat=4)]
+    spec, ch = CodeSpec.parse("rlc:3"), ChannelModel.bsc(eps)
+    # weight enumerator of the 4-bit chunk code convey uses at matrix seed 0;
+    # linearity makes the all-zeros transmission representative
+    _, cb = _reference_codebook(RandomLinearCode(k=4, codeword_length=12, seed=0))
     gamma = 2 * math.sqrt(eps * (1 - eps))
-    union = sum(gamma ** w for w in weights if w > 0)
+    union = sum(gamma ** w for w in cb.sum(axis=1) if w > 0)
     rng = np.random.default_rng(0)
     trials = 10_000
     errors = 0
-    zeros = [0, 0, 0, 0]
-    sent = code.encode(zeros)
     for _ in range(trials):
-        out = ch.transmit(sent, rng)
-        errors += code.decode(out, ch).message != (0, 0, 0, 0)
+        errors += not convey(spec, [0, 0, 0, 0], ch, rng, matrix_seed=0).intact
     assert errors / trials <= union + 3 * math.sqrt(union * (1 - min(union, 1)) / trials) + 1e-9
 
 
@@ -135,18 +156,17 @@ def test_oracle_above_capacity_always_corrupts():
 
 def test_noiseless_round_trip_all_kinds():
     rng = np.random.default_rng(2)
-    msg = tuple(rng.integers(0, 2, 8))
-    rep = RepetitionCode(k=8, repeats=3)
-    lin = RandomLinearCode(k=8, codeword_length=16, seed=5)
-    assert rep.decode(rep.encode(msg), NOISELESS).message == msg
-    assert lin.decode(lin.encode(msg), NOISELESS).message == msg
+    msg = tuple(rng.integers(0, 2, 8).tolist())
+    for spec in ("rep:3", "rlc:2"):
+        assert convey(CodeSpec.parse(spec), msg, NOISELESS, rng, matrix_seed=5).decoded == msg
     oracle = OracleCode(k=8, rate=0.5, channel=NOISELESS)
     got, flag = oracle.oracle_transmit(msg, rng)
     assert got == msg and not flag
 
 
 def test_channel_use_accounting():
-    assert RepetitionCode(k=8, repeats=3).codeword_length == 24
+    rep = convey(CodeSpec.parse("rep:3"), [1] * 8, NOISELESS, np.random.default_rng(0))
+    assert rep.channel_uses == 24
     ch = ChannelModel.bsc(0.1)
     for k, rate in [(64, 0.3), (10, 0.23), (1, 0.5)]:
         assert OracleCode(k=k, rate=rate, channel=ch).codeword_length == math.ceil(k / rate)
@@ -204,41 +224,34 @@ def test_convey_deterministic_given_rng_state():
     assert a == b
 
 
-def _reference_codebook(code):
-    """Messages in big-endian order and their codewords, from a plain int64
-    matrix product."""
-    messages = np.array(list(itertools.product((0, 1), repeat=code.k)), dtype=np.int64)
-    return messages, (messages @ code.generator) % 2
-
-
 @pytest.mark.parametrize("spec", ["bsc:0.02", "bsc:0.3", "bec:0.2", "awgn:0.8"])
-def test_linear_decode_is_first_argmax_of_float_score(spec):
+def test_linear_decode_is_first_argmax_of_float_score(spec, monkeypatch):
     # on BSC many codewords tie in exact arithmetic; the float score decides
-    ch = ChannelModel.parse(spec)
+    ch, rlc = ChannelModel.parse(spec), CodeSpec.parse("rlc:2")
+    sent = _transmits(monkeypatch)
     rng = np.random.default_rng(5)
     for seed in range(30):
-        code = RandomLinearCode(k=6, codeword_length=12, seed=seed)
+        code = RandomLinearCode(k=6, codeword_length=12, seed=seed * SEED_STRIDE)
         messages, cb = _reference_codebook(code)
         for msg, word in zip(messages, cb):
-            assert np.array_equal(code.encode(msg), word)
+            convey(rlc, msg, NOISELESS, rng, matrix_seed=seed)
+            assert np.array_equal(sent[-1][0], word)
         for _ in range(5):
-            out = ch.transmit(cb[rng.integers(64)], rng)
-            ll = ch.bit_log_likelihoods(out)
-            ref = cb @ ll[:, 1] + (1 - cb) @ ll[:, 0]
-            best = int(np.argmax(ref))
-            got = code.decode(out, ch)
-            assert got.message == tuple(messages[best].tolist())
-            assert got.ml_score == ref[best]
+            got = convey(rlc, messages[rng.integers(64)], ch, rng, matrix_seed=seed)
+            ll = ch.bit_log_likelihoods(sent[-1][1])
+            assert got.decoded == _first_argmax(messages, cb, ll)
 
 
 def _convey_per_chunk(spec, payload, ch, rng, matrix_seed):
-    """One code, one transmit and one decode per chunk."""
+    """One code, one transmit and one first-argmax decode per chunk."""
     decoded, uses = [], 0
-    for idx in range(0, len(payload), spec.chunk):
-        part = payload[idx: idx + spec.chunk]
+    for idx in range(0, len(payload), RLC_CHUNK):
+        part = payload[idx: idx + RLC_CHUNK]
         code = RandomLinearCode(len(part), math.ceil(len(part) * spec.value),
-                                seed=matrix_seed * 1000003 + idx)
-        decoded.extend(code.decode(ch.transmit(code.encode(part), rng), ch).message)
+                                seed=matrix_seed * SEED_STRIDE + idx)
+        messages, cb = _reference_codebook(code)
+        out = ch.transmit(np.array(part) @ code.generator % 2, rng)
+        decoded.extend(_first_argmax(messages, cb, ch.bit_log_likelihoods(out)))
         uses += code.codeword_length
     return tuple(decoded), uses, tuple(decoded) == tuple(payload)
 
@@ -258,13 +271,10 @@ def test_convey_rlc_matches_per_chunk_transfers(code, channel):
 
 
 def test_convey_rlc_makes_one_transmit_call(monkeypatch):
-    calls = []
-    transmit = ChannelModel.transmit
-    monkeypatch.setattr(ChannelModel, "transmit",
-                        lambda self, bits, rng: calls.append(len(bits)) or transmit(self, bits, rng))
+    sent = _transmits(monkeypatch)
     result = convey(CodeSpec.parse("rlc:3"), [1, 0] * 20, ChannelModel.bsc(0.1),
                     np.random.default_rng(0), matrix_seed=2)
-    assert calls == [result.channel_uses] == [5 * 24]
+    assert [x.size for x, _ in sent] == [result.channel_uses] == [5 * 24]
 
 
 @pytest.mark.parametrize("draw", ["random", "standard_normal"])

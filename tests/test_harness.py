@@ -292,3 +292,13 @@ def test_compare_bounds_three_sigma_slack():
     assert audit.passed
     (audit2,) = compare_bounds([("far", 25, 1000, 0.01)])
     assert not audit2.passed
+
+
+def test_star_import_resolves_every_export():
+    # a name deleted from the package but left in __all__ fails here
+    import icsim
+
+    namespace = {}
+    exec("from icsim import *", namespace)
+    assert sorted(set(icsim.__all__) - set(namespace)) == []
+    assert len(icsim.__all__) == len(set(icsim.__all__))

@@ -71,6 +71,11 @@ def test_instance_validation():
         ThreeStateInstance((0, 2), (0, 0))
     with pytest.raises(ValueError):
         ThreeStateInstance((0, 1), (0, 1, 0, 1))
+    with pytest.raises(ValueError, match="alpha must be a bit vector"):
+        build_example2([0.7, 1.0], [0, 0])  # not truncated to alpha (0, 1)
+    with pytest.raises(ValueError, match="beta must be a bit vector"):
+        transcript_triple((0, 1), (0, -0.5))
+    assert build_example2([1.0, True], [0, 0]) == build_example2((1, 1), (0, 0))
     with pytest.raises(ValueError):
         DisjInstance(0)
     with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""Two-state machinery: composite algebra, the parity fold, taxonomy,
-the exhaustive alternative."""
+"""Two-state machinery: the composites and parity fold of the lookahead
+exchange, taxonomy, the exhaustive alternative."""
 
 import itertools
 import math
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import icsim.twostate as ts
 from icsim.channel import ChannelModel
 from icsim.coding import CodeSpec
 from icsim.coding import convey
@@ -22,104 +23,129 @@ from icsim.protocol import (
 )
 from icsim.twostate import (
     ALL_TABLES2,
-    BlockLookaheadMessage,
-    CompositeFunction,
     all_two_state_advances,
-    block_lookahead,
-    block_messages,
     classify_advance,
-    composite_from,
-    composite_of,
     exhaustive_lookahead,
     exhaustive_two_state,
     interactive_two_state_advances,
-    iterate_composites,
     random_two_state_protocol,
     run_exhaustive_block,
     run_lookahead_exchange,
     simulate_two_state,
 )
-from icsim.vertical import LookaheadResult, accounting, genie_lookahead, make_schedule
+from icsim.vertical import LookaheadResult, accounting, exchange, genie_lookahead, make_schedule
 
 NOISELESS = ChannelModel.bsc(0.0)
 FOLLOW = ((0, 1), (0, 1))          # eta(s, tau) = tau
 AND = ((0, 0), (0, 1))             # eta(s, tau) = s and tau
 NAND = ((1, 1), (1, 0))            # eta(s, tau) = 1 xor (s and tau)
+PARTIES = (Party.ALICE, Party.BOB)
+
+
+def _composites(p):
+    """(constant, value) of every round of ``p``, as the lookahead reads them."""
+    const, value = ts._grid_composites(p.tables, p.advance_array, p.n)
+    return list(zip(const[0].tolist(), value[0].tolist()))
 
 
 def test_composite_identity():
     p = FiniteStateProtocol(n=1, M=2, advance=FOLLOW, transmissions=((0, 1),))
-    assert composite_of(p, 1) == CompositeFunction.flip(0)
+    assert _composites(p) == [(False, 0)]
 
 
 def test_composite_constant():
     p = FiniteStateProtocol(n=1, M=2, advance=FOLLOW, transmissions=((1, 1),))
-    assert composite_of(p, 1) == CompositeFunction.const(1)
+    assert _composites(p) == [(True, 1)]
 
 
 def test_composite_nand_of_ones_flips():
     p = FiniteStateProtocol(n=1, M=2, advance=NAND, transmissions=((1, 1),))
-    assert composite_of(p, 1) == CompositeFunction.flip(1)
+    assert _composites(p) == [(False, 1)]
 
 
 def test_composite_requires_two_states():
     p = FiniteStateProtocol(n=1, M=3, advance=((0, 1), (0, 2), (2, 2)),
                             transmissions=((0, 0, 0),))
-    with pytest.raises(ValueError):
-        composite_of(p, 1)
+    with pytest.raises(ValueError, match="two-state"):
+        run_lookahead_exchange(p, NOISELESS, CodeSpec.parse("rep:1"), np.random.default_rng(0))
 
 
 def test_composite_covers_all_four_maps():
-    seen = set()
-    for table in ALL_TABLES2:
-        seen.add(composite_from(FOLLOW, table))
-    assert seen == {CompositeFunction.flip(0), CompositeFunction.flip(1),
-                    CompositeFunction.const(0), CompositeFunction.const(1)}
+    p = FiniteStateProtocol(n=4, M=2, advance=FOLLOW, transmissions=ALL_TABLES2)
+    assert sorted(_composites(p)) == [(False, 0), (False, 1), (True, 0), (True, 1)]
 
 
-def test_block_lookahead_worked_example():
-    nus = [CompositeFunction.flip(1), CompositeFunction.const(0),
-           CompositeFunction.flip(1), CompositeFunction.flip(0)]
-    msg_a, msg_b = block_messages(nus)
-    assert (msg_a.last_const_index, msg_b.last_const_index) == (0, 2)
-    assert msg_b.const_value == 0
-    assert (msg_a.parity_bit, msg_b.parity_bit) == (1, 0)
-    for proxy in (0, 1):
-        assert block_lookahead(msg_a, msg_b, proxy) == 1
-        assert iterate_composites(nus, proxy) == 1
+def _iterated_starts(eta, blocks, s):
+    """Each block's entry state, by iterating the advance round by round."""
+    starts = []
+    for tables in blocks:
+        starts.append(s)
+        s = _direct_block(eta, tables, s)[1]
+    return tuple(starts)
 
 
-def test_block_lookahead_pure_flip_zero_block():
-    nus = [CompositeFunction.flip(0)] * 4
-    msg_a, msg_b = block_messages(nus)
-    for proxy in (0, 1):
-        assert block_lookahead(msg_a, msg_b, proxy) == proxy
+def _block_run(monkeypatch, block, entry):
+    """Noiseless parity exchange over a 4x4 FOLLOW grid whose rows all hold
+    ``block``, entered in state ``entry``: the agreed block starts, and the
+    payloads of the two exchanges as sent."""
+    sent = []
+    monkeypatch.setattr(ts, "exchange", lambda payloads, *a, **kw:
+                        sent.append(payloads) or exchange(payloads, *a, **kw))
+    p = FiniteStateProtocol(n=16, M=2, advance=FOLLOW, transmissions=block * 4,
+                            initial_state=entry)
+    la = run_lookahead_exchange(p, NOISELESS, CodeSpec.parse("rep:1"), np.random.default_rng(0))
+    assert la.alice_states == la.bob_states == _iterated_starts(FOLLOW, [block] * 4, entry)
+    return la.alice_states, sent
 
 
-def test_block_lookahead_constant_everywhere():
-    nus = [CompositeFunction.const(1)] * 4
-    msg_a, msg_b = block_messages(nus)
-    for proxy in (0, 1):
-        assert block_lookahead(msg_a, msg_b, proxy) == 1
+def _last_const_indices(first):
+    """Row 0's last-constant index per party, decoded from the first exchange."""
+    return [int(ts._unpack_index(first[q][:, :-1], 4, q)[0]) for q in PARTIES]
 
 
-ALL_COMPOSITES = (CompositeFunction.flip(0), CompositeFunction.flip(1),
-                  CompositeFunction.const(0), CompositeFunction.const(1))
+def test_block_lookahead_worked_example(monkeypatch):
+    block = ((1, 0), (0, 0), (1, 0), (0, 1))  # Flip(1), Const(0), Flip(1), Flip(0)
+    for entry in (0, 1):
+        starts, (first, second) = _block_run(monkeypatch, block, entry)
+        assert _last_const_indices(first) == [0, 2]
+        assert first[Party.BOB][0, -1] == 0
+        assert [second[q][0] for q in PARTIES] == [1, 0]
+        assert starts[1] == 1
+
+
+def test_block_lookahead_pure_flip_zero_block(monkeypatch):
+    for entry in (0, 1):
+        starts, _ = _block_run(monkeypatch, ((0, 1),) * 4, entry)
+        assert starts[1] == entry
+
+
+def test_block_lookahead_constant_everywhere(monkeypatch):
+    for entry in (0, 1):
+        starts, _ = _block_run(monkeypatch, ((1, 1),) * 4, entry)
+        assert starts[1] == 1
 
 
 def test_lookahead_algebra_exhaustive_m4():
-    for nus in itertools.product(ALL_COMPOSITES, repeat=4):
-        msg_a, msg_b = block_messages(nus)
-        for proxy in (0, 1):
-            assert block_lookahead(msg_a, msg_b, proxy) == iterate_composites(nus, proxy)
+    # under FOLLOW the four tables are the four composites; each 4x4 grid
+    # stacks four of the 256 sequences, entered from both initial states
+    blocks = list(itertools.product(ALL_TABLES2, repeat=4))
+    side, rng = CodeSpec.parse("rep:1"), np.random.default_rng(0)
+    for g in range(0, len(blocks), 4):
+        grid = blocks[g: g + 4]
+        for entry in (0, 1):
+            p = FiniteStateProtocol(n=16, M=2, advance=FOLLOW, initial_state=entry,
+                                    transmissions=[t for block in grid for t in block])
+            la = run_lookahead_exchange(p, NOISELESS, side, rng)
+            assert la.alice_states == la.bob_states == _iterated_starts(FOLLOW, grid, entry)
 
 
-def test_message_indices_respect_party_parity():
-    nus = [CompositeFunction.const(1), CompositeFunction.flip(0),
-           CompositeFunction.const(0), CompositeFunction.flip(1)]
-    msg_a, msg_b = block_messages(nus)
-    assert msg_a.last_const_index % 2 == 1
-    assert msg_b.last_const_index in (0, 2, 4)
+def test_message_indices_respect_party_parity(monkeypatch):
+    block = ((1, 1), (0, 1), (0, 0), (1, 0))  # Const(1), Flip(0), Const(0), Flip(1)
+    _, (first, _) = _block_run(monkeypatch, block, 0)
+    alice, bob = _last_const_indices(first)
+    assert alice % 2 == 1
+    assert bob in (0, 2, 4)
+    assert (alice, bob) == (3, 0)
 
 
 def test_exchange_matches_genie_on_many_protocols():
@@ -183,9 +209,9 @@ def test_classification_partitions_all_sixteen():
             assert len(cls.constant_making) == 2
             assert len(cls.free_tables) == 2
             for table in cls.constant_making:
-                assert composite_from(eta, table).constant
+                assert _composites(FiniteStateProtocol(1, 2, eta, (table,)))[0][0]
             for table in cls.free_tables:
-                assert not composite_from(eta, table).constant
+                assert not _composites(FiniteStateProtocol(1, 2, eta, (table,)))[0][0]
     assert counts == {"non-interactive": 4, "type-i": 4, "type-ii": 4, "type-iii": 4}
 
 
@@ -322,9 +348,14 @@ def _ref_decode_index(e, m, party):
 
 
 def _ref_composites(view, m, block):
-    """One party's composites of one block, keyed by block-local index."""
-    return {t: composite_from(view.advance, view.table(block * m + t))
-            for t in range(2 - view.party.parity, m + 1, 2)}
+    """One party's composites of one block as (constant, value) pairs, keyed
+    by block-local index: a round is constant where both states advance to
+    the same state, and its value is the state 0 advances to."""
+    out = {}
+    for t in range(2 - view.party.parity, m + 1, 2):
+        nu0, nu1 = (view.advance[s][view.table(block * m + t)[s]] for s in (0, 1))
+        out[t] = (nu0 == nu1, nu0)
+    return out
 
 
 def reference_lookahead_exchange(p, ch, side_code, rng):
@@ -338,9 +369,9 @@ def reference_lookahead_exchange(p, ch, side_code, rng):
         own_last[q] = []
         for nus in composites[q]:
             t_last, val = 0, 0
-            for t, nu in sorted(nus.items()):
-                if nu.constant:
-                    t_last, val = t, nu.value
+            for t, (constant, value) in sorted(nus.items()):
+                if constant:
+                    t_last, val = t, value
             own_last[q].append((t_last, val))
     bits_used = channel_uses = 0
     heard1 = {}
@@ -360,9 +391,9 @@ def reference_lookahead_exchange(p, ch, side_code, rng):
         for r in range(m):
             i_const = max(own_last[q][r][0], heard1[q][r][0])
             d = 0
-            for t, nu in composites[q][r].items():
+            for t, (_, value) in composites[q][r].items():
                 if t > i_const:
-                    d ^= nu.value
+                    d ^= value
             parities[q].append(d)
     heard2 = {}
     for k, sender in enumerate(parties):
@@ -372,12 +403,16 @@ def reference_lookahead_exchange(p, ch, side_code, rng):
         heard2[sender.other] = list(transfer.decoded)
 
     def fold(q):
+        # a block ends in the value of the later of the two last constants
+        # (its entry state when neither party has one), xored with both
+        # parties' parities
         vec, s = [], p.initial_state
         for r in range(m):
             vec.append(s)
-            own = BlockLookaheadMessage(q, *own_last[q][r], parities[q][r])
-            other = BlockLookaheadMessage(q.other, *heard1[q][r], heard2[q][r])
-            s = block_lookahead(*((own, other) if q is Party.ALICE else (other, own)), s)
+            (t_own, v_own), (t_heard, v_heard) = own_last[q][r], heard1[q][r]
+            if max(t_own, t_heard):
+                s = v_own if t_own > t_heard else v_heard
+            s ^= parities[q][r] ^ heard2[q][r]
         return tuple(vec)
 
     return LookaheadResult(fold(Party.ALICE), fold(Party.BOB), bits_used, channel_uses)
@@ -389,8 +424,8 @@ def reference_merge_points(p, ch, side_code, rng):
     m = math.isqrt(p.n)
     parties = (Party.ALICE, Party.BOB)
     views = {q: party_view(p, q) for q in parties}
-    own_first = {q: [min((t for t, nu in _ref_composites(views[q], m, r).items() if nu.constant),
-                         default=0) for r in range(m)] for q in parties}
+    own_first = {q: [min((t for t, (constant, _) in _ref_composites(views[q], m, r).items()
+                          if constant), default=0) for r in range(m)] for q in parties}
     bits_used = channel_uses = 0
     heard = {}
     for k, sender in enumerate(parties):
