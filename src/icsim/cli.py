@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -182,9 +183,10 @@ def _cmd_disjointness(args) -> int:
 
         instances = (DisjInstance(u, draw(), draw()) for _ in range(args.trials))
     cases = mismatches = 0
-    for inst in instances:
-        mismatches += disj_via_protocol(inst) != inst.disj()
-        cases += 1
+    # batches of about 2^16 rounds keep memory flat in the number of cases
+    while batch := list(islice(instances, max(1, (1 << 15) // u))):
+        mismatches += int((disj_via_protocol(batch) != [inst.disj() for inst in batch]).sum())
+        cases += len(batch)
     print(f"universe={u} cases={cases} mismatches={mismatches} "
           f"-> {'pass' if mismatches == 0 else 'fail'}")
     if count is not None:

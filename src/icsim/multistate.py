@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .coding import CodeSpec
-from .protocol import FiniteStateProtocol, Party, Table, _advance_rows, _bit_rows
+from .protocol import FiniteStateProtocol, Party, Table, _advance_rows, _bit_rows, walk
 from .vertical import (
     ColumnWire,
     LookaheadResult,
@@ -234,27 +234,13 @@ def make_tail_plan(n_padded: int, K: int, placement: str = "last") -> TailPlan:
     return TailPlan(p, placement, K)
 
 
-def walk_all_states(advance: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """Walk every start state through each of B table sequences at once.
-
-    ``tables`` is (B, p, M), sequence b's round k table in ``tables[b, k]``.
-    Returns the (B, M) final states, column s for start state s.
-    """
-    B, p, M = tables.shape
-    rows = np.arange(B)[:, None]
-    states = np.tile(np.arange(M), (B, 1))
-    for k in range(p):
-        states = advance[states, tables[rows, k, states]]
-    return states
-
-
 def trajectories_coincide(eta, tables: Sequence[Table],
                           M: int) -> tuple[bool, tuple[int, ...]]:
     """Walk every possible initial state through the table sequence; report
     whether all finals agree, and the finals themselves."""
-    steps = np.asarray(tables, dtype=np.intp).reshape(1, -1, M)
-    finals = walk_all_states(np.asarray(eta, dtype=np.intp), steps)[0].tolist()
-    return len(set(finals)) == 1, tuple(finals)
+    steps = _bit_rows(np.reshape(tables, (-1, M)), len(tables), M)[None]
+    finals = tuple(walk(eta, steps, np.arange(M))[-1, 0].tolist())
+    return len(set(finals)) == 1, finals
 
 
 def coincidence_failure_trials(eta, function_set: Sequence[Table], p: int,
@@ -266,7 +252,7 @@ def coincidence_failure_trials(eta, function_set: Sequence[Table], p: int,
         np.random.default_rng(base_seed + t).integers(0, len(fset), size=p)
         for t in range(trials)
     ])
-    finals = walk_all_states(np.asarray(eta, dtype=np.intp), fset[picks])
+    finals = walk(eta, fset[picks], np.arange(fset.shape[1]))[-1]
     return int((finals.min(axis=1) != finals.max(axis=1)).sum())
 
 
@@ -299,17 +285,14 @@ def _exchange_tail_tables(
 
 def _tail_finals(p: FiniteStateProtocol, tails: Mapping[Party, np.ndarray],
                  blocks: int) -> tuple[dict[Party, list[int]], set[int]]:
-    """Walk all M trajectories over each of the first ``blocks`` tails, all
-    blocks at once, per party. Returns each party's block finals (the first
+    """Walk all M trajectories over each of the first ``blocks`` tails of
+    both parties, in one walk. Returns each party's block finals (the first
     trajectory's when they differ) and the blocks whose trajectories did not
-    all merge."""
-    finals: dict[Party, list[int]] = {}
-    bad: set[int] = set()
-    for q, grid in tails.items():
-        states = walk_all_states(p.advance_array, grid[:blocks])
-        bad.update(np.flatnonzero((states != states[:, :1]).any(axis=1)).tolist())
-        finals[q] = states[:, 0].tolist()
-    return finals, bad
+    all merge for some party."""
+    grids = np.concatenate([grid[:blocks] for grid in tails.values()])
+    finals = walk(p.advance_array, grids, np.arange(p.M))[-1].reshape(len(tails), blocks, p.M)
+    bad = set(np.flatnonzero((finals != finals[..., :1]).any(axis=(0, 2))).tolist())
+    return dict(zip(tails, finals[..., 0].tolist())), bad
 
 
 def _merge_failure(bad: set[int]) -> str:

@@ -206,6 +206,38 @@ def run_protocol(p: FiniteStateProtocol, initial_state: int | None = None) -> Tr
     return TranscriptTrace(tuple(bits), tuple(states))
 
 
+def walk(advance: Sequence[Sequence[int]] | np.ndarray, tables: np.ndarray,
+         starts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The (p + 1, B, k) noiseless states of a (B, p, M) stack of table
+    sequences, each walked from its k ``starts`` ((B, k), or k shared ones):
+    ``tables[:, i]`` is read at ``[i]``, and ``[p]`` holds the finals. Each
+    round's next-state map is precomputed in the smallest unsigned dtype
+    holding the 2M advance entries, so a round is one flat ``take``."""
+    tables = np.asarray(tables)
+    B, p, M = tables.shape
+    dtype = np.min_scalar_type(2 * M - 1)
+    # step[i, b * M + s] = advance[s, tables[b, i, s]], at 2s + bit of the flat advance
+    entry = tables.transpose(1, 0, 2).astype(dtype) + np.arange(0, 2 * M, 2, dtype=dtype)
+    step = np.asarray(advance, dtype=dtype).ravel().take(entry).reshape(p, B * M)
+    states = np.empty((p + 1, B, np.shape(starts)[-1]), dtype=dtype)
+    states[0] = starts
+    offset = np.arange(0, B * M, M)[:, None]
+    for i in range(p):
+        step[i].take(states[i] + offset, out=states[i + 1])
+    return states
+
+
+def chain(finals: np.ndarray, s0: int) -> np.ndarray:
+    """Start state of each of R consecutive rows, from the (R, M) finals of
+    every row from every start state: row 0 starts in ``s0``, and row r + 1
+    in ``finals[r, s]`` where s is row r's start."""
+    starts = []
+    for ends in np.asarray(finals).tolist():
+        starts.append(s0)
+        s0 = ends[s0]
+    return np.array(starts, dtype=np.intp)
+
+
 def markovian_advance(log_M: int) -> tuple[tuple[int, int], ...]:
     """Shift-register advance over the window of the last ``log_M`` bits.
 

@@ -13,13 +13,28 @@ state 2 reachable exactly when the two sets intersect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from typing import Sequence
 
 import numpy as np
 
-from .protocol import FiniteStateProtocol, run_protocol
+from .protocol import FiniteStateProtocol, walk
 
 EXAMPLE2_ADVANCE: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (2, 2))
+
+
+def _tables(alpha, beta) -> np.ndarray:
+    """The (..., n, 3) hardness tables of (..., n) bit rows: Alice's
+    (a_i, a_i, b_i) at odd rounds i, Bob's (0, a_i, b_i) at even ones."""
+    tables = np.stack((alpha, alpha, beta), axis=-1).astype(np.uint8)
+    tables[..., 1::2, 0] = 0
+    return tables
+
+
+def _transcripts(tables: np.ndarray) -> np.ndarray:
+    """The (B, 3, n) transcripts of a (B, n, 3) stack of hardness tables from
+    each of the three initial states, in one walk."""
+    states = walk(EXAMPLE2_ADVANCE, tables, np.arange(3))[:-1]
+    return np.take_along_axis(tables.transpose(1, 0, 2), states, axis=2).transpose(1, 2, 0)
 
 
 def _as_bit_vector(bits, name: str) -> tuple[int, ...]:
@@ -78,12 +93,10 @@ class ThreeStateInstance:
         return len(self.alpha)
 
     def protocol(self, initial_state: int = 0) -> FiniteStateProtocol:
-        """Three-state protocol over the fixed advance table: Alice's table
-        at odd i is (a_i, a_i, b_i), Bob's at even i is (0, a_i, b_i)."""
-        tables = np.array((self.alpha, self.alpha, self.beta), dtype=np.uint8).T
-        tables[1::2, 0] = 0
+        """Three-state protocol over the fixed advance table and ``_tables``."""
         return FiniteStateProtocol(n=self.rounds, M=3, advance=EXAMPLE2_ADVANCE,
-                                   transmissions=tables, initial_state=initial_state)
+                                   transmissions=_tables(self.alpha, self.beta),
+                                   initial_state=initial_state)
 
 
 def build_example2(alpha, beta, initial_state: int = 0) -> FiniteStateProtocol:
@@ -91,28 +104,36 @@ def build_example2(alpha, beta, initial_state: int = 0) -> FiniteStateProtocol:
     return ThreeStateInstance(alpha, beta).protocol(initial_state)
 
 
+def _alphas(instances: Sequence[DisjInstance]) -> np.ndarray:
+    """(instances, n) alpha rows interleaving the membership indicators,
+    Alice's element k at 0-based position 2k - 2 and Bob's at 2k - 1, with n
+    twice the largest universe: a smaller one is padded with zeros."""
+    n = 2 * max((inst.universe for inst in instances), default=1)
+    alpha = np.zeros(len(instances) * n, dtype=np.uint8)
+    alpha[[i * n + 2 * k - 2 for i, inst in enumerate(instances) for k in inst.x]] = 1
+    alpha[[i * n + 2 * k - 1 for i, inst in enumerate(instances) for k in inst.y]] = 1
+    return alpha.reshape(-1, n)
+
+
 def reduce_disjointness(inst: DisjInstance) -> ThreeStateInstance:
     """alpha interleaves the membership indicators (Alice's set on odd
     positions, Bob's on even); beta is irrelevant and set to zero."""
-    alpha = [0] * inst.rounds
-    for k in inst.x:
-        alpha[2 * k - 2] = 1
-    for k in inst.y:
-        alpha[2 * k - 1] = 1
-    return ThreeStateInstance(tuple(alpha), (0,) * inst.rounds)
+    return ThreeStateInstance(tuple(_alphas([inst])[0].tolist()), (0,) * inst.rounds)
 
 
-def disj_via_protocol(inst: DisjInstance) -> int:
-    """Disjointness decided by the final state: the walk hits the absorbing
-    state exactly when some element is in both sets."""
-    trace = run_protocol(reduce_disjointness(inst).protocol())
-    return 1 if trace.states[-1] in (0, 1) else 0
+def disj_via_protocol(instances: Sequence[DisjInstance]) -> np.ndarray:
+    """Disjointness of each instance, 1 or 0, decided by the final state of
+    its reduction's protocol, all in one walk: the walk hits the absorbing
+    state exactly when some element is in both sets. The zero rounds that pad
+    a smaller universe lead states 0 and 1 to 0."""
+    alpha = _alphas(instances)
+    finals = walk(EXAMPLE2_ADVANCE, _tables(alpha, np.zeros_like(alpha)), (0,))[-1, :, 0]
+    return (finals != 2).astype(int)
 
 
 def transcript_triple(alpha, beta) -> tuple[tuple[int, ...], ...]:
     """Transcripts of the instance from each of the three initial states."""
-    p = build_example2(alpha, beta)
-    return tuple(run_protocol(p, s0).bits for s0 in range(3))
+    return tuple(map(tuple, _transcripts(build_example2(alpha, beta).tables[None])[0].tolist()))
 
 
 def count_transcript_triples(m: int) -> int:
@@ -125,12 +146,13 @@ def count_transcript_triples(m: int) -> int:
     """
     if m % 2 or m < 2:
         raise ValueError("m must be even and positive")
-    if 3 * m // 2 > 18:
+    free = 3 * m // 2
+    if free > 18:
         raise ValueError("exhaustive enumeration supported up to m = 12")
-    triples = set()
-    for odd in product((0, 1), repeat=m // 2):
-        alpha = [0] * m
-        alpha[0::2] = odd
-        for beta in product((0, 1), repeat=m):
-            triples.add(transcript_triple(tuple(alpha), beta))
-    return len(triples)
+    # row x of ``bits`` holds the free bits of assignment x
+    bits = np.arange(1 << free, dtype=np.uint32)[:, None] >> np.arange(free, dtype=np.uint32) & 1
+    alpha = np.zeros((1 << free, m), dtype=np.uint8)
+    alpha[:, 0::2] = bits[:, :m // 2]
+    triples = _transcripts(_tables(alpha, bits[:, m // 2:])).reshape(1 << free, -1)
+    # each triple read as one integer of its 3m <= 36 bits
+    return len(np.unique(triples @ (1 << np.arange(3 * m))))

@@ -34,12 +34,14 @@ from .protocol import (
     FiniteStateProtocol,
     Party,
     Table,
+    chain,
 )
 from .vertical import (
     ColumnWire,
     LookaheadResult,
     SimulationReport,
     exchange,
+    genie_lookahead,
     run_columns,
     simulate_vertical,
 )
@@ -134,18 +136,13 @@ def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
     channel_uses += uses
 
     def fold(q: Party) -> tuple[int, ...]:
-        # a block ends in the later constant's value (or its entry state when
-        # neither party has one), xored with both parties' parities
+        # from entry state s a block ends in the later constant's value (or s when
+        # neither party has one) xored with both parities; chain those (m, 2) maps
         mine, theirs = own_last[q], heard_last[q]
-        reset = np.maximum(mine, theirs) > 0
-        base = np.where(mine > theirs, own_value[q], heard_value[q])
-        flip = parities[q] ^ heard_parity[q]
-        vec = []
-        s = p.initial_state
-        for r, b, x in zip(reset.tolist(), base.tolist(), flip.tolist()):
-            vec.append(s)
-            s = (b if r else s) ^ x
-        return tuple(vec)
+        base = np.where(mine > theirs, own_value[q], heard_value[q])[:, None]
+        ends = np.where(np.maximum(mine, theirs)[:, None] > 0, base, np.arange(2))
+        return tuple(chain(ends ^ (parities[q] ^ heard_parity[q])[:, None],
+                           p.initial_state).tolist())
 
     return LookaheadResult(fold(Party.ALICE), fold(Party.BOB), bits_used, channel_uses)
 
@@ -307,16 +304,9 @@ def exhaustive_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: C
     starts locally and the columns carry plain transcript bits.
     """
     cls = classify_advance(pp.advance)
-    m = math.isqrt(pp.n)
     if not cls.interactive:
-        successor = (pp.advance[0][0], pp.advance[1][0])
-        starts = []
-        s = pp.initial_state
-        for _ in range(m):
-            starts.append(s)
-            for _ in range(m):
-                s = successor[s]
-        return LookaheadResult(tuple(starts), tuple(starts), 0, 0)
+        return LookaheadResult(*genie_lookahead(pp), 0, 0)
+    m = math.isqrt(pp.n)
 
     parties = (Party.ALICE, Party.BOB)
     const, _ = _grid_composites(pp.tables, pp.advance_array, m)

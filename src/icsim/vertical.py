@@ -38,11 +38,12 @@ from .coding import CodeSpec, TransferResult, convey
 from .protocol import (
     FiniteStateProtocol,
     Party,
-    TranscriptTrace,
+    chain,
     owner_of_round,
     pad_protocol,
     party_view,
     run_protocol,
+    walk,
 )
 
 
@@ -108,8 +109,7 @@ class LookaheadResult:
     the provider could not commit to an answer (the simulation then aborts
     rather than run from states known to be wrong). ``coincidence_ok`` is the
     report's value for a run that does not abort; ``wire`` replaces the plain
-    transcript-bit columns. ``trace`` is the clean execution of the padded
-    protocol when the provider already ran it; a fallback check reuses it.
+    transcript-bit columns.
     """
 
     alice_states: tuple[int, ...]
@@ -120,7 +120,6 @@ class LookaheadResult:
     tail_len: int | None = None
     coincidence_ok: bool | None = None
     wire: ColumnWire | None = None
-    trace: TranscriptTrace | None = None
 
 
 LookaheadProvider = Callable[
@@ -147,23 +146,20 @@ def exchange(payloads: Mapping[Party, np.ndarray], side: CodeSpec, ch: ChannelMo
     return heard, bits_used, channel_uses
 
 
-def genie_lookahead(p: FiniteStateProtocol, trace: TranscriptTrace | None = None,
-                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exact block-initial states read off a clean execution (``trace``, or
-    a fresh ``run_protocol``), for both parties."""
+def genie_lookahead(p: FiniteStateProtocol) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exact block-initial states of the clean execution, for both parties:
+    every row walked from every state at once, then the rows chained."""
     m = math.isqrt(p.n)
     if m * m != p.n:
         raise ValueError("protocol length must be the padded square")
-    trace = trace or run_protocol(p)
-    states = tuple(trace.states[r * m] for r in range(m))
+    finals = walk(p.advance_array, p.tables.reshape(m, m, p.M), np.arange(p.M))[-1]
+    states = tuple(chain(finals, p.initial_state).tolist())
     return states, states
 
 
 def genie_provider(pp: FiniteStateProtocol, ch: ChannelModel, side: CodeSpec | None,
                    rng: np.random.Generator) -> LookaheadResult:
-    trace = run_protocol(pp)
-    alice, bob = genie_lookahead(pp, trace)
-    return LookaheadResult(alice, bob, 0, 0, trace=trace)
+    return LookaheadResult(*genie_lookahead(pp), 0, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,34 +235,24 @@ def _shared(errors: tuple[bool, ...]) -> tuple[bool, ...]:
     return errors
 
 
-def _picks(finals: np.ndarray, initial_state: int) -> np.ndarray:
-    """One party's chosen branch of every row: branch 0 when there is one,
-    else the branch that starts in the state the previous row ended in."""
-    picks = np.zeros(len(finals), dtype=np.intp)
-    if finals.shape[1] > 1:
-        s = initial_state
-        for r, ends in enumerate(finals.tolist()):
-            picks[r], s = s, ends[s]
-    return picks
-
-
 def _correct(pp: FiniteStateProtocol, runs: Mapping[Party, tuple[np.ndarray, np.ndarray]],
-             starts: Mapping[Party, np.ndarray], trace: TranscriptTrace | None,
-             ) -> dict[Party, bool]:
+             starts: Mapping[Party, np.ndarray]) -> dict[Party, bool]:
     """Whether each party's transcript (its chosen branches) equals the clean
     execution's: exactly when each bit equals its round's table at the state
     the transcript drives from the initial state. If all chosen rows chain
     (each starts where the previous one ended, the first in the initial
     state), one walk over the columns gives those states. Otherwise, only
-    after an error, compare with ``trace`` or a fresh ``run_protocol``."""
+    after an error, compare with a fresh ``run_protocol``."""
     rows = np.arange(len(starts[Party.ALICE]))
-    picks = {q: _picks(finals, pp.initial_state) for q, (_, finals) in runs.items()}
+    # a party's branch of each row: 0 if it has one, else the one the last row ended in
+    picks = {q: chain(finals, pp.initial_state) if finals.shape[1] > 1 else np.zeros_like(rows)
+             for q, (_, finals) in runs.items()}
     # (columns, parties, rows): each step of the walk reads contiguous rows
     paths = np.ascontiguousarray(np.stack([runs[q][0][:, rows, picks[q]] for q in runs], axis=1))
     begin = np.stack([starts[q][rows, picks[q]] for q in runs])
     end = np.stack([runs[q][1][rows, picks[q]] for q in runs])
     if (begin[:, 0] != pp.initial_state).any() or (begin[:, 1:] != end[:, :-1]).any():
-        truth = (trace or run_protocol(pp)).bits
+        truth = run_protocol(pp).bits
         return {q: tuple(paths[:, k].T.ravel().tolist()) == truth for k, q in enumerate(runs)}
     states = np.empty(paths.shape, dtype=np.intp)
     s = states[0] = begin
@@ -316,7 +302,7 @@ def simulate_vertical(
         # ((j - 1) // 2)-th round in that row, so a reshape of its row stride
         owned = {q: party_view(pp, q).tables.reshape(sched.rows, -1, pp.M) for q in starts}
         runs = run_columns(owned, pp.advance_array, starts, wire, carry)
-        correct = _correct(pp, runs, starts, la.trace)
+        correct = _correct(pp, runs, starts)
 
     vertical_uses = sum(t.channel_uses for t in transfers)
     return SimulationReport(

@@ -191,13 +191,10 @@ def test_criterion_6_rate_convergence(genie_sweep):
 
 
 def test_criterion_7_disjointness_reduction():
-    bad = 0
-    for xm in range(256):
-        x = frozenset(k + 1 for k in range(8) if xm >> k & 1)
-        for ym in range(256):
-            y = frozenset(k + 1 for k in range(8) if ym >> k & 1)
-            inst = DisjInstance(8, x=x, y=y)
-            bad += disj_via_protocol(inst) != inst.disj()
+    sets = [frozenset(k + 1 for k in range(8) if xm >> k & 1) for xm in range(256)]
+    instances = [DisjInstance(8, x=x, y=y) for x in sets for y in sets]
+    assert len(instances) == 65536
+    bad = (disj_via_protocol(instances) != [inst.disj() for inst in instances]).sum()
     assert bad == 0
     for m in (2, 4, 8):
         assert count_transcript_triples(m) == 2 ** (3 * m // 2)

@@ -205,14 +205,13 @@ def test_disjointness_exhaustive(capsys):
     code = main(["disjointness", "--universe", "4", "--exhaustive",
                  "--count-triples", "4"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "universe=4 cases=256 mismatches=0 -> pass" in out
-    assert "transcript triples m=4: 64 (expected 64) -> pass" in out
+    assert capsys.readouterr().out == ("universe=4 cases=256 mismatches=0 -> pass\n"
+                                       "transcript triples m=4: 64 (expected 64) -> pass\n")
 
 
 def test_disjointness_sampled(capsys):
     assert main(["disjointness", "--universe", "12", "--trials", "50"]) == 0
-    assert "cases=50 mismatches=0" in capsys.readouterr().out
+    assert capsys.readouterr().out == "universe=12 cases=50 mismatches=0 -> pass\n"
 
 
 def test_disjointness_universe_cap(capsys):

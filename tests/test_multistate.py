@@ -187,6 +187,9 @@ def test_trajectories_coincide_reports_finals():
     assert ok and set(finals) == {0b10}
     ok2, finals2 = trajectories_coincide(((0, 0), (1, 1)), [(0, 1)], 2)
     assert not ok2 and finals2 == (0, 1)
+    assert trajectories_coincide(((0, 0), (1, 1)), [], 2) == (False, (0, 1))
+    with pytest.raises(ValueError, match="must be bits"):
+        trajectories_coincide(((0, 1), (0, 1)), [(2, 0)], 2)
 
 
 def test_failure_trials_extremes():

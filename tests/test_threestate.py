@@ -94,10 +94,12 @@ def test_reduction_layout():
 
 
 def test_disj_hand_cases():
-    assert disj_via_protocol(DisjInstance(3, x={1, 2}, y={3})) == 1
-    assert disj_via_protocol(DisjInstance(3, x={1, 2}, y={2, 3})) == 0
-    assert disj_via_protocol(DisjInstance(4)) == 1
-    assert disj_via_protocol(DisjInstance(1, x={1}, y={1})) == 0
+    # one batch of mixed universes: the smaller ones are padded with zero rounds
+    instances = [DisjInstance(3, x={1, 2}, y={3}), DisjInstance(3, x={1, 2}, y={2, 3}),
+                 DisjInstance(4), DisjInstance(1, x={1}, y={1})]
+    assert disj_via_protocol(instances).tolist() == [1, 0, 1, 0]
+    assert [disj_via_protocol([inst])[0] for inst in instances] == [1, 0, 1, 0]
+    assert disj_via_protocol([]).tolist() == []
 
 
 @pytest.mark.parametrize("universe", [1, 2, 3, 4, 5])
@@ -105,16 +107,16 @@ def test_disj_exhaustive(universe):
     ground = list(range(1, universe + 1))
     subsets = [frozenset(c) for r in range(universe + 1)
                for c in itertools.combinations(ground, r)]
-    for x in subsets:
-        for y in subsets:
-            inst = DisjInstance(universe, x=x, y=y)
-            assert disj_via_protocol(inst) == inst.disj()
+    instances = [DisjInstance(universe, x=x, y=y) for x in subsets for y in subsets]
+    assert disj_via_protocol(instances).tolist() == [inst.disj() for inst in instances]
 
 
 def test_triple_counts():
     assert count_transcript_triples(2) == 8
     assert count_transcript_triples(4) == 64
     assert count_transcript_triples(6) == 512
+    assert count_transcript_triples(10) == 2**15
+    assert count_transcript_triples(12) == 2**18
     with pytest.raises(ValueError):
         count_transcript_triples(3)
     with pytest.raises(ValueError):

@@ -80,13 +80,16 @@ def _count_protocol_runs(monkeypatch) -> list[int]:
     return calls
 
 
-def test_genie_trial_runs_the_protocol_once(monkeypatch):
+def test_noisy_genie_trial_runs_the_protocol_only_when_a_party_is_wrong(monkeypatch):
     calls = _count_protocol_runs(monkeypatch)
-    cfg = ExperimentConfig(scheme="genie", channel="bsc:0.02", code="rep:3")
-    for trial in range(3):
+    cfg = ExperimentConfig(scheme="genie", channel="bsc:0.05", code="rep:3")
+    outcomes = set()
+    for trial in range(20):
         calls.clear()
         report = run_trial(cfg, 100, trial)
-        assert calls == [report.n_padded]
+        assert calls == [] or (calls == [report.n_padded] and not report.correct)
+        outcomes.add(report.correct)
+    assert outcomes == {True, False}
 
 
 def test_genie_rejects_unpadded_lengths():
@@ -206,6 +209,7 @@ def test_reports_are_slotted_and_share_repeated_fields():
     ("two-state-exhaustive", {"type": "two-state"}, "last"),
     ("m-state", {"type": "markovian", "log_M": 1, "functions": "all"}, "last"),
     ("m-state", {"type": "markovian", "log_M": 1, "functions": "all"}, "first"),
+    ("genie", {"type": "two-state"}, "last"),
 ])
 def test_noiseless_trials_check_transcripts_without_running_the_protocol(
         monkeypatch, scheme, protocol, placement):
@@ -229,7 +233,7 @@ def test_a_wrong_row_start_falls_back_to_the_clean_execution(monkeypatch, tables
                             initial_state=0)
 
     def one_wrong_start(pp, ch, side, rng):
-        states = list(genie_lookahead(pp, run_protocol(pp))[0])
+        states = list(genie_lookahead(pp)[0])
         states[2] ^= 1
         return LookaheadResult(tuple(states), tuple(states), 0, 0)
 
@@ -290,5 +294,5 @@ def _reference_transcript(bits, finals, initial_state):
 def test_consistency_check_equals_the_transcript_comparison(case):
     p, runs, starts = case
     truth = run_protocol(p).bits
-    assert _correct(p, runs, starts, None) == \
+    assert _correct(p, runs, starts) == \
         {q: _reference_transcript(*runs[q], p.initial_state) == truth for q in runs}
