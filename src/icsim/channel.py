@@ -84,6 +84,8 @@ class ChannelModel:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         p = float(self.param)
         object.__setattr__(self, "param", p)
+        if not math.isfinite(p):
+            raise ValueError("channel parameter must be finite")
         if self.kind == "bsc" and not 0.0 <= p <= 1.0:
             raise ValueError("crossover probability must be in [0, 1]")
         if self.kind == "bec" and not 0.0 <= p <= 1.0:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from .channel import ChannelModel
 from .coding import CodeSpec
 from .harness import (
+    MAX_LOG_M,
     SCHEMES,
     ExperimentConfig,
     compare_bounds,
@@ -44,7 +44,7 @@ from .multistate import (
     resolve_functions,
 )
 from .protocol import advance_table, markovian_advance, pad_protocol
-from .threestate import DisjInstance, count_transcript_triples, disj_via_protocol
+from .threestate import count_transcript_triples, disj_via_protocol
 from .twostate import classify_advance, random_two_state_protocol, run_lookahead_exchange
 from .vertical import genie_lookahead, make_schedule
 
@@ -63,7 +63,10 @@ def _load_advance(spec: str):
     """An advance table from a JSON file (rows or flat row-major, see
     ``protocol.advance_table``), or the builtin shorthand markovian:<log_M>."""
     if spec.startswith("markovian:"):
-        return markovian_advance(int(spec.split(":", 1)[1]))
+        log_M = int(spec.split(":", 1)[1])
+        if not 1 <= log_M <= MAX_LOG_M:
+            raise ValueError(f"markovian log_M must be from 1 to {MAX_LOG_M}, not {log_M}")
+        return markovian_advance(log_M)
     return advance_table(json.loads(Path(spec).read_text()))
 
 
@@ -168,25 +171,25 @@ def _cmd_classify(args) -> int:
 
 def _cmd_disjointness(args) -> int:
     u, m = args.universe, args.count_triples
+    _at_least("universe", u, 1)
     count = None if m is None else count_transcript_triples(m)  # a bad m fails before any output
+    rows = max(1, (1 << 15) // u)  # batches of about 2^16 rounds keep memory flat
     if args.exhaustive:
         if u > 10:
             raise ValueError("exhaustive mode supported up to universe 10")
-        sets = [frozenset(k + 1 for k in range(u) if xm >> k & 1) for xm in range(1 << u)]
-        instances = (DisjInstance(u, x, y) for x in sets for y in sets)
+        sets = (np.arange(1 << u)[:, None] >> np.arange(u) & 1).astype(np.uint8)
+        xs, ys = np.repeat(sets, 1 << u, axis=0), np.tile(sets, (1 << u, 1))
+        batches = ((xs[i:i + rows], ys[i:i + rows]) for i in range(0, len(xs), rows))
     else:
         _at_least("trials", args.trials, 1)
         rng = np.random.default_rng(args.seed)
-
-        def draw() -> frozenset:
-            return frozenset(int(k) + 1 for k in np.flatnonzero(rng.integers(0, 2, u)))
-
-        instances = (DisjInstance(u, draw(), draw()) for _ in range(args.trials))
+        # one draw per batch: x then y of each case, the same stream as two draws a case
+        batches = (rng.integers(0, 2, (min(rows, args.trials - i), 2, u)).transpose(1, 0, 2)
+                   for i in range(0, args.trials, rows))
     cases = mismatches = 0
-    # batches of about 2^16 rounds keep memory flat in the number of cases
-    while batch := list(islice(instances, max(1, (1 << 15) // u))):
-        mismatches += int((disj_via_protocol(batch) != [inst.disj() for inst in batch]).sum())
-        cases += len(batch)
+    for x, y in batches:
+        mismatches += int((disj_via_protocol(x, y) != ~(x & y).any(axis=1)).sum())
+        cases += len(x)
     print(f"universe={u} cases={cases} mismatches={mismatches} "
           f"-> {'pass' if mismatches == 0 else 'fail'}")
     if count is not None:

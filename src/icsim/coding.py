@@ -222,6 +222,8 @@ class CodeSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("oracle", "rep", "rlc"):
             raise ValueError(f"unknown code kind {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ValueError("code parameter must be finite")
         if self.value <= 0:
             raise ValueError("code parameter must be positive")
         if self.kind == "oracle" and self.value > 1:

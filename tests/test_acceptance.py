@@ -30,7 +30,6 @@ from icsim.multistate import (
 from icsim.protocol import FiniteStateProtocol, Party
 from icsim.threestate import (
     EXAMPLE2_ADVANCE,
-    DisjInstance,
     count_transcript_triples,
     disj_via_protocol,
 )
@@ -191,10 +190,11 @@ def test_criterion_6_rate_convergence(genie_sweep):
 
 
 def test_criterion_7_disjointness_reduction():
-    sets = [frozenset(k + 1 for k in range(8) if xm >> k & 1) for xm in range(256)]
-    instances = [DisjInstance(8, x=x, y=y) for x in sets for y in sets]
-    assert len(instances) == 65536
-    bad = (disj_via_protocol(instances) != [inst.disj() for inst in instances]).sum()
+    # every (x, y) pair of universe 8 as integer masks; bit k - 1 stands for element k
+    xm, ym = np.repeat(np.arange(256), 256), np.tile(np.arange(256), 256)
+    assert len(xm) == 65536
+    x, y = ((masks[:, None] >> np.arange(8) & 1).astype(np.uint8) for masks in (xm, ym))
+    bad = (disj_via_protocol(x, y) != ((xm & ym) == 0)).sum()
     assert bad == 0
     for m in (2, 4, 8):
         assert count_transcript_triples(m) == 2 ** (3 * m // 2)

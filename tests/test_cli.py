@@ -308,11 +308,37 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
      "points must be at least 1, not -2"),
     (["capacity", "--channel", "bsc:0.1", "--points", "0"], None,
      "points must be at least 1, not 0"),
+    (["disjointness", "--universe", "0", "--trials", "5"], None,
+     "universe must be at least 1, not 0"),
+    (["disjointness", "--universe", "0", "--exhaustive"], None,
+     "universe must be at least 1, not 0"),
+    (["disjointness", "--universe", "-2", "--trials", "5"], None,
+     "universe must be at least 1, not -2"),
+    (["disjointness", "--universe", "-2", "--exhaustive"], None,
+     "universe must be at least 1, not -2"),
+    (["simulate", "--code", "rep:inf", "--n", "16", "--trials", "2"], None,
+     "bad code spec 'rep:inf'"),
+    (["simulate", "--code", "rlc:inf", "--n", "16", "--trials", "2"], None,
+     "bad code spec 'rlc:inf'"),
+    (["simulate", "--code", "oracle:nan", "--n", "16", "--trials", "2"], None,
+     "bad code spec 'oracle:nan'"),
+    (["capacity", "--channel", "awgn:nan"], None, "bad channel spec 'awgn:nan'"),
+    (["capacity", "--channel", "awgn:inf"], None, "bad channel spec 'awgn:inf'"),
+    (["simulate", "--channel", "awgn:nan", "--code", "rep:3", "--n", "16", "--trials", "2"],
+     None, "bad channel spec 'awgn:nan'"),
+    (["classify", "--advance", "markovian:17"], None,
+     "markovian log_M must be from 1 to 16, not 17"),
+    (["classify", "--advance", "markovian:64"], None,
+     "markovian log_M must be from 1 to 16, not 64"),
 ], ids=["advance-empty", "advance-integer", "advance-object", "advance-odd-flat",
         "advance-out-of-range", "functions-integer", "functions-empty", "functions-short-row",
         "functions-non-bit", "coincidence-zero-trials", "coincidence-negative-p",
         "disjointness-zero-trials", "disjointness-negative-trials", "sweep-empty-scheme",
-        "disjointness-odd-triples", "capacity-negative-points", "capacity-zero-points"])
+        "disjointness-odd-triples", "capacity-negative-points", "capacity-zero-points",
+        "disjointness-zero-universe", "disjointness-zero-universe-exhaustive",
+        "disjointness-negative-universe", "disjointness-negative-universe-exhaustive",
+        "code-rep-inf", "code-rlc-inf", "code-oracle-nan", "channel-awgn-nan",
+        "channel-awgn-inf", "simulate-channel-awgn-nan", "markovian-17", "markovian-64"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "input.json"
     if doc is not None:

@@ -2,18 +2,15 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from icsim.protocol import run_protocol
 from icsim.threestate import (
     EXAMPLE2_ADVANCE,
-    DisjInstance,
-    ThreeStateInstance,
     build_example2,
     count_transcript_triples,
     disj_via_protocol,
-    reduce_disjointness,
-    transcript_triple,
 )
 
 
@@ -65,41 +62,50 @@ def test_state_two_is_absorbing_for_all_inputs():
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError):
-        ThreeStateInstance((0, 1, 0), (0, 1, 0))  # odd length
-    with pytest.raises(ValueError):
-        ThreeStateInstance((0, 2), (0, 0))
-    with pytest.raises(ValueError):
-        ThreeStateInstance((0, 1), (0, 1, 0, 1))
+    with pytest.raises(ValueError, match="even number of rounds"):
+        build_example2((0, 1, 0), (0, 1, 0))
+    with pytest.raises(ValueError, match="alpha must be a bit vector"):
+        build_example2((0, 2), (0, 0))
+    with pytest.raises(ValueError, match="equal length"):
+        build_example2((0, 1), (0, 1, 0, 1))
     with pytest.raises(ValueError, match="alpha must be a bit vector"):
         build_example2([0.7, 1.0], [0, 0])  # not truncated to alpha (0, 1)
     with pytest.raises(ValueError, match="beta must be a bit vector"):
-        transcript_triple((0, 1), (0, -0.5))
+        build_example2((0, 1), (0, -0.5))
     assert build_example2([1.0, True], [0, 0]) == build_example2((1, 1), (0, 0))
-    with pytest.raises(ValueError):
-        DisjInstance(0)
-    with pytest.raises(ValueError):
-        DisjInstance(3, x={4})
-    with pytest.raises(ValueError):
-        DisjInstance(3, y={0})
+    with pytest.raises(ValueError, match="2-D arrays of one shape"):
+        disj_via_protocol([0, 1, 1], [1, 0, 0])
+    with pytest.raises(ValueError, match="2-D arrays of one shape"):
+        disj_via_protocol([[0, 1, 1]], [[1, 0, 0, 1]])  # Bob's element 4 outside {1, 2, 3}
+    with pytest.raises(ValueError, match="2-D arrays of one shape"):
+        disj_via_protocol(np.zeros((2, 3)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="only bits"):
+        disj_via_protocol([[0, 2, 1]], [[1, 0, 0]])
+    with pytest.raises(ValueError, match="only bits"):
+        disj_via_protocol([[0, 1, 1]], [[1, 0, 0.5]])
 
 
 def test_reduction_layout():
-    assert reduce_disjointness(DisjInstance(2)).alpha == (0, 0, 0, 0)
-    inst = reduce_disjointness(DisjInstance(1, x={1}, y={1}))
-    assert inst.alpha == (1, 1) and inst.beta == (0, 0)
-    inst2 = reduce_disjointness(DisjInstance(2, x={2}, y={1}))
-    assert inst2.alpha == (0, 1, 1, 0)
-    assert inst2.rounds == 4
+    # the batched walk against the reference loop on every pair up to u = 3,
+    # with alpha laid out by hand as x_1, y_1, x_2, y_2, ...
+    for u in (1, 2, 3):
+        rows = list(itertools.product((0, 1), repeat=u))
+        x = np.array([xr for xr in rows for _ in rows], dtype=np.uint8)
+        y = np.array([yr for _ in rows for yr in rows], dtype=np.uint8)
+        alphas = [[bit for pair in zip(xr, yr) for bit in pair] for xr, yr in zip(x, y)]
+        expected = [int(run_protocol(build_example2(alpha, [0] * 2 * u)).states[-1] != 2)
+                    for alpha in alphas]
+        assert disj_via_protocol(x, y).tolist() == expected
 
 
 def test_disj_hand_cases():
-    # one batch of mixed universes: the smaller ones are padded with zero rounds
-    instances = [DisjInstance(3, x={1, 2}, y={3}), DisjInstance(3, x={1, 2}, y={2, 3}),
-                 DisjInstance(4), DisjInstance(1, x={1}, y={1})]
-    assert disj_via_protocol(instances).tolist() == [1, 0, 1, 0]
-    assert [disj_via_protocol([inst])[0] for inst in instances] == [1, 0, 1, 0]
-    assert disj_via_protocol([]).tolist() == []
+    # mixed universes zero-padded to width 4: the padding rounds end in state 0
+    x = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]], dtype=np.uint8)
+    y = np.array([[0, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]], dtype=np.uint8)
+    assert disj_via_protocol(x, y).tolist() == [1, 0, 1, 0]
+    assert [disj_via_protocol(x[i:i + 1], y[i:i + 1])[0] for i in range(4)] == [1, 0, 1, 0]
+    empty = np.zeros((0, 4), dtype=np.uint8)
+    assert disj_via_protocol(empty, empty).tolist() == []
 
 
 @pytest.mark.parametrize("universe", [1, 2, 3, 4, 5])
@@ -107,8 +113,10 @@ def test_disj_exhaustive(universe):
     ground = list(range(1, universe + 1))
     subsets = [frozenset(c) for r in range(universe + 1)
                for c in itertools.combinations(ground, r)]
-    instances = [DisjInstance(universe, x=x, y=y) for x in subsets for y in subsets]
-    assert disj_via_protocol(instances).tolist() == [inst.disj() for inst in instances]
+    pairs = [(a, b) for a in subsets for b in subsets]
+    x = np.array([[k in a for k in ground] for a, _ in pairs], dtype=np.uint8)
+    y = np.array([[k in b for k in ground] for _, b in pairs], dtype=np.uint8)
+    assert disj_via_protocol(x, y).tolist() == [int(not a & b) for a, b in pairs]
 
 
 def test_triple_counts():
@@ -133,7 +141,8 @@ def test_triples_separate_assignments():
         alpha = [0] * m
         alpha[0::2] = odd
         for beta in itertools.product((0, 1), repeat=m):
-            trip = transcript_triple(tuple(alpha), beta)
+            trip = tuple(run_protocol(build_example2(alpha, beta, initial_state=s)).bits
+                         for s in range(3))
             key = (odd, beta)
             assert trip not in seen or seen[trip] == key
             seen[trip] = key
