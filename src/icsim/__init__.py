@@ -20,17 +20,15 @@ from .harness import (
 )
 from .multistate import (
     CoincidenceCertificate,
-    TailPlan,
     all_blocks_coincidence_bound,
     balanced_tables,
     coincidence_bound,
     coincidence_failure_trials,
-    fourth_root_ceil,
     is_coinciding,
     is_useful,
-    make_tail_plan,
     simulate_mstate,
     tail_exhaustive_lookahead,
+    tail_length,
 )
 from .protocol import (
     FiniteStateProtocol,
@@ -92,7 +90,6 @@ __all__ = [
     "SimulationReport",
     "SweepRow",
     "SweepSummary",
-    "TailPlan",
     "TranscriptTrace",
     "VerticalSchedule",
     "accounting",
@@ -108,7 +105,6 @@ __all__ = [
     "count_transcript_triples",
     "disj_via_protocol",
     "exhaustive_two_state",
-    "fourth_root_ceil",
     "genie_lookahead",
     "exchange",
     "genie_provider",
@@ -117,7 +113,6 @@ __all__ = [
     "load_protocol",
     "make_markovian",
     "make_schedule",
-    "make_tail_plan",
     "markovian_advance",
     "overhead_bound",
     "owner_of_round",
@@ -137,5 +132,6 @@ __all__ = [
     "simulate_two_state",
     "simulate_vertical",
     "tail_exhaustive_lookahead",
+    "tail_length",
     "wilson_interval",
 ]

@@ -63,7 +63,12 @@ def _load_advance(spec: str):
     """An advance table from a JSON file (rows or flat row-major, see
     ``protocol.advance_table``), or the builtin shorthand markovian:<log_M>."""
     if spec.startswith("markovian:"):
-        log_M = int(spec.split(":", 1)[1])
+        text = spec.split(":", 1)[1]
+        try:
+            log_M = int(text)
+        except ValueError:
+            raise ValueError(f"--advance markovian:<log_M> needs an integer log_M, "
+                             f"not {text!r}") from None
         if not 1 <= log_M <= MAX_LOG_M:
             raise ValueError(f"markovian log_M must be from 1 to {MAX_LOG_M}, not {log_M}")
         return markovian_advance(log_M)
@@ -102,6 +107,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_lookahead(args) -> int:
+    _at_least("n", args.n, 1)
     _at_least("trials", args.trials, 1)
     ch = ChannelModel.parse(args.channel)
     side = CodeSpec.parse(args.side_code)

@@ -1,5 +1,6 @@
-"""M-state scheme: coincidence analysis, usefulness of transmission-function
-sets, the tail-exhaustive lookahead, and its probability bounds.
+"""M-state scheme: coincidence certificates of advance functions, usefulness
+of transmission-function sets, the tail length, the tail-exhaustive
+lookahead, and its probability bounds.
 
 The lookahead idea for general M: inside each block, both parties learn the
 transmission tables of a short tail of p rounds (raw M-bit truth tables over
@@ -7,9 +8,10 @@ the side channel), then each simulates the trajectories of all M possible
 states at the tail's start. If every trajectory ends in the same state, that
 state is pinned down regardless of which trajectory was real. Whether the
 trajectories merge is governed by the advance function's coincidence
-structure (every state pair drivable to a common state within K steps) and
-happens with probability bounded away from failure when tables are drawn
-from a useful set.
+structure (every state pair drivable to a common state within K steps, found
+by one search over all state pairs) and happens with probability bounded
+away from failure when tables are drawn from a useful set. The tail is the
+smallest multiple of K that is at least n^(1/4) rounds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import count, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,58 +54,55 @@ class CoincidenceCertificate:
     witnesses: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]
 
 
+MAX_CERTIFIED_STATES = 1024  # the search tables and the witnesses grow as M**2
+
+
 @lru_cache(maxsize=1024)
 def _coincidence_search(advance: tuple[tuple[int, int], ...]) -> CoincidenceCertificate | None:
-    M = len(advance)
-    pairs = list(combinations(range(M), 2))
-    witnesses = {}
-    worst = 0
-    for pair in pairs:
-        # BFS on pair states, both walks driven by independently chosen bits
-        parent: dict[tuple[int, int], tuple[tuple[int, int], int, int]] = {}
-        frontier = [pair]
-        seen = {pair}
-        hit = None
-        while frontier and hit is None:
-            nxt = []
-            for node in frontier:
-                u, v = node
-                for a, b in product((0, 1), repeat=2):
-                    child = (advance[u][a], advance[v][b])
-                    if child in seen:
-                        continue
-                    seen.add(child)
-                    parent[child] = (node, a, b)
-                    if child[0] == child[1]:
-                        hit = child
-                        break
-                    nxt.append(child)
-                if hit:
-                    break
-            frontier = nxt
-        if hit is None:
-            return None
-        left: list[int] = []
-        right: list[int] = []
-        node = hit
-        while node != pair:
-            node, a, b = parent[node]
-            left.append(a)
-            right.append(b)
-        left.reverse()
-        right.reverse()
-        witnesses[pair] = (tuple(left), tuple(right))
-        worst = max(worst, len(left))
-    return CoincidenceCertificate(worst, witnesses)
+    adv = np.array(advance)
+    M = len(adv)
+    # the successor pairs of every (u, v) under each move (a, b), in product order
+    succ = [np.ix_(adv[:, a], adv[:, b]) for a, b in product((0, 1), repeat=2)]
+    # dist[u, v]: fewest rounds that drive u and v into one state, found
+    # level by level backwards from the diagonal; -1 while unknown
+    dist = np.where(np.eye(M, dtype=bool), 0, -1)
+    for level in count(1):
+        reached = dist >= 0
+        new = ~reached & np.logical_or.reduce([reached[s] for s in succ])
+        if not new.any():
+            break
+        dist[new] = level
+    if not reached.all():
+        return None
+    # per pair, the first move that gets one round closer: read greedily,
+    # it gives the lexicographically first shortest witness
+    closer = np.stack([dist[s] for s in succ]) == dist - 1
+    first = closer.argmax(axis=0)
+    us, vs = np.triu_indices(M, 1)
+    lengths = dist[us, vs]
+    K = int(lengths.max(initial=0))
+    steps = np.empty((K, len(us)), dtype=np.intp)
+    u, v = us, vs
+    for k in range(K):  # pairs already met take move 0 and stay on the diagonal
+        steps[k] = first[u, v]
+        u, v = adv[u, steps[k] >> 1], adv[v, steps[k] & 1]
+    witnesses = {
+        (a, b): (tuple(left[:n]), tuple(right[:n]))
+        for a, b, n, left, right in zip(us.tolist(), vs.tolist(), lengths.tolist(),
+                                        (steps >> 1).T.tolist(), (steps & 1).T.tolist())
+    }
+    return CoincidenceCertificate(K, witnesses)
 
 
 def is_coinciding(eta, M: int) -> CoincidenceCertificate | None:
-    """Certificate with minimal-length witnesses, or None when some pair of
-    states can never be driven to a common state."""
-    advance = tuple(map(tuple, _advance_rows(eta, M).tolist()))
-    if M == 1:
-        return CoincidenceCertificate(0, {})
-    return _coincidence_search(advance)
+    """Certificate with minimal-length witnesses, each the lexicographically
+    first over the moves (a, b) in (0, 0), (0, 1), (1, 0), (1, 1) order, or
+    None when some pair of states can never be driven to a common state.
+    Certificates are computed for at most ``MAX_CERTIFIED_STATES`` states."""
+    if M > MAX_CERTIFIED_STATES:
+        raise ValueError(f"coincidence certificates need at most {MAX_CERTIFIED_STATES} "
+                         f"states, not {M}")
+    return _coincidence_search(tuple(map(tuple, _advance_rows(eta, M).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -185,53 +184,19 @@ def all_blocks_coincidence_bound(M: int, F_size: int, K: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tail plans and the trajectory machinery
+# tail length and the trajectory machinery
 
 PLACEMENTS = ("last", "first")  # where each block's exhaustive tail sits
 
 
-@dataclass(frozen=True)
-class TailPlan:
-    """How much of each block is simulated exhaustively and where.
-
-    placement "last": the tail is the final p rounds of each block and yields
-    the next block's initial state. placement "first": the tail is the
-    opening p rounds, simulated for all M initial states and resolved by
-    chaining at the end.
-    """
-
-    p: int
-    placement: str
-    K: int
-
-    def __post_init__(self) -> None:
-        if self.placement not in PLACEMENTS:
-            raise ValueError(f"placement must be one of {PLACEMENTS}, not {self.placement!r}")
-        if self.K < 1 or self.p < 1:
-            raise ValueError("p and K must be positive")
-        if self.p % self.K:
-            raise ValueError("p must be a multiple of K")
-
-
-def fourth_root_ceil(n: int) -> int:
-    """Exact smallest integer r with r**4 >= n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    r = max(1, round(n ** 0.25) - 2)
-    while r ** 4 < n:
-        r += 1
-    return r
-
-
-def make_tail_plan(n_padded: int, K: int, placement: str = "last") -> TailPlan:
-    m = math.isqrt(n_padded)
-    if m * m != n_padded:
-        raise ValueError("tail plans are made for padded square lengths")
-    p0 = fourth_root_ceil(n_padded)
-    p = K * math.ceil(p0 / K)
-    if p > m:
-        raise ValueError(f"tail of {p} rounds does not fit in blocks of {m}")
-    return TailPlan(p, placement, K)
+def tail_length(n_padded: int, K: int) -> int:
+    """Rounds of each block simulated exhaustively: the smallest multiple of
+    K that is at least n_padded^(1/4), in exact integers."""
+    if n_padded < 1 or K < 1:
+        raise ValueError("n_padded and K must be positive")
+    root = math.isqrt(math.isqrt(n_padded))  # floor of the fourth root
+    root += root ** 4 < n_padded
+    return -(-root // K) * K
 
 
 def trajectories_coincide(eta, tables: Sequence[Table],
@@ -262,17 +227,18 @@ def coincidence_failure_trials(eta, function_set: Sequence[Table], p: int,
 def _exchange_tail_tables(
     pp: FiniteStateProtocol,
     m: int,
-    plan: TailPlan,
+    tail: int,
+    placement: str,
     ch: ChannelModel,
     side_code: CodeSpec,
     rng: np.random.Generator,
 ) -> tuple[dict[Party, np.ndarray], int, int]:
     """Each party sends raw M-bit truth tables for its rounds in every
-    block's tail. Returns, per party, its assembled (rows, p, M) tail tables
+    block's tail. Returns, per party, its assembled (rows, tail, M) tables
     (own rounds exact, counterpart rounds as decoded), plus the logical bits
     and channel uses spent."""
-    start = m - plan.p if plan.placement == "last" else 0  # columns before the tail
-    tails = pp.tables.reshape(m, m, pp.M)[:, start:start + plan.p]
+    start = m - tail if placement == "last" else 0  # columns before the tail
+    tails = pp.tables.reshape(m, m, pp.M)[:, start:start + tail]
     # a party's tail columns: tail offsets whose round has its parity
     own = {q: np.s_[:, (q.parity - start - 1) % 2::2] for q in (Party.ALICE, Party.BOB)}
     heard, bits_used, channel_uses = exchange({q: tails[own[q]] for q in own}, side_code,
@@ -319,11 +285,13 @@ class TailWire(ColumnWire):
                 else self.tails[party][np.arange(len(states))[:, None], j - 1, states])
 
 
-def tail_exhaustive_lookahead(p: FiniteStateProtocol, plan: TailPlan, ch: ChannelModel,
-                              side_code: CodeSpec, rng: np.random.Generator) -> LookaheadResult:
-    """Both parties learn every block's tail tables and walk all M
-    trajectories over them. A block whose trajectories do not merge is a
-    coincidence failure and aborts the run (reported, never silently wrong).
+def tail_exhaustive_lookahead(p: FiniteStateProtocol, tail: int, placement: str,
+                              ch: ChannelModel, side_code: CodeSpec,
+                              rng: np.random.Generator) -> LookaheadResult:
+    """Both parties learn the tables of ``tail`` rounds at the ``placement``
+    end of every block and walk all M trajectories over them. A block whose
+    trajectories do not merge is a coincidence failure and aborts the run
+    (reported, never silently wrong).
 
     last-p: block r+1's initial state is block r's common final. first-p:
     the result carries a ``TailWire``; the column loop reconstructs the
@@ -332,35 +300,40 @@ def tail_exhaustive_lookahead(p: FiniteStateProtocol, plan: TailPlan, ch: Channe
     sched = make_schedule(p.n)
     if sched.n_padded != p.n:
         raise ValueError("protocol length must be the padded square")
-    tails, bits_used, channel_uses = _exchange_tail_tables(p, sched.m, plan, ch, side_code, rng)
-    if plan.placement == "last":
+    if placement not in PLACEMENTS:
+        raise ValueError(f"placement must be one of {PLACEMENTS}, not {placement!r}")
+    if not 1 <= tail <= sched.m:
+        raise ValueError(f"tail must be from 1 to {sched.m} rounds, not {tail}")
+    tails, bits_used, channel_uses = _exchange_tail_tables(p, sched.m, tail, placement, ch,
+                                                           side_code, rng)
+    if placement == "last":
         finals, bad = _tail_finals(p, tails, sched.rows - 1)
         return LookaheadResult((p.initial_state, *finals[Party.ALICE]),
                                (p.initial_state, *finals[Party.BOB]),
                                bits_used, channel_uses,
-                               failure=_merge_failure(bad) if bad else None, tail_len=plan.p)
+                               failure=_merge_failure(bad) if bad else None, tail_len=tail)
     _, bad = _tail_finals(p, tails, sched.rows)
     if bad:
         return LookaheadResult((), (), bits_used, channel_uses,
-                               failure=_merge_failure(bad), tail_len=plan.p)
-    return LookaheadResult((), (), bits_used, channel_uses, tail_len=plan.p,
+                               failure=_merge_failure(bad), tail_len=tail)
+    return LookaheadResult((), (), bits_used, channel_uses, tail_len=tail,
                            coincidence_ok=True, wire=TailWire(tails))
 
 
 def tail_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: CodeSpec,
                    rng: np.random.Generator, placement: str) -> LookaheadResult:
-    """The m-state lookahead in either placement, with the tail plan taken
+    """The m-state lookahead in either placement, with the tail length taken
     from the advance function's coincidence certificate. A non-coinciding
     advance function, or a tail that does not fit in a block, fails before
     any channel use."""
     cert = is_coinciding(pp.advance, pp.M)
     if cert is None:
         return LookaheadResult((), (), 0, 0, failure="advance function is not coinciding")
-    try:
-        plan = make_tail_plan(pp.n, max(1, cert.K), placement)
-    except ValueError as exc:  # the tail does not fit in a block
-        return LookaheadResult((), (), 0, 0, failure=str(exc))
-    return tail_exhaustive_lookahead(pp, plan, ch, side_code, rng)
+    m, tail = math.isqrt(pp.n), tail_length(pp.n, max(1, cert.K))
+    if tail > m:
+        return LookaheadResult((), (), 0, 0,
+                               failure=f"tail of {tail} rounds does not fit in blocks of {m}")
+    return tail_exhaustive_lookahead(pp, tail, placement, ch, side_code, rng)
 
 
 def simulate_mstate(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpec,

@@ -353,7 +353,10 @@ def overhead_bound(report: SimulationReport) -> float:
     if report.scheme.startswith("two-state"):
         side = report.side_rate or report.rate_target
         c = 2.0 / side + 1.0
-        return c * math.sqrt(n) * max(1.0, math.log2(n))
+        # besides its index, each block's reports carry a value and a parity bit
+        # over four side transfers; log2 n undercounts those on the 1x1 and 2x2
+        # grids, so it is floored at 4, the value it first reaches at 4x4
+        return c * math.sqrt(n) * max(4.0, math.log2(n))
     if report.scheme.startswith("m-state"):
         side = report.side_rate or report.rate_target
         tail = report.tail_len or 0

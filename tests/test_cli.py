@@ -1,7 +1,9 @@
 """Command-line interface: subcommand behavior, outputs, exit codes."""
 
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 from icsim.channel import ChannelModel
 from icsim.cli import main
+from icsim.protocol import markovian_advance
 
 
 def test_capacity_stdout(capsys):
@@ -201,6 +204,25 @@ def test_classify_two_state_reports_taxonomy(capsys):
     assert "(0, 0)" in out and "(1, 1)" in out
 
 
+def test_classify_prints_a_replaying_witness_per_state_pair(capsys):
+    assert main(["classify", "--advance", "markovian:8"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "M=256: coinciding, K=8"
+    eta = markovian_advance(8)
+    pairs = []
+    for line in lines:
+        match = re.fullmatch(r"  pair \((\d+),(\d+)\): drive \[([\d, ]*)\] / \[([\d, ]*)\]", line)
+        a, b = int(match[1]), int(match[2])
+        ends = []
+        for s, drive in ((a, match[3]), (b, match[4])):
+            for bit in (drive.split(", ") if drive else ()):
+                s = eta[s][int(bit)]
+            ends.append(s)
+        assert ends[0] == ends[1], line
+        pairs.append((a, b))
+    assert pairs == sorted(itertools.combinations(range(256), 2))
+
+
 def test_disjointness_exhaustive(capsys):
     code = main(["disjointness", "--universe", "4", "--exhaustive",
                  "--count-triples", "4"])
@@ -330,6 +352,15 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
      "markovian log_M must be from 1 to 16, not 17"),
     (["classify", "--advance", "markovian:64"], None,
      "markovian log_M must be from 1 to 16, not 64"),
+    (["classify", "--advance", "markovian:x"], None,
+     "--advance markovian:<log_M> needs an integer log_M, not 'x'"),
+    (["classify", "--advance", "markovian:"], None,
+     "--advance markovian:<log_M> needs an integer log_M, not ''"),
+    (["lookahead", "--n", "-4"], None, "n must be at least 1, not -4"),
+    (["classify", "--advance", "markovian:11"], None,
+     "coincidence certificates need at most 1024 states, not 2048"),
+    (["classify", "--advance", "markovian:16"], None,
+     "coincidence certificates need at most 1024 states, not 65536"),
 ], ids=["advance-empty", "advance-integer", "advance-object", "advance-odd-flat",
         "advance-out-of-range", "functions-integer", "functions-empty", "functions-short-row",
         "functions-non-bit", "coincidence-zero-trials", "coincidence-negative-p",
@@ -338,7 +369,9 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
         "disjointness-zero-universe", "disjointness-zero-universe-exhaustive",
         "disjointness-negative-universe", "disjointness-negative-universe-exhaustive",
         "code-rep-inf", "code-rlc-inf", "code-oracle-nan", "channel-awgn-nan",
-        "channel-awgn-inf", "simulate-channel-awgn-nan", "markovian-17", "markovian-64"])
+        "channel-awgn-inf", "simulate-channel-awgn-nan", "markovian-17", "markovian-64",
+        "markovian-not-integer", "markovian-empty", "lookahead-negative-n", "markovian-11",
+        "markovian-16"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "input.json"
     if doc is not None:

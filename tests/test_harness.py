@@ -2,6 +2,7 @@
 
 import json
 import math
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -295,10 +296,14 @@ def test_compare_bounds_three_sigma_slack():
 
 
 def test_star_import_resolves_every_export():
-    # a name deleted from the package but left in __all__ fails here
+    # a name deleted from the package but left in __all__ fails here, and so
+    # does a public name imported into the package but left out of __all__
     import icsim
 
     namespace = {}
     exec("from icsim import *", namespace)
     assert sorted(set(icsim.__all__) - set(namespace)) == []
     assert len(icsim.__all__) == len(set(icsim.__all__))
+    public = {name for name, value in vars(icsim).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(public.symmetric_difference(icsim.__all__)) == []

@@ -1,4 +1,4 @@
-"""Coincidence analysis, usefulness, tail plans, the m-state scheme."""
+"""Coincidence analysis, usefulness, tail length, the m-state scheme."""
 
 import itertools
 import math
@@ -13,18 +13,17 @@ from hypothesis import strategies as st
 from icsim.channel import ChannelModel
 from icsim.coding import CodeSpec, convey
 from icsim.multistate import (
-    TailPlan,
+    CoincidenceCertificate,
     all_blocks_coincidence_bound,
     all_tables,
     balanced_tables,
     coincidence_bound,
     coincidence_failure_trials,
-    fourth_root_ceil,
     is_coinciding,
     is_useful,
-    make_tail_plan,
     simulate_mstate,
     tail_exhaustive_lookahead,
+    tail_length,
     tail_lookahead,
     trajectories_coincide,
 )
@@ -110,6 +109,65 @@ def test_coincidence_complete_against_closure_oracle_m3():
                 assert _replay(eta, a, wa) == _replay(eta, b, wb)
 
 
+def reference_coincidence_search(advance):
+    """One forward BFS per state pair, moves in product order, stopping at
+    the first pair of equal states: the lexicographically first shortest
+    witness of every pair."""
+    witnesses = {}
+    for pair in itertools.combinations(range(len(advance)), 2):
+        parent = {}
+        frontier, seen, hit = [pair], {pair}, None
+        while frontier and hit is None:
+            nxt = []
+            for node in frontier:
+                u, v = node
+                for a, b in itertools.product((0, 1), repeat=2):
+                    child = (advance[u][a], advance[v][b])
+                    if child in seen:
+                        continue
+                    seen.add(child)
+                    parent[child] = (node, a, b)
+                    if child[0] == child[1]:
+                        hit = child
+                        break
+                    nxt.append(child)
+                if hit:
+                    break
+            frontier = nxt
+        if hit is None:
+            return None
+        left, right, node = [], [], hit
+        while node != pair:
+            node, a, b = parent[node]
+            left.append(a)
+            right.append(b)
+        witnesses[pair] = (tuple(reversed(left)), tuple(reversed(right)))
+    return CoincidenceCertificate(max(map(len, (w for w, _ in witnesses.values())), default=0),
+                                  witnesses)
+
+
+def test_coincidence_search_matches_per_pair_reference():
+    rng = np.random.default_rng(14)
+    verdicts = set()
+    for M in range(2, 9):
+        for _ in range(150):
+            eta = tuple(map(tuple, rng.integers(0, M, size=(M, 2)).tolist()))
+            want = reference_coincidence_search(eta)
+            assert is_coinciding(eta, M) == want, eta
+            verdicts.add(want is None)
+    assert verdicts == {True, False}  # both coinciding and non-coinciding tables ran
+    for log_M in range(1, 7):
+        eta = markovian_advance(log_M)
+        cert = is_coinciding(eta, 1 << log_M)
+        assert cert == reference_coincidence_search(eta) and cert.K == log_M
+
+
+def test_coincidence_search_limits():
+    assert is_coinciding(((0, 0),), 1) == CoincidenceCertificate(0, {})
+    with pytest.raises(ValueError, match="at most 1024 states, not 2048"):
+        is_coinciding(markovian_advance(11), 2048)
+
+
 def test_usefulness_of_full_table_set():
     assert is_useful(all_tables(3), 3).useful
 
@@ -155,30 +213,36 @@ def test_all_blocks_bound_formula():
     assert got == pytest.approx(min(1.0, 2500 * 4 * math.exp(-(6 ** -2) * 50 / 2)), rel=1e-12)
 
 
-def test_fourth_root_ceil_exactness():
-    assert fourth_root_ceil(1) == 1
-    assert fourth_root_ceil(2) == 2
-    assert fourth_root_ceil(81) == 3
-    assert fourth_root_ceil(82) == 4
-    assert fourth_root_ceil(4096) == 8
-    assert fourth_root_ceil(6561) == 9
-    assert fourth_root_ceil(6562) == 10
+def test_tail_length_exactness():
+    assert tail_length(1, 1) == 1
+    assert tail_length(2, 1) == 2
+    assert tail_length(81, 1) == 3
+    assert tail_length(82, 1) == 4
+    assert tail_length(4096, 1) == 8
+    assert tail_length(6561, 1) == 9
+    assert tail_length(6562, 1) == 10
     for n in range(1, 5000):
-        r = fourth_root_ceil(n)
+        r = tail_length(n, 1)
         assert r ** 4 >= n and (r - 1) ** 4 < n
+    assert tail_length(10 ** 40, 1) == 10 ** 10  # exact beyond float precision
+    assert tail_length(10 ** 40 + 1, 1) == 10 ** 10 + 1
+    for bad in ((0, 1), (16, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            tail_length(*bad)
 
 
-def test_tail_plan_rounding_and_fit():
-    plan = make_tail_plan(4096, K=2)
-    assert plan.p == 8 and plan.K == 2 and plan.placement == "last"
-    plan3 = make_tail_plan(4096, K=3)
-    assert plan3.p == 9
-    with pytest.raises(ValueError):
-        make_tail_plan(16, K=5)
-    with pytest.raises(ValueError):
-        TailPlan(p=7, placement="last", K=2)
-    with pytest.raises(ValueError):
-        TailPlan(p=8, placement="middle", K=2)
+def test_tail_length_rounding_and_lookahead_checks():
+    assert tail_length(4096, 2) == 8
+    assert tail_length(4096, 3) == 9
+    assert tail_length(16, 5) == 5  # longer than the 4-round blocks of n = 16
+    p = random_protocol(16, 2, [(0, 1), (1, 0)], 0, advance=MARKOV2)
+    rep1 = CodeSpec.parse("rep:1")
+    for tail, placement, message in [(5, "last", "tail must be from 1 to 4 rounds, not 5"),
+                                     (0, "first", "tail must be from 1 to 4 rounds, not 0"),
+                                     (2, "middle", "placement must be one of")]:
+        with pytest.raises(ValueError, match=message):
+            tail_exhaustive_lookahead(p, tail, placement, NOISELESS, rep1,
+                                      np.random.default_rng(0))
 
 
 def test_trajectories_coincide_reports_finals():
@@ -217,9 +281,8 @@ def test_tail_with_flushed_window_always_merges():
         tables[r * sched.m + sched.m - 2] = (1, 1, 1, 1)
         tables[r * sched.m + sched.m - 1] = (0, 0, 0, 0)
     forced = type(p)(n=n, M=4, advance=MARKOV4, transmissions=tuple(tables))
-    plan = make_tail_plan(sched.n_padded, K=2)
-    la = tail_exhaustive_lookahead(forced, plan, NOISELESS, CodeSpec.parse("rep:1"),
-                                   np.random.default_rng(0))
+    la = tail_exhaustive_lookahead(forced, tail_length(sched.n_padded, 2), "last", NOISELESS,
+                                   CodeSpec.parse("rep:1"), np.random.default_rng(0))
     assert la.failure is None
     truth, _ = genie_lookahead(forced)
     assert la.alice_states == truth and la.bob_states == truth
@@ -229,8 +292,7 @@ def test_tail_failure_names_blocks():
     # identity advance never merges anything
     rng = np.random.default_rng(1)
     p = random_protocol(16, 2, [(0, 1), (1, 0)], rng, advance=((0, 0), (1, 1)))
-    plan = TailPlan(p=2, placement="last", K=1)
-    la = tail_exhaustive_lookahead(p, plan, NOISELESS, CodeSpec.parse("rep:1"),
+    la = tail_exhaustive_lookahead(p, 2, "last", NOISELESS, CodeSpec.parse("rep:1"),
                                    np.random.default_rng(0))
     assert la.failure is not None and "block" in la.failure
 
@@ -242,9 +304,8 @@ def test_provider_matches_genie_when_merging():
     merged = 0
     for seed in range(80):
         p = random_protocol(1024, 2, fset, seed, advance=MARKOV2)
-        plan = make_tail_plan(1024, K=1)
-        la = tail_exhaustive_lookahead(p, plan, NOISELESS, CodeSpec.parse("rep:1"),
-                                       np.random.default_rng(seed))
+        la = tail_exhaustive_lookahead(p, tail_length(1024, 1), "last", NOISELESS,
+                                       CodeSpec.parse("rep:1"), np.random.default_rng(seed))
         if la.failure is not None:
             continue
         merged += 1
@@ -334,7 +395,7 @@ def test_mstate_side_information_accounting():
 
 @pytest.mark.parametrize("placement", ["last", "first"])
 def test_mstate_tail_longer_than_block_fails_the_lookahead(placement):
-    # n=1 is a single round; a K=2 tail needs two, so no tail plan fits
+    # n=1 is a single round; a K=2 tail needs two, so no tail fits
     rep1 = CodeSpec.parse("rep:1")
     p = random_protocol(1, 4, balanced_tables(4), 0, advance=MARKOV4)
     report = simulate_mstate(p, NOISELESS, rep1, rep1, placement, np.random.default_rng(0))
@@ -347,14 +408,14 @@ def test_mstate_tail_longer_than_block_fails_the_lookahead(placement):
 # ---------------------------------------------------------------------------
 # per-round reference loops for the vectorised tail exchange and walk
 
-def reference_tail_exchange(pp, sched, plan, ch, side_code, rng):
+def reference_tail_exchange(pp, sched, tail, placement, ch, side_code, rng):
     """Raw tail tables sent one round at a time; per party, each block's
     list of tail tables (own exact, counterpart's as decoded)."""
     M, m = pp.M, sched.m
     parties = (Party.ALICE, Party.BOB)
     views = {q: party_view(pp, q) for q in parties}
-    positions = (list(range(m - plan.p + 1, m + 1)) if plan.placement == "last"
-                 else list(range(1, plan.p + 1)))
+    positions = (list(range(m - tail + 1, m + 1)) if placement == "last"
+                 else list(range(1, tail + 1)))
     own_pos = {q: [t for t in positions if t % 2 == q.parity] for q in parties}
     bits_used = channel_uses = 0
     heard = {}
@@ -392,7 +453,7 @@ def reference_tail_walk(p, tails, blocks):
 @st.composite
 def tail_cases(draw):
     """A padded protocol with a coinciding markovian advance, or a random
-    advance (non-coinciding ones run with K = 1), and a tail plan that fits."""
+    advance (non-coinciding ones run with K = 1), and a tail that fits."""
     n = draw(st.integers(1, 1100))
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
@@ -408,42 +469,43 @@ def tail_cases(draw):
                      sched.n_padded)
     cert = is_coinciding(p.advance, M)
     K = max(1, cert.K) if cert else 1
-    assume(fourth_root_ceil(sched.n_padded) <= sched.m - K + 1)
-    return sched, p, K, seed
+    tail = tail_length(sched.n_padded, K)
+    assume(tail <= sched.m)
+    return sched, p, tail, seed
 
 
 @settings(max_examples=60)
 @given(case=tail_cases(), channel=st.sampled_from(["bsc:0.05", "bec:0.1"]),
        side=st.sampled_from(["rep:1", "rep:3", "rlc:2"]))
 def test_tail_lookaheads_match_per_round_reference(case, channel, side):
-    sched, p, K, seed = case
+    sched, p, tail, seed = case
     ch, code = ChannelModel.parse(channel), CodeSpec.parse(side)
 
-    plan = make_tail_plan(sched.n_padded, K, "last")
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = tail_exhaustive_lookahead(p, plan, ch, code, rng)
-    tails, bits_used, channel_uses = reference_tail_exchange(p, sched, plan, ch, code, ref_rng)
+    got = tail_exhaustive_lookahead(p, tail, "last", ch, code, rng)
+    tails, bits_used, channel_uses = reference_tail_exchange(p, sched, tail, "last", ch, code,
+                                                             ref_rng)
     finals, bad = reference_tail_walk(p, tails, sched.rows - 1)
     failure = f"trajectories did not merge in blocks {sorted(bad)}" if bad else None
     assert got == LookaheadResult((p.initial_state, *finals[Party.ALICE]),
                                   (p.initial_state, *finals[Party.BOB]),
-                                  bits_used, channel_uses, failure=failure, tail_len=plan.p)
+                                  bits_used, channel_uses, failure=failure, tail_len=tail)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    plan = make_tail_plan(sched.n_padded, K, "first")
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = tail_exhaustive_lookahead(p, plan, ch, code, rng)
-    tails, bits_used, channel_uses = reference_tail_exchange(p, sched, plan, ch, code, ref_rng)
+    got = tail_exhaustive_lookahead(p, tail, "first", ch, code, rng)
+    tails, bits_used, channel_uses = reference_tail_exchange(p, sched, tail, "first", ch, code,
+                                                             ref_rng)
     _, bad = reference_tail_walk(p, tails, sched.rows)
     if bad:
         want = LookaheadResult((), (), bits_used, channel_uses,
                                failure=f"trajectories did not merge in blocks {sorted(bad)}",
-                               tail_len=plan.p)
+                               tail_len=tail)
         assert got == want
     else:
-        want = LookaheadResult((), (), bits_used, channel_uses, tail_len=plan.p,
+        want = LookaheadResult((), (), bits_used, channel_uses, tail_len=tail,
                                coincidence_ok=True)
         assert replace(got, wire=None) == want
         for q in (Party.ALICE, Party.BOB):
-            assert np.array_equal(got.wire.tails[q], np.array(tails[q]).reshape(sched.rows, plan.p, -1))
+            assert np.array_equal(got.wire.tails[q], np.array(tails[q]).reshape(sched.rows, tail, -1))
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import icsim.vertical
 from icsim.channel import ChannelModel
 from icsim.coding import CodeSpec
-from icsim.harness import ExperimentConfig, run_trial
+from icsim.harness import ExperimentConfig, run_sweep, run_trial
 from icsim.protocol import (
     FiniteStateProtocol,
     Party,
@@ -143,6 +143,15 @@ def test_accounting_zero_overhead_when_rate_divides():
     assert audit.overhead == pytest.approx(0.0, abs=1e-9)
     assert audit.passed
     assert report.channel_uses == 256 * 4
+
+
+@pytest.mark.parametrize("code", ["rep:3", "rlc:2", "oracle:0.3"])
+@pytest.mark.parametrize("scheme", ["genie", "two-state", "two-state-exhaustive"])
+def test_noiseless_sweeps_pass_every_audit_from_the_smallest_grid(scheme, code):
+    # the 1x1 and 2x2 grids pay the two-state side transfers on almost no rounds
+    cfg = ExperimentConfig(scheme=scheme, channel="bsc:0", code=code,
+                           n_list=tuple(range(1, 81)), trials=1)
+    assert run_sweep(cfg).audits_passed
 
 
 def test_accounting_exact_split():
