@@ -61,12 +61,11 @@ from .vertical import (
     AuditRecord,
     LookaheadResult,
     SimulationReport,
-    VerticalSchedule,
     accounting,
     exchange,
     genie_lookahead,
     genie_provider,
-    make_schedule,
+    grid_side,
     overhead_bound,
     simulate_vertical,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "SweepRow",
     "SweepSummary",
     "TranscriptTrace",
-    "VerticalSchedule",
     "accounting",
     "all_blocks_coincidence_bound",
     "balanced_tables",
@@ -108,11 +106,11 @@ __all__ = [
     "genie_lookahead",
     "exchange",
     "genie_provider",
+    "grid_side",
     "is_coinciding",
     "is_useful",
     "load_protocol",
     "make_markovian",
-    "make_schedule",
     "markovian_advance",
     "overhead_bound",
     "owner_of_round",

@@ -3,7 +3,6 @@
 Subcommands:
   capacity      channel capacity plus an error-exponent table as CSV
   simulate      seeded simulation trials of one scheme, CSV + JSON summary
-  lookahead     two-state lookahead diagnostics on random protocols
   coincidence   Monte Carlo coincidence-failure rate vs. the theoretical bound
   classify      coincidence certificate (and two-state taxonomy) of an advance table
   disjointness  disjointness-reduction check, exhaustive or sampled
@@ -23,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelModel
-from .coding import CodeSpec
 from .harness import (
     MAX_LOG_M,
     SCHEMES,
@@ -39,14 +37,14 @@ from .multistate import (
     PLACEMENTS,
     coincidence_bound,
     coincidence_failure_trials,
+    coincidence_horizon,
     is_coinciding,
     is_useful,
     resolve_functions,
 )
-from .protocol import advance_table, markovian_advance, pad_protocol
+from .protocol import advance_table, markovian_advance
 from .threestate import count_transcript_triples, disj_via_protocol
-from .twostate import classify_advance, random_two_state_protocol, run_lookahead_exchange
-from .vertical import genie_lookahead, make_schedule
+from .twostate import classify_advance
 
 
 # the simulate outputs: columns of the sweep CSV, keys of its one JSON row
@@ -106,28 +104,6 @@ def _cmd_simulate(args) -> int:
     return 0 if summary.audits_passed else 1
 
 
-def _cmd_lookahead(args) -> int:
-    _at_least("n", args.n, 1)
-    _at_least("trials", args.trials, 1)
-    ch = ChannelModel.parse(args.channel)
-    side = CodeSpec.parse(args.side_code)
-    agree = 0
-    bits = []
-    for t in range(args.trials):
-        rng = np.random.default_rng(args.seed + t)
-        p = random_two_state_protocol(args.n, rng)
-        sched = make_schedule(p.n)
-        pp = pad_protocol(p, sched.n_padded)
-        la = run_lookahead_exchange(pp, ch, side, rng)
-        truth = genie_lookahead(pp)[0]
-        agree += la.alice_states == truth and la.bob_states == truth
-        bits.append(la.bits_used)
-    print(f"trials={args.trials} n={args.n} bits_used={bits[0]} "
-          f"agree_rate={agree / args.trials:.4f} "
-          f"bits_per_block={bits[0] / make_schedule(args.n).rows:.2f}")
-    return 0
-
-
 def _cmd_coincidence(args) -> int:
     _at_least("trials", args.trials, 1)
     _at_least("p", args.p, 0)
@@ -137,14 +113,14 @@ def _cmd_coincidence(args) -> int:
     if functions not in ("balanced", "all"):
         functions = json.loads(Path(functions).read_text())
     fset = resolve_functions(functions, M)
-    cert = is_coinciding(eta, M)
-    if cert is None:
+    K = coincidence_horizon(eta, M)
+    if K is None:
         print("advance function is not coinciding; no bound applies")
         return 1
     if not is_useful(fset, M).useful:
         print("function set is not useful; no bound applies")
         return 1
-    k = cert.K if cert.K else 1
+    k = max(1, K)
     p = args.p - args.p % k
     failures = coincidence_failure_trials(eta, fset, p, args.trials, args.seed)
     bound = coincidence_bound(M, len(fset), k, p)
@@ -253,14 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", help="CSV output path")
     sim.add_argument("--summary", help="JSON summary path")
     sim.set_defaults(func=_cmd_simulate)
-
-    look = sub.add_parser("lookahead", help="two-state lookahead diagnostics")
-    look.add_argument("--n", type=int, default=1024)
-    look.add_argument("--seed", type=int, default=0)
-    look.add_argument("--trials", type=int, default=100)
-    look.add_argument("--channel", default="bsc:0")
-    look.add_argument("--side-code", dest="side_code", default="rep:1")
-    look.set_defaults(func=_cmd_lookahead)
 
     coin = sub.add_parser("coincidence", help="coincidence failure rate vs. bound")
     coin.add_argument("--advance", required=True,

@@ -32,7 +32,7 @@ from .vertical import (
     LookaheadResult,
     SimulationReport,
     exchange,
-    make_schedule,
+    padded_side,
     simulate_vertical,
 )
 
@@ -57,22 +57,48 @@ class CoincidenceCertificate:
 MAX_CERTIFIED_STATES = 1024  # the search tables and the witnesses grow as M**2
 
 
-@lru_cache(maxsize=1024)
-def _coincidence_search(advance: tuple[tuple[int, int], ...]) -> CoincidenceCertificate | None:
-    adv = np.array(advance)
-    M = len(adv)
-    # the successor pairs of every (u, v) under each move (a, b), in product order
+def _pair_distances(adv: np.ndarray) -> tuple[np.ndarray, list]:
+    """``dist[u, v]``, the fewest rounds that drive u and v into one state
+    (-1 where none do), found level by level backwards from the diagonal;
+    and the successor pairs of every (u, v) under each move (a, b), in
+    product order."""
     succ = [np.ix_(adv[:, a], adv[:, b]) for a, b in product((0, 1), repeat=2)]
-    # dist[u, v]: fewest rounds that drive u and v into one state, found
-    # level by level backwards from the diagonal; -1 while unknown
-    dist = np.where(np.eye(M, dtype=bool), 0, -1)
+    dist = np.where(np.eye(len(adv), dtype=bool), 0, -1)
     for level in count(1):
         reached = dist >= 0
         new = ~reached & np.logical_or.reduce([reached[s] for s in succ])
         if not new.any():
-            break
+            return dist, succ
         dist[new] = level
-    if not reached.all():
+
+
+def _advance_key(eta, M: int) -> tuple[tuple[int, int], ...]:
+    if M > MAX_CERTIFIED_STATES:
+        raise ValueError(f"coincidence certificates need at most {MAX_CERTIFIED_STATES} "
+                         f"states, not {M}")
+    return tuple(map(tuple, _advance_rows(eta, M).tolist()))
+
+
+@lru_cache(maxsize=1024)
+def _horizon(advance: tuple[tuple[int, int], ...]) -> int | None:
+    dist, _ = _pair_distances(np.array(advance))
+    return None if (dist < 0).any() else int(dist.max())
+
+
+def coincidence_horizon(eta, M: int) -> int | None:
+    """The K of ``is_coinciding``'s certificate, or None, without building
+    its witnesses; cached per advance table for the trial path."""
+    return _horizon(_advance_key(eta, M))
+
+
+def is_coinciding(eta, M: int) -> CoincidenceCertificate | None:
+    """Certificate with minimal-length witnesses, each the lexicographically
+    first over the moves (a, b) in (0, 0), (0, 1), (1, 0), (1, 1) order, or
+    None when some pair of states can never be driven to a common state.
+    Certificates are computed for at most ``MAX_CERTIFIED_STATES`` states."""
+    adv = np.array(_advance_key(eta, M))
+    dist, succ = _pair_distances(adv)
+    if (dist < 0).any():
         return None
     # per pair, the first move that gets one round closer: read greedily,
     # it gives the lexicographically first shortest witness
@@ -92,17 +118,6 @@ def _coincidence_search(advance: tuple[tuple[int, int], ...]) -> CoincidenceCert
                                         (steps >> 1).T.tolist(), (steps & 1).T.tolist())
     }
     return CoincidenceCertificate(K, witnesses)
-
-
-def is_coinciding(eta, M: int) -> CoincidenceCertificate | None:
-    """Certificate with minimal-length witnesses, each the lexicographically
-    first over the moves (a, b) in (0, 0), (0, 1), (1, 0), (1, 1) order, or
-    None when some pair of states can never be driven to a common state.
-    Certificates are computed for at most ``MAX_CERTIFIED_STATES`` states."""
-    if M > MAX_CERTIFIED_STATES:
-        raise ValueError(f"coincidence certificates need at most {MAX_CERTIFIED_STATES} "
-                         f"states, not {M}")
-    return _coincidence_search(tuple(map(tuple, _advance_rows(eta, M).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +312,20 @@ def tail_exhaustive_lookahead(p: FiniteStateProtocol, tail: int, placement: str,
     the result carries a ``TailWire``; the column loop reconstructs the
     tails for all M entry states, and chaining the blocks picks the real one.
     """
-    sched = make_schedule(p.n)
-    if sched.n_padded != p.n:
-        raise ValueError("protocol length must be the padded square")
+    m = padded_side(p)
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}, not {placement!r}")
-    if not 1 <= tail <= sched.m:
-        raise ValueError(f"tail must be from 1 to {sched.m} rounds, not {tail}")
-    tails, bits_used, channel_uses = _exchange_tail_tables(p, sched.m, tail, placement, ch,
+    if not 1 <= tail <= m:
+        raise ValueError(f"tail must be from 1 to {m} rounds, not {tail}")
+    tails, bits_used, channel_uses = _exchange_tail_tables(p, m, tail, placement, ch,
                                                            side_code, rng)
     if placement == "last":
-        finals, bad = _tail_finals(p, tails, sched.rows - 1)
+        finals, bad = _tail_finals(p, tails, m - 1)
         return LookaheadResult((p.initial_state, *finals[Party.ALICE]),
                                (p.initial_state, *finals[Party.BOB]),
                                bits_used, channel_uses,
                                failure=_merge_failure(bad) if bad else None, tail_len=tail)
-    _, bad = _tail_finals(p, tails, sched.rows)
+    _, bad = _tail_finals(p, tails, m)
     if bad:
         return LookaheadResult((), (), bits_used, channel_uses,
                                failure=_merge_failure(bad), tail_len=tail)
@@ -326,10 +339,11 @@ def tail_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: CodeSpe
     from the advance function's coincidence certificate. A non-coinciding
     advance function, or a tail that does not fit in a block, fails before
     any channel use."""
-    cert = is_coinciding(pp.advance, pp.M)
-    if cert is None:
+    m = padded_side(pp)
+    K = coincidence_horizon(pp.advance, pp.M)
+    if K is None:
         return LookaheadResult((), (), 0, 0, failure="advance function is not coinciding")
-    m, tail = math.isqrt(pp.n), tail_length(pp.n, max(1, cert.K))
+    tail = tail_length(pp.n, max(1, K))
     if tail > m:
         return LookaheadResult((), (), 0, 0,
                                failure=f"tail of {tail} rounds does not fit in blocks of {m}")

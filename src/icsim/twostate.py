@@ -21,7 +21,6 @@ constant where its two entries agree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -42,6 +41,7 @@ from .vertical import (
     SimulationReport,
     exchange,
     genie_lookahead,
+    padded_side,
     run_columns,
     simulate_vertical,
 )
@@ -104,11 +104,9 @@ def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
     vectors differ or drift from the truth, which the end-to-end oracle
     comparison catches downstream.
     """
+    m = padded_side(p)
     if p.M != 2:
         raise ValueError("the parity lookahead requires a two-state protocol")
-    m = math.isqrt(p.n)
-    if m * m != p.n or (m > 1 and m % 2):
-        raise ValueError("protocol length must be a padded square with even side")
     parties = (Party.ALICE, Party.BOB)
     rows = np.arange(m)
     const, value = _grid_composites(p.tables, p.advance_array, m)
@@ -290,7 +288,8 @@ def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.
     runs = run_columns(owned, advance, {q: both for q in parties},
                        ExhaustiveWire(cls, {q: belief for q in parties}, m),
                        lambda j, bits: bits)
-    return {q: (bits.transpose(1, 2, 0), finals) for q, (bits, finals) in runs.items()}, bits_used
+    return {q: (bits.transpose(1, 2, 0), states[-1])
+            for q, (bits, states) in runs.items()}, bits_used
 
 
 def exhaustive_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: CodeSpec,
@@ -303,11 +302,10 @@ def exhaustive_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: C
     independently of the transcript, so both parties compute the block
     starts locally and the columns carry plain transcript bits.
     """
+    m = padded_side(pp)
     cls = classify_advance(pp.advance)
     if not cls.interactive:
         return LookaheadResult(*genie_lookahead(pp), 0, 0)
-    m = math.isqrt(pp.n)
-
     parties = (Party.ALICE, Party.BOB)
     const, _ = _grid_composites(pp.tables, pp.advance_array, m)
     own_first = {q: _own_const_index(const, q, last=False) for q in parties}

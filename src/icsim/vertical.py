@@ -1,6 +1,7 @@
 """Vertical block simulation of finite-state protocols over a noisy channel.
 
-The n rounds are padded to a square n' = m^2 and arranged in an m-by-m grid,
+The n rounds are padded to a square n' = m^2 (``grid_side``; every provider
+checks its protocol with ``padded_side``) and arranged in an m-by-m grid,
 row r holding rounds rm+1 .. rm+m. Column j of the grid is owned entirely by
 one party (Alice for odd j, Bob for even j), so the m bits of a column can be
 produced in one shot and carried by a single block code, provided both parties
@@ -19,8 +20,9 @@ not. For each column the owner maps its tables to one wire bit per row, one
 coded block carries them as an array, and the receiver reads one bit per
 row and branch off the decoded bits at its current states. A scheme changes
 only that wire mapping (``ColumnWire``). This module alone builds the
-``SimulationReport`` and decides each party's correctness, by a consistency
-check against the tables that runs the protocol only after an error.
+``SimulationReport`` and decides each party's correctness, by checking the
+states the column loop walked against the tables; it runs the protocol only
+after an error.
 """
 
 from __future__ import annotations
@@ -47,33 +49,26 @@ from .protocol import (
 )
 
 
-@dataclass(frozen=True)
-class VerticalSchedule:
-    """Grid geometry for one simulation: n_padded = m*m rounds, m per row."""
-
-    n_logical: int
-    n_padded: int
-    m: int
-
-    @property
-    def rows(self) -> int:
-        return self.m
-
-
-def make_schedule(n: int) -> VerticalSchedule:
-    """Pad n up to the smallest square whose side is even (or 1).
+def grid_side(n: int) -> int:
+    """The side m of the grid that holds n rounds: the smallest square of at
+    least n rounds whose side is even (or 1), padded to m * m rounds.
 
     An even side keeps every column single-owner: round rm+j has the parity
     of j exactly when m is even. m = 1 is fine too since there is one round.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    root = math.isqrt(n)
-    if root * root < n:
-        root += 1
-    if root > 1 and root % 2 == 1:
-        root += 1
-    return VerticalSchedule(n, root * root, root)
+    m = math.isqrt(n - 1) + 1
+    return m + (m > 1 and m % 2)
+
+
+def padded_side(p: FiniteStateProtocol) -> int:
+    """The grid side of a protocol already padded to its grid, the one check
+    every lookahead provider runs first."""
+    m = grid_side(p.n)
+    if m * m != p.n:
+        raise ValueError("protocol length must be a padded square with even side")
+    return m
 
 
 class ColumnWire:
@@ -149,9 +144,7 @@ def exchange(payloads: Mapping[Party, np.ndarray], side: CodeSpec, ch: ChannelMo
 def genie_lookahead(p: FiniteStateProtocol) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Exact block-initial states of the clean execution, for both parties:
     every row walked from every state at once, then the rows chained."""
-    m = math.isqrt(p.n)
-    if m * m != p.n:
-        raise ValueError("protocol length must be the padded square")
+    m = padded_side(p)
     finals = walk(p.advance_array, p.tables.reshape(m, m, p.M), np.arange(p.M))[-1]
     states = tuple(chain(finals, p.initial_state).tolist())
     return states, states
@@ -204,29 +197,32 @@ def run_columns(owned: Mapping[Party, np.ndarray], advance: np.ndarray,
                 starts: Mapping[Party, np.ndarray], wire: ColumnWire,
                 carry: Callable[[int, np.ndarray], np.ndarray],
                 ) -> dict[Party, tuple[np.ndarray, np.ndarray]]:
-    """The column loop of every scheme.
+    """The column loop of every scheme, and the one walk of its transcripts.
 
     ``owned[q]`` holds party q's tables as a (rows, own columns, M) array in
     round order, and ``starts[q]`` its (rows, branches) start states. ``carry(j, bits)``
     takes column j's wire bits to the receiver. Returns, per party, the
-    (columns, rows, branches) transcript bits of every branch and the final
-    (rows, branches) states.
+    (columns, rows, branches) transcript bits of every branch and the
+    (columns + 1, rows, branches) states they drive through: ``[0]`` the
+    starts, ``[-1]`` the finals.
     """
     cols = sum(a.shape[1] for a in owned.values())
     rows = np.arange(len(starts[Party.ALICE]))[:, None]
-    states = dict(starts)
-    bits = {q: np.empty((cols, len(rows), wire.branches), dtype=np.intp) for q in states}
+    bits = {q: np.empty((cols, len(rows), wire.branches), dtype=np.intp) for q in starts}
+    states = {q: np.empty((cols + 1, len(rows), wire.branches), dtype=np.intp) for q in starts}
+    for q in starts:
+        states[q][0] = starts[q]
     for j in range(1, cols + 1):
         owner, receiver = owner_of_round(j), owner_of_round(j + 1)
         tables = owned[owner][:, (j - 1) // 2]
-        taus = tables[rows, states[owner]]
+        taus = tables[rows, states[owner][j - 1]]
         sent = wire.encode(owner, j, tables, taus)
         heard = None if sent is None else carry(j, sent)
-        applied = wire.decode(receiver, j, heard, states[receiver])
+        applied = wire.decode(receiver, j, heard, states[receiver][j - 1])
         for q, tau in ((owner, taus), (receiver, applied)):
             bits[q][j - 1] = tau
-            states[q] = advance[states[q], tau]
-    return {q: (bits[q], states[q]) for q in states}
+            states[q][j] = advance[states[q][j - 1], tau]
+    return {q: (bits[q], states[q]) for q in starts}
 
 
 @lru_cache(maxsize=256)
@@ -235,32 +231,28 @@ def _shared(errors: tuple[bool, ...]) -> tuple[bool, ...]:
     return errors
 
 
-def _correct(pp: FiniteStateProtocol, runs: Mapping[Party, tuple[np.ndarray, np.ndarray]],
-             starts: Mapping[Party, np.ndarray]) -> dict[Party, bool]:
+def _correct(pp: FiniteStateProtocol,
+             runs: Mapping[Party, tuple[np.ndarray, np.ndarray]]) -> dict[Party, bool]:
     """Whether each party's transcript (its chosen branches) equals the clean
     execution's: exactly when each bit equals its round's table at the state
     the transcript drives from the initial state. If all chosen rows chain
     (each starts where the previous one ended, the first in the initial
-    state), one walk over the columns gives those states. Otherwise, only
-    after an error, compare with a fresh ``run_protocol``."""
-    rows = np.arange(len(starts[Party.ALICE]))
+    state), the states the column loop walked are those states. Otherwise,
+    only after an error, compare with a fresh ``run_protocol``."""
+    rows = np.arange(runs[Party.ALICE][1].shape[1])
     # a party's branch of each row: 0 if it has one, else the one the last row ended in
-    picks = {q: chain(finals, pp.initial_state) if finals.shape[1] > 1 else np.zeros_like(rows)
-             for q, (_, finals) in runs.items()}
-    # (columns, parties, rows): each step of the walk reads contiguous rows
-    paths = np.ascontiguousarray(np.stack([runs[q][0][:, rows, picks[q]] for q in runs], axis=1))
-    begin = np.stack([starts[q][rows, picks[q]] for q in runs])
-    end = np.stack([runs[q][1][rows, picks[q]] for q in runs])
+    picks = {q: chain(states[-1], pp.initial_state) if states.shape[2] > 1
+             else np.zeros_like(rows) for q, (_, states) in runs.items()}
+    # (columns, parties, rows) bits and (columns + 1, parties, rows) states, made
+    # contiguous: the picked arrays come out with the row axis strided
+    paths, states = (np.ascontiguousarray(np.stack([runs[q][k][:, rows, picks[q]] for q in runs],
+                                                   axis=1)) for k in (0, 1))
+    begin, end = states[0], states[-1]
     if (begin[:, 0] != pp.initial_state).any() or (begin[:, 1:] != end[:, :-1]).any():
         truth = run_protocol(pp).bits
         return {q: tuple(paths[:, k].T.ravel().tolist()) == truth for k, q in enumerate(runs)}
-    states = np.empty(paths.shape, dtype=np.intp)
-    s = states[0] = begin
-    next_state = pp.advance_array.T.ravel()  # at tau * M + s
-    for taus, out in zip(paths[:-1] * pp.M, states[1:]):
-        s = out[...] = next_state.take(taus + s)
     at = (len(paths) * rows + np.arange(len(paths))[:, None, None]) * pp.M  # round r * m + j
-    ok = pp.tables.ravel().take(at + states) == paths
+    ok = pp.tables.ravel().take(at + states[:-1]) == paths
     return dict(zip(runs, ok.all(axis=(0, 2)).tolist()))
 
 
@@ -279,8 +271,8 @@ def simulate_vertical(
     The provider's lookahead comes first, with ``side`` as its code; unless
     it failed, one coded transfer per sent column follows, in column order.
     """
-    sched = make_schedule(p.n)
-    pp = pad_protocol(p, sched.n_padded)
+    m = grid_side(p.n)
+    pp = pad_protocol(p, m * m)
     la = provider(pp, ch, side, rng)
     transfers: list[TransferResult] = []
     correct = {Party.ALICE: False, Party.BOB: False}
@@ -290,7 +282,7 @@ def simulate_vertical(
             starts = {Party.ALICE: np.array(la.alice_states)[:, None],
                       Party.BOB: np.array(la.bob_states)[:, None]}
         else:
-            both = np.tile(np.arange(wire.branches), (sched.rows, 1))
+            both = np.tile(np.arange(wire.branches), (m, 1))
             starts = {Party.ALICE: both, Party.BOB: both}
 
         def carry(j: int, bits: np.ndarray) -> np.ndarray:
@@ -300,9 +292,9 @@ def simulate_vertical(
 
         # with an even grid side (or one round) column j of a row is the owner's
         # ((j - 1) // 2)-th round in that row, so a reshape of its row stride
-        owned = {q: party_view(pp, q).tables.reshape(sched.rows, -1, pp.M) for q in starts}
+        owned = {q: party_view(pp, q).tables.reshape(m, -1, pp.M) for q in starts}
         runs = run_columns(owned, pp.advance_array, starts, wire, carry)
-        correct = _correct(pp, runs, starts)
+        correct = _correct(pp, runs)
 
     vertical_uses = sum(t.channel_uses for t in transfers)
     return SimulationReport(
@@ -311,9 +303,9 @@ def simulate_vertical(
         code=sys.intern(code_spec.name),
         seed=seed,
         n_logical=p.n,
-        n_padded=sched.n_padded,
-        m=sched.m,
-        rows=sched.rows,
+        n_padded=m * m,
+        m=m,
+        rows=m,
         states=p.M,
         channel_uses=vertical_uses + la.channel_uses,
         vertical_uses=vertical_uses,

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from icsim.channel import ChannelModel
-from icsim.cli import main
+import icsim.cli
+from icsim.cli import build_parser, main
 from icsim.protocol import markovian_advance
 
 
@@ -132,21 +133,6 @@ def test_simulate_exhaustive_scheme(tmp_path):
     assert code == 0
     doc = json.loads(summ.read_text())
     assert doc["failures"] == 0 and doc["audits_passed"] is True
-
-
-def test_lookahead_diagnostics(capsys):
-    assert main(["lookahead", "--n", "256", "--trials", "10"]) == 0
-    out = capsys.readouterr().out
-    assert "agree_rate=1.0000" in out
-    assert "bits_per_block=" in out
-
-
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_lookahead_rejects_too_few_trials(capsys, trials):
-    assert main(["lookahead", "--n", "64", "--trials", trials]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "trials" in err
-    assert "Traceback" not in err
 
 
 def test_simulate_scheme_choices_match_harness(capsys):
@@ -356,7 +342,6 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
      "--advance markovian:<log_M> needs an integer log_M, not 'x'"),
     (["classify", "--advance", "markovian:"], None,
      "--advance markovian:<log_M> needs an integer log_M, not ''"),
-    (["lookahead", "--n", "-4"], None, "n must be at least 1, not -4"),
     (["classify", "--advance", "markovian:11"], None,
      "coincidence certificates need at most 1024 states, not 2048"),
     (["classify", "--advance", "markovian:16"], None,
@@ -370,7 +355,7 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
         "disjointness-negative-universe", "disjointness-negative-universe-exhaustive",
         "code-rep-inf", "code-rlc-inf", "code-oracle-nan", "channel-awgn-nan",
         "channel-awgn-inf", "simulate-channel-awgn-nan", "markovian-17", "markovian-64",
-        "markovian-not-integer", "markovian-empty", "lookahead-negative-n", "markovian-11",
+        "markovian-not-integer", "markovian-empty", "markovian-11",
         "markovian-16"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "input.json"
@@ -398,3 +383,10 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: icsim")
+
+
+def test_module_docstring_lists_every_subcommand():
+    doc = icsim.cli.__doc__.split("Subcommands:\n", 1)[1].split("\n\n", 1)[0]
+    listed = [line.split()[0] for line in doc.splitlines()]
+    registered = re.search(r"\{(.+?)\}", build_parser().format_usage()).group(1).split(",")
+    assert listed == registered

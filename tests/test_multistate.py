@@ -19,6 +19,7 @@ from icsim.multistate import (
     balanced_tables,
     coincidence_bound,
     coincidence_failure_trials,
+    coincidence_horizon,
     is_coinciding,
     is_useful,
     simulate_mstate,
@@ -34,7 +35,7 @@ from icsim.protocol import (
     party_view,
     random_protocol,
 )
-from icsim.vertical import LookaheadResult, genie_lookahead, make_schedule, simulate_vertical
+from icsim.vertical import LookaheadResult, genie_lookahead, grid_side, simulate_vertical
 
 NOISELESS = ChannelModel.bsc(0.0)
 EXAMPLE2 = ((0, 1), (0, 2), (2, 2))
@@ -162,6 +163,18 @@ def test_coincidence_search_matches_per_pair_reference():
         assert cert == reference_coincidence_search(eta) and cert.K == log_M
 
 
+def test_coincidence_horizon_is_the_certificate_k():
+    rng = np.random.default_rng(15)
+    for M in range(2, 9):
+        for _ in range(50):
+            eta = rng.integers(0, M, size=(M, 2)).tolist()
+            cert = is_coinciding(eta, M)
+            assert coincidence_horizon(eta, M) == (None if cert is None else cert.K), eta
+    assert coincidence_horizon(markovian_advance(9), 512) == 9
+    with pytest.raises(ValueError, match="at most 1024 states, not 2048"):
+        coincidence_horizon(markovian_advance(11), 2048)
+
+
 def test_coincidence_search_limits():
     assert is_coinciding(((0, 0),), 1) == CoincidenceCertificate(0, {})
     with pytest.raises(ValueError, match="at most 1024 states, not 2048"):
@@ -274,14 +287,14 @@ def test_tail_with_flushed_window_always_merges():
     rng = np.random.default_rng(2)
     fset = balanced_tables(4)
     n = 256
-    sched = make_schedule(n)
+    m = grid_side(n)
     p = random_protocol(n, 4, fset, rng, advance=MARKOV4)
     tables = list(p.transmissions)
-    for r in range(sched.rows):
-        tables[r * sched.m + sched.m - 2] = (1, 1, 1, 1)
-        tables[r * sched.m + sched.m - 1] = (0, 0, 0, 0)
+    for r in range(m):
+        tables[r * m + m - 2] = (1, 1, 1, 1)
+        tables[r * m + m - 1] = (0, 0, 0, 0)
     forced = type(p)(n=n, M=4, advance=MARKOV4, transmissions=tuple(tables))
-    la = tail_exhaustive_lookahead(forced, tail_length(sched.n_padded, 2), "last", NOISELESS,
+    la = tail_exhaustive_lookahead(forced, tail_length(m * m, 2), "last", NOISELESS,
                                    CodeSpec.parse("rep:1"), np.random.default_rng(0))
     assert la.failure is None
     truth, _ = genie_lookahead(forced)
@@ -347,19 +360,18 @@ def test_simulate_mstate_first_placement_end_to_end():
     assert attempted >= 12 and correct == attempted
 
 
-def _force_tail_constants(p, sched):
+def _force_tail_constants(p, m):
     # constants in the last two rounds of every block flush a 2-bit window
     tables = list(p.transmissions)
-    for r in range(sched.rows):
-        tables[r * sched.m + sched.m - 2] = (1,) * p.M
-        tables[r * sched.m + sched.m - 1] = (0,) * p.M
+    for r in range(m):
+        tables[r * m + m - 2] = (1,) * p.M
+        tables[r * m + m - 1] = (0,) * p.M
     return type(p)(n=p.n, M=p.M, advance=p.advance, transmissions=tuple(tables))
 
 
 def test_mstate_provider_plugs_into_vertical_engine():
     fset = balanced_tables(4)
-    sched = make_schedule(4096)
-    p = _force_tail_constants(random_protocol(4096, 4, fset, 3, advance=MARKOV4), sched)
+    p = _force_tail_constants(random_protocol(4096, 4, fset, 3, advance=MARKOV4), 64)
     rng = np.random.default_rng(3)
     rep1 = CodeSpec.parse("rep:1")
     report = simulate_vertical(p, NOISELESS, rep1, partial(tail_lookahead, placement="last"),
@@ -382,8 +394,7 @@ def test_mstate_refuses_non_coinciding_advance(placement):
 
 def test_mstate_side_information_accounting():
     fset = balanced_tables(4)
-    sched = make_schedule(4096)
-    p = _force_tail_constants(random_protocol(4096, 4, fset, 12, advance=MARKOV4), sched)
+    p = _force_tail_constants(random_protocol(4096, 4, fset, 12, advance=MARKOV4), 64)
     rng = np.random.default_rng(12)
     report = simulate_mstate(p, NOISELESS, CodeSpec.parse("rep:1"),
                              CodeSpec.parse("rep:1"), "last", rng, seed=12)
@@ -408,10 +419,10 @@ def test_mstate_tail_longer_than_block_fails_the_lookahead(placement):
 # ---------------------------------------------------------------------------
 # per-round reference loops for the vectorised tail exchange and walk
 
-def reference_tail_exchange(pp, sched, tail, placement, ch, side_code, rng):
+def reference_tail_exchange(pp, m, tail, placement, ch, side_code, rng):
     """Raw tail tables sent one round at a time; per party, each block's
     list of tail tables (own exact, counterpart's as decoded)."""
-    M, m = pp.M, sched.m
+    M = pp.M
     parties = (Party.ALICE, Party.BOB)
     views = {q: party_view(pp, q) for q in parties}
     positions = (list(range(m - tail + 1, m + 1)) if placement == "last"
@@ -420,16 +431,16 @@ def reference_tail_exchange(pp, sched, tail, placement, ch, side_code, rng):
     bits_used = channel_uses = 0
     heard = {}
     for k, sender in enumerate(parties):
-        payload = [b for r in range(sched.rows) for t in own_pos[sender]
+        payload = [b for r in range(m) for t in own_pos[sender]
                    for b in views[sender].table(r * m + t)]
         transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 5 + k)
         bits_used += len(payload)
         channel_uses += transfer.channel_uses
-        slots = [(r, t) for r in range(sched.rows) for t in own_pos[sender]]
+        slots = [(r, t) for r in range(m) for t in own_pos[sender]]
         heard[sender.other] = {rt: tuple(transfer.decoded[i * M:(i + 1) * M])
                                for i, rt in enumerate(slots)}
     tails = {q: [[views[q].table(r * m + t) if t % 2 == q.parity else heard[q][(r, t)]
-                  for t in positions] for r in range(sched.rows)] for q in parties}
+                  for t in positions] for r in range(m)] for q in parties}
     return tails, bits_used, channel_uses
 
 
@@ -463,29 +474,29 @@ def tail_cases(draw):
         M = draw(st.integers(2, 6))
         advance = draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)),
                                 min_size=M, max_size=M))
-    sched = make_schedule(n)
+    m = grid_side(n)
     p = pad_protocol(random_protocol(n, M, all_tables(M), seed, advance=advance,
                                      initial_state=draw(st.integers(0, M - 1))),
-                     sched.n_padded)
+                     m * m)
     cert = is_coinciding(p.advance, M)
     K = max(1, cert.K) if cert else 1
-    tail = tail_length(sched.n_padded, K)
-    assume(tail <= sched.m)
-    return sched, p, tail, seed
+    tail = tail_length(m * m, K)
+    assume(tail <= m)
+    return m, p, tail, seed
 
 
 @settings(max_examples=60)
 @given(case=tail_cases(), channel=st.sampled_from(["bsc:0.05", "bec:0.1"]),
        side=st.sampled_from(["rep:1", "rep:3", "rlc:2"]))
 def test_tail_lookaheads_match_per_round_reference(case, channel, side):
-    sched, p, tail, seed = case
+    m, p, tail, seed = case
     ch, code = ChannelModel.parse(channel), CodeSpec.parse(side)
 
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = tail_exhaustive_lookahead(p, tail, "last", ch, code, rng)
-    tails, bits_used, channel_uses = reference_tail_exchange(p, sched, tail, "last", ch, code,
+    tails, bits_used, channel_uses = reference_tail_exchange(p, m, tail, "last", ch, code,
                                                              ref_rng)
-    finals, bad = reference_tail_walk(p, tails, sched.rows - 1)
+    finals, bad = reference_tail_walk(p, tails, m - 1)
     failure = f"trajectories did not merge in blocks {sorted(bad)}" if bad else None
     assert got == LookaheadResult((p.initial_state, *finals[Party.ALICE]),
                                   (p.initial_state, *finals[Party.BOB]),
@@ -494,9 +505,9 @@ def test_tail_lookaheads_match_per_round_reference(case, channel, side):
 
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = tail_exhaustive_lookahead(p, tail, "first", ch, code, rng)
-    tails, bits_used, channel_uses = reference_tail_exchange(p, sched, tail, "first", ch, code,
+    tails, bits_used, channel_uses = reference_tail_exchange(p, m, tail, "first", ch, code,
                                                              ref_rng)
-    _, bad = reference_tail_walk(p, tails, sched.rows)
+    _, bad = reference_tail_walk(p, tails, m)
     if bad:
         want = LookaheadResult((), (), bits_used, channel_uses,
                                failure=f"trajectories did not merge in blocks {sorted(bad)}",
@@ -507,5 +518,5 @@ def test_tail_lookaheads_match_per_round_reference(case, channel, side):
                                coincidence_ok=True)
         assert replace(got, wire=None) == want
         for q in (Party.ALICE, Party.BOB):
-            assert np.array_equal(got.wire.tails[q], np.array(tails[q]).reshape(sched.rows, tail, -1))
+            assert np.array_equal(got.wire.tails[q], np.array(tails[q]).reshape(m, tail, -1))
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -33,7 +33,7 @@ from icsim.twostate import (
     run_lookahead_exchange,
     simulate_two_state,
 )
-from icsim.vertical import LookaheadResult, accounting, exchange, genie_lookahead, make_schedule
+from icsim.vertical import LookaheadResult, accounting, exchange, genie_lookahead, grid_side
 
 NOISELESS = ChannelModel.bsc(0.0)
 FOLLOW = ((0, 1), (0, 1))          # eta(s, tau) = tau
@@ -152,8 +152,7 @@ def test_exchange_matches_genie_on_many_protocols():
     side = CodeSpec.parse("rep:1")
     for seed in range(60):
         p = random_two_state_protocol(256, seed=seed)
-        sched = make_schedule(256)
-        pp = pad_protocol(p, sched.n_padded)
+        pp = pad_protocol(p, grid_side(256) ** 2)
         rng = np.random.default_rng(seed)
         la = run_lookahead_exchange(pp, ch=NOISELESS, side_code=side, rng=rng)
         truth, _ = genie_lookahead(pp)
@@ -163,13 +162,12 @@ def test_exchange_matches_genie_on_many_protocols():
 
 
 def test_exchange_bit_budget():
-    sched = make_schedule(4096)
-    p = pad_protocol(random_two_state_protocol(4096, seed=1), sched.n_padded)
+    m = grid_side(4096)
+    p = pad_protocol(random_two_state_protocol(4096, seed=1), m * m)
     rng = np.random.default_rng(0)
     la = run_lookahead_exchange(p, NOISELESS, CodeSpec.parse("rep:1"), rng)
-    m = sched.m
     per_block = 2 * (int(np.ceil(np.log2(m + 1))) + 2)
-    assert la.bits_used <= per_block * sched.rows
+    assert la.bits_used <= per_block * m
     assert la.bits_used == 1024  # 6+1 bits phase one + 1 bit phase two, per party per block
 
 
@@ -178,7 +176,6 @@ def test_exchange_all_constant_tables_reports_late_indices():
     n = 64
     tables = tuple(((0, 0) if i % 3 else (1, 1)) for i in range(n))
     p = FiniteStateProtocol(n=n, M=2, advance=FOLLOW, transmissions=tables)
-    sched = make_schedule(n)
     rng = np.random.default_rng(3)
     la = run_lookahead_exchange(p, NOISELESS, CodeSpec.parse("rep:1"), rng)
     truth, _ = genie_lookahead(p)
@@ -443,13 +440,12 @@ def reference_merge_points(p, ch, side_code, rng):
 
 
 def _noisy_two_state(n, seed, interactive):
-    sched = make_schedule(n)
+    m = grid_side(n)
     advance = None
     if interactive:
         advances = interactive_two_state_advances()
         advance = advances[seed % len(advances)]
-    return sched, pad_protocol(random_two_state_protocol(n, seed, advance=advance),
-                               sched.n_padded)
+    return m, pad_protocol(random_two_state_protocol(n, seed, advance=advance), m * m)
 
 
 NOISY = st.sampled_from(["bsc:0.05", "bec:0.1"])
@@ -470,13 +466,13 @@ def test_lookahead_exchange_matches_per_round_reference(n, seed, channel, side):
 @settings(max_examples=60)
 @given(n=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1), channel=NOISY, side=SIDE)
 def test_exhaustive_merge_points_match_per_round_reference(n, seed, channel, side):
-    sched, p = _noisy_two_state(n, seed, interactive=True)
+    m, p = _noisy_two_state(n, seed, interactive=True)
     ch, code = ChannelModel.parse(channel), CodeSpec.parse(side)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = exhaustive_lookahead(p, ch, code, rng)
     beliefs, bits_used, channel_uses = reference_merge_points(p, ch, code, ref_rng)
     assert replace(got, wire=None) == LookaheadResult((), (), bits_used, channel_uses)
-    cols = np.arange(1, sched.m + 1)
+    cols = np.arange(1, m + 1)
     for q in (Party.ALICE, Party.BOB):
         want = np.sign(cols - np.array(beliefs[q])[:, None]) + 1
         assert np.array_equal(got.wire.phase[q], want)

@@ -9,21 +9,29 @@ import icsim.vertical
 from icsim.channel import ChannelModel
 from icsim.coding import CodeSpec
 from icsim.harness import ExperimentConfig, run_sweep, run_trial
+from icsim.multistate import all_tables, tail_exhaustive_lookahead, tail_lookahead
 from icsim.protocol import (
     FiniteStateProtocol,
     Party,
     make_markovian,
+    markovian_advance,
+    pad_protocol,
+    party_view,
     random_protocol,
     run_protocol,
+    walk,
 )
-from icsim.twostate import random_two_state_protocol
+from icsim.twostate import exhaustive_lookahead, random_two_state_protocol, run_lookahead_exchange
 from icsim.vertical import (
+    ColumnWire,
     LookaheadResult,
     _correct,
     accounting,
     genie_lookahead,
     genie_provider,
-    make_schedule,
+    grid_side,
+    padded_side,
+    run_columns,
     simulate_vertical,
 )
 
@@ -32,29 +40,29 @@ FOLLOW2 = ((0, 1), (0, 1))
 
 
 def test_schedule_exact_square():
-    sched = make_schedule(16)
-    assert (sched.n_padded, sched.m, sched.rows) == (16, 4, 4)
+    assert grid_side(16) == 4
 
 
 def test_schedule_single_round():
-    sched = make_schedule(1)
-    assert (sched.n_padded, sched.m) == (1, 1)
+    assert grid_side(1) == 1
 
 
 def test_schedule_pads_up():
-    sched = make_schedule(10)
-    assert (sched.n_padded, sched.m) == (16, 4)
+    assert grid_side(10) == 4
 
 
 def test_schedule_keeps_column_ownership_single_party():
     # rounds r*m + j must share j's parity, which forces an even side
     for n in (2, 5, 9, 50, 100, 4096):
-        sched = make_schedule(n)
-        assert sched.n_padded >= n
-        assert sched.m == 1 or sched.m % 2 == 0
-        assert sched.m * sched.m == sched.n_padded
+        m = grid_side(n)
+        n_padded = m * m
+        assert n_padded >= n
+        assert m == 1 or m % 2 == 0
+        assert m <= 2 or (m - 2) ** 2 < n  # the smallest such square
+        padded = pad_protocol(random_two_state_protocol(n, seed=n), n_padded)
+        assert padded_side(padded) == m
     with pytest.raises(ValueError):
-        make_schedule(0)
+        grid_side(0)
 
 
 def test_genie_identity_advance_repeats_start():
@@ -170,14 +178,13 @@ def test_accounting_exact_split():
 
 def test_noisy_decode_errors_show_up_per_column():
     ch = ChannelModel.bsc(0.05)
-    sched = make_schedule(256)
     p = random_two_state_protocol(256, seed=11)
     failures = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
         report = simulate_vertical(p, ch, CodeSpec.parse("rep:1"), genie_provider,
                                    rng, seed=seed)
-        assert len(report.column_errors) == sched.m
+        assert len(report.column_errors) == grid_side(256)
         if any(report.column_errors):
             failures += 1
             assert not report.correct or all(
@@ -255,9 +262,10 @@ def test_a_wrong_row_start_falls_back_to_the_clean_execution(monkeypatch, tables
 
 @st.composite
 def column_runs(draw):
-    """A protocol on an m x m grid and, per party, row starts, the bits of
-    every branch and the finals they drive to, as ``run_columns`` returns
-    them, with flipped bits and wrong row starts mixed in."""
+    """A protocol on an m x m grid and, per party, the bits of every branch
+    and the states they drive through from the row starts, as
+    ``run_columns`` returns them, with flipped bits and wrong row starts
+    mixed in."""
     M, m = draw(st.integers(2, 5)), draw(st.sampled_from([1, 2, 4, 6]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     advance = rng.integers(0, M, size=(M, 2))
@@ -267,7 +275,7 @@ def column_runs(draw):
     branches = draw(st.sampled_from([1, M]))
     flip, wrong_start = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5])), draw(st.booleans())
     row_starts = np.array(run_protocol(p).states[:-1:m])
-    runs, starts = {}, {}
+    runs = {}
     for q in (Party.ALICE, Party.BOB):
         if branches > 1:
             start = np.tile(np.arange(M), (m, 1))
@@ -276,13 +284,14 @@ def column_runs(draw):
             if wrong_start:
                 start[rng.integers(m), 0] = rng.integers(M)
         bits = np.empty((m, m, branches), dtype=np.intp)
-        finals = start.copy()
+        states = np.empty((m + 1, m, branches), dtype=np.intp)
+        states[0] = start
         for j in range(m):
-            tau = p.tables[np.arange(m) * m + j][np.arange(m)[:, None], finals]
+            tau = p.tables[np.arange(m) * m + j][np.arange(m)[:, None], states[j]]
             bits[j] = tau ^ (rng.random(tau.shape) < flip)
-            finals = advance[finals, bits[j]]
-        runs[q], starts[q] = (bits, finals), start
-    return p, runs, starts
+            states[j + 1] = advance[states[j], bits[j]]
+        runs[q] = (bits, states)
+    return p, runs
 
 
 def _reference_transcript(bits, finals, initial_state):
@@ -301,7 +310,70 @@ def _reference_transcript(bits, finals, initial_state):
 @settings(max_examples=300)
 @given(column_runs())
 def test_consistency_check_equals_the_transcript_comparison(case):
-    p, runs, starts = case
+    p, runs = case
     truth = run_protocol(p).bits
-    assert _correct(p, runs, starts) == \
-        {q: _reference_transcript(*runs[q], p.initial_state) == truth for q in runs}
+    assert _correct(p, runs) == \
+        {q: _reference_transcript(bits, states[-1], p.initial_state) == truth
+         for q, (bits, states) in runs.items()}
+
+
+class _TableWire(ColumnWire):
+    """Carries the owner's whole (rows, M) tables, so the receiver reads the
+    bit of every branch off them."""
+
+    def __init__(self, branches):
+        self.branches = branches
+
+    def encode(self, party, j, tables, taus):
+        return tables
+
+    def decode(self, party, j, bits, states):
+        return bits[np.arange(len(states))[:, None], states]
+
+
+@pytest.mark.parametrize("branches", ["one", "all"])
+@pytest.mark.parametrize("M", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 2, 4, 6])
+def test_column_loop_states_are_the_walk_of_each_partys_tables(m, M, branches):
+    rng = np.random.default_rng(100 * m + M)
+    p = FiniteStateProtocol(n=m * m, M=M, advance=rng.integers(0, M, size=(M, 2)),
+                            transmissions=rng.integers(0, 2, size=(m * m, M)))
+    if branches == "one":
+        wire, starts = ColumnWire(), rng.integers(0, M, size=(m, 1))
+    else:
+        wire, starts = _TableWire(M), np.tile(np.arange(M), (m, 1))
+    parties = (Party.ALICE, Party.BOB)
+    owned = {q: party_view(p, q).tables.reshape(m, -1, M) for q in parties}
+    runs = run_columns(owned, p.advance_array, {q: starts for q in parties}, wire,
+                       lambda j, bits: bits)
+    want = walk(p.advance_array, p.tables.reshape(m, m, M), starts)
+    for q in parties:
+        bits, states = runs[q]
+        assert bits.shape == (m, m, starts.shape[1])
+        assert states.shape == (m + 1, m, starts.shape[1])
+        assert np.array_equal(states, want)
+
+
+def _markovian(n):
+    return random_protocol(n, 4, all_tables(4), 0, advance=markovian_advance(2))
+
+
+REP1 = CodeSpec.parse("rep:1")
+
+
+@pytest.mark.parametrize("provider", [
+    lambda n, rng: genie_lookahead(random_two_state_protocol(n, 1)),
+    lambda n, rng: run_lookahead_exchange(random_two_state_protocol(n, 1), NOISELESS, REP1, rng),
+    lambda n, rng: exhaustive_lookahead(random_two_state_protocol(n, 1, advance=((0, 1), (1, 0))),
+                                        NOISELESS, REP1, rng),
+    lambda n, rng: tail_lookahead(_markovian(n), NOISELESS, REP1, rng, "last"),
+    lambda n, rng: tail_lookahead(_markovian(n), NOISELESS, REP1, rng, "first"),
+    lambda n, rng: tail_exhaustive_lookahead(_markovian(n), 1, "last", NOISELESS, REP1, rng),
+    lambda n, rng: tail_exhaustive_lookahead(_markovian(n), 1, "first", NOISELESS, REP1, rng),
+], ids=["genie", "two-state", "exhaustive-interactive", "m-state-last", "m-state-first",
+        "tail-exhaustive-last", "tail-exhaustive-first"])
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_every_provider_rejects_a_protocol_off_its_grid(n, provider):
+    message = "^protocol length must be a padded square with even side$"
+    with pytest.raises(ValueError, match=message):
+        provider(n, np.random.default_rng(0))
