@@ -23,19 +23,24 @@ the codebook, rows in message order, ``L`` the bit log-likelihoods). On
 exact ties the summation rounding decides, so the winner need not be the
 smallest message.
 
-``rlc`` gives each chunk its own seeded code, builds all chunk codebooks in
-one array, sends the concatenated codewords through one
-``ChannelModel.transmit`` call and scores up to 64 chunks in one batched
-product. numpy's Generator yields the same values from one
-draw of size a+b as from a draw of a then b, so this consumes the random
-stream exactly as one transmit per chunk would.
+``rlc`` gives each chunk its own seeded code. Each code's codebook is built
+once, packed to bits by ``np.packbits`` and kept in a cache bounded in bytes;
+``convey`` stacks the cached books of its chunks, unpacks only the codewords
+it sends, sends them through one ``ChannelModel.transmit`` call and scores
+up to 64 chunks in one batched product. The float books of that product
+come from ``_LUT``, every byte's bits as exact 0.0 / 1.0, so the scores are
+those of a cast of the unpacked books, bit for bit. numpy's Generator
+yields the same values from one draw of size a+b as from a draw of a then
+b, so one transmit consumes the random stream exactly as one transmit per
+chunk would.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -67,42 +72,8 @@ def _repetition_decide(ll: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return per_bit, (per_bit[:, 1] > per_bit[:, 0] + 1e-9).view(np.uint8)
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    pivots: list[int] = []
-    for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            rank += 1
-    return rank
-
-
-# A trial at n = 65536 (m = 256) with rlc chunks of 8 bits walks 8,192 column
-# matrices plus the side-channel ones, in the same order every trial; an LRU
-# smaller than that misses on every lookup. An entry of rlc:3 costs about
-# 400 bytes, so a full cache stays under 7 MB.
-@lru_cache(maxsize=1 << 14)
-def _linear_code_matrix(k: int, b: int, seed: int) -> bytes:
-    """Draw generator matrices from successive seeds until one has rank k."""
-    attempt = seed
-    while True:
-        g = np.random.default_rng(attempt).integers(0, 2, size=(k, b), dtype=np.int64)
-        as_ints = [int("".join(map(str, row)), 2) if row.any() else 0 for row in g]
-        if _gf2_rank(as_ints) == k:
-            return g.astype(np.uint8).tobytes()
-        attempt += 1
-
-
-def _generators(k: int, b: int, seeds: Sequence[int]) -> np.ndarray:
-    """Stacked (len(seeds), k, b) uint8 generator matrices."""
-    raw = b"".join(_linear_code_matrix(k, b, s) for s in seeds)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(seeds), k, b)
-
-
 def _codebooks(generators: np.ndarray) -> np.ndarray:
-    """(..., k, b) generators -> (..., 2^k, b) uint8 codebooks.
+    """(..., k, b) uint8 generators -> (..., 2^k, b) uint8 codebooks.
 
     Row w is the codeword of the message whose bits, read as a big-endian
     integer, equal w. Built by XOR doubling: after the last t generator rows
@@ -119,15 +90,81 @@ def _codebooks(generators: np.ndarray) -> np.ndarray:
     return books.swapaxes(0, -2)
 
 
-def _ml_scores(books: np.ndarray, ll: np.ndarray) -> np.ndarray:
-    """Log-likelihood of every codeword: (..., 2^k, b) codebooks ``cb`` and
-    (..., b, 2) bit log-likelihoods ``L`` -> (..., 2^k) scores
-    ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]``.
+def _packed_book(k: int, b: int, seed: int) -> bytes:
+    """The codebook of the rlc chunk code of that seed, each codeword packed
+    to ceil(b / 8) bytes by ``np.packbits``.
+
+    Generators are drawn from successive seeds until one has rank k, which
+    holds exactly when every codeword but the first (message 0) is nonzero.
+    """
+    attempt = seed
+    while True:
+        # an int64 draw pins the codes: a uint8 draw gives other bits
+        g = np.random.default_rng(attempt).integers(0, 2, size=(k, b), dtype=np.int64)
+        book = _codebooks(g.astype(np.uint8))
+        if book[1:].any(axis=1).all():
+            return np.packbits(book, axis=-1).tobytes()
+        attempt += 1
+
+
+# Every trial walks the same chunk seeds in the same order: at n = 65536
+# (m = 256) with rlc chunks of 8 bits that is 8,192 column codes plus the
+# side-channel ones. A packed rlc:3 book is 768 bytes (6 KB unpacked), so
+# such a trial holds about 6.3 MB. A bound below a trial's books would miss
+# on every lookup; this one, on the packed bytes, holds a whole large trial.
+_BOOK_CACHE_BYTES = 32 << 20
+
+
+class _BookCache:
+    """Packed chunk codebooks keyed by (k, b, seed). Once their bytes would
+    pass ``limit``, the least recently used books are dropped first."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.size = 0  # bytes of the books held
+        self.misses = 0
+        self._books: OrderedDict[tuple[int, int, int], bytes] = OrderedDict()
+
+    def __call__(self, k: int, b: int, seeds: Sequence[int]) -> np.ndarray:
+        """Stacked (len(seeds), 2^k, ceil(b / 8)) packed codebooks."""
+        books = self._books
+        raw = []
+        for seed in seeds:
+            key = (k, b, seed)
+            book = books.get(key)
+            if book is None:
+                self.misses += 1
+                book = _packed_book(k, b, seed)
+                books[key] = book
+                self.size += len(book)
+                while self.size > self.limit:
+                    self.size -= len(books.popitem(last=False)[1])
+            else:
+                books.move_to_end(key)
+            raw.append(book)
+        return np.frombuffer(b"".join(raw), dtype=np.uint8).reshape(len(raw), 1 << k, -1)
+
+
+_BOOKS = _BookCache(_BOOK_CACHE_BYTES)
+
+# row v holds the 8 bits of byte v, most significant first as np.packbits
+# packs them, as exact 0.0 / 1.0 floats
+_LUT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.float64)
+
+
+def _ml_scores(packed: np.ndarray, b: int, ll: np.ndarray) -> np.ndarray:
+    """Log-likelihood of every codeword: (..., 2^k, ceil(b / 8)) packed
+    codebooks and (..., b, 2) bit log-likelihoods ``L`` -> (..., 2^k) scores
+    ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]``, ``cb`` the books as 0.0 / 1.0.
 
     Its rounding decides exact ties, so outputs depend on this formula bit
-    for bit; an algebraically equal rewrite would change them.
+    for bit; an algebraically equal rewrite would change them. ``cb`` comes
+    from ``_LUT``, whose entries are exact, so it equals a cast of the
+    unpacked books.
     """
-    cb = books.astype(np.float64)
+    cb = _LUT.take(packed, axis=0).reshape(*packed.shape[:-1], -1)
+    if b % 8:
+        cb = np.ascontiguousarray(cb[..., :b])
     ones = cb @ ll[..., 1, None]
     zeros = np.subtract(1.0, cb, out=cb) @ ll[..., 0, None]  # reuses cb's memory
     return (ones + zeros)[..., 0]
@@ -160,7 +197,10 @@ class RandomLinearCode:
 
     @cached_property
     def generator(self) -> np.ndarray:
-        return _generators(self.k, self.codeword_length, [self.seed])[0].astype(np.int64)
+        """Row i is the codeword of the message with only bit i set."""
+        k, b = self.k, self.codeword_length
+        rows = _BOOKS(k, b, [self.seed])[0][1 << np.arange(k - 1, -1, -1)]
+        return np.unpackbits(rows, axis=-1, count=b).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -298,22 +338,23 @@ def _convey_rlc(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,
     may be shorter), all sent through one transmit call; returns the decoded
     bits as uint8 and the channel uses."""
     full = payload.size - payload.size % RLC_CHUNK
-    codes = []  # (chunk size, codebooks, codewords) of the full chunks, then the short one
+    codes = []  # (chunk size, codeword length, packed books, codewords), full chunks first
     for start, msgs in ((0, payload[:full].reshape(-1, RLC_CHUNK)), (full, payload[None, full:])):
         if msgs.size:
             count, size = msgs.shape
+            b = math.ceil(size * spec.value)
             first = matrix_seed * 1000003 + start
-            seeds = range(first, first + count * size, size)
-            books = _codebooks(_generators(size, math.ceil(size * spec.value), seeds))
-            codes.append((size, books, books[np.arange(count), _message_index(msgs)]))
-    sent = np.concatenate([words.ravel() for _, _, words in codes])
+            books = _BOOKS(size, b, range(first, first + count * size, size))
+            words = np.unpackbits(books[np.arange(count), _message_index(msgs)], axis=-1, count=b)
+            codes.append((size, b, books, words))
+    sent = np.concatenate([words.ravel() for *_, words in codes])
     ll = ch.bit_log_likelihoods(ch.transmit(sent, rng))
     decoded = []
     at = 0
-    for size, books, words in codes:
+    for size, b, books, words in codes:
         chunk_ll = ll[at: at + words.size].reshape(*words.shape, 2)
         at += words.size
         for i in range(0, len(books), _SCORE_SLAB):
-            scores = _ml_scores(books[i: i + _SCORE_SLAB], chunk_ll[i: i + _SCORE_SLAB])
+            scores = _ml_scores(books[i: i + _SCORE_SLAB], b, chunk_ll[i: i + _SCORE_SLAB])
             decoded.append(_index_bits(scores.argmax(axis=-1), size).ravel())
     return np.concatenate(decoded).astype(np.uint8), sent.size

@@ -87,9 +87,9 @@ class FiniteStateProtocol:
     """Immutable description of an n-round protocol over M states.
 
     ``tables[i-1, s]`` is the bit sent at round i from state s, held in one
-    read-only (n, M) uint8 array; ``transmissions`` and ``table(i)`` give the
-    same bits as tuples. ``advance[s][bit]`` is the successor state, also
-    held as the read-only (M, 2) array ``advance_array``. ``initial_state``
+    read-only (n, M) uint8 array; ``transmissions`` gives the same bits as
+    tuples. ``advance[s][bit]`` is the successor state, also held as the
+    read-only (M, 2) array ``advance_array``. ``initial_state``
     is known to both parties before the first round. The constructor copies
     its inputs, so later changes to the caller's arrays do not reach the
     protocol, and two protocols are equal when their contents are.
@@ -141,12 +141,6 @@ class FiniteStateProtocol:
         """Every round's transmission table, in round order."""
         return tuple(map(tuple, self.tables.tolist()))
 
-    def table(self, i: int) -> Table:
-        """Transmission table of 1-based round ``i``."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"round {i} outside 1..{self.n}")
-        return tuple(self.tables[i - 1].tolist())
-
 
 @dataclass(frozen=True)
 class TranscriptTrace:
@@ -165,9 +159,10 @@ class PartyView:
     """One party's private slice of a protocol.
 
     ``tables`` holds only the tables of that party's rounds, in round order:
-    the odd (Alice) or even (Bob) row stride of the protocol's table array.
-    Asking for a counterpart round raises. The shared pieces (advance
-    table, initial state, n, M) are included since both parties know them.
+    the odd (Alice) or even (Bob) row stride of the protocol's table array,
+    so row ``(i - 1) // 2`` is the party's round i and no counterpart round
+    is held. The shared pieces (advance table, initial state, n, M) are
+    included since both parties know them.
     """
 
     party: Party
@@ -176,15 +171,6 @@ class PartyView:
     advance: tuple[tuple[int, int], ...]
     initial_state: int
     tables: np.ndarray = field(repr=False)
-
-    def table(self, i: int) -> Table:
-        if not 1 <= i <= self.n or i % 2 != self.party.parity:
-            raise KeyError(f"round {i} is not owned by {self.party.value}")
-        return tuple(self.tables[(i - 1) // 2].tolist())
-
-    @property
-    def rounds(self) -> tuple[int, ...]:
-        return tuple(range(2 - self.party.parity, self.n + 1, 2))
 
 
 def run_protocol(p: FiniteStateProtocol, initial_state: int | None = None) -> TranscriptTrace:

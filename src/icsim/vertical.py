@@ -240,13 +240,15 @@ def _correct(pp: FiniteStateProtocol,
     state), the states the column loop walked are those states. Otherwise,
     only after an error, compare with a fresh ``run_protocol``."""
     rows = np.arange(runs[Party.ALICE][1].shape[1])
-    # a party's branch of each row: 0 if it has one, else the one the last row ended in
-    picks = {q: chain(states[-1], pp.initial_state) if states.shape[2] > 1
-             else np.zeros_like(rows) for q, (_, states) in runs.items()}
+    # a party's branch of each row, where it has more than one: the one the last row ended in
+    picks = {q: chain(states[-1], pp.initial_state)
+             for q, (_, states) in runs.items() if states.shape[2] > 1}
     # (columns, parties, rows) bits and (columns + 1, parties, rows) states, made
-    # contiguous: the picked arrays come out with the row axis strided
-    paths, states = (np.ascontiguousarray(np.stack([runs[q][k][:, rows, picks[q]] for q in runs],
-                                                   axis=1)) for k in (0, 1))
+    # contiguous: the picked arrays come out with the row axis strided; with one
+    # branch, [..., 0] is a view and copies nothing
+    paths, states = (np.ascontiguousarray(np.stack(
+        [runs[q][k][:, rows, picks[q]] if q in picks else runs[q][k][..., 0] for q in runs],
+        axis=1)) for k in (0, 1))
     begin, end = states[0], states[-1]
     if (begin[:, 0] != pp.initial_state).any() or (begin[:, 1:] != end[:, :-1]).any():
         truth = run_protocol(pp).bits

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from icsim import coding, harness, vertical
 from icsim.channel import ERASURE, ChannelModel
 from icsim.coding import RLC_CHUNK, CodeSpec, OracleCode, RandomLinearCode, convey
 
@@ -287,10 +288,8 @@ def test_one_draw_equals_two_consecutive_draws(draw):
         assert np.array_equal(one, two)
 
 
-def test_generator_cache_holds_a_whole_large_trial():
+def test_book_cache_holds_a_whole_large_trial():
     # a trial at n = 65536 sends 256-bit columns; one spare seed for a side transfer
-    from icsim.coding import _linear_code_matrix
-
     spec, ch = CodeSpec.parse("rlc:2"), ChannelModel.bsc(0.0)
     payload = (1, 0, 0, 1) * 64
     rng = np.random.default_rng(0)
@@ -300,9 +299,88 @@ def test_generator_cache_holds_a_whole_large_trial():
             convey(spec, payload, ch, rng, matrix_seed=j)
 
     send_all_columns()
-    misses = _linear_code_matrix.cache_info().misses
+    misses = coding._BOOKS.misses
     send_all_columns()
-    assert _linear_code_matrix.cache_info().misses == misses
+    assert coding._BOOKS.misses == misses
+    assert coding._BOOKS.size <= coding._BOOK_CACHE_BYTES
+
+
+# ---------------------------------------------------------------------------
+# the packed codebook cache against the draw it replaced: a GF(2) rank test
+# on every generator, and a codebook built by XOR doubling on each call
+
+def _gf2_rank(rows):
+    rank = 0
+    pivots = []
+    for row in rows:
+        for p in pivots:
+            row = min(row, row ^ p)
+        if row:
+            pivots.append(row)
+            rank += 1
+    return rank
+
+
+def _old_generator(k, b, seed):
+    """Draw generators from successive seeds until one has GF(2) rank k."""
+    attempt = seed
+    while True:
+        g = np.random.default_rng(attempt).integers(0, 2, size=(k, b), dtype=np.int64)
+        if _gf2_rank([int("".join(map(str, row)), 2) for row in g]) == k:
+            return g
+        attempt += 1
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_rank_test_draws_the_generators_of_the_gf2_rank_draw(k):
+    for b in sorted({k, k + 1, k + 3, 2 * k}):
+        for seed in range(0, 12 if k < 14 else 4):
+            seed = seed * SEED_STRIDE + k
+            assert np.array_equal(RandomLinearCode(k, b, seed=seed).generator,
+                                  _old_generator(k, b, seed))
+
+
+def test_cached_packed_books_equal_freshly_built_codebooks():
+    for k in range(1, RLC_CHUNK + 1):
+        for b in sorted({k, k + 1, 2 * k, 3 * k, 8 * math.ceil(k / 8) + 5}):
+            seeds = [j * SEED_STRIDE + 8 * i for j in range(12) for i in range(3)]
+            packed = coding._BOOKS(k, b, seeds)
+            assert packed.shape == (len(seeds), 1 << k, math.ceil(b / 8))
+            built = coding._codebooks(np.stack([_old_generator(k, b, s) for s in seeds])
+                                      .astype(np.uint8))
+            assert np.array_equal(np.unpackbits(packed, axis=-1, count=b), built)
+            _, reference = _reference_codebook(RandomLinearCode(k, b, seed=seeds[-1]))
+            assert np.array_equal(built[-1], reference)
+
+
+def test_book_cache_drops_least_recently_used_books_within_its_bound():
+    book = 1 << 6  # bytes of one k = 6, b = 8 book
+    cache = coding._BookCache(limit=3 * book + book // 2)
+    held = []
+    for seed in range(10):
+        cache(6, 8, [seed])
+        held = (held + [seed])[-3:]
+        assert cache.size == len(held) * book <= cache.limit
+        assert list(cache._books) == [(6, 8, s) for s in held]
+    cache(6, 8, [7])  # a hit makes seed 7 the most recent
+    cache(6, 8, [10])
+    assert list(cache._books) == [(6, 8, s) for s in (9, 7, 10)]
+    assert cache.misses == 11 and cache.size <= cache.limit
+    cache(6, 8, [7, 9, 10])
+    assert cache.misses == 11
+    big = coding._BookCache(limit=book - 1)  # one book alone passes the bound
+    assert big(6, 8, [0]).shape == (1, 64, 1) and big.size == 0 and not big._books
+
+
+def test_warm_rlc_trial_builds_no_codebook(monkeypatch):
+    cfg = harness.ExperimentConfig(scheme="genie", channel="bsc:0.02", code="rlc:3")
+    harness.run_trial(cfg, 4096, 0)
+    builds, calls = [], []
+    build, send = coding._codebooks, coding.convey
+    monkeypatch.setattr(coding, "_codebooks", lambda g: builds.append(g.shape) or build(g))
+    monkeypatch.setattr(vertical, "convey", lambda *a, **kw: calls.append(1) or send(*a, **kw))
+    harness.run_trial(cfg, 4096, 0)
+    assert builds == [] and len(calls) == 64
 
 
 @pytest.mark.parametrize("bad", [[0, 2], [-1, 1], [[0, 1]]])

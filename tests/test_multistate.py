@@ -425,6 +425,11 @@ def reference_tail_exchange(pp, m, tail, placement, ch, side_code, rng):
     M = pp.M
     parties = (Party.ALICE, Party.BOB)
     views = {q: party_view(pp, q) for q in parties}
+
+    def own(q, i):
+        """Party q's table of round i: row (i - 1) // 2 of its view."""
+        return tuple(views[q].tables[(i - 1) // 2].tolist())
+
     positions = (list(range(m - tail + 1, m + 1)) if placement == "last"
                  else list(range(1, tail + 1)))
     own_pos = {q: [t for t in positions if t % 2 == q.parity] for q in parties}
@@ -432,14 +437,14 @@ def reference_tail_exchange(pp, m, tail, placement, ch, side_code, rng):
     heard = {}
     for k, sender in enumerate(parties):
         payload = [b for r in range(m) for t in own_pos[sender]
-                   for b in views[sender].table(r * m + t)]
+                   for b in own(sender, r * m + t)]
         transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 5 + k)
         bits_used += len(payload)
         channel_uses += transfer.channel_uses
         slots = [(r, t) for r in range(m) for t in own_pos[sender]]
         heard[sender.other] = {rt: tuple(transfer.decoded[i * M:(i + 1) * M])
                                for i, rt in enumerate(slots)}
-    tails = {q: [[views[q].table(r * m + t) if t % 2 == q.parity else heard[q][(r, t)]
+    tails = {q: [[own(q, r * m + t) if t % 2 == q.parity else heard[q][(r, t)]
                   for t in positions] for r in range(m)] for q in parties}
     return tails, bits_used, channel_uses
 

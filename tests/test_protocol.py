@@ -114,17 +114,18 @@ def test_party_views_partition_rounds():
     p = random_protocol(4, 2, [(0, 1)], seed=0, advance=FOLLOW2)
     alice = party_view(p, Party.ALICE)
     bob = party_view(p, Party.BOB)
-    assert alice.rounds == (1, 3)
-    assert bob.rounds == (2, 4)
-    merged = {i: alice.table(i) for i in alice.rounds}
-    merged.update({i: bob.table(i) for i in bob.rounds})
+    assert alice.tables.shape == bob.tables.shape == (2, 2)
+    # round i is row (i - 1) // 2 of its owner's tables: Alice owns the odd rounds
+    merged = {i: tuple((alice if i % 2 else bob).tables[(i - 1) // 2].tolist())
+              for i in range(1, 5)}
     assert tuple(merged[i] for i in range(1, 5)) == p.transmissions
 
 
 def test_party_view_hides_foreign_tables():
-    p = random_protocol(4, 2, [(0, 1)], seed=0, advance=FOLLOW2)
-    with pytest.raises(KeyError):
-        party_view(p, Party.ALICE).table(2)
+    tables = ((0, 0), (1, 1), (0, 1), (1, 0), (1, 1))
+    p = FiniteStateProtocol(n=5, M=2, advance=FOLLOW2, transmissions=tables)
+    assert party_view(p, Party.ALICE).tables.tolist() == [[0, 0], [0, 1], [1, 1]]
+    assert party_view(p, Party.BOB).tables.tolist() == [[1, 1], [1, 0]]
 
 
 def test_owner_alternation():
@@ -212,12 +213,12 @@ def test_tuple_accessors_and_content_equality():
     p = FiniteStateProtocol(n=3, M=2, advance=FOLLOW2, transmissions=tables)
     q = FiniteStateProtocol(n=3, M=2, advance=np.array(FOLLOW2),
                             transmissions=np.array(tables, dtype=np.uint8))
-    assert p.transmissions == tables and p.table(2) == (1, 1)
-    assert isinstance(p.table(2)[0], int)
+    assert p.transmissions == tables and p.transmissions[1] == (1, 1)
+    assert isinstance(p.transmissions[1][0], int)
     assert p == q and hash(p) == hash(q)
     assert p != FiniteStateProtocol(n=3, M=2, advance=FOLLOW2, transmissions=tables,
                                     initial_state=1)
-    assert party_view(p, Party.ALICE).table(3) == (0, 0)
+    assert party_view(p, Party.ALICE).tables[1].tolist() == [0, 0]
     assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
 
 

@@ -350,7 +350,7 @@ def _ref_composites(view, m, block):
     the same state, and its value is the state 0 advances to."""
     out = {}
     for t in range(2 - view.party.parity, m + 1, 2):
-        nu0, nu1 = (view.advance[s][view.table(block * m + t)[s]] for s in (0, 1))
+        nu0, nu1 = (view.advance[s][view.tables[(block * m + t - 1) // 2][s]] for s in (0, 1))
         out[t] = (nu0 == nu1, nu0)
     return out
 
