@@ -9,7 +9,8 @@ Three channel families are supported, each a (kind, parameter) pair:
 
 ``bit_log_likelihoods`` gathers each bsc or bec output's row from a cached
 read-only table per channel; an output outside {0, 1} (bsc) or {0, 1,
-ERASURE} (bec), or of a float type, raises ValueError.
+ERASURE} (bec), or of a float type, raises ValueError. ``discrete_outputs``
+makes that check, for ``convey``'s rep decision tables too.
 
 Capacity is the mutual information under uniform inputs, in bits per use.
 ``gallager_e0`` is the random-coding exponent function
@@ -38,6 +39,7 @@ LN2 = math.log(2.0)
 ERASURE = 2  # BEC output symbol standing for an erased bit
 _TINY = 1e-300  # probability floor so impossible events get a finite log
 _QUAD_NODES = 128
+_SIGNS = np.array([1.0, -1.0])  # awgn signal of input bit 0 and of input bit 1
 
 _KINDS = ("bsc", "bec", "awgn")
 
@@ -134,21 +136,23 @@ class ChannelModel:
         if self.kind == "bec":
             erased = rng.random(x.size) < self.param
             return np.where(erased, ERASURE, x)
-        noise = rng.standard_normal(x.size)
-        return (1.0 - 2.0 * x) + self.param * noise
+        y = rng.standard_normal(x.size)
+        y *= self.param
+        y += _SIGNS.take(x)
+        return y
 
     def bit_log_likelihoods(self, outputs) -> np.ndarray:
         """Return an array L with L[j, b] = log P(outputs[j] | input bit b)."""
-        y = np.asarray(outputs).reshape(-1)
         if self.kind != "awgn":
             table = _likelihood_table(self.kind, self.param)
-            # in the unsigned view a negative output is out of range too
-            if y.dtype.kind not in "iu" or np.count_nonzero(y.view(f"u{y.itemsize}") >= len(table)):
-                raise ValueError(f"{self.kind} outputs must be integers in its alphabet")
-            return table.take(y, axis=0)
+            return table.take(discrete_outputs(self.kind, outputs, len(table)), axis=0)
+        y = np.asarray(outputs).reshape(-1)
         s2 = self.param * self.param
         norm = -0.5 * math.log(2.0 * math.pi * s2)
-        return norm - (y[:, None] - [1.0, -1.0]) ** 2 / (2.0 * s2)
+        ll = y[:, None] - _SIGNS
+        np.square(ll, out=ll)
+        ll /= 2.0 * s2
+        return np.subtract(norm, ll, out=ll)
 
     # -- information quantities ---------------------------------------------
 
@@ -180,6 +184,16 @@ class ChannelModel:
             raise ValueError(f"rate {rate} outside (0, capacity={cap:.6f}); bound is vacuous")
         er = self.error_exponent(rate)
         return min(1.0, copies * math.exp(-(block_bits / rate) * er * LN2))
+
+
+def discrete_outputs(kind: str, outputs, size: int) -> np.ndarray:
+    """The bsc or bec ``outputs`` as a flat integer array, checked to lie in
+    the channel's alphabet 0 .. size - 1."""
+    y = np.asarray(outputs).reshape(-1)
+    # in the unsigned view a negative output is out of range too
+    if y.dtype.kind not in "iu" or np.count_nonzero(y.view(f"u{y.itemsize}") >= size):
+        raise ValueError(f"{kind} outputs must be integers in its alphabet")
+    return y
 
 
 @lru_cache(maxsize=4096)

@@ -14,14 +14,18 @@
                  and charges ceil(k/R) channel uses.
 
 Decoding is maximum likelihood under the channel law. ``rep:r`` makes one
-``ChannelModel.transmit`` call for the r-fold repeated payload and sums each
-bit's log-likelihoods by strided adds ``ll[0::r] + ll[1::r] + ...`` in
-repeat order; a bit is 1 only if its 1-sum beats its 0-sum by more than
-1e-9, so ties go to 0. A random linear code picks the first maximum of its
-floating-point codeword scores ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]`` (``cb``
-the codebook, rows in message order, ``L`` the bit log-likelihoods). On
-exact ties the summation rounding decides, so the winner need not be the
-smallest message.
+``ChannelModel.transmit`` call for the r-fold repeated payload. Its rule,
+``_repetition_decide``, sums each bit's log-likelihoods by strided adds
+``ll[0::r] + ll[1::r] + ...`` in repeat order; a bit is 1 only if its 1-sum
+beats its 0-sum by more than 1e-9, so ties go to 0. On bsc and bec a bit's
+decision is a function of its r outputs alone, so ``_rep_decisions`` runs
+the rule once per (channel, r) over every output tuple, up to 4096 tuples,
+and a transfer reads each bit's decision from that table. awgn, and longer
+codes, run the rule on each transfer's log-likelihoods. A random linear
+code picks the first maximum of its floating-point codeword scores
+``cb @ L[:, 1] + (1 - cb) @ L[:, 0]`` (``cb`` the codebook, rows in message
+order, ``L`` the bit log-likelihoods). On exact ties the summation rounding
+decides, so the winner need not be the smallest message.
 
 ``rlc`` gives each chunk its own seeded code. Each code's codebook is built
 once, packed to bits by ``np.packbits`` and kept in a cache bounded in bytes;
@@ -37,18 +41,19 @@ chunk would.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .channel import LN2, ChannelModel
+from .channel import LN2, ChannelModel, discrete_outputs
 
-_MAX_EXHAUSTIVE_K = 16
 RLC_CHUNK = 8  # message bits per rlc chunk code; exhaustive ML decoding stays tractable
+_REP_TABLE_MAX = 4096  # output tuples of the largest cached rep decision table
 
 
 def _as_bits(message: Sequence[int], k: int | None = None) -> np.ndarray:
@@ -63,13 +68,36 @@ def _as_bits(message: Sequence[int], k: int | None = None) -> np.ndarray:
 
 def _repetition_decide(ll: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The (k, 2) sums ``ll[0::r] + ll[1::r] + ...`` of a repetition
-    codeword's (k * r, 2) bit log-likelihoods, and the uint8 pick of each
-    bit. The 1e-9 margin absorbs float summation noise on exact ties, which
-    go to 0, without touching real decisions."""
-    per_bit = ll[0::r]
-    for i in range(1, r):
-        per_bit = per_bit + ll[i::r]
+    codeword's (k * r, 2) bit log-likelihoods, added left to right, and the
+    uint8 pick of each bit. The 1e-9 margin absorbs float summation noise on
+    exact ties, which go to 0, without touching real decisions. This is the
+    one definition of a rep decision: ``_rep_decisions`` tabulates it."""
+    per_bit = ll if r == 1 else ll[0::r] + ll[1::r]
+    for i in range(2, r):
+        per_bit += ll[i::r]
     return per_bit, (per_bit[:, 1] > per_bit[:, 0] + 1e-9).view(np.uint8)
+
+
+@lru_cache(maxsize=256)
+def _rep_decisions(ch: ChannelModel, r: int) -> tuple[np.ndarray, int, np.ndarray] | None:
+    """The rep:r decision of every output tuple of a bsc or bec channel, or
+    None on awgn or when the channel has more than ``_REP_TABLE_MAX`` tuples.
+
+    Returns the read-only uint8 decisions, the alphabet size q and the
+    powers q^(r-1), ..., q, 1 that number a tuple in the order
+    ``itertools.product`` lists them. The table runs ``_repetition_decide``
+    on every tuple, so it holds the formula's decisions bit for bit: a bit's
+    sums depend on its own r outputs alone, in the same order.
+    """
+    if ch.kind == "awgn":
+        return None
+    q = 2 if ch.kind == "bsc" else 3
+    if q ** r > _REP_TABLE_MAX:
+        return None
+    outputs = np.array(list(itertools.product(range(q), repeat=r))).ravel()
+    decisions = _repetition_decide(ch.bit_log_likelihoods(outputs), r)[1].copy()
+    decisions.flags.writeable = False
+    return decisions, q, q ** np.arange(r - 1, -1, -1)
 
 
 def _codebooks(generators: np.ndarray) -> np.ndarray:
@@ -183,15 +211,16 @@ def _index_bits(index: np.ndarray, k: int) -> np.ndarray:
 @dataclass(frozen=True)
 class RandomLinearCode:
     """Random full-rank linear code over GF(2): the (k, codeword_length)
-    generator that ``convey`` draws for an rlc chunk code of that seed."""
+    generator that ``convey`` draws for an rlc chunk code of that seed. k is
+    at most ``RLC_CHUNK``, the largest chunk ``convey`` draws."""
 
     k: int
     codeword_length: int
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= _MAX_EXHAUSTIVE_K:
-            raise ValueError(f"k must be in 1..{_MAX_EXHAUSTIVE_K} for exhaustive ML decoding")
+        if not 1 <= self.k <= RLC_CHUNK:
+            raise ValueError(f"k must be in 1..{RLC_CHUNK}, the chunk sizes convey draws")
         if self.codeword_length < self.k:
             raise ValueError("codeword must be at least as long as the message")
 
@@ -321,8 +350,15 @@ def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
         uses = code.codeword_length
     elif spec.kind == "rep":
         r = int(spec.value)
-        ll = ch.bit_log_likelihoods(ch.transmit(payload.repeat(r), rng))
-        decoded, uses = _repetition_decide(ll, r)[1], payload.size * r
+        y = ch.transmit(payload if r == 1 else payload.repeat(r), rng)
+        table = _rep_decisions(ch, r)
+        if table is None:
+            decoded = _repetition_decide(ch.bit_log_likelihoods(y), r)[1]
+        else:
+            decisions, q, powers = table
+            y = discrete_outputs(ch.kind, y, q)
+            decoded = decisions.take(y if r == 1 else y.reshape(-1, r) @ powers)
+        uses = payload.size * r
     else:
         decoded, uses = _convey_rlc(spec, payload, ch, rng, matrix_seed)
     decoded.flags.writeable = False

@@ -41,7 +41,6 @@ from .protocol import (
     FiniteStateProtocol,
     Party,
     chain,
-    owner_of_round,
     pad_protocol,
     party_view,
     run_protocol,
@@ -212,16 +211,19 @@ def run_columns(owned: Mapping[Party, np.ndarray], advance: np.ndarray,
     states = {q: np.empty((cols + 1, len(rows), wire.branches), dtype=np.intp) for q in starts}
     for q in starts:
         states[q][0] = starts[q]
+    turns = ((Party.BOB, Party.ALICE), (Party.ALICE, Party.BOB))  # (owner, receiver) by j % 2
     for j in range(1, cols + 1):
-        owner, receiver = owner_of_round(j), owner_of_round(j + 1)
+        owner, receiver = turns[j % 2]
         tables = owned[owner][:, (j - 1) // 2]
-        taus = tables[rows, states[owner][j - 1]]
+        at, was = states[owner][j - 1], states[receiver][j - 1]
+        taus = tables[rows, at]
         sent = wire.encode(owner, j, tables, taus)
         heard = None if sent is None else carry(j, sent)
-        applied = wire.decode(receiver, j, heard, states[receiver][j - 1])
-        for q, tau in ((owner, taus), (receiver, applied)):
-            bits[q][j - 1] = tau
-            states[q][j] = advance[states[q][j - 1], tau]
+        applied = wire.decode(receiver, j, heard, was)
+        bits[owner][j - 1] = taus
+        states[owner][j] = advance[at, taus]
+        bits[receiver][j - 1] = applied
+        states[receiver][j] = advance[was, applied]
     return {q: (bits[q], states[q]) for q in starts}
 
 
@@ -235,27 +237,29 @@ def _correct(pp: FiniteStateProtocol,
              runs: Mapping[Party, tuple[np.ndarray, np.ndarray]]) -> dict[Party, bool]:
     """Whether each party's transcript (its chosen branches) equals the clean
     execution's: exactly when each bit equals its round's table at the state
-    the transcript drives from the initial state. If all chosen rows chain
-    (each starts where the previous one ended, the first in the initial
-    state), the states the column loop walked are those states. Otherwise,
-    only after an error, compare with a fresh ``run_protocol``."""
-    rows = np.arange(runs[Party.ALICE][1].shape[1])
-    # a party's branch of each row, where it has more than one: the one the last row ended in
-    picks = {q: chain(states[-1], pp.initial_state)
-             for q, (_, states) in runs.items() if states.shape[2] > 1}
-    # (columns, parties, rows) bits and (columns + 1, parties, rows) states, made
-    # contiguous: the picked arrays come out with the row axis strided; with one
-    # branch, [..., 0] is a view and copies nothing
-    paths, states = (np.ascontiguousarray(np.stack(
-        [runs[q][k][:, rows, picks[q]] if q in picks else runs[q][k][..., 0] for q in runs],
-        axis=1)) for k in (0, 1))
-    begin, end = states[0], states[-1]
-    if (begin[:, 0] != pp.initial_state).any() or (begin[:, 1:] != end[:, :-1]).any():
-        truth = run_protocol(pp).bits
-        return {q: tuple(paths[:, k].T.ravel().tolist()) == truth for k, q in enumerate(runs)}
-    at = (len(paths) * rows + np.arange(len(paths))[:, None, None]) * pp.M  # round r * m + j
-    ok = pp.tables.ravel().take(at + states[:-1]) == paths
-    return dict(zip(runs, ok.all(axis=(0, 2)).tolist()))
+    the transcript drives from the initial state. If a party's chosen rows
+    chain (each starts where the previous one ended, the first in the
+    initial state), the states its column loop walked are those states.
+    Otherwise, only after an error, compare with a fresh ``run_protocol``."""
+    cols, m = runs[Party.ALICE][0].shape[:2]
+    rows = np.arange(m)
+    at = (cols * rows + np.arange(cols)[:, None]) * pp.M  # round r * m + j, by (j, r)
+    truth = None
+    correct = {}
+    for q, (paths, states) in runs.items():
+        if states.shape[2] > 1:  # the branch of each row the last row ended in
+            pick = chain(states[-1], pp.initial_state)
+            paths, states = paths[:, rows, pick], states[:, rows, pick]
+        else:
+            paths, states = paths[..., 0], states[..., 0]
+        begin, end = states[0], states[-1]
+        if begin[0] == pp.initial_state and np.array_equal(begin[1:], end[:-1]):
+            correct[q] = bool((pp.tables.ravel().take(at + states[:-1]) == paths).all())
+        else:
+            if truth is None:
+                truth = run_protocol(pp).bits
+            correct[q] = tuple(paths.T.ravel().tolist()) == truth
+    return correct
 
 
 def simulate_vertical(

@@ -89,8 +89,9 @@ def test_linear_generator_full_rank_across_seeds():
 
 
 def test_linear_rejects_large_k():
-    with pytest.raises(ValueError):
-        RandomLinearCode(k=17, codeword_length=20, seed=0)
+    # convey draws chunk codes of at most RLC_CHUNK bits, so the class stops there
+    with pytest.raises(ValueError, match="k must be"):
+        RandomLinearCode(k=RLC_CHUNK + 1, codeword_length=20, seed=0)
 
 
 def test_linear_bhattacharyya_union_bound():
@@ -333,11 +334,17 @@ def _old_generator(k, b, seed):
 
 @pytest.mark.parametrize("k", range(1, 17))
 def test_rank_test_draws_the_generators_of_the_gf2_rank_draw(k):
+    # past RLC_CHUNK, which RandomLinearCode stops at, the draw is read off
+    # _packed_book directly: the rows of the messages with one bit set
     for b in sorted({k, k + 1, k + 3, 2 * k}):
         for seed in range(0, 12 if k < 14 else 4):
             seed = seed * SEED_STRIDE + k
-            assert np.array_equal(RandomLinearCode(k, b, seed=seed).generator,
-                                  _old_generator(k, b, seed))
+            book = np.frombuffer(coding._packed_book(k, b, seed), dtype=np.uint8)
+            rows = book.reshape(1 << k, -1)[1 << np.arange(k - 1, -1, -1)]
+            drawn = np.unpackbits(rows, axis=-1, count=b)
+            assert np.array_equal(drawn, _old_generator(k, b, seed))
+            if k <= RLC_CHUNK:
+                assert np.array_equal(RandomLinearCode(k, b, seed=seed).generator, drawn)
 
 
 def test_cached_packed_books_equal_freshly_built_codebooks():
@@ -475,15 +482,70 @@ def test_log_likelihoods_reject_outputs_outside_the_alphabet(channel, outputs):
         ChannelModel.parse(channel).bit_log_likelihoods(outputs)
 
 
-def test_convey_rep_makes_one_transmit_and_one_likelihood_call(monkeypatch):
+def test_convey_rep_makes_one_transmit_and_likelihoods_only_on_awgn(monkeypatch):
+    rng = np.random.default_rng(0)
+    specs = ("rep:1", "rep:3")
+    channels = ("bsc:0.1", "bec:0.1", "awgn:0.8")
+    for spec in specs:  # builds the decision tables before the calls are counted
+        for channel in channels:
+            convey(CodeSpec.parse(spec), [1, 0], ChannelModel.parse(channel), rng)
     calls = []
     for name in ("transmit", "bit_log_likelihoods"):
         original = getattr(ChannelModel, name)
         monkeypatch.setattr(ChannelModel, name, lambda self, *a, _f=original, _n=name:
                             calls.append(_n) or _f(self, *a))
-    rng = np.random.default_rng(0)
-    for spec in ("rep:1", "rep:3"):
-        for channel in ("bsc:0.1", "bec:0.1", "awgn:0.8"):
+    for spec in specs:
+        for channel in channels:
             calls.clear()
             convey(CodeSpec.parse(spec), [1, 0] * 20, ChannelModel.parse(channel), rng)
-            assert calls == ["transmit", "bit_log_likelihoods"]
+            want = ["transmit"] if channel != "awgn:0.8" else ["transmit", "bit_log_likelihoods"]
+            assert calls == want
+
+
+# ---------------------------------------------------------------------------
+# the cached rep decision tables of bsc and bec against the formula
+
+@pytest.mark.parametrize("kind", ["bsc", "bec"])
+@pytest.mark.parametrize("param", [0.0, 0.02, 0.05, 0.5 - 1e-12, 0.5, 1.0])
+def test_rep_decision_table_equals_the_formula_on_every_output_tuple(kind, param):
+    ch = ChannelModel(kind, param)
+    q, cap = (2, 12) if kind == "bsc" else (3, 7)
+    assert q ** cap <= coding._REP_TABLE_MAX < q ** (cap + 1)
+    for r in range(1, cap + 1):
+        decisions, size, powers = coding._rep_decisions(ch, r)
+        assert size == q and decisions.dtype == np.uint8 and not decisions.flags.writeable
+        tuples = list(itertools.product(range(q), repeat=r))
+        assert decisions.size == len(tuples)
+        assert np.array_equal(np.array(tuples) @ powers, np.arange(len(tuples)))
+        # one tuple at a time, so no other bit shares the formula's arrays
+        for code, outputs in enumerate(tuples):
+            ll = ch.bit_log_likelihoods(outputs)
+            assert decisions[code] == coding._repetition_decide(ll, r)[1][0]
+    assert coding._rep_decisions(ch, cap + 1) is None
+
+
+def test_rep_transfer_past_the_table_cap_takes_the_formula_path(monkeypatch):
+    calls = []
+    original = ChannelModel.bit_log_likelihoods
+    monkeypatch.setattr(ChannelModel, "bit_log_likelihoods",
+                        lambda self, y: calls.append(len(y)) or original(self, y))
+    rng = np.random.default_rng(0)
+    for channel, r in (("bsc:0.05", 13), ("bec:0.05", 8)):
+        calls.clear()
+        got = convey(CodeSpec.parse(f"rep:{r}"), [1, 0, 1], ChannelModel.parse(channel), rng)
+        assert calls == [3 * r] and got.channel_uses == 3 * r
+
+
+@pytest.mark.parametrize("channel, output", [("bsc:0.1", 2), ("bsc:0.1", -1),
+                                             ("bec:0.1", 3), ("bec:0.1", -1)])
+@pytest.mark.parametrize("r", [1, 3])
+def test_rep_table_path_keeps_the_alphabet_check(channel, output, r, monkeypatch):
+    ch = ChannelModel.parse(channel)
+    with pytest.raises(ValueError, match="outputs must") as raised:
+        ch.bit_log_likelihoods([output])
+    assert coding._rep_decisions(ch, r) is not None
+    monkeypatch.setattr(ChannelModel, "transmit",
+                        lambda self, bits, rng: np.where(np.arange(len(bits)) == 0, output, bits))
+    with pytest.raises(ValueError, match="outputs must") as got:
+        convey(CodeSpec.parse(f"rep:{r}"), [0, 1], ch, np.random.default_rng(0))
+    assert str(got.value) == str(raised.value)
