@@ -33,12 +33,10 @@ from .multistate import (
 from .protocol import (
     FiniteStateProtocol,
     Party,
-    PartyView,
     TranscriptTrace,
     load_protocol,
     make_markovian,
     markovian_advance,
-    owner_of_round,
     pad_protocol,
     party_view,
     protocol_from_dict,
@@ -63,7 +61,6 @@ from .vertical import (
     SimulationReport,
     accounting,
     exchange,
-    genie_lookahead,
     genie_provider,
     grid_side,
     overhead_bound,
@@ -84,7 +81,6 @@ __all__ = [
     "LookaheadResult",
     "OracleCode",
     "Party",
-    "PartyView",
     "RandomLinearCode",
     "SimulationReport",
     "SweepRow",
@@ -103,7 +99,6 @@ __all__ = [
     "count_transcript_triples",
     "disj_via_protocol",
     "exhaustive_two_state",
-    "genie_lookahead",
     "exchange",
     "genie_provider",
     "grid_side",
@@ -113,7 +108,6 @@ __all__ = [
     "make_markovian",
     "markovian_advance",
     "overhead_bound",
-    "owner_of_round",
     "pad_protocol",
     "party_view",
     "protocol_from_dict",

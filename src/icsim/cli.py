@@ -15,9 +15,7 @@ requested audits passed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from .multistate import (
     is_useful,
     resolve_functions,
 )
-from .protocol import advance_table, markovian_advance
+from .protocol import advance_table, markovian_advance, read_json
 from .threestate import count_transcript_triples, disj_via_protocol
 from .twostate import classify_advance
 
@@ -70,7 +68,7 @@ def _load_advance(spec: str):
         if not 1 <= log_M <= MAX_LOG_M:
             raise ValueError(f"markovian log_M must be from 1 to {MAX_LOG_M}, not {log_M}")
         return markovian_advance(log_M)
-    return advance_table(json.loads(Path(spec).read_text()))
+    return advance_table(read_json(spec, "advance table"))
 
 
 def _cmd_capacity(args) -> int:
@@ -107,11 +105,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_coincidence(args) -> int:
     _at_least("trials", args.trials, 1)
     _at_least("p", args.p, 0)
+    _at_least("seed", args.seed, 0)
     eta = _load_advance(args.advance)
     M = len(eta)
     functions = args.functions
     if functions not in ("balanced", "all"):
-        functions = json.loads(Path(functions).read_text())
+        functions = read_json(functions, "function set")
     fset = resolve_functions(functions, M)
     K = coincidence_horizon(eta, M)
     if K is None:
@@ -154,6 +153,7 @@ def _cmd_classify(args) -> int:
 def _cmd_disjointness(args) -> int:
     u, m = args.universe, args.count_triples
     _at_least("universe", u, 1)
+    _at_least("seed", args.seed, 0)
     count = None if m is None else count_transcript_triples(m)  # a bad m fails before any output
     rows = max(1, (1 << 15) // u)  # batches of about 2^16 rounds keep memory flat
     if args.exhaustive:
@@ -273,7 +273,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -325,14 +325,6 @@ class TransferResult:
     channel_uses: int
     intact: bool  # ground-truth flag: decoded equals what was sent
 
-    @property
-    def decoded(self) -> tuple[int, ...]:
-        return tuple(self.bits.tolist())
-
-    def __eq__(self, other) -> bool:
-        key = lambda t: (t.decoded, t.channel_uses, t.intact)
-        return isinstance(other, TransferResult) and key(self) == key(other)
-
 
 def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
            rng: np.random.Generator, matrix_seed: int = 0) -> TransferResult:

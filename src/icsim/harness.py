@@ -24,7 +24,7 @@ from .channel import ChannelModel
 from .coding import CodeSpec
 from .multistate import PLACEMENTS, resolve_functions, simulate_mstate
 from .protocol import (FiniteStateProtocol, _advance_rows, load_protocol, markovian_advance,
-                       random_protocol)
+                       random_protocol, read_json)
 from .twostate import exhaustive_two_state, random_two_state_protocol, simulate_two_state
 from .vertical import SimulationReport, accounting, genie_provider, simulate_vertical
 
@@ -113,8 +113,6 @@ def protocol_draw(source: Mapping) -> Draw:
     path = source.get("path", "")
     if not isinstance(path, str):
         raise ValueError(f"protocol path must be a string, not {path!r}")
-    if not Path(path).is_file():
-        raise ValueError(f"protocol file not found: {Path(path)}")
     protocol = load_protocol(path)  # read once; every trial runs this protocol
     return lambda n, rng: protocol
 
@@ -158,6 +156,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown placement {self.placement!r}; choose from {PLACEMENTS}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be at least 0, not {self.base_seed}")
         if any(n < 1 for n in self.n_list):
             raise ValueError("all n must be positive")
         put = partial(object.__setattr__, self)  # the class is frozen
@@ -170,13 +170,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path, **overrides) -> "ExperimentConfig":
-        path = Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ValueError(f"config {path} must be a JSON object, not {type(raw).__name__}")
+        raw = read_json(path, "config", keys=())
         known = {f.name for f in fields(cls) if f.init}
         keys = known - set(JSON_KEYS.values()) | set(JSON_KEYS)
         unknown = sorted(set(raw) - keys)

@@ -214,15 +214,6 @@ def tail_length(n_padded: int, K: int) -> int:
     return -(-root // K) * K
 
 
-def trajectories_coincide(eta, tables: Sequence[Table],
-                          M: int) -> tuple[bool, tuple[int, ...]]:
-    """Walk every possible initial state through the table sequence; report
-    whether all finals agree, and the finals themselves."""
-    steps = _bit_rows(np.reshape(tables, (-1, M)), len(tables), M)[None]
-    finals = tuple(walk(eta, steps, np.arange(M))[-1, 0].tolist())
-    return len(set(finals)) == 1, finals
-
-
 def coincidence_failure_trials(eta, function_set: Sequence[Table], p: int,
                                trials: int, base_seed: int) -> int:
     """Monte Carlo count of tails whose M trajectories fail to merge, with

@@ -18,7 +18,7 @@ at once instead of walking rounds in Python.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -43,11 +43,6 @@ class Party(Enum):
     @property
     def other(self) -> "Party":
         return Party.BOB if self is Party.ALICE else Party.ALICE
-
-
-def owner_of_round(i: int) -> Party:
-    """Party that speaks at 1-based round ``i``."""
-    return Party.ALICE if i % 2 == 1 else Party.BOB
 
 
 def _bit_rows(rows: Sequence[Sequence[int]] | np.ndarray, count: int, M: int) -> np.ndarray:
@@ -154,25 +149,6 @@ class TranscriptTrace:
             raise ValueError("trace must hold one more state than bits")
 
 
-@dataclass(frozen=True, eq=False)
-class PartyView:
-    """One party's private slice of a protocol.
-
-    ``tables`` holds only the tables of that party's rounds, in round order:
-    the odd (Alice) or even (Bob) row stride of the protocol's table array,
-    so row ``(i - 1) // 2`` is the party's round i and no counterpart round
-    is held. The shared pieces (advance table, initial state, n, M) are
-    included since both parties know them.
-    """
-
-    party: Party
-    n: int
-    M: int
-    advance: tuple[tuple[int, int], ...]
-    initial_state: int
-    tables: np.ndarray = field(repr=False)
-
-
 def run_protocol(p: FiniteStateProtocol, initial_state: int | None = None) -> TranscriptTrace:
     """Noiseless execution from ``initial_state`` (default: the protocol's own)."""
     s = p.initial_state if initial_state is None else initial_state
@@ -271,15 +247,12 @@ def random_protocol(n: int, M: int, function_set: Sequence[Sequence[int]],
     )
 
 
-def party_view(p: FiniteStateProtocol, party: Party) -> PartyView:
-    return PartyView(
-        party=party,
-        n=p.n,
-        M=p.M,
-        advance=p.advance,
-        initial_state=p.initial_state,
-        tables=p.tables[1 - party.parity::2],
-    )
+def party_view(p: FiniteStateProtocol, party: Party) -> np.ndarray:
+    """The tables of ``party``'s rounds, in round order: the odd (Alice) or
+    even (Bob) row stride of the protocol's table array, so row
+    ``(i - 1) // 2`` is the party's round i. The stride is a read-only view
+    into the whole table array, not a copy, so it hides nothing."""
+    return p.tables[1 - party.parity::2]
 
 
 def pad_protocol(p: FiniteStateProtocol, n_padded: int) -> FiniteStateProtocol:
@@ -341,5 +314,21 @@ def save_protocol(p: FiniteStateProtocol, path: str | Path) -> None:
     Path(path).write_text(json.dumps(protocol_to_dict(p), indent=1) + "\n")
 
 
+def read_json(path: str | Path, what: str, keys: Sequence[str] | None = None):
+    """The JSON value in the file at ``path``, the one reader of every JSON
+    input; with ``keys`` it must be an object that holds them. Any failure
+    raises ``ValueError("cannot read <what> <path>: <reason>")``."""
+    try:
+        raw = json.loads(Path(path).read_text())
+        if keys is not None and not isinstance(raw, dict):
+            raise ValueError(f"must be a JSON object, not {type(raw).__name__}")
+        missing = [key for key in keys or () if key not in raw]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+    except (OSError, ValueError) as exc:  # ValueError also covers bad JSON and bad UTF-8
+        raise ValueError(f"cannot read {what} {path}: {exc}") from None
+    return raw
+
+
 def load_protocol(path: str | Path) -> FiniteStateProtocol:
-    return protocol_from_dict(json.loads(Path(path).read_text()))
+    return protocol_from_dict(read_json(path, "protocol", ("n", "M", "advance", "transmissions")))

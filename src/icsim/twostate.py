@@ -40,7 +40,7 @@ from .vertical import (
     LookaheadResult,
     SimulationReport,
     exchange,
-    genie_lookahead,
+    genie_provider,
     padded_side,
     run_columns,
     simulate_vertical,
@@ -259,16 +259,35 @@ class ExhaustiveWire(ColumnWire):
         return self.tables[self.phase[party][:, j - 1, None], bits[:, None], states]
 
 
+def _merge_points(tables: np.ndarray, advance: np.ndarray, ch: ChannelModel, side_code: CodeSpec,
+                  rng: np.random.Generator) -> tuple[dict[Party, np.ndarray], int, int]:
+    """The exhaustive scheme's exchange over a (rows, m, 2) table grid: each
+    party sends the compressed index of its first constant-making round per
+    row and takes the earlier of the two (m + 1 if neither) as the row's
+    merge point. Returns each party's merge points, the bits and the uses."""
+    m = tables.shape[1]
+    parties = (Party.ALICE, Party.BOB)
+    const, _ = _grid_composites(tables, advance, m)
+    own_first = {q: _own_const_index(const, q, last=False) for q in parties}
+    heard, bits_used, channel_uses = exchange(
+        {q: _pack_index(own_first[q], _index_width(m, q)) for q in parties},
+        side_code, ch, rng, matrix_seed=m + 1)
+    beliefs = {q: np.minimum(*(np.where(t > 0, t, m + 1)
+                               for t in (own_first[q], _unpack_index(heard[q], m, q.other))))
+               for q in parties}
+    return beliefs, bits_used, channel_uses
+
+
 def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.ndarray]], int]:
     """Noiseless block core of the exhaustive scheme, for a stack of blocks.
 
     ``blocks`` is a (blocks, m, 2) stack of transmission tables, one block
-    per row. Both parties exchange their first-constant locations, then one
-    bit per round in the scheme's wire format, through the same column loop
-    as the full simulation with the blocks as the rows of one grid. Returns,
-    per party, the (blocks, 2, m) transcripts and the (blocks, 2) final
-    states from entry states 0 and 1, which must agree with each other and
-    with direct iteration; and the logical bits each block spends.
+    per row. The blocks run as the rows of one grid through the scheme's own
+    exchange (over ``bsc:0`` with ``rep:1``) and column loop. Returns, per
+    party, the (blocks, 2, m) transcripts and the (blocks, 2) final states
+    from entry states 0 and 1, which must agree with each other and with
+    direct iteration; and the logical bits each block spends: m, plus its
+    share of what the exchange sent.
     """
     cls = classify_advance(eta)
     if not cls.interactive:
@@ -277,45 +296,32 @@ def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.
     if tables.ndim != 3 or tables.shape[2] != 2:
         raise ValueError(f"blocks must be a (blocks, m, 2) stack, not shape {tables.shape}")
     m = tables.shape[1]
-    parties = (Party.ALICE, Party.BOB)
     advance = np.array(eta, dtype=np.intp)
-    # noiseless exchange: the merge point is the block's first constant round
-    const, _ = _grid_composites(tables, advance, m)
-    belief = np.where(const.any(axis=1), const.argmax(axis=1) + 1, m + 1)
-    bits_used = m + sum(_index_width(m, q) for q in parties)
-    owned = {q: tables[:, 1 - q.parity::2] for q in parties}
+    beliefs, bits_used, _ = _merge_points(tables, advance, ChannelModel.parse("bsc:0"),
+                                          CodeSpec.parse("rep:1"), np.random.default_rng(0))
     both = np.tile(np.arange(2), (len(tables), 1))
-    runs = run_columns(owned, advance, {q: both for q in parties},
-                       ExhaustiveWire(cls, {q: belief for q in parties}, m),
+    runs = run_columns({q: tables[:, 1 - q.parity::2] for q in beliefs}, advance,
+                       {q: both for q in beliefs}, ExhaustiveWire(cls, beliefs, m),
                        lambda j, bits: bits)
     return {q: (bits.transpose(1, 2, 0), states[-1])
-            for q, (bits, states) in runs.items()}, bits_used
+            for q, (bits, states) in runs.items()}, m + bits_used // len(tables)
 
 
 def exhaustive_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: CodeSpec,
                          rng: np.random.Generator) -> LookaheadResult:
-    """Lookahead of the exhaustive scheme: each party sends the compressed
-    index of its first constant-making round per block; the earlier of the
-    two is the block's merge point for the column wire format.
+    """Lookahead of the exhaustive scheme: the rows' merge points
+    (``_merge_points``) set the column wire format.
 
     A non-interactive advance function fixes the whole state sequence
     independently of the transcript, so both parties compute the block
-    starts locally and the columns carry plain transcript bits.
+    starts locally, as the genie does, and the columns carry plain bits.
     """
     m = padded_side(pp)
     cls = classify_advance(pp.advance)
     if not cls.interactive:
-        return LookaheadResult(*genie_lookahead(pp), 0, 0)
-    parties = (Party.ALICE, Party.BOB)
-    const, _ = _grid_composites(pp.tables, pp.advance_array, m)
-    own_first = {q: _own_const_index(const, q, last=False) for q in parties}
-    heard, bits_used, channel_uses = exchange(
-        {q: _pack_index(own_first[q], _index_width(m, q)) for q in parties},
-        side_code, ch, rng, matrix_seed=m + 1)
-    # per row, the earlier of the two first-constant indices, m + 1 if neither
-    beliefs = {q: np.minimum(*(np.where(t > 0, t, m + 1)
-                               for t in (own_first[q], _unpack_index(heard[q], m, q.other))))
-               for q in parties}
+        return genie_provider(pp, ch, side_code, rng)
+    beliefs, bits_used, channel_uses = _merge_points(pp.tables.reshape(m, m, 2),
+                                                     pp.advance_array, ch, side_code, rng)
     return LookaheadResult((), (), bits_used, channel_uses,
                            wire=ExhaustiveWire(cls, beliefs, m))
 

@@ -140,18 +140,15 @@ def exchange(payloads: Mapping[Party, np.ndarray], side: CodeSpec, ch: ChannelMo
     return heard, bits_used, channel_uses
 
 
-def genie_lookahead(p: FiniteStateProtocol) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exact block-initial states of the clean execution, for both parties:
-    every row walked from every state at once, then the rows chained."""
-    m = padded_side(p)
-    finals = walk(p.advance_array, p.tables.reshape(m, m, p.M), np.arange(p.M))[-1]
-    states = tuple(chain(finals, p.initial_state).tolist())
-    return states, states
-
-
 def genie_provider(pp: FiniteStateProtocol, ch: ChannelModel, side: CodeSpec | None,
                    rng: np.random.Generator) -> LookaheadResult:
-    return LookaheadResult(*genie_lookahead(pp), 0, 0)
+    """Exact block-initial states of the clean execution, for both parties and
+    at no cost: every row walked from every state at once, then the rows
+    chained. The channel, code and generator are not used."""
+    m = padded_side(pp)
+    finals = walk(pp.advance_array, pp.tables.reshape(m, m, pp.M), np.arange(pp.M))[-1]
+    states = tuple(chain(finals, pp.initial_state).tolist())
+    return LookaheadResult(states, states, 0, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,7 +295,7 @@ def simulate_vertical(
 
         # with an even grid side (or one round) column j of a row is the owner's
         # ((j - 1) // 2)-th round in that row, so a reshape of its row stride
-        owned = {q: party_view(pp, q).tables.reshape(m, -1, pp.M) for q in starts}
+        owned = {q: party_view(pp, q).reshape(m, -1, pp.M) for q in starts}
         runs = run_columns(owned, pp.advance_array, starts, wire, carry)
         correct = _correct(pp, runs)
 

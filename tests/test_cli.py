@@ -276,10 +276,12 @@ def test_sweep_missing_config_exits_2(tmp_path, capsys):
     ('{"n": []}', [], "n_list must be a non-empty list of integers (config key n), not []"),
     ('{}', ["--n", "abc"], "--n must be a comma-separated list of integers, not 'abc'"),
     ('{}', ["--n", "16,,32"], "--n must be a comma-separated list of integers, not '16,,32'"),
+    ('{"base_seed": -1}', [], "base_seed must be at least 0, not -1"),
+    ('{"trials": 5', [], "cannot read config"),
 ], ids=["misspelt-key", "string-trials", "top-level-list", "string-protocol",
         "integer-advance", "integer-functions", "long-function-row", "misspelt-protocol-key",
         "huge-log-m", "unknown-placement", "empty-n",
-        "garbled-n", "empty-n-item"])
+        "garbled-n", "empty-n-item", "negative-base-seed", "not-json"])
 def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, args, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(doc)
@@ -346,6 +348,19 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
      "coincidence certificates need at most 1024 states, not 2048"),
     (["classify", "--advance", "markovian:16"], None,
      "coincidence certificates need at most 1024 states, not 65536"),
+    (["simulate", "--n", "1000000000000000"], None, "Unable to allocate"),
+    (["simulate", "--seed", "-1"], None, "base_seed must be at least 0, not -1"),
+    (["coincidence", "--advance", "markovian:2", "--seed", "-1"], None,
+     "seed must be at least 0, not -1"),
+    (["disjointness", "--seed", "-1"], None, "seed must be at least 0, not -1"),
+    (["classify", "--advance", "{file}"], "[[0, 1],", "cannot read advance table {file}: "),
+    (["coincidence", "--advance", "markovian:2", "--functions", "{file}"], "balanced",
+     "cannot read function set {file}: "),
+    (["simulate", "--protocol", "{file}"], "{", "cannot read protocol {file}: "),
+    (["simulate", "--protocol", "{file}"], None, "cannot read protocol {file}: "),
+    (["simulate", "--protocol", "{file}"],
+     '{"M": 2, "advance": [0, 1, 0, 1], "transmissions": [[0, 1]]}',
+     "cannot read protocol {file}: missing keys ['n']"),
 ], ids=["advance-empty", "advance-integer", "advance-object", "advance-odd-flat",
         "advance-out-of-range", "functions-integer", "functions-empty", "functions-short-row",
         "functions-non-bit", "coincidence-zero-trials", "coincidence-negative-p",
@@ -356,7 +371,9 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
         "code-rep-inf", "code-rlc-inf", "code-oracle-nan", "channel-awgn-nan",
         "channel-awgn-inf", "simulate-channel-awgn-nan", "markovian-17", "markovian-64",
         "markovian-not-integer", "markovian-empty", "markovian-11",
-        "markovian-16"])
+        "markovian-16", "simulate-huge-n", "simulate-negative-seed",
+        "coincidence-negative-seed", "disjointness-negative-seed", "advance-not-json",
+        "functions-not-json", "protocol-not-json", "protocol-missing", "protocol-without-n"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "input.json"
     if doc is not None:
@@ -366,7 +383,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, mess
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
-    assert message in captured.err
+    assert message.replace("{file}", str(path)) in captured.err
 
 
 def test_outputs_honor_outdir_env(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from icsim.twostate import (
     exhaustive_two_state,
     simulate_two_state,
 )
-from icsim.vertical import genie_lookahead, genie_provider, simulate_vertical
+from icsim.vertical import genie_provider, simulate_vertical
 
 REP1 = CodeSpec.parse("rep:1")
 SCHEMES = ("genie", "two-state", "two-state-exhaustive", "m-state-last", "m-state-first")
@@ -140,7 +140,8 @@ def test_block_starts_match_run_protocol(M, kind, m, data, seed):
     pp = _protocol(M, advance, rng.integers(0, 2, size=(m * m, M)),
                    data.draw(st.integers(0, M - 1)))
     truth = run_protocol(pp).states[:-1:m]
-    assert genie_lookahead(pp) == (truth, truth)
+    la = genie_provider(pp, None, None, None)
+    assert (la.alice_states, la.bob_states) == (truth, truth)
 
 
 @pytest.mark.parametrize("advance", NON_INTERACTIVE2)

@@ -26,7 +26,6 @@ from icsim.multistate import (
     tail_exhaustive_lookahead,
     tail_length,
     tail_lookahead,
-    trajectories_coincide,
 )
 from icsim.protocol import (
     Party,
@@ -35,7 +34,7 @@ from icsim.protocol import (
     party_view,
     random_protocol,
 )
-from icsim.vertical import LookaheadResult, genie_lookahead, grid_side, simulate_vertical
+from icsim.vertical import LookaheadResult, genie_provider, grid_side, simulate_vertical
 
 NOISELESS = ChannelModel.bsc(0.0)
 EXAMPLE2 = ((0, 1), (0, 2), (2, 2))
@@ -258,17 +257,6 @@ def test_tail_length_rounding_and_lookahead_checks():
                                       np.random.default_rng(0))
 
 
-def test_trajectories_coincide_reports_finals():
-    tables = [(1, 1, 1, 1), (0, 0, 0, 0)]  # two constants flush a 2-bit window
-    ok, finals = trajectories_coincide(MARKOV4, tables, 4)
-    assert ok and set(finals) == {0b10}
-    ok2, finals2 = trajectories_coincide(((0, 0), (1, 1)), [(0, 1)], 2)
-    assert not ok2 and finals2 == (0, 1)
-    assert trajectories_coincide(((0, 0), (1, 1)), [], 2) == (False, (0, 1))
-    with pytest.raises(ValueError, match="must be bits"):
-        trajectories_coincide(((0, 1), (0, 1)), [(2, 0)], 2)
-
-
 def test_failure_trials_extremes():
     # constants always merge a markovian window; pure flips never do
     assert coincidence_failure_trials(MARKOV2, [(0, 0)], 4, 50, 0) == 0
@@ -297,7 +285,7 @@ def test_tail_with_flushed_window_always_merges():
     la = tail_exhaustive_lookahead(forced, tail_length(m * m, 2), "last", NOISELESS,
                                    CodeSpec.parse("rep:1"), np.random.default_rng(0))
     assert la.failure is None
-    truth, _ = genie_lookahead(forced)
+    truth = genie_provider(forced, NOISELESS, None, None).alice_states
     assert la.alice_states == truth and la.bob_states == truth
 
 
@@ -322,7 +310,7 @@ def test_provider_matches_genie_when_merging():
         if la.failure is not None:
             continue
         merged += 1
-        truth, _ = genie_lookahead(p)
+        truth = genie_provider(p, NOISELESS, None, None).alice_states
         assert la.alice_states == truth and la.bob_states == truth
     assert merged >= 32
 
@@ -428,7 +416,7 @@ def reference_tail_exchange(pp, m, tail, placement, ch, side_code, rng):
 
     def own(q, i):
         """Party q's table of round i: row (i - 1) // 2 of its view."""
-        return tuple(views[q].tables[(i - 1) // 2].tolist())
+        return tuple(views[q][(i - 1) // 2].tolist())
 
     positions = (list(range(m - tail + 1, m + 1)) if placement == "last"
                  else list(range(1, tail + 1)))
@@ -442,7 +430,7 @@ def reference_tail_exchange(pp, m, tail, placement, ch, side_code, rng):
         bits_used += len(payload)
         channel_uses += transfer.channel_uses
         slots = [(r, t) for r in range(m) for t in own_pos[sender]]
-        heard[sender.other] = {rt: tuple(transfer.decoded[i * M:(i + 1) * M])
+        heard[sender.other] = {rt: tuple(transfer.bits[i * M:(i + 1) * M].tolist())
                                for i, rt in enumerate(slots)}
     tails = {q: [[own(q, r * m + t) if t % 2 == q.parity else heard[q][(r, t)]
                   for t in positions] for r in range(m)] for q in parties}

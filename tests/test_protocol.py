@@ -13,7 +13,6 @@ from icsim.protocol import (
     FiniteStateProtocol,
     Party,
     make_markovian,
-    owner_of_round,
     pad_protocol,
     party_view,
     protocol_from_dict,
@@ -114,9 +113,9 @@ def test_party_views_partition_rounds():
     p = random_protocol(4, 2, [(0, 1)], seed=0, advance=FOLLOW2)
     alice = party_view(p, Party.ALICE)
     bob = party_view(p, Party.BOB)
-    assert alice.tables.shape == bob.tables.shape == (2, 2)
+    assert alice.shape == bob.shape == (2, 2)
     # round i is row (i - 1) // 2 of its owner's tables: Alice owns the odd rounds
-    merged = {i: tuple((alice if i % 2 else bob).tables[(i - 1) // 2].tolist())
+    merged = {i: tuple((alice if i % 2 else bob)[(i - 1) // 2].tolist())
               for i in range(1, 5)}
     assert tuple(merged[i] for i in range(1, 5)) == p.transmissions
 
@@ -124,14 +123,8 @@ def test_party_views_partition_rounds():
 def test_party_view_hides_foreign_tables():
     tables = ((0, 0), (1, 1), (0, 1), (1, 0), (1, 1))
     p = FiniteStateProtocol(n=5, M=2, advance=FOLLOW2, transmissions=tables)
-    assert party_view(p, Party.ALICE).tables.tolist() == [[0, 0], [0, 1], [1, 1]]
-    assert party_view(p, Party.BOB).tables.tolist() == [[1, 1], [1, 0]]
-
-
-def test_owner_alternation():
-    assert owner_of_round(1) is Party.ALICE
-    assert owner_of_round(2) is Party.BOB
-    assert all(owner_of_round(i).other is owner_of_round(i + 1) for i in range(1, 20))
+    assert party_view(p, Party.ALICE).tolist() == [[0, 0], [0, 1], [1, 1]]
+    assert party_view(p, Party.BOB).tolist() == [[1, 1], [1, 0]]
 
 
 @settings(max_examples=50, deadline=None)
@@ -192,7 +185,7 @@ def test_tables_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         p.advance_array[0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
-        party_view(p, Party.BOB).tables[0, 0] ^= 1
+        party_view(p, Party.BOB)[0, 0] ^= 1
     with pytest.raises(AttributeError):
         p.tables = np.zeros((8, 2), dtype=np.uint8)
 
@@ -218,7 +211,7 @@ def test_tuple_accessors_and_content_equality():
     assert p == q and hash(p) == hash(q)
     assert p != FiniteStateProtocol(n=3, M=2, advance=FOLLOW2, transmissions=tables,
                                     initial_state=1)
-    assert party_view(p, Party.ALICE).tables[1].tolist() == [0, 0]
+    assert party_view(p, Party.ALICE)[1].tolist() == [0, 0]
     assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
 
 

@@ -33,7 +33,7 @@ from icsim.twostate import (
     run_lookahead_exchange,
     simulate_two_state,
 )
-from icsim.vertical import LookaheadResult, accounting, exchange, genie_lookahead, grid_side
+from icsim.vertical import LookaheadResult, accounting, exchange, genie_provider, grid_side
 
 NOISELESS = ChannelModel.bsc(0.0)
 FOLLOW = ((0, 1), (0, 1))          # eta(s, tau) = tau
@@ -155,7 +155,7 @@ def test_exchange_matches_genie_on_many_protocols():
         pp = pad_protocol(p, grid_side(256) ** 2)
         rng = np.random.default_rng(seed)
         la = run_lookahead_exchange(pp, ch=NOISELESS, side_code=side, rng=rng)
-        truth, _ = genie_lookahead(pp)
+        truth = genie_provider(pp, NOISELESS, None, None).alice_states
         assert la.alice_states == truth
         assert la.bob_states == truth
         assert la.failure is None
@@ -178,7 +178,7 @@ def test_exchange_all_constant_tables_reports_late_indices():
     p = FiniteStateProtocol(n=n, M=2, advance=FOLLOW, transmissions=tables)
     rng = np.random.default_rng(3)
     la = run_lookahead_exchange(p, NOISELESS, CodeSpec.parse("rep:1"), rng)
-    truth, _ = genie_lookahead(p)
+    truth = genie_provider(p, NOISELESS, None, None).alice_states
     assert la.alice_states == truth
 
 
@@ -238,6 +238,20 @@ def test_exhaustive_block_no_constant_stays_complementary():
         truth, final = _direct_block(eta, tables, s0)
         assert tuple(bits[0, s0].tolist()) == truth
         assert finals[0, s0] == final
+
+
+def test_block_core_and_trials_share_one_merge_point_exchange(monkeypatch):
+    # criterion 3's block core checks the exchange the trials run, not a copy
+    grids = []
+    merge_points = ts._merge_points
+    monkeypatch.setattr(ts, "_merge_points",
+                        lambda tables, *rest: grids.append(tables.shape) or
+                        merge_points(tables, *rest))
+    run_exhaustive_block(FOLLOW, [[(0, 1)] * 3] * 5)
+    p = random_two_state_protocol(16, seed=0, advance=FOLLOW)
+    rep1 = CodeSpec.parse("rep:1")
+    assert exhaustive_two_state(p, NOISELESS, rep1, rep1, np.random.default_rng(0)).correct
+    assert grids == [(5, 3, 2), (4, 4, 2)]
 
 
 def test_exhaustive_block_rejects_non_interactive():
@@ -344,13 +358,14 @@ def _ref_decode_index(e, m, party):
     return 2 * e - 1 if party is Party.ALICE else 2 * e
 
 
-def _ref_composites(view, m, block):
+def _ref_composites(p, party, m, block):
     """One party's composites of one block as (constant, value) pairs, keyed
     by block-local index: a round is constant where both states advance to
     the same state, and its value is the state 0 advances to."""
+    view = party_view(p, party)
     out = {}
-    for t in range(2 - view.party.parity, m + 1, 2):
-        nu0, nu1 = (view.advance[s][view.tables[(block * m + t - 1) // 2][s]] for s in (0, 1))
+    for t in range(2 - party.parity, m + 1, 2):
+        nu0, nu1 = (p.advance[s][view[(block * m + t - 1) // 2][s]] for s in (0, 1))
         out[t] = (nu0 == nu1, nu0)
     return out
 
@@ -359,8 +374,7 @@ def reference_lookahead_exchange(p, ch, side_code, rng):
     """The parity exchange one block and one round at a time."""
     m = math.isqrt(p.n)
     parties = (Party.ALICE, Party.BOB)
-    views = {q: party_view(p, q) for q in parties}
-    composites = {q: [_ref_composites(views[q], m, r) for r in range(m)] for q in parties}
+    composites = {q: [_ref_composites(p, q, m, r) for r in range(m)] for q in parties}
     own_last = {}
     for q in parties:
         own_last[q] = []
@@ -379,7 +393,7 @@ def reference_lookahead_exchange(p, ch, side_code, rng):
         transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 1 + k)
         bits_used += len(payload)
         channel_uses += transfer.channel_uses
-        chunks = [transfer.decoded[r * (width + 1):(r + 1) * (width + 1)] for r in range(m)]
+        chunks = [transfer.bits[r * (width + 1):(r + 1) * (width + 1)].tolist() for r in range(m)]
         heard1[sender.other] = [(_ref_decode_index(_ref_bits_to_int(c[:-1]), m, sender), c[-1])
                                 for c in chunks]
     parities = {}
@@ -397,7 +411,7 @@ def reference_lookahead_exchange(p, ch, side_code, rng):
         transfer = convey(side_code, parities[sender], ch, rng, matrix_seed=m + 3 + k)
         bits_used += m
         channel_uses += transfer.channel_uses
-        heard2[sender.other] = list(transfer.decoded)
+        heard2[sender.other] = transfer.bits.tolist()
 
     def fold(q):
         # a block ends in the value of the later of the two last constants
@@ -420,8 +434,7 @@ def reference_merge_points(p, ch, side_code, rng):
     each party's believed merge point per block, plus bits and uses spent."""
     m = math.isqrt(p.n)
     parties = (Party.ALICE, Party.BOB)
-    views = {q: party_view(p, q) for q in parties}
-    own_first = {q: [min((t for t, (constant, _) in _ref_composites(views[q], m, r).items()
+    own_first = {q: [min((t for t, (constant, _) in _ref_composites(p, q, m, r).items()
                           if constant), default=0) for r in range(m)] for q in parties}
     bits_used = channel_uses = 0
     heard = {}
@@ -432,7 +445,7 @@ def reference_merge_points(p, ch, side_code, rng):
         bits_used += len(payload)
         channel_uses += transfer.channel_uses
         heard[sender.other] = [
-            _ref_decode_index(_ref_bits_to_int(transfer.decoded[r * w:(r + 1) * w]), m, sender)
+            _ref_decode_index(_ref_bits_to_int(transfer.bits[r * w:(r + 1) * w]), m, sender)
             for r in range(m)]
     beliefs = {q: [min([t for t in (own_first[q][r], heard[q][r]) if t], default=m + 1)
                    for r in range(m)] for q in parties}

@@ -27,7 +27,6 @@ from icsim.vertical import (
     LookaheadResult,
     _correct,
     accounting,
-    genie_lookahead,
     genie_provider,
     grid_side,
     padded_side,
@@ -68,16 +67,16 @@ def test_schedule_keeps_column_ownership_single_party():
 def test_genie_identity_advance_repeats_start():
     p = FiniteStateProtocol(n=16, M=2, advance=((0, 0), (1, 1)),
                             transmissions=((0, 1),) * 16, initial_state=1)
-    alice, bob = genie_lookahead(p)
-    assert alice == (1, 1, 1, 1) and bob == alice
+    la = genie_provider(p, NOISELESS, None, None)
+    assert la.alice_states == (1, 1, 1, 1) and la.bob_states == la.alice_states
 
 
 def test_genie_reads_block_boundaries_off_the_trace():
     p = random_two_state_protocol(16, seed=3)
     trace = run_protocol(p)
-    alice, bob = genie_lookahead(p)
-    assert alice == tuple(trace.states[j] for j in (0, 4, 8, 12))
-    assert alice == bob
+    la = genie_provider(p, NOISELESS, None, None)
+    assert la.alice_states == tuple(trace.states[j] for j in (0, 4, 8, 12))
+    assert la.alice_states == la.bob_states
 
 
 def _count_protocol_runs(monkeypatch) -> list[int]:
@@ -103,7 +102,7 @@ def test_noisy_genie_trial_runs_the_protocol_only_when_a_party_is_wrong(monkeypa
 def test_genie_rejects_unpadded_lengths():
     p = random_two_state_protocol(10, seed=0)
     with pytest.raises(ValueError):
-        genie_lookahead(p)
+        genie_provider(p, NOISELESS, None, None)
 
 
 def test_noiseless_genie_run_matches_oracle_and_rate():
@@ -164,7 +163,7 @@ def test_noiseless_sweeps_pass_every_audit_from_the_smallest_grid(scheme, code):
 
 def test_accounting_exact_split():
     def costly_provider(pp, ch, side, rng):
-        states, _ = genie_lookahead(pp)
+        states = genie_provider(pp, ch, side, rng).alice_states
         return LookaheadResult(states, states, 40, 100)
 
     p = random_two_state_protocol(64, seed=3)
@@ -249,7 +248,7 @@ def test_a_wrong_row_start_falls_back_to_the_clean_execution(monkeypatch, tables
                             initial_state=0)
 
     def one_wrong_start(pp, ch, side, rng):
-        states = list(genie_lookahead(pp)[0])
+        states = list(genie_provider(pp, ch, side, rng).alice_states)
         states[2] ^= 1
         return LookaheadResult(tuple(states), tuple(states), 0, 0)
 
@@ -343,7 +342,7 @@ def test_column_loop_states_are_the_walk_of_each_partys_tables(m, M, branches):
     else:
         wire, starts = _TableWire(M), np.tile(np.arange(M), (m, 1))
     parties = (Party.ALICE, Party.BOB)
-    owned = {q: party_view(p, q).tables.reshape(m, -1, M) for q in parties}
+    owned = {q: party_view(p, q).reshape(m, -1, M) for q in parties}
     runs = run_columns(owned, p.advance_array, {q: starts for q in parties}, wire,
                        lambda j, bits: bits)
     want = walk(p.advance_array, p.tables.reshape(m, m, M), starts)
@@ -362,7 +361,7 @@ REP1 = CodeSpec.parse("rep:1")
 
 
 @pytest.mark.parametrize("provider", [
-    lambda n, rng: genie_lookahead(random_two_state_protocol(n, 1)),
+    lambda n, rng: genie_provider(random_two_state_protocol(n, 1), NOISELESS, None, rng),
     lambda n, rng: run_lookahead_exchange(random_two_state_protocol(n, 1), NOISELESS, REP1, rng),
     lambda n, rng: exhaustive_lookahead(random_two_state_protocol(n, 1, advance=((0, 1), (1, 0))),
                                         NOISELESS, REP1, rng),
