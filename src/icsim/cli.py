@@ -68,7 +68,7 @@ def _load_advance(spec: str):
         if not 1 <= log_M <= MAX_LOG_M:
             raise ValueError(f"markovian log_M must be from 1 to {MAX_LOG_M}, not {log_M}")
         return markovian_advance(log_M)
-    return advance_table(read_json(spec, "advance table"))
+    return read_json(spec, "advance table", parse=advance_table)
 
 
 def _cmd_capacity(args) -> int:

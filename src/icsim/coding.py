@@ -24,19 +24,31 @@ and a transfer reads each bit's decision from that table. awgn, and longer
 codes, run the rule on each transfer's log-likelihoods. A random linear
 code picks the first maximum of its floating-point codeword scores
 ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]`` (``cb`` the codebook, rows in message
-order, ``L`` the bit log-likelihoods). On exact ties the summation rounding
-decides, so the winner need not be the smallest message.
+order, ``L`` the bit log-likelihoods), ``_ml_scores``. On exact ties the
+summation rounding decides, so the winner need not be the smallest message.
 
 ``rlc`` gives each chunk its own seeded code. Each code's codebook is built
-once, packed to bits by ``np.packbits`` and kept in a cache bounded in bytes;
-``convey`` stacks the cached books of its chunks, unpacks only the codewords
-it sends, sends them through one ``ChannelModel.transmit`` call and scores
-up to 64 chunks in one batched product. The float books of that product
-come from ``_LUT``, every byte's bits as exact 0.0 / 1.0, so the scores are
-those of a cast of the unpacked books, bit for bit. numpy's Generator
-yields the same values from one draw of size a+b as from a draw of a then
-b, so one transmit consumes the random stream exactly as one transmit per
-chunk would.
+once, packed to bits by ``np.packbits``, stored byte-major (byte j of every
+codeword, then byte j + 1) and kept in a cache bounded in bytes; ``convey``
+stacks the cached books of its chunks, unpacks only the codewords it sends
+and sends them through one ``ChannelModel.transmit`` call.
+
+On bsc and bec a codeword's score is const - d * (L_match - L_mismatch),
+d its Hamming distance to the hard outputs over the unerased positions. So
+a chunk decodes to its nearest codeword, found by XOR and popcount on the
+packed books, when that codeword is unique and the likelihood gap exceeds
+twice the float rounding bound of a b-term score (``_distance_decides``):
+there the float scores provably have the same first maximum. Every other
+chunk, one whose minimum distance ties, or any chunk on awgn, on bsc from
+eps = 0.5 on or on bec:1, is scored by ``_ml_scores``, up to 64 chunks in
+one batched product. Its float books come from ``_LUT``, every byte's bits
+as exact 0.0 / 1.0, so the scores are those of a cast of the unpacked
+books, bit for bit. Only such chunks need the bit log-likelihoods, so an
+untied bsc or bec transfer makes no ``bit_log_likelihoods`` call.
+
+numpy's Generator yields the same values from one draw of size a+b as from
+a draw of a then b, so one transmit consumes the random stream exactly as
+one transmit per chunk would.
 """
 
 from __future__ import annotations
@@ -50,7 +62,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import LN2, ChannelModel, discrete_outputs
+from .channel import ERASURE, LN2, ChannelModel, _likelihood_table, discrete_outputs
 
 RLC_CHUNK = 8  # message bits per rlc chunk code; exhaustive ML decoding stays tractable
 _REP_TABLE_MAX = 4096  # output tuples of the largest cached rep decision table
@@ -119,8 +131,9 @@ def _codebooks(generators: np.ndarray) -> np.ndarray:
 
 
 def _packed_book(k: int, b: int, seed: int) -> bytes:
-    """The codebook of the rlc chunk code of that seed, each codeword packed
-    to ceil(b / 8) bytes by ``np.packbits``.
+    """The codebook of the rlc chunk code of that seed, packed to bits by
+    ``np.packbits`` and stored byte-major: byte j of every codeword, in
+    message order, then byte j + 1, a C-order (ceil(b / 8), 2^k) array.
 
     Generators are drawn from successive seeds until one has rank k, which
     holds exactly when every codeword but the first (message 0) is nonzero.
@@ -131,7 +144,7 @@ def _packed_book(k: int, b: int, seed: int) -> bytes:
         g = np.random.default_rng(attempt).integers(0, 2, size=(k, b), dtype=np.int64)
         book = _codebooks(g.astype(np.uint8))
         if book[1:].any(axis=1).all():
-            return np.packbits(book, axis=-1).tobytes()
+            return np.packbits(book.T, axis=0).tobytes()
         attempt += 1
 
 
@@ -154,7 +167,7 @@ class _BookCache:
         self._books: OrderedDict[tuple[int, int, int], bytes] = OrderedDict()
 
     def __call__(self, k: int, b: int, seeds: Sequence[int]) -> np.ndarray:
-        """Stacked (len(seeds), 2^k, ceil(b / 8)) packed codebooks."""
+        """Stacked (len(seeds), ceil(b / 8), 2^k) byte-major packed codebooks."""
         books = self._books
         raw = []
         for seed in seeds:
@@ -170,7 +183,7 @@ class _BookCache:
             else:
                 books.move_to_end(key)
             raw.append(book)
-        return np.frombuffer(b"".join(raw), dtype=np.uint8).reshape(len(raw), 1 << k, -1)
+        return np.frombuffer(b"".join(raw), dtype=np.uint8).reshape(len(raw), -1, 1 << k)
 
 
 _BOOKS = _BookCache(_BOOK_CACHE_BYTES)
@@ -180,22 +193,63 @@ _BOOKS = _BookCache(_BOOK_CACHE_BYTES)
 _LUT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.float64)
 
 
-def _ml_scores(packed: np.ndarray, b: int, ll: np.ndarray) -> np.ndarray:
-    """Log-likelihood of every codeword: (..., 2^k, ceil(b / 8)) packed
-    codebooks and (..., b, 2) bit log-likelihoods ``L`` -> (..., 2^k) scores
-    ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]``, ``cb`` the books as 0.0 / 1.0.
+def _ml_scores(books: np.ndarray, b: int, ll: np.ndarray) -> np.ndarray:
+    """Log-likelihood of every codeword: (..., ceil(b / 8), 2^k) byte-major
+    packed codebooks and (..., b, 2) bit log-likelihoods ``L`` -> (..., 2^k)
+    scores ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]``, ``cb`` the (..., 2^k, b)
+    books as 0.0 / 1.0.
 
-    Its rounding decides exact ties, so outputs depend on this formula bit
-    for bit; an algebraically equal rewrite would change them. ``cb`` comes
-    from ``_LUT``, whose entries are exact, so it equals a cast of the
-    unpacked books.
+    This is the one definition of an rlc decision: the first maximum of
+    these scores. Its rounding decides exact ties, so outputs depend on this
+    formula bit for bit; an algebraically equal rewrite would change them.
+    ``cb`` comes from ``_LUT``, whose entries are exact, so it equals a cast
+    of the unpacked books. ``_nearest_codewords`` decides a bsc or bec
+    chunk without it only where its answer provably equals this first
+    maximum (see ``_distance_decides``).
     """
-    cb = _LUT.take(packed, axis=0).reshape(*packed.shape[:-1], -1)
+    cb = _LUT.take(books.swapaxes(-1, -2), axis=0).reshape(*books.shape[:-2], books.shape[-1], -1)
     if b % 8:
         cb = np.ascontiguousarray(cb[..., :b])
     ones = cb @ ll[..., 1, None]
     zeros = np.subtract(1.0, cb, out=cb) @ ll[..., 0, None]  # reuses cb's memory
     return (ones + zeros)[..., 0]
+
+
+@lru_cache(maxsize=256)
+def _distance_decides(ch: ChannelModel, b: int) -> bool:
+    """Whether a unique nearest codeword is ``_ml_scores``' first maximum on
+    every chunk of b-bit codewords sent over ``ch``.
+
+    On bsc and bec a codeword at Hamming distance d from the unerased hard
+    outputs scores const - d * g in exact arithmetic, g = L_match -
+    L_mismatch the gap of the channel's likelihood table, so a unique
+    nearest codeword beats every other by at least g. Each float score,
+    two b-term dot products and their sum, is within (b + 1) * b * 2^-53 *
+    max|L| of its exact value in any summation order. When g exceeds twice
+    that, the float scores keep the exact order against the nearest
+    codeword. Never on awgn, on bsc from eps = 0.5 on, or on bec:1.
+    """
+    if ch.kind == "awgn":
+        return False
+    table = _likelihood_table(ch.kind, ch.param)
+    return bool(table[0, 0] - table[0, 1] > 2 * (b + 1) * b * 2.0 ** -53 * np.abs(table).max())
+
+
+def _nearest_codewords(books: np.ndarray, y: np.ndarray,
+                       erasures: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(count, ceil(b / 8), 2^k) byte-major books and the (count, b) bsc or
+    bec outputs -> the message of each chunk's first nearest codeword, and
+    the indices of the chunks where more than one codeword is nearest. With
+    ``erasures`` the distance skips the positions that hold ``ERASURE``."""
+    diff = books ^ np.packbits(y == 1, axis=-1)[..., None]
+    if erasures:
+        diff &= np.packbits(y != ERASURE, axis=-1)[..., None]
+    dist = np.bitwise_count(diff, out=diff).sum(axis=1, dtype=np.min_scalar_type(y.shape[-1]))
+    best = dist.argmin(axis=1)
+    nearest = dist == dist[np.arange(len(dist)), best, None]
+    if np.count_nonzero(nearest) == len(dist):  # one nearest codeword in every chunk
+        return best, np.empty(0, dtype=np.intp)
+    return best, np.flatnonzero(nearest.sum(axis=1) > 1)
 
 
 def _message_index(bits: np.ndarray) -> np.ndarray:
@@ -228,7 +282,7 @@ class RandomLinearCode:
     def generator(self) -> np.ndarray:
         """Row i is the codeword of the message with only bit i set."""
         k, b = self.k, self.codeword_length
-        rows = _BOOKS(k, b, [self.seed])[0][1 << np.arange(k - 1, -1, -1)]
+        rows = _BOOKS(k, b, [self.seed])[0].T[1 << np.arange(k - 1, -1, -1)]
         return np.unpackbits(rows, axis=-1, count=b).astype(np.int64)
 
 
@@ -364,7 +418,8 @@ def _convey_rlc(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,
                 rng: np.random.Generator, matrix_seed: int) -> tuple[np.ndarray, int]:
     """One independent code per chunk of ``RLC_CHUNK`` bits (the last chunk
     may be shorter), all sent through one transmit call; returns the decoded
-    bits as uint8 and the channel uses."""
+    bits as uint8 and the channel uses. A chunk is decoded by its nearest
+    codeword where ``_distance_decides``, else by ``_ml_scores``."""
     full = payload.size - payload.size % RLC_CHUNK
     codes = []  # (chunk size, codeword length, packed books, codewords), full chunks first
     for start, msgs in ((0, payload[:full].reshape(-1, RLC_CHUNK)), (full, payload[None, full:])):
@@ -373,16 +428,28 @@ def _convey_rlc(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,
             b = math.ceil(size * spec.value)
             first = matrix_seed * 1000003 + start
             books = _BOOKS(size, b, range(first, first + count * size, size))
-            words = np.unpackbits(books[np.arange(count), _message_index(msgs)], axis=-1, count=b)
-            codes.append((size, b, books, words))
+            words = books[np.arange(count), :, _message_index(msgs)]
+            codes.append((size, b, books, np.unpackbits(words, axis=-1, count=b)))
     sent = np.concatenate([words.ravel() for *_, words in codes])
-    ll = ch.bit_log_likelihoods(ch.transmit(sent, rng))
+    y = ch.transmit(sent, rng)
+    if ch.kind != "awgn":
+        y = discrete_outputs(ch.kind, y, 2 if ch.kind == "bsc" else 3)
+    ll = None  # the bit log-likelihoods, made only when some chunk needs _ml_scores
     decoded = []
     at = 0
     for size, b, books, words in codes:
-        chunk_ll = ll[at: at + words.size].reshape(*words.shape, 2)
+        span = slice(at, at + words.size)
         at += words.size
-        for i in range(0, len(books), _SCORE_SLAB):
-            scores = _ml_scores(books[i: i + _SCORE_SLAB], b, chunk_ll[i: i + _SCORE_SLAB])
-            decoded.append(_index_bits(scores.argmax(axis=-1), size).ravel())
+        if _distance_decides(ch, b):
+            best, tied = _nearest_codewords(books, y[span].reshape(words.shape), ch.kind == "bec")
+        else:
+            best, tied = np.empty(len(books), dtype=np.intp), np.arange(len(books))
+        if tied.size:
+            if ll is None:
+                ll = ch.bit_log_likelihoods(y)
+            chunk_ll = ll[span].reshape(*words.shape, 2)
+            for i in range(0, tied.size, _SCORE_SLAB):
+                pick = tied[i: i + _SCORE_SLAB]
+                best[pick] = _ml_scores(books[pick], b, chunk_ll[pick]).argmax(axis=-1)
+        decoded.append(_index_bits(best, size).ravel())
     return np.concatenate(decoded).astype(np.uint8), sent.size

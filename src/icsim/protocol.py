@@ -18,6 +18,7 @@ at once instead of walking rounds in Python.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -47,6 +48,8 @@ class Party(Enum):
 
 def _bit_rows(rows: Sequence[Sequence[int]] | np.ndarray, count: int, M: int) -> np.ndarray:
     """A read-only (count, M) uint8 copy of ``rows``, checked in one pass."""
+    if not hasattr(rows, "__len__"):
+        raise ValueError(f"transmission tables must be a list of rows, not {rows!r}")
     if len(rows) != count:
         raise ValueError(f"expected {count} transmission tables, got {len(rows)}")
     try:
@@ -300,13 +303,22 @@ def advance_table(raw) -> np.ndarray:
     return _advance_rows(raw, len(raw))
 
 
+def _int_entry(d: dict, key: str, default: int | None = None) -> int:
+    value = d[key] if default is None else d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def protocol_from_dict(d: dict) -> FiniteStateProtocol:
+    """The protocol of a ``protocol_to_dict`` mapping; a value of the wrong
+    type or shape raises ValueError."""
     return FiniteStateProtocol(
-        n=int(d["n"]),
-        M=int(d["M"]),
+        n=_int_entry(d, "n"),
+        M=_int_entry(d, "M"),
         advance=advance_table(d["advance"]),
         transmissions=d["transmissions"],
-        initial_state=int(d.get("initial_state", 0)),
+        initial_state=_int_entry(d, "initial_state", 0),
     )
 
 
@@ -314,10 +326,12 @@ def save_protocol(p: FiniteStateProtocol, path: str | Path) -> None:
     Path(path).write_text(json.dumps(protocol_to_dict(p), indent=1) + "\n")
 
 
-def read_json(path: str | Path, what: str, keys: Sequence[str] | None = None):
+def read_json(path: str | Path, what: str, keys: Sequence[str] | None = None, parse=None):
     """The JSON value in the file at ``path``, the one reader of every JSON
-    input; with ``keys`` it must be an object that holds them. Any failure
-    raises ``ValueError("cannot read <what> <path>: <reason>")``."""
+    input; with ``keys`` it must be an object that holds them, and with
+    ``parse`` the result is ``parse(value)``. Any failure, a ValueError of
+    ``parse`` included, raises ``ValueError("cannot read <what> <path>:
+    <reason>")``."""
     try:
         raw = json.loads(Path(path).read_text())
         if keys is not None and not isinstance(raw, dict):
@@ -325,10 +339,10 @@ def read_json(path: str | Path, what: str, keys: Sequence[str] | None = None):
         missing = [key for key in keys or () if key not in raw]
         if missing:
             raise ValueError(f"missing keys {missing}")
+        return raw if parse is None else parse(raw)
     except (OSError, ValueError) as exc:  # ValueError also covers bad JSON and bad UTF-8
         raise ValueError(f"cannot read {what} {path}: {exc}") from None
-    return raw
 
 
 def load_protocol(path: str | Path) -> FiniteStateProtocol:
-    return protocol_from_dict(read_json(path, "protocol", ("n", "M", "advance", "transmissions")))
+    return read_json(path, "protocol", ("n", "M", "advance", "transmissions"), protocol_from_dict)

@@ -296,7 +296,8 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
     (["classify", "--advance", "{file}"], "[]", "advance table needs at least two states, not 0"),
     (["classify", "--advance", "{file}"], "5", "advance table must be a list of rows or a flat list, not 5"),
     (["classify", "--advance", "{file}"], '{"a": 1}', "advance table must be a list"),
-    (["classify", "--advance", "{file}"], "[0, 1, 0]", "flat advance table must have 2M entries"),
+    (["classify", "--advance", "{file}"], "[0, 1, 0]",
+     "cannot read advance table {file}: flat advance table must have 2M entries"),
     (["classify", "--advance", "{file}"], "[[0, 1], [0, 2]]", "advance entry 2 outside 0..1"),
     (["coincidence", "--advance", "markovian:2", "--functions", "{file}"], "7",
      'function set must be "balanced", "all" or a nonempty list of tables, not 7'),
@@ -361,6 +362,25 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
     (["simulate", "--protocol", "{file}"],
      '{"M": 2, "advance": [0, 1, 0, 1], "transmissions": [[0, 1]]}',
      "cannot read protocol {file}: missing keys ['n']"),
+    (["simulate", "--protocol", "{file}"],
+     '{"n": [4], "M": 2, "advance": [0, 1, 0, 1], "transmissions": [[0, 1]]}',
+     "cannot read protocol {file}: n must be an integer, not [4]"),
+    (["simulate", "--protocol", "{file}"],
+     '{"n": 1.5, "M": 2, "advance": [0, 1, 0, 1], "transmissions": [[0, 1]]}',
+     "cannot read protocol {file}: n must be an integer, not 1.5"),
+    (["simulate", "--protocol", "{file}"],
+     '{"n": 1, "M": 2, "advance": [0, 1, 0, 1], "transmissions": 5}',
+     "cannot read protocol {file}: transmission tables must be a list of rows, not 5"),
+    (["simulate", "--protocol", "{file}"],
+     '{"n": 1, "M": "two", "advance": [0, 1, 0, 1], "transmissions": [[0, 1]]}',
+     "cannot read protocol {file}: M must be an integer, not 'two'"),
+    (["simulate", "--protocol", "{file}"],
+     '{"n": 1, "M": 2, "advance": [0, 1, 0, 1], "transmissions": [[0, 1]], '
+     '"initial_state": [0]}',
+     "cannot read protocol {file}: initial_state must be an integer, not [0]"),
+    (["simulate", "--protocol", "{file}"],
+     '{"n": 2, "M": 2, "advance": [0, 1, 0, 1], "transmissions": [[0, 1]]}',
+     "cannot read protocol {file}: expected 2 transmission tables, got 1"),
 ], ids=["advance-empty", "advance-integer", "advance-object", "advance-odd-flat",
         "advance-out-of-range", "functions-integer", "functions-empty", "functions-short-row",
         "functions-non-bit", "coincidence-zero-trials", "coincidence-negative-p",
@@ -373,7 +393,9 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
         "markovian-not-integer", "markovian-empty", "markovian-11",
         "markovian-16", "simulate-huge-n", "simulate-negative-seed",
         "coincidence-negative-seed", "disjointness-negative-seed", "advance-not-json",
-        "functions-not-json", "protocol-not-json", "protocol-missing", "protocol-without-n"])
+        "functions-not-json", "protocol-not-json", "protocol-missing", "protocol-without-n",
+        "protocol-n-list", "protocol-n-float", "protocol-transmissions-integer", "protocol-M-string",
+        "protocol-initial-state-list", "protocol-too-few-tables"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "input.json"
     if doc is not None:

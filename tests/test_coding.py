@@ -340,7 +340,7 @@ def test_rank_test_draws_the_generators_of_the_gf2_rank_draw(k):
         for seed in range(0, 12 if k < 14 else 4):
             seed = seed * SEED_STRIDE + k
             book = np.frombuffer(coding._packed_book(k, b, seed), dtype=np.uint8)
-            rows = book.reshape(1 << k, -1)[1 << np.arange(k - 1, -1, -1)]
+            rows = book.reshape(-1, 1 << k).T[1 << np.arange(k - 1, -1, -1)]
             drawn = np.unpackbits(rows, axis=-1, count=b)
             assert np.array_equal(drawn, _old_generator(k, b, seed))
             if k <= RLC_CHUNK:
@@ -351,7 +351,7 @@ def test_cached_packed_books_equal_freshly_built_codebooks():
     for k in range(1, RLC_CHUNK + 1):
         for b in sorted({k, k + 1, 2 * k, 3 * k, 8 * math.ceil(k / 8) + 5}):
             seeds = [j * SEED_STRIDE + 8 * i for j in range(12) for i in range(3)]
-            packed = coding._BOOKS(k, b, seeds)
+            packed = coding._BOOKS(k, b, seeds).swapaxes(1, 2)  # codeword-major
             assert packed.shape == (len(seeds), 1 << k, math.ceil(b / 8))
             built = coding._codebooks(np.stack([_old_generator(k, b, s) for s in seeds])
                                       .astype(np.uint8))
@@ -376,7 +376,7 @@ def test_book_cache_drops_least_recently_used_books_within_its_bound():
     cache(6, 8, [7, 9, 10])
     assert cache.misses == 11
     big = coding._BookCache(limit=book - 1)  # one book alone passes the bound
-    assert big(6, 8, [0]).shape == (1, 64, 1) and big.size == 0 and not big._books
+    assert big(6, 8, [0]).swapaxes(1, 2).shape == (1, 64, 1) and big.size == 0 and not big._books
 
 
 def test_warm_rlc_trial_builds_no_codebook(monkeypatch):
@@ -386,8 +386,150 @@ def test_warm_rlc_trial_builds_no_codebook(monkeypatch):
     build, send = coding._codebooks, coding.convey
     monkeypatch.setattr(coding, "_codebooks", lambda g: builds.append(g.shape) or build(g))
     monkeypatch.setattr(vertical, "convey", lambda *a, **kw: calls.append(1) or send(*a, **kw))
+    sent, scored = _transmits(monkeypatch), _scored_books(monkeypatch)
     harness.run_trial(cfg, 4096, 0)
-    assert builds == [] and len(calls) == 64
+    assert builds == [] and len(calls) == 64 and len(sent) == 64
+    # 64 columns of 8 chunks: only chunks whose nearest codeword ties are scored in floats
+    assert sum(len(books) for books in scored) <= 4
+
+
+# ---------------------------------------------------------------------------
+# the nearest-codeword rule of bsc and bec rlc transfers against _ml_scores
+
+def _scored_books(monkeypatch):
+    """The books of every ``_ml_scores`` call from now on, one array a call."""
+    books_scored = []
+    score = coding._ml_scores
+    monkeypatch.setattr(coding, "_ml_scores", lambda books, b, ll:
+                        books_scored.append(np.array(books)) or score(books, b, ll))
+    return books_scored
+
+
+def _chunk_codes(spec, length, matrix_seed):
+    """(chunk size, codeword length, byte-major book) of each chunk of a
+    ``length``-bit rlc transfer, in payload order."""
+    codes = []
+    for start in range(0, length, RLC_CHUNK):
+        k = min(RLC_CHUNK, length - start)
+        b = math.ceil(k * spec.value)
+        codes.append((k, b, coding._BOOKS(k, b, [matrix_seed * SEED_STRIDE + start])[0]))
+    return codes
+
+
+def _distances(book, b, y):
+    """Hamming distance of every codeword of a byte-major book to the
+    outputs ``y``, over the positions that are not erased."""
+    words = np.unpackbits(book.T, axis=-1, count=b).astype(np.int64)
+    return ((words != y) & (y != ERASURE)).sum(axis=1)
+
+
+def _midway(book, b, word, partner, erase):
+    """Outputs as far from ``word`` as from the codeword of message
+    ``partner``: on bsc half the positions where the two differ follow the
+    partner, on bec all of them are erased."""
+    other = np.unpackbits(book.T[partner], count=b).astype(np.int64)
+    differ = np.flatnonzero(other != word)
+    y = word.copy()
+    if erase:
+        y[differ] = ERASURE
+    else:
+        y[differ[: differ.size // 2]] = other[differ[: differ.size // 2]]
+    return y
+
+
+@pytest.mark.parametrize("kind, param", [
+    ("bsc", 0.0), ("bsc", 0.02), ("bsc", 0.3), ("bsc", 0.5 - 1e-12), ("bsc", 0.5),
+    ("bsc", 0.7), ("bsc", 1.0), ("bec", 0.0), ("bec", 0.2), ("bec", 1.0)])
+def test_rlc_nearest_codeword_rule_equals_first_argmax_of_ml_scores(kind, param, monkeypatch):
+    ch = ChannelModel(kind, param)
+    score = coding._ml_scores
+    transmit = ChannelModel.transmit
+    scored = _scored_books(monkeypatch)
+    draw = np.random.default_rng(29)
+    ties = 0
+    for k in range(1, RLC_CHUNK + 1):
+        for x in (1, 2, 3, 5):  # b = k * x: every k < 8 gives some b % 8 != 0
+            spec = CodeSpec("rlc", x)
+            for trial in range(6):
+                length = 3 * RLC_CHUNK + k  # three full chunks, then k bits
+                payload = draw.integers(0, 2, length)
+                codes = _chunk_codes(spec, length, trial)
+                force = trial % 2  # every other transfer sends chunks 0 and 2 midway
+
+                def fake(self, bits, rng, codes=codes, force=force):
+                    y, at = transmit(self, bits, rng), 0
+                    for i, (size, b, book) in enumerate(codes):
+                        if force and i % 2 == 0:
+                            y[at: at + b] = _midway(book, b, bits[at: at + b],
+                                                    draw.integers(1, 1 << size), kind == "bec")
+                        at += b
+                    return y
+
+                monkeypatch.setattr(ChannelModel, "transmit", fake)
+                sent = _transmits(monkeypatch)
+                scored.clear()
+                got = convey(spec, payload, ch, np.random.default_rng(trial), matrix_seed=trial)
+                y = sent[-1][1]
+                want, fallback, at = [], [], 0
+                for size, b, book in codes:
+                    ll = ch.bit_log_likelihoods(y[at: at + b])
+                    want.extend(coding._index_bits(score(book, b, ll).argmax(), size).tolist())
+                    dist = _distances(book, b, y[at: at + b])
+                    tied = np.count_nonzero(dist == dist.min()) > 1
+                    decides = coding._distance_decides(ch, b)
+                    assert decides == (kind == "bsc" and param < 0.5 or kind == "bec" and param < 1)
+                    if tied or not decides:
+                        fallback.append(book)
+                    ties += tied and decides
+                    at += b
+                assert got.bits.tolist() == want
+                books = [book for call in scored for book in call]
+                assert len(books) == len(fallback)
+                assert all(np.array_equal(a, b) for a, b in zip(books, fallback))
+    if kind == "bec" and param < 1 or kind == "bsc" and param < 0.5:
+        assert ties >= 50  # the forced midway chunks took the fallback
+
+
+@pytest.mark.parametrize("code", ["rlc:2", "rlc:3"])
+def test_convey_rlc_makes_one_transmit_and_likelihoods_only_on_awgn(code, monkeypatch):
+    spec, rng = CodeSpec.parse(code), np.random.default_rng(0)
+    payload = [1, 0, 0, 1, 1] * 8
+    channels = ("bsc:0.05", "bec:0.1", "awgn:0.8")
+    for channel in channels:  # caches the books before the calls are counted
+        convey(spec, payload, ChannelModel.parse(channel), rng, matrix_seed=3)
+    scored, calls = _scored_books(monkeypatch), []
+    for name in ("transmit", "bit_log_likelihoods"):
+        original = getattr(ChannelModel, name)
+        monkeypatch.setattr(ChannelModel, name, lambda self, *a, _f=original, _n=name:
+                            calls.append(_n) or _f(self, *a))
+    for channel in channels:
+        untied = 0
+        for seed in range(10):
+            calls.clear()
+            scored.clear()
+            convey(spec, payload, ChannelModel.parse(channel), np.random.default_rng(seed),
+                   matrix_seed=3)
+            if channel == "awgn:0.8":
+                assert calls == ["transmit", "bit_log_likelihoods"]
+                assert sum(len(books) for books in scored) == 5
+            else:  # the likelihoods are made only for a chunk that ties
+                assert calls == ["transmit"] + ["bit_log_likelihoods"] * bool(scored)
+                untied += not scored
+        assert untied >= 5 or channel == "awgn:0.8"
+
+
+@pytest.mark.parametrize("channel, output", [("bsc:0.1", 2), ("bsc:0.1", -1),
+                                             ("bec:0.1", 3), ("bec:0.1", -1)])
+def test_rlc_distance_path_keeps_the_alphabet_check(channel, output, monkeypatch):
+    ch = ChannelModel.parse(channel)
+    with pytest.raises(ValueError, match="outputs must") as raised:
+        ch.bit_log_likelihoods([output])
+    monkeypatch.setattr(ChannelModel, "transmit",
+                        lambda self, bits, rng: np.where(np.arange(len(bits)) == 0, output, bits))
+    monkeypatch.setattr(ChannelModel, "bit_log_likelihoods", None)  # the check must not need it
+    with pytest.raises(ValueError, match="outputs must") as got:
+        convey(CodeSpec.parse("rlc:3"), [0, 1] * 8, ch, np.random.default_rng(0))
+    assert str(got.value) == str(raised.value)
 
 
 @pytest.mark.parametrize("bad", [[0, 2], [-1, 1], [[0, 1]]])
