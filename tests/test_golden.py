@@ -45,6 +45,11 @@ CASES = {
                                channel="bec:0.1", code="rep:3", side_code="rep:3"),
     "exhaustive-awgn-oracle": dict(scheme="two-state-exhaustive", family="two-state",
                                    channel="awgn:0.5", code="oracle:0.4"),
+    # awgn rep columns: the m-state awgn case aborts before its columns
+    "genie-awgn-rep": dict(scheme="genie", family="two-state",
+                           channel="awgn:0.4", code="rep:1"),
+    "twostate-awgn-rep": dict(scheme="two-state", family="two-state",
+                              channel="awgn:0.7", code="rep:3", side_code="rep:1"),
     "mstate-last-awgn-rep": dict(scheme="m-state", placement="last", family="markovian",
                                  channel="awgn:0.5", code="rep:3"),
     # these sweeps and reports draw two-state Markovian protocols, whose tails
