@@ -108,10 +108,11 @@ def _cmd_coincidence(args) -> int:
     _at_least("seed", args.seed, 0)
     eta = _load_advance(args.advance)
     M = len(eta)
-    functions = args.functions
-    if functions not in ("balanced", "all"):
-        functions = read_json(functions, "function set")
-    fset = resolve_functions(functions, M)
+    if args.functions in ("balanced", "all"):
+        fset = resolve_functions(args.functions, M)
+    else:
+        fset = read_json(args.functions, "function set",
+                         parse=lambda spec: resolve_functions(spec, M))
     K = coincidence_horizon(eta, M)
     if K is None:
         print("advance function is not coinciding; no bound applies")

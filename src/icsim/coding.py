@@ -20,8 +20,13 @@ Decoding is maximum likelihood under the channel law. ``rep:r`` makes one
 beats its 0-sum by more than 1e-9, so ties go to 0. On bsc and bec a bit's
 decision is a function of its r outputs alone, so ``_rep_decisions`` runs
 the rule once per (channel, r) over every output tuple, up to 4096 tuples,
-and a transfer reads each bit's decision from that table. awgn, and longer
-codes, run the rule on each transfer's log-likelihoods. A random linear
+and a transfer reads each bit's decision from that table. On awgn a bit's
+1-sum minus its 0-sum is exactly -2S / sigma^2, S the sum of its r outputs,
+so ``_sum_decisions`` decides it by the sign of S, added by the same
+strided adds, when every bit's |S| clears a rounding margin bounded from
+``y @ y`` (``_sum_margin``); there the rule provably gives the same bits.
+Only a transfer with a bit inside that margin, or a bsc or bec code past
+the table's cap, runs the rule on its log-likelihoods. A random linear
 code picks the first maximum of its floating-point codeword scores
 ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]`` (``cb`` the codebook, rows in message
 order, ``L`` the bit log-likelihoods), ``_ml_scores``. On exact ties the
@@ -83,11 +88,87 @@ def _repetition_decide(ll: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     codeword's (k * r, 2) bit log-likelihoods, added left to right, and the
     uint8 pick of each bit. The 1e-9 margin absorbs float summation noise on
     exact ties, which go to 0, without touching real decisions. This is the
-    one definition of a rep decision: ``_rep_decisions`` tabulates it."""
+    one definition of a rep decision: ``_rep_decisions`` tabulates it for
+    bsc and bec, and on awgn ``_sum_decisions`` decides by the sign of each
+    bit's output sum only where that provably gives these picks."""
     per_bit = ll if r == 1 else ll[0::r] + ll[1::r]
     for i in range(2, r):
         per_bit += ll[i::r]
     return per_bit, (per_bit[:, 1] > per_bit[:, 0] + 1e-9).view(np.uint8)
+
+
+@lru_cache(maxsize=256)
+def _sum_margin(ch: ChannelModel, r: int) -> tuple[float, float, float] | None:
+    """(a, b, cap) for awgn rep:r transfers, or None on bsc and bec, for
+    r > 2^20 or for sigma^2 outside [2^-1000, 2^1000]. A transfer whose
+    outputs y have Y2 = y @ y <= cap may decide each bit by the sign of its
+    float output sum S' whenever every |S'| > a + b * Y2: there
+    ``_repetition_decide`` on the bit log-likelihoods gives the same bits.
+
+    With s2 = sigma * sigma and N the float constant of
+    ``bit_log_likelihoods``, an output y has T_x = (y - s_x)^2 / (2 s2) and
+    L_x = N - T_x, so exactly L_1 - L_0 = -2y / s2. A bit whose exact
+    output sum is S thus has exact 1-sum minus 0-sum minus the 1e-9 margin
+    D = -2S / s2 - 1e-9, and decides 1 exactly when S + 1e-9 s2 / 2 < 0.
+
+    Float error, u = 2^-53 and A = |N| + max T_x <= |N| + (y^2 + 1) / s2:
+    - each float L_x is within 5uA of its exact value (four roundings:
+      y - s_x, the square, the division and the subtraction from N);
+    - the left-to-right sum of a bit's r terms adds (r - 1)u W, W the sum
+      of the bit's A, so each float sum is within (r + 5)u W;
+    - adding 1e-9 to the 0-sum adds u(W + 1e-9).
+    So the float decision is the exact one when |D| > (2r + 11)u W +
+    1e-9 u. Write that in units of S with W <= r|N| + (Y2 + r) / s2, and
+    add the float error of S' itself, (r - 1)u sum |y| <= (r - 1)u (r + Y2)
+    / 2 (as |y| <= (1 + y^2) / 2). When |S'| exceeds 1e-9 s2 / 2 plus
+
+        u/2 [(2r + 11)(r|N| s2 + r) + 1e-9 s2 + (r - 1) r + (3r + 10) Y2],
+
+    the exact S lies on the same side of -1e-9 s2 / 2 as S' of 0, and
+    beyond the float decision's error. a + b * Y2 is 1e-9 s2 / 2 plus that
+    bracket times 2^8. The spare factor covers every other rounding:
+    - the (1 + O(ru)) factors dropped above;
+    - ``y @ y``, a sum of n nonnegative rounded squares, so at least
+      (1 - nu) Y2 in any summation order (n u < 2^-8 for any array that
+      fits in memory), less subnormal squares far below a;
+    - the roundings of a, b and a + b * Y2 (the bracket holds 1e-9 s2, so
+      the spare exceeds the rounding of a's first term);
+    - a square or a division that underflows to a subnormal, an absolute
+      error below 2^-1000 u / s2.
+    Y2 <= cap = 2^900 min(1, s2) keeps every term finite, |y| <= 2^450 and
+    T_x < 2^1001; a NaN or infinite output fails that test.
+    """
+    if ch.kind != "awgn" or r > 1 << 20:
+        return None
+    s2 = ch.param * ch.param
+    if not 2.0 ** -1000 <= s2 <= 2.0 ** 1000:
+        return None
+    norm = abs(-0.5 * math.log(2.0 * math.pi * s2))
+    u = 2.0 ** 8 * 2.0 ** -53 / 2
+    a = 1e-9 * s2 / 2 + u * ((2 * r + 11) * (r * norm * s2 + r) + 1e-9 * s2 + (r - 1) * r)
+    return a, u * (3 * r + 10), 2.0 ** 900 * min(1.0, s2)
+
+
+def _sum_decisions(ch: ChannelModel, y: np.ndarray, r: int) -> np.ndarray | None:
+    """The uint8 rep:r decision of each bit of the flat float64 awgn outputs
+    ``y`` of ``transmit``: 1 where the strided sum ``y[0::r] + y[1::r] +
+    ...`` is negative. None on bsc and bec, and when that could differ from
+    ``_repetition_decide`` on the bit log-likelihoods because some bit's
+    sum lies within the margin of ``_sum_margin``."""
+    bound = _sum_margin(ch, r)
+    if bound is None:
+        return None
+    a, b, cap = bound
+    y2 = y @ y
+    if not y2 <= cap:
+        return None
+    s = y if r == 1 else y[0::r] + y[1::r]
+    for i in range(2, r):
+        s += y[i::r]
+    decided = np.signbit(s)  # s < 0 wherever the margin holds, as it excludes -0.0
+    if not np.abs(s).min() > a + b * y2:
+        return None
+    return decided.view(np.uint8)
 
 
 @lru_cache(maxsize=256)
@@ -398,12 +479,14 @@ def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
         r = int(spec.value)
         y = ch.transmit(payload if r == 1 else payload.repeat(r), rng)
         table = _rep_decisions(ch, r)
-        if table is None:
-            decoded = _repetition_decide(ch.bit_log_likelihoods(y), r)[1]
-        else:
+        if table is not None:
             decisions, q, powers = table
             y = discrete_outputs(ch.kind, y, q)
             decoded = decisions.take(y if r == 1 else y.reshape(-1, r) @ powers)
+        else:
+            decoded = _sum_decisions(ch, y, r)
+            if decoded is None:
+                decoded = _repetition_decide(ch.bit_log_likelihoods(y), r)[1]
         uses = payload.size * r
     else:
         decoded, uses = _convey_rlc(spec, payload, ch, rng, matrix_seed)

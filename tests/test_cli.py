@@ -357,6 +357,11 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
     (["classify", "--advance", "{file}"], "[[0, 1],", "cannot read advance table {file}: "),
     (["coincidence", "--advance", "markovian:2", "--functions", "{file}"], "balanced",
      "cannot read function set {file}: "),
+    (["coincidence", "--advance", "markovian:2", "--functions", "{file}"], "7",
+     "cannot read function set {file}: function set must be \"balanced\", \"all\" or a "
+     "nonempty list of tables, not 7"),
+    (["coincidence", "--advance", "markovian:2", "--functions", "{file}"], "[[0, 1]]",
+     "cannot read function set {file}: transmission table needs 4 entries, got shape (2,)"),
     (["simulate", "--protocol", "{file}"], "{", "cannot read protocol {file}: "),
     (["simulate", "--protocol", "{file}"], None, "cannot read protocol {file}: "),
     (["simulate", "--protocol", "{file}"],
@@ -393,7 +398,8 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
         "markovian-not-integer", "markovian-empty", "markovian-11",
         "markovian-16", "simulate-huge-n", "simulate-negative-seed",
         "coincidence-negative-seed", "disjointness-negative-seed", "advance-not-json",
-        "functions-not-json", "protocol-not-json", "protocol-missing", "protocol-without-n",
+        "functions-not-json", "functions-file-integer", "functions-file-short-row",
+        "protocol-not-json", "protocol-missing", "protocol-without-n",
         "protocol-n-list", "protocol-n-float", "protocol-transmissions-integer", "protocol-M-string",
         "protocol-initial-state-list", "protocol-too-few-tables"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):

@@ -25,6 +25,16 @@ def _transmits(monkeypatch):
     return pairs
 
 
+def _counted_calls(monkeypatch, names=("transmit", "bit_log_likelihoods")):
+    """The names of the ``ChannelModel`` methods called from now on, in order."""
+    calls = []
+    for name in names:
+        original = getattr(ChannelModel, name)
+        monkeypatch.setattr(ChannelModel, name, lambda self, *a, _f=original, _n=name:
+                            calls.append(_n) or _f(self, *a))
+    return calls
+
+
 def _reference_codebook(code):
     """Messages in big-endian order and their codewords, from a plain int64
     matrix product."""
@@ -497,11 +507,7 @@ def test_convey_rlc_makes_one_transmit_and_likelihoods_only_on_awgn(code, monkey
     channels = ("bsc:0.05", "bec:0.1", "awgn:0.8")
     for channel in channels:  # caches the books before the calls are counted
         convey(spec, payload, ChannelModel.parse(channel), rng, matrix_seed=3)
-    scored, calls = _scored_books(monkeypatch), []
-    for name in ("transmit", "bit_log_likelihoods"):
-        original = getattr(ChannelModel, name)
-        monkeypatch.setattr(ChannelModel, name, lambda self, *a, _f=original, _n=name:
-                            calls.append(_n) or _f(self, *a))
+    scored, calls = _scored_books(monkeypatch), _counted_calls(monkeypatch)
     for channel in channels:
         untied = 0
         for seed in range(10):
@@ -623,24 +629,132 @@ def test_log_likelihoods_reject_outputs_outside_the_alphabet(channel, outputs):
         ChannelModel.parse(channel).bit_log_likelihoods(outputs)
 
 
-def test_convey_rep_makes_one_transmit_and_likelihoods_only_on_awgn(monkeypatch):
+def test_convey_rep_makes_one_transmit_and_likelihoods_only_near_the_awgn_threshold(
+        monkeypatch):
     rng = np.random.default_rng(0)
     specs = ("rep:1", "rep:3")
     channels = ("bsc:0.1", "bec:0.1", "awgn:0.8")
     for spec in specs:  # builds the decision tables before the calls are counted
         for channel in channels:
             convey(CodeSpec.parse(spec), [1, 0], ChannelModel.parse(channel), rng)
-    calls = []
-    for name in ("transmit", "bit_log_likelihoods"):
-        original = getattr(ChannelModel, name)
-        monkeypatch.setattr(ChannelModel, name, lambda self, *a, _f=original, _n=name:
-                            calls.append(_n) or _f(self, *a))
+    calls = _counted_calls(monkeypatch)
     for spec in specs:
         for channel in channels:
             calls.clear()
             convey(CodeSpec.parse(spec), [1, 0] * 20, ChannelModel.parse(channel), rng)
-            want = ["transmit"] if channel != "awgn:0.8" else ["transmit", "bit_log_likelihoods"]
-            assert calls == want
+            assert calls == ["transmit"]
+    # the second bit's outputs sum to exactly 0: only the formula decides it
+    ch, word = ChannelModel.parse("awgn:0.8"), np.array([1.0, -2.0, 1.5, 0.5, -0.25, -0.25])
+    monkeypatch.setattr(ChannelModel, "transmit",
+                        lambda self, bits, rng: calls.append("transmit") or word.copy())
+    calls.clear()
+    got = convey(CodeSpec.parse("rep:3"), [1, 0], ch, rng)
+    assert calls == ["transmit", "bit_log_likelihoods"]
+    assert got.bits.tolist() == [0, 0]
+
+
+def test_warm_awgn_rep_trial_makes_no_likelihood_call(monkeypatch):
+    # the mstate-awgn-16k benchmark's trial: one transmit per convey, no fallback
+    cfg = harness.ExperimentConfig(
+        scheme="m-state", placement="last", channel="awgn:0.4", code="rep:3",
+        protocol={"type": "markovian", "log_M": 1, "functions": "all"})
+    harness.run_trial(cfg, 16384, 0)
+    conveys, send = [], coding.convey
+    monkeypatch.setattr(vertical, "convey", lambda *a, **kw: conveys.append(1) or send(*a, **kw))
+    calls = _counted_calls(monkeypatch)
+    report = harness.run_trial(cfg, 16384, 0)
+    assert not report.lookahead_failure and len(report.column_errors) == 128
+    assert calls == ["transmit"] * len(conveys) and len(conveys) >= 128
+
+
+# ---------------------------------------------------------------------------
+# the sign-of-sum rule of awgn rep transfers against _repetition_decide
+
+def _inside_margin(ch, y, r):
+    """Whether some bit of the awgn outputs ``y`` lies within the margin of
+    ``_sum_margin``, so convey must fall back to the formula."""
+    a, b, cap = coding._sum_margin(ch, r)
+    y2 = y @ y
+    sums = y[0::r].copy()
+    for i in range(1, r):
+        sums += y[i::r]
+    return not y2 <= cap or not np.abs(sums).min() > a + b * y2
+
+
+def _adversarial_words(ch, r, draw):
+    """(kind, outputs) awgn rep:r transfers of 6 bits, one bit of each
+    built to sit near or just outside the margin, or at extreme scale."""
+    s2 = ch.param * ch.param
+    threshold = 1e-9 * s2 / 2
+    for target in (0.0, -0.0, threshold, -threshold,
+                   np.nextafter(threshold, 1), np.nextafter(threshold, 0),
+                   np.nextafter(-threshold, -1), np.nextafter(-threshold, 0)):
+        for split in (False, True):
+            y = ch.transmit(draw.integers(0, 2, 6).repeat(r), draw)
+            bit = draw.integers(0, 6) * r
+            y[bit: bit + r] = 0.0
+            y[bit] = target
+            if split and r > 1:  # the same sum, from outputs of order one
+                x = draw.standard_normal()
+                y[bit], y[bit + 1] = x, target - x
+            yield "near", y
+    for kind, low, high in (("tiny", -300, -20), ("huge", 140, 150),
+                            ("scaled", -300, 150), ("scaled", -3, 3)):
+        yield kind, 10.0 ** draw.uniform(low, high, 6 * r) * draw.choice((-1.0, 1.0), 6 * r)
+    a = coding._sum_margin(ch, r)[0]
+    for _ in range(2):  # every bit's sum twice the margin
+        y = np.zeros(6 * r)
+        y[::r] = draw.choice((-2 * a, 2 * a), 6)
+        yield "outside", y
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.4, 1.3, 3.0, 50.0])
+@pytest.mark.parametrize("r", range(1, 10))
+def test_awgn_rep_sum_rule_equals_repetition_decide(sigma, r, monkeypatch):
+    ch, spec, draw = ChannelModel.biawgn(sigma), CodeSpec.parse(f"rep:{r}"), \
+        np.random.default_rng(int(sigma * 100) + r)
+    likelihoods = ChannelModel.bit_log_likelihoods
+    words = [("random", ch.transmit(draw.integers(0, 2, k).repeat(r), draw))
+             for k in (1, 2, 7, 64, 128, 300) for _ in range(5)]
+    words += list(_adversarial_words(ch, r, draw))
+    sent = []
+    monkeypatch.setattr(ChannelModel, "transmit", lambda self, bits, rng: sent[-1].copy())
+    calls = _counted_calls(monkeypatch, ("bit_log_likelihoods",))
+    fallbacks = {}
+    for kind, y in words:
+        sent.append(y)
+        calls.clear()
+        got = convey(spec, np.zeros(y.size // r, dtype=np.int64), ch, draw)
+        want = coding._repetition_decide(likelihoods(ch, y), r)[1]
+        assert np.array_equal(got.bits, want), kind
+        assert bool(calls) == _inside_margin(ch, y, r), kind
+        fallbacks.setdefault(kind, set()).add(bool(calls))
+    assert fallbacks["random"] == fallbacks["outside"] == {False}
+    assert fallbacks["near"] == fallbacks["tiny"] == fallbacks["huge"] == {True}
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-145, 1e140, 1e160])
+@pytest.mark.parametrize("r", [1, 3])
+def test_awgn_rep_sum_rule_at_extreme_sigma(sigma, r, monkeypatch):
+    # at sigma = 1e-145 outputs of 1e10 overflow the formula's terms to -inf,
+    # and the rule is outside its proven range below 2^-500 and above 2^500
+    ch, spec, draw = ChannelModel.biawgn(sigma), CodeSpec.parse(f"rep:{r}"), \
+        np.random.default_rng(r)
+    likelihoods = ChannelModel.bit_log_likelihoods
+    words = [draw.choice((-1.0, 1.0), 4 * r) * scale for scale in (1.0, 1e10, 1e100)]
+    words.append(ch.transmit(draw.integers(0, 2, 4 * r), draw))
+    sent = []
+    monkeypatch.setattr(ChannelModel, "transmit", lambda self, bits, rng: sent[-1].copy())
+    calls = _counted_calls(monkeypatch, ("bit_log_likelihoods",))
+    for y in words:
+        sent.append(y)
+        calls.clear()
+        with np.errstate(over="ignore", invalid="ignore"):  # the formula's overflows
+            got = convey(spec, np.zeros(4, dtype=np.int64), ch, draw)
+            want = coding._repetition_decide(likelihoods(ch, y), r)[1]
+            inside = coding._sum_margin(ch, r) is None or _inside_margin(ch, y, r)
+        assert np.array_equal(got.bits, want)
+        assert bool(calls) == inside
 
 
 # ---------------------------------------------------------------------------
