@@ -50,6 +50,12 @@ CASES = {
                            channel="awgn:0.4", code="rep:1"),
     "twostate-awgn-rep": dict(scheme="two-state", family="two-state",
                               channel="awgn:0.7", code="rep:3", side_code="rep:1"),
+    # rep codes past 4096 output tuples (bec r >= 8, bsc r >= 13), and an even
+    # side code whose bsc output sums can tie at zero
+    "genie-bec-rep8": dict(scheme="genie", family="two-state",
+                           channel="bec:0.2", code="rep:8"),
+    "twostate-bsc-rep13": dict(scheme="two-state", family="two-state",
+                               channel="bsc:0.1", code="rep:13", side_code="rep:2"),
     "mstate-last-awgn-rep": dict(scheme="m-state", placement="last", family="markovian",
                                  channel="awgn:0.5", code="rep:3"),
     # these sweeps and reports draw two-state Markovian protocols, whose tails
