@@ -10,7 +10,7 @@ Three channel families are supported, each a (kind, parameter) pair:
 ``bit_log_likelihoods`` gathers each bsc or bec output's row from a cached
 read-only table per channel; an output outside {0, 1} (bsc) or {0, 1,
 ERASURE} (bec), or of a float type, raises ValueError. ``discrete_outputs``
-makes that check, for ``convey``'s rep decision tables too.
+makes that check, for ``convey``'s rep sign rule and rlc distances too.
 
 Capacity is the mutual information under uniform inputs, in bits per use.
 ``gallager_e0`` is the random-coding exponent function
@@ -42,6 +42,7 @@ _QUAD_NODES = 128
 _SIGNS = np.array([1.0, -1.0])  # awgn signal of input bit 0 and of input bit 1
 
 _KINDS = ("bsc", "bec", "awgn")
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}  # by itemsize
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +192,7 @@ def discrete_outputs(kind: str, outputs, size: int) -> np.ndarray:
     the channel's alphabet 0 .. size - 1."""
     y = np.asarray(outputs).reshape(-1)
     # in the unsigned view a negative output is out of range too
-    if y.dtype.kind not in "iu" or np.count_nonzero(y.view(f"u{y.itemsize}") >= size):
+    if y.dtype.kind not in "iu" or np.count_nonzero(y.view(_UNSIGNED[y.itemsize]) >= size):
         raise ValueError(f"{kind} outputs must be integers in its alphabet")
     return y
 

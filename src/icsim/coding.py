@@ -17,20 +17,19 @@ Decoding is maximum likelihood under the channel law. ``rep:r`` makes one
 ``ChannelModel.transmit`` call for the r-fold repeated payload. Its rule,
 ``_repetition_decide``, sums each bit's log-likelihoods by strided adds
 ``ll[0::r] + ll[1::r] + ...`` in repeat order; a bit is 1 only if its 1-sum
-beats its 0-sum by more than 1e-9, so ties go to 0. On bsc and bec a bit's
-decision is a function of its r outputs alone, so ``_rep_decisions`` runs
-the rule once per (channel, r) over every output tuple, up to 4096 tuples,
-and a transfer reads each bit's decision from that table. On awgn a bit's
-1-sum minus its 0-sum is exactly -2S / sigma^2, S the sum of its r outputs,
-so ``_sum_decisions`` decides it by the sign of S, added by the same
-strided adds, when every bit's |S| clears a rounding margin bounded from
-``y @ y`` (``_sum_margin``); there the rule provably gives the same bits.
-Only a transfer with a bit inside that margin, or a bsc or bec code past
-the table's cap, runs the rule on its log-likelihoods. A random linear
-code picks the first maximum of its floating-point codeword scores
-``cb @ L[:, 1] + (1 - cb) @ L[:, 0]`` (``cb`` the codebook, rows in message
-order, ``L`` the bit log-likelihoods), ``_ml_scores``. On exact ties the
-summation rounding decides, so the winner need not be the smallest message.
+beats its 0-sum by more than 1e-9, so ties go to 0. With each output's
+antipodal value s (+1 for a bsc or bec 0, -1 for a 1, 0 for an erasure, y
+on awgn), a bit's exact 1-sum minus 0-sum is -c S, S the strided sum of its
+s and c a channel constant (L_match - L_mismatch on bsc and bec, 2 / sigma^2
+on awgn). So on every channel ``_sum_decisions`` decodes a bit to 1 where
+S < 0, wherever a certificate shows the rule gives the same bits: once per
+(channel, r) on bsc and bec (``_distance_decides``), per transfer from
+``y @ y`` on awgn (``_sum_margin``). Any other transfer runs the rule on its
+log-likelihoods. A random linear code picks the first maximum of its
+floating-point codeword scores ``cb @ L[:, 1] + (1 - cb) @ L[:, 0]`` (``cb``
+the codebook, rows in message order, ``L`` the bit log-likelihoods),
+``_ml_scores``. On exact ties the summation rounding decides, so the winner
+need not be the smallest message.
 
 ``rlc`` gives each chunk its own seeded code. Each code's codebook is built
 once, packed to bits by ``np.packbits``, stored byte-major (byte j of every
@@ -58,7 +57,6 @@ one transmit per chunk would.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -70,7 +68,8 @@ import numpy as np
 from .channel import ERASURE, LN2, ChannelModel, _likelihood_table, discrete_outputs
 
 RLC_CHUNK = 8  # message bits per rlc chunk code; exhaustive ML decoding stays tractable
-_REP_TABLE_MAX = 4096  # output tuples of the largest cached rep decision table
+# -s of bsc/bec outputs 0, 1, ERASURE; _BIT.take(-S, mode="clip") is 1 iff S < 0
+_VOTES, _BIT = np.array([-1, 1, 0], dtype=np.int64), np.array([0, 1], dtype=np.uint8)
 
 
 def _as_bits(message: Sequence[int], k: int | None = None) -> np.ndarray:
@@ -83,26 +82,31 @@ def _as_bits(message: Sequence[int], k: int | None = None) -> np.ndarray:
     return bits
 
 
-def _repetition_decide(ll: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, 2) sums ``ll[0::r] + ll[1::r] + ...`` of a repetition
-    codeword's (k * r, 2) bit log-likelihoods, added left to right, and the
-    uint8 pick of each bit. The 1e-9 margin absorbs float summation noise on
-    exact ties, which go to 0, without touching real decisions. This is the
-    one definition of a rep decision: ``_rep_decisions`` tabulates it for
-    bsc and bec, and on awgn ``_sum_decisions`` decides by the sign of each
-    bit's output sum only where that provably gives these picks."""
-    per_bit = ll if r == 1 else ll[0::r] + ll[1::r]
+def _strided_sum(x: np.ndarray, r: int) -> np.ndarray:
+    """Each bit's sum over a repetition codeword, ``x[0::r] + x[1::r] +
+    ...`` added left to right; ``x`` itself when r == 1, else a new array."""
+    total = x if r == 1 else x[0::r] + x[1::r]
     for i in range(2, r):
-        per_bit += ll[i::r]
+        total += x[i::r]
+    return total
+
+
+def _repetition_decide(ll: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 2) strided sums of a repetition codeword's (k * r, 2) bit
+    log-likelihoods and the uint8 pick of each bit. The 1e-9 margin absorbs
+    float summation noise on exact ties, which go to 0, without touching
+    real decisions. This is the one definition of a rep decision; the sign
+    rule of ``_sum_decisions`` runs only where it provably gives these."""
+    per_bit = _strided_sum(ll, r)
     return per_bit, (per_bit[:, 1] > per_bit[:, 0] + 1e-9).view(np.uint8)
 
 
 @lru_cache(maxsize=256)
 def _sum_margin(ch: ChannelModel, r: int) -> tuple[float, float, float] | None:
-    """(a, b, cap) for awgn rep:r transfers, or None on bsc and bec, for
-    r > 2^20 or for sigma^2 outside [2^-1000, 2^1000]. A transfer whose
-    outputs y have Y2 = y @ y <= cap may decide each bit by the sign of its
-    float output sum S' whenever every |S'| > a + b * Y2: there
+    """(a, b, cap), the awgn sign rule's certificate, for rep:r transfers,
+    or None for r > 2^20 or for sigma^2 outside [2^-1000, 2^1000]. Outputs
+    y with Y2 = y @ y <= cap may decide each bit by the sign of its float
+    output sum S' whenever every |S'| > a + b * Y2: there
     ``_repetition_decide`` on the bit log-likelihoods gives the same bits.
 
     With s2 = sigma * sigma and N the float constant of
@@ -138,10 +142,8 @@ def _sum_margin(ch: ChannelModel, r: int) -> tuple[float, float, float] | None:
     Y2 <= cap = 2^900 min(1, s2) keeps every term finite, |y| <= 2^450 and
     T_x < 2^1001; a NaN or infinite output fails that test.
     """
-    if ch.kind != "awgn" or r > 1 << 20:
-        return None
     s2 = ch.param * ch.param
-    if not 2.0 ** -1000 <= s2 <= 2.0 ** 1000:
+    if r > 1 << 20 or not 2.0 ** -1000 <= s2 <= 2.0 ** 1000:
         return None
     norm = abs(-0.5 * math.log(2.0 * math.pi * s2))
     u = 2.0 ** 8 * 2.0 ** -53 / 2
@@ -150,11 +152,16 @@ def _sum_margin(ch: ChannelModel, r: int) -> tuple[float, float, float] | None:
 
 
 def _sum_decisions(ch: ChannelModel, y: np.ndarray, r: int) -> np.ndarray | None:
-    """The uint8 rep:r decision of each bit of the flat float64 awgn outputs
-    ``y`` of ``transmit``: 1 where the strided sum ``y[0::r] + y[1::r] +
-    ...`` is negative. None on bsc and bec, and when that could differ from
-    ``_repetition_decide`` on the bit log-likelihoods because some bit's
-    sum lies within the margin of ``_sum_margin``."""
+    """The uint8 rep:r decision of each bit of the flat outputs ``y`` of
+    ``transmit``: 1 where the strided sum of its antipodal values is
+    negative. None where that could differ from ``_repetition_decide``: on
+    bsc and bec unless ``_distance_decides(ch, r, 1e-9)``, on awgn when
+    some bit's sum lies within the margin of ``_sum_margin``."""
+    if ch.kind != "awgn":
+        if not _distance_decides(ch, r, 1e-9):
+            return None
+        votes = _VOTES.take(discrete_outputs(ch.kind, y, 2 if ch.kind == "bsc" else 3))
+        return _BIT.take(_strided_sum(votes, r), mode="clip")
     bound = _sum_margin(ch, r)
     if bound is None:
         return None
@@ -162,35 +169,10 @@ def _sum_decisions(ch: ChannelModel, y: np.ndarray, r: int) -> np.ndarray | None
     y2 = y @ y
     if not y2 <= cap:
         return None
-    s = y if r == 1 else y[0::r] + y[1::r]
-    for i in range(2, r):
-        s += y[i::r]
-    decided = np.signbit(s)  # s < 0 wherever the margin holds, as it excludes -0.0
+    s = _strided_sum(y, r)
     if not np.abs(s).min() > a + b * y2:
         return None
-    return decided.view(np.uint8)
-
-
-@lru_cache(maxsize=256)
-def _rep_decisions(ch: ChannelModel, r: int) -> tuple[np.ndarray, int, np.ndarray] | None:
-    """The rep:r decision of every output tuple of a bsc or bec channel, or
-    None on awgn or when the channel has more than ``_REP_TABLE_MAX`` tuples.
-
-    Returns the read-only uint8 decisions, the alphabet size q and the
-    powers q^(r-1), ..., q, 1 that number a tuple in the order
-    ``itertools.product`` lists them. The table runs ``_repetition_decide``
-    on every tuple, so it holds the formula's decisions bit for bit: a bit's
-    sums depend on its own r outputs alone, in the same order.
-    """
-    if ch.kind == "awgn":
-        return None
-    q = 2 if ch.kind == "bsc" else 3
-    if q ** r > _REP_TABLE_MAX:
-        return None
-    outputs = np.array(list(itertools.product(range(q), repeat=r))).ravel()
-    decisions = _repetition_decide(ch.bit_log_likelihoods(outputs), r)[1].copy()
-    decisions.flags.writeable = False
-    return decisions, q, q ** np.arange(r - 1, -1, -1)
+    return np.signbit(s).view(np.uint8)  # s < 0 wherever the margin holds, as it excludes -0.0
 
 
 def _codebooks(generators: np.ndarray) -> np.ndarray:
@@ -297,23 +279,32 @@ def _ml_scores(books: np.ndarray, b: int, ll: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _distance_decides(ch: ChannelModel, b: int) -> bool:
-    """Whether a unique nearest codeword is ``_ml_scores``' first maximum on
-    every chunk of b-bit codewords sent over ``ch``.
+def _distance_decides(ch: ChannelModel, b: int, offset: float) -> bool:
+    """Whether hard decisions from b-term sums of ``ch``'s likelihood table
+    provably match the float rule: for offset 0, a unique nearest codeword
+    is ``_ml_scores``' first maximum on b-bit chunks; for offset 1e-9 and b
+    = r, the sign rule of ``_sum_decisions`` gives ``_repetition_decide``'s
+    bits. Never on awgn, on bsc from eps = 0.5 on or on bec:1 (g <= 0).
 
-    On bsc and bec a codeword at Hamming distance d from the unerased hard
-    outputs scores const - d * g in exact arithmetic, g = L_match -
-    L_mismatch the gap of the channel's likelihood table, so a unique
-    nearest codeword beats every other by at least g. Each float score,
-    two b-term dot products and their sum, is within (b + 1) * b * 2^-53 *
-    max|L| of its exact value in any summation order. When g exceeds twice
-    that, the float scores keep the exact order against the nearest
-    codeword. Never on awgn, on bsc from eps = 0.5 on, or on bec:1.
+    An output's two table entries differ by g = L_match - L_mismatch, or by
+    0 if erased. So in exact arithmetic an rlc codeword at distance d from
+    the unerased hard outputs scores const - d g, and a rep bit's 1-sum
+    minus 0-sum is -g S. With u = 2^-53 and A = max|L| >= g, the float gap
+    of two rlc scores (each two b-term dot products and their sum, within
+    b^2 u A (1 + b u)), or of a rep bit's 1-sum and 0-sum plus 1e-9 (each
+    sum within (b - 1) b u A (1 + b u), the add within u (b A (1 + b u) +
+    1e-9)), is within R = 2 (b + 1) b u A of exact. The spare, over b u A,
+    covers the (1 + b u) factors (g > R keeps b < 2^26) and the roundings
+    of this test (g's is below u A). So where g > offset + R a unique
+    nearest codeword stays first (the caller scores exact ties), and a rep
+    bit goes to 1 for S <= -1 and to 0 for S >= 1; where R < offset a tie
+    S = 0 goes to 0.
     """
     if ch.kind == "awgn":
         return False
     table = _likelihood_table(ch.kind, ch.param)
-    return bool(table[0, 0] - table[0, 1] > 2 * (b + 1) * b * 2.0 ** -53 * np.abs(table).max())
+    bound = 2 * (b + 1) * b * 2.0 ** -53 * np.abs(table).max()  # R
+    return bool(table[0, 0] - table[0, 1] > offset + bound and (offset == 0 or bound < offset))
 
 
 def _nearest_codewords(books: np.ndarray, y: np.ndarray,
@@ -478,15 +469,9 @@ def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
     elif spec.kind == "rep":
         r = int(spec.value)
         y = ch.transmit(payload if r == 1 else payload.repeat(r), rng)
-        table = _rep_decisions(ch, r)
-        if table is not None:
-            decisions, q, powers = table
-            y = discrete_outputs(ch.kind, y, q)
-            decoded = decisions.take(y if r == 1 else y.reshape(-1, r) @ powers)
-        else:
-            decoded = _sum_decisions(ch, y, r)
-            if decoded is None:
-                decoded = _repetition_decide(ch.bit_log_likelihoods(y), r)[1]
+        decoded = _sum_decisions(ch, y, r)
+        if decoded is None:
+            decoded = _repetition_decide(ch.bit_log_likelihoods(y), r)[1]
         uses = payload.size * r
     else:
         decoded, uses = _convey_rlc(spec, payload, ch, rng, matrix_seed)
@@ -523,7 +508,7 @@ def _convey_rlc(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,
     for size, b, books, words in codes:
         span = slice(at, at + words.size)
         at += words.size
-        if _distance_decides(ch, b):
+        if _distance_decides(ch, b, 0.0):
             best, tied = _nearest_codewords(books, y[span].reshape(words.shape), ch.kind == "bec")
         else:
             best, tied = np.empty(len(books), dtype=np.intp), np.arange(len(books))

@@ -486,7 +486,7 @@ def test_rlc_nearest_codeword_rule_equals_first_argmax_of_ml_scores(kind, param,
                     want.extend(coding._index_bits(score(book, b, ll).argmax(), size).tolist())
                     dist = _distances(book, b, y[at: at + b])
                     tied = np.count_nonzero(dist == dist.min()) > 1
-                    decides = coding._distance_decides(ch, b)
+                    decides = coding._distance_decides(ch, b, 0.0)
                     assert decides == (kind == "bsc" and param < 0.5 or kind == "bec" and param < 1)
                     if tied or not decides:
                         fallback.append(book)
@@ -634,7 +634,7 @@ def test_convey_rep_makes_one_transmit_and_likelihoods_only_near_the_awgn_thresh
     rng = np.random.default_rng(0)
     specs = ("rep:1", "rep:3")
     channels = ("bsc:0.1", "bec:0.1", "awgn:0.8")
-    for spec in specs:  # builds the decision tables before the calls are counted
+    for spec in specs:  # fills the certificate caches before the calls are counted
         for channel in channels:
             convey(CodeSpec.parse(spec), [1, 0], ChannelModel.parse(channel), rng)
     calls = _counted_calls(monkeypatch)
@@ -758,49 +758,91 @@ def test_awgn_rep_sum_rule_at_extreme_sigma(sigma, r, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the cached rep decision tables of bsc and bec against the formula
+# the sign rule of bsc and bec rep transfers against _repetition_decide
 
 @pytest.mark.parametrize("kind", ["bsc", "bec"])
-@pytest.mark.parametrize("param", [0.0, 0.02, 0.05, 0.5 - 1e-12, 0.5, 1.0])
-def test_rep_decision_table_equals_the_formula_on_every_output_tuple(kind, param):
+@pytest.mark.parametrize("param", [0.0, 0.02, 0.05, 0.5 - 3e-10, 0.5 - 2e-10, 0.5 - 1e-12,
+                                   0.5, 1.0])
+def test_rep_decision_table_equals_the_formula_on_every_output_tuple(kind, param, monkeypatch):
+    # the decision table of (channel, r): every output tuple's bit, as convey
+    # decodes it, against the formula; at eps = 0.5 - 3e-10 the gap g of the
+    # likelihood table just clears the 1e-9 tie offset, at 0.5 - 2e-10 it does not
     ch = ChannelModel(kind, param)
-    q, cap = (2, 12) if kind == "bsc" else (3, 7)
-    assert q ** cap <= coding._REP_TABLE_MAX < q ** (cap + 1)
-    for r in range(1, cap + 1):
-        decisions, size, powers = coding._rep_decisions(ch, r)
-        assert size == q and decisions.dtype == np.uint8 and not decisions.flags.writeable
+    q, top = (2, 12) if kind == "bsc" else (3, 7)
+    refused = kind == "bsc" and param > 0.5 - 2.5e-10 or param == 1.0
+    likelihoods = ChannelModel.bit_log_likelihoods
+    sent = []
+    monkeypatch.setattr(ChannelModel, "transmit", lambda self, bits, rng: sent[-1].copy())
+    calls = _counted_calls(monkeypatch, ("bit_log_likelihoods",))
+    for r in range(1, top + 1):
         tuples = list(itertools.product(range(q), repeat=r))
-        assert decisions.size == len(tuples)
-        assert np.array_equal(np.array(tuples) @ powers, np.arange(len(tuples)))
-        # one tuple at a time, so no other bit shares the formula's arrays
-        for code, outputs in enumerate(tuples):
-            ll = ch.bit_log_likelihoods(outputs)
-            assert decisions[code] == coding._repetition_decide(ll, r)[1][0]
-    assert coding._rep_decisions(ch, cap + 1) is None
-
-
-def test_rep_transfer_past_the_table_cap_takes_the_formula_path(monkeypatch):
-    calls = []
-    original = ChannelModel.bit_log_likelihoods
-    monkeypatch.setattr(ChannelModel, "bit_log_likelihoods",
-                        lambda self, y: calls.append(len(y)) or original(self, y))
-    rng = np.random.default_rng(0)
-    for channel, r in (("bsc:0.05", 13), ("bec:0.05", 8)):
+        sent.append(np.array(tuples).ravel())
         calls.clear()
-        got = convey(CodeSpec.parse(f"rep:{r}"), [1, 0, 1], ChannelModel.parse(channel), rng)
-        assert calls == [3 * r] and got.channel_uses == 3 * r
+        got = convey(CodeSpec("rep", r), np.zeros(len(tuples), dtype=np.int64), ch,
+                     np.random.default_rng(0))
+        # one tuple at a time, so no other bit shares the formula's arrays
+        want = [coding._repetition_decide(likelihoods(ch, t), r)[1][0] for t in tuples]
+        assert got.bits.tolist() == want
+        assert coding._distance_decides(ch, r, 1e-9) == (not refused)
+        assert calls == ["bit_log_likelihoods"] * refused
+
+
+@pytest.mark.parametrize("channel, r, formula", [
+    ("bsc:0.05", 13, False), ("bsc:0.45", 13, False), ("bsc:0.45", 14, False),
+    ("bec:0.05", 8, False), ("bec:0.6", 8, False), ("bec:0.6", 9, False),
+    ("bsc:0.5", 3, True), ("bsc:0.7", 3, True), ("bsc:0.7", 13, True),
+    ("bec:1", 3, True), ("bec:1", 8, True)])
+def test_long_rep_codes_take_the_sign_rule_and_uncertified_channels_the_formula(
+        channel, r, formula, monkeypatch):
+    ch, spec, draw = ChannelModel.parse(channel), CodeSpec.parse(f"rep:{r}"), \
+        np.random.default_rng(r)
+    likelihoods = ChannelModel.bit_log_likelihoods
+    sent = _transmits(monkeypatch)
+    calls = _counted_calls(monkeypatch, ("bit_log_likelihoods",))
+    errors = 0
+    for k in (1, 3, 40, 200):
+        payload = draw.integers(0, 2, k)
+        calls.clear()
+        got = convey(spec, payload, ch, draw)
+        want = coding._repetition_decide(likelihoods(ch, sent[-1][1]), r)[1]
+        assert got.bits.tolist() == want.tolist()
+        assert calls == ["bit_log_likelihoods"] * formula
+        assert got.channel_uses == k * r
+        errors += not got.intact
+    assert errors or channel in ("bsc:0.05", "bec:0.05")
+
+
+@pytest.mark.parametrize("b, offset, refused, accepted", [
+    (24, 0.0, 0.5 - 1e-14, 0.5 - 1e-12),  # rlc: g must clear the rounding of b terms
+    (3, 1e-9, 0.5 - 2e-10, 0.5 - 3e-10),  # rep: and the 1e-9 tie offset on top
+])
+def test_distance_certificate_refuses_gaps_inside_its_bound(b, offset, refused, accepted):
+    assert not coding._distance_decides(ChannelModel.bsc(refused), b, offset)
+    assert coding._distance_decides(ChannelModel.bsc(accepted), b, offset)
+
+
+def test_rep_certificate_keeps_the_rounding_below_the_tie_offset():
+    # g = 690.8 on bsc:0 clears any offset, but from r = 81 the bound on the
+    # rounding of r such terms passes 1e-9, and an exact tie could tip to 1
+    ch = ChannelModel.bsc(0.0)
+    assert coding._distance_decides(ch, 80, 1e-9)
+    assert not coding._distance_decides(ch, 81, 1e-9)
+    assert coding._distance_decides(ch, 81, 0.0)
 
 
 @pytest.mark.parametrize("channel, output", [("bsc:0.1", 2), ("bsc:0.1", -1),
                                              ("bec:0.1", 3), ("bec:0.1", -1)])
 @pytest.mark.parametrize("r", [1, 3])
 def test_rep_table_path_keeps_the_alphabet_check(channel, output, r, monkeypatch):
+    # the sign rule reads the outputs without bit_log_likelihoods, and checks
+    # their alphabet as it does
     ch = ChannelModel.parse(channel)
     with pytest.raises(ValueError, match="outputs must") as raised:
         ch.bit_log_likelihoods([output])
-    assert coding._rep_decisions(ch, r) is not None
+    assert coding._distance_decides(ch, r, 1e-9)
     monkeypatch.setattr(ChannelModel, "transmit",
                         lambda self, bits, rng: np.where(np.arange(len(bits)) == 0, output, bits))
+    monkeypatch.setattr(ChannelModel, "bit_log_likelihoods", None)  # the check must not need it
     with pytest.raises(ValueError, match="outputs must") as got:
         convey(CodeSpec.parse(f"rep:{r}"), [0, 1], ch, np.random.default_rng(0))
     assert str(got.value) == str(raised.value)

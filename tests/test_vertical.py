@@ -161,6 +161,20 @@ def test_noiseless_sweeps_pass_every_audit_from_the_smallest_grid(scheme, code):
     assert run_sweep(cfg).audits_passed
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_mstate_last_overhead_needs_the_ceil_slack_term(seed):
+    # the m-state bound's + m pays each column's ceil slack: at oracle:0.3
+    # the columns alone spend more than the side transfers' share leaves
+    cfg = ExperimentConfig(scheme="m-state", placement="last", channel="bsc:0",
+                           code="oracle:0.3",
+                           protocol={"type": "markovian", "log_M": 1, "functions": "all"})
+    report = run_trial(cfg, 4096, seed)
+    audit = accounting(report)
+    assert report.lookahead_failure is None and report.correct
+    assert audit.passed
+    assert audit.overhead > audit.bound - report.m
+
+
 def test_accounting_exact_split():
     def costly_provider(pp, ch, side, rng):
         states = genie_provider(pp, ch, side, rng).alice_states
