@@ -41,6 +41,12 @@ CASES = {
                              channel="bsc:0.02", code="rep:3", side_code="rep:5"),
     "twostate-bec-rlc": dict(scheme="two-state", family="two-state",
                              channel="bec:0.1", code="rlc:2", side_code="rep:3"),
+    # rlc on a noisy bsc: 14-bit columns at n = 150 end in a 6-bit chunk of
+    # b = 18, and rlc side transfers of several lengths end in short chunks
+    "genie-bsc-rlc3": dict(scheme="genie", family="two-state",
+                           channel="bsc:0.02", code="rlc:3"),
+    "twostate-bsc-rlc2": dict(scheme="two-state", family="two-state",
+                              channel="bsc:0.05", code="rlc:2", side_code="rlc:3"),
     "exhaustive-bec-rep": dict(scheme="two-state-exhaustive", family="two-state",
                                channel="bec:0.1", code="rep:3", side_code="rep:3"),
     "exhaustive-awgn-oracle": dict(scheme="two-state-exhaustive", family="two-state",
