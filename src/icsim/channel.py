@@ -191,8 +191,9 @@ def discrete_outputs(kind: str, outputs, size: int) -> np.ndarray:
     """The bsc or bec ``outputs`` as a flat integer array, checked to lie in
     the channel's alphabet 0 .. size - 1."""
     y = np.asarray(outputs).reshape(-1)
-    # in the unsigned view a negative output is out of range too
-    if y.dtype.kind not in "iu" or np.count_nonzero(y.view(_UNSIGNED[y.itemsize]) >= size):
+    # in the unsigned view a negative output is out of range too; an empty one has no maximum
+    if y.dtype.kind not in "iu" or (
+            y.size and np.maximum.reduce(y.view(_UNSIGNED[y.itemsize])) >= size):
         raise ValueError(f"{kind} outputs must be integers in its alphabet")
     return y
 

@@ -31,24 +31,26 @@ the codebook, rows in message order, ``L`` the bit log-likelihoods),
 ``_ml_scores``. On exact ties the summation rounding decides, so the winner
 need not be the smallest message.
 
-``rlc`` gives each chunk its own seeded code. Each code's codebook is built
-once, packed to bits by ``np.packbits``, stored byte-major (byte j of every
-codeword, then byte j + 1) and kept in a cache bounded in bytes; ``convey``
-stacks the cached books of its chunks, unpacks only the codewords it sends
-and sends them through one ``ChannelModel.transmit`` call.
+``rlc`` gives each chunk its own seeded code, packed to bits by
+``np.packbits`` and stored byte-major (byte j of every codeword, then byte
+j + 1). A cache bounded in bytes keeps one stacked read-only entry per
+transfer shape (k, b, seeds), so a warm transfer makes one lookup per chunk
+size. A chunk's message is one byte that picks its codeword's bytes; all
+codewords go through one ``ChannelModel.transmit`` call.
 
 On bsc and bec a codeword's score is const - d * (L_match - L_mismatch),
 d its Hamming distance to the hard outputs over the unerased positions. So
 a chunk decodes to its nearest codeword, found by XOR and popcount on the
-packed books, when that codeword is unique and the likelihood gap exceeds
-twice the float rounding bound of a b-term score (``_distance_decides``):
-there the float scores provably have the same first maximum. Every other
-chunk, one whose minimum distance ties, or any chunk on awgn, on bsc from
-eps = 0.5 on or on bec:1, is scored by ``_ml_scores``, up to 64 chunks in
-one batched product. Its float books come from ``_LUT``, every byte's bits
-as exact 0.0 / 1.0, so the scores are those of a cast of the unpacked
-books, bit for bit. Only such chunks need the bit log-likelihoods, so an
-untied bsc or bec transfer makes no ``bit_log_likelihoods`` call.
+packed books and outputs, when that codeword is unique and the likelihood
+gap exceeds twice the float rounding bound of a b-term score
+(``_distance_decides``): there the float scores provably have the same
+first maximum. Every other chunk, one whose minimum distance ties, or any
+chunk on awgn, on bsc from eps = 0.5 on or on bec:1, is scored by
+``_ml_scores``, up to 64 chunks in one batched product. Its float books
+come from ``_LUT``, every byte's bits as exact 0.0 / 1.0, so the scores are
+those of a cast of the unpacked books, bit for bit. Only such chunks need
+the bit log-likelihoods, so an untied bsc or bec transfer makes no
+``bit_log_likelihoods`` call.
 
 numpy's Generator yields the same values from one draw of size a+b as from
 a draw of a then b, so one transmit consumes the random stream exactly as
@@ -193,7 +195,7 @@ def _codebooks(generators: np.ndarray) -> np.ndarray:
     return books.swapaxes(0, -2)
 
 
-def _packed_book(k: int, b: int, seed: int) -> bytes:
+def _packed_book(k: int, b: int, seed: int) -> np.ndarray:
     """The codebook of the rlc chunk code of that seed, packed to bits by
     ``np.packbits`` and stored byte-major: byte j of every codeword, in
     message order, then byte j + 1, a C-order (ceil(b / 8), 2^k) array.
@@ -207,46 +209,45 @@ def _packed_book(k: int, b: int, seed: int) -> bytes:
         g = np.random.default_rng(attempt).integers(0, 2, size=(k, b), dtype=np.int64)
         book = _codebooks(g.astype(np.uint8))
         if book[1:].any(axis=1).all():
-            return np.packbits(book.T, axis=0).tobytes()
+            return np.ascontiguousarray(np.packbits(book.T, axis=0))
         attempt += 1
 
 
-# Every trial walks the same chunk seeds in the same order: at n = 65536
-# (m = 256) with rlc chunks of 8 bits that is 8,192 column codes plus the
-# side-channel ones. A packed rlc:3 book is 768 bytes (6 KB unpacked), so
-# such a trial holds about 6.3 MB. A bound below a trial's books would miss
-# on every lookup; this one, on the packed bytes, holds a whole large trial.
+# Every trial walks the same transfer shapes in the same order: at n = 65536
+# (m = 256) with rlc chunks of 8 bits that is 256 columns of 32 chunk codes,
+# plus side transfers. A packed rlc:3 book is 768 bytes (6 KB unpacked), so
+# the columns hold about 6.3 MB. A bound below a trial's books would miss on
+# every lookup; this one, on the packed bytes, holds a whole large trial.
 _BOOK_CACHE_BYTES = 32 << 20
 
 
 class _BookCache:
-    """Packed chunk codebooks keyed by (k, b, seed). Once their bytes would
-    pass ``limit``, the least recently used books are dropped first."""
+    """Packed chunk codebooks, one stacked entry per transfer shape (k, b,
+    seeds): a ``range`` of seeds is its own key, any other sequence a tuple.
+    Once their bytes would pass ``limit``, the least recently used entries
+    are dropped first. ``misses`` counts the books built."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
         self.size = 0  # bytes of the books held
         self.misses = 0
-        self._books: OrderedDict[tuple[int, int, int], bytes] = OrderedDict()
+        self._books: OrderedDict[tuple[int, int, Sequence[int]], np.ndarray] = OrderedDict()
 
     def __call__(self, k: int, b: int, seeds: Sequence[int]) -> np.ndarray:
-        """Stacked (len(seeds), ceil(b / 8), 2^k) byte-major packed codebooks."""
-        books = self._books
-        raw = []
-        for seed in seeds:
-            key = (k, b, seed)
-            book = books.get(key)
-            if book is None:
-                self.misses += 1
-                book = _packed_book(k, b, seed)
-                books[key] = book
-                self.size += len(book)
-                while self.size > self.limit:
-                    self.size -= len(books.popitem(last=False)[1])
-            else:
-                books.move_to_end(key)
-            raw.append(book)
-        return np.frombuffer(b"".join(raw), dtype=np.uint8).reshape(len(raw), -1, 1 << k)
+        """Read-only stacked (len(seeds), ceil(b / 8), 2^k) byte-major books."""
+        key = (k, b, seeds if isinstance(seeds, range) else tuple(seeds))
+        books = self._books.get(key)
+        if books is not None:
+            self._books.move_to_end(key)
+            return books
+        books = np.stack([_packed_book(k, b, seed) for seed in key[2]])
+        books.flags.writeable = False
+        self.misses += len(books)
+        self._books[key] = books
+        self.size += books.nbytes
+        while self.size > self.limit:
+            self.size -= self._books.popitem(last=False)[1].nbytes
+        return books
 
 
 _BOOKS = _BookCache(_BOOK_CACHE_BYTES)
@@ -309,29 +310,23 @@ def _distance_decides(ch: ChannelModel, b: int, offset: float) -> bool:
 
 def _nearest_codewords(books: np.ndarray, y: np.ndarray,
                        erasures: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(count, ceil(b / 8), 2^k) byte-major books and the (count, b) bsc or
-    bec outputs -> the message of each chunk's first nearest codeword, and
-    the indices of the chunks where more than one codeword is nearest. With
+    """(count, ceil(b / 8), 2^k) byte-major books and the flat count * b bsc
+    or bec outputs, each chunk's on a byte boundary (b % 8 == 0 or one
+    chunk) -> the message of each chunk's first nearest codeword, and the
+    indices of the chunks where more than one codeword is nearest. With
     ``erasures`` the distance skips the positions that hold ``ERASURE``."""
-    diff = books ^ np.packbits(y == 1, axis=-1)[..., None]
+    rows = books.shape[:2]
+    ones = books ^ np.packbits(y == 1 if erasures else y).reshape(rows)[..., None]
     if erasures:
-        diff &= np.packbits(y != ERASURE, axis=-1)[..., None]
-    dist = np.bitwise_count(diff, out=diff).sum(axis=1, dtype=np.min_scalar_type(y.shape[-1]))
-    best = dist.argmin(axis=1)
-    nearest = dist == dist[np.arange(len(dist)), best, None]
+        ones &= np.packbits(y != ERASURE).reshape(rows)[..., None]
+    b = y.size // rows[0]  # uint8 holds every distance only while b <= 255
+    dist = np.bitwise_count(ones, out=ones).sum(
+        axis=1, dtype=np.uint8 if b < 256 else np.min_scalar_type(b))
+    nearest = dist == dist.min(axis=1, keepdims=True)
+    best = nearest.argmax(axis=1)
     if np.count_nonzero(nearest) == len(dist):  # one nearest codeword in every chunk
         return best, np.empty(0, dtype=np.intp)
     return best, np.flatnonzero(nearest.sum(axis=1) > 1)
-
-
-def _message_index(bits: np.ndarray) -> np.ndarray:
-    """Big-endian integer of each (..., k) bit row."""
-    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
-
-
-def _index_bits(index: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of ``_message_index``: (...) integers -> (..., k) bits."""
-    return (np.asarray(index)[..., None] >> np.arange(k - 1, -1, -1)) & 1
 
 
 @dataclass(frozen=True)
@@ -486,38 +481,43 @@ def _convey_rlc(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,
                 rng: np.random.Generator, matrix_seed: int) -> tuple[np.ndarray, int]:
     """One independent code per chunk of ``RLC_CHUNK`` bits (the last chunk
     may be shorter), all sent through one transmit call; returns the decoded
-    bits as uint8 and the channel uses. A chunk is decoded by its nearest
-    codeword where ``_distance_decides``, else by ``_ml_scores``."""
-    full = payload.size - payload.size % RLC_CHUNK
-    codes = []  # (chunk size, codeword length, packed books, codewords), full chunks first
-    for start, msgs in ((0, payload[:full].reshape(-1, RLC_CHUNK)), (full, payload[None, full:])):
-        if msgs.size:
-            count, size = msgs.shape
-            b = math.ceil(size * spec.value)
-            first = matrix_seed * 1000003 + start
-            books = _BOOKS(size, b, range(first, first + count * size, size))
-            words = books[np.arange(count), :, _message_index(msgs)]
-            codes.append((size, b, books, np.unpackbits(words, axis=-1, count=b)))
-    sent = np.concatenate([words.ravel() for *_, words in codes])
-    y = ch.transmit(sent, rng)
+    bits as uint8 and the channel uses. A chunk, whose message is one
+    ``np.packbits`` byte, decodes to its nearest codeword where
+    ``_distance_decides``, else by ``_ml_scores``. Full chunks have b = 8x
+    bits, so each chunk size's codewords and outputs start on a byte boundary."""
+    n = payload.size
+    short = n % RLC_CHUNK
+    first = matrix_seed * 1000003
+    index = np.packbits(payload)  # one message byte per chunk
+    if short:
+        index[-1] >>= RLC_CHUNK - short
+    groups, words, uses = [], [], 0  # (first chunk, chunks, first bit, codeword length, books)
+    for size, start, stop in ((RLC_CHUNK, 0, n - short), (short, n - short, n)):
+        if start < stop:
+            at, b = start // RLC_CHUNK, math.ceil(size * spec.value)
+            books = _BOOKS(size, b, range(first + start, first + stop, size))
+            words.append(books[np.arange(len(books)), :, index[at: at + len(books)]])
+            groups.append((at, len(books), uses, b, books))
+            uses += len(books) * b
+    sent = words[0] if len(words) == 1 else np.concatenate(words, axis=None)
+    y = ch.transmit(np.unpackbits(sent, count=uses), rng)
     if ch.kind != "awgn":
         y = discrete_outputs(ch.kind, y, 2 if ch.kind == "bsc" else 3)
     ll = None  # the bit log-likelihoods, made only when some chunk needs _ml_scores
-    decoded = []
-    at = 0
-    for size, b, books, words in codes:
-        span = slice(at, at + words.size)
-        at += words.size
+    best = np.empty_like(index)
+    for at, count, bit, b, books in groups:
         if _distance_decides(ch, b, 0.0):
-            best, tied = _nearest_codewords(books, y[span].reshape(words.shape), ch.kind == "bec")
+            best[at: at + count], tied = _nearest_codewords(
+                books, y[bit: bit + count * b], ch.kind == "bec")
         else:
-            best, tied = np.empty(len(books), dtype=np.intp), np.arange(len(books))
+            tied = np.arange(count)
         if tied.size:
             if ll is None:
                 ll = ch.bit_log_likelihoods(y)
-            chunk_ll = ll[span].reshape(*words.shape, 2)
+            chunk_ll = ll[bit: bit + count * b].reshape(count, b, 2)
             for i in range(0, tied.size, _SCORE_SLAB):
                 pick = tied[i: i + _SCORE_SLAB]
-                best[pick] = _ml_scores(books[pick], b, chunk_ll[pick]).argmax(axis=-1)
-        decoded.append(_index_bits(best, size).ravel())
-    return np.concatenate(decoded).astype(np.uint8), sent.size
+                best[at + pick] = _ml_scores(books[pick], b, chunk_ll[pick]).argmax(axis=-1)
+    if short:
+        best[-1] <<= RLC_CHUNK - short
+    return np.unpackbits(best, count=n), uses

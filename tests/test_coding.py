@@ -378,13 +378,18 @@ def test_book_cache_drops_least_recently_used_books_within_its_bound():
         cache(6, 8, [seed])
         held = (held + [seed])[-3:]
         assert cache.size == len(held) * book <= cache.limit
-        assert list(cache._books) == [(6, 8, s) for s in held]
+        assert list(cache._books) == [(6, 8, (s,)) for s in held]
     cache(6, 8, [7])  # a hit makes seed 7 the most recent
     cache(6, 8, [10])
-    assert list(cache._books) == [(6, 8, s) for s in (9, 7, 10)]
+    assert list(cache._books) == [(6, 8, (s,)) for s in (9, 7, 10)]
     assert cache.misses == 11 and cache.size <= cache.limit
-    cache(6, 8, [7, 9, 10])
+    cache(6, 8, (7,))  # a tuple is the key a list makes
     assert cache.misses == 11
+    # a transfer shape is one entry; its books count as misses one by one
+    pair = cache(6, 8, range(20, 22))
+    assert cache.misses == 13 and cache.size == 3 * book <= cache.limit
+    assert list(cache._books) == [(6, 8, (7,)), (6, 8, range(20, 22))]
+    assert cache(6, 8, range(20, 22)) is pair and cache.misses == 13
     big = coding._BookCache(limit=book - 1)  # one book alone passes the bound
     assert big(6, 8, [0]).swapaxes(1, 2).shape == (1, 64, 1) and big.size == 0 and not big._books
 
@@ -401,6 +406,26 @@ def test_warm_rlc_trial_builds_no_codebook(monkeypatch):
     assert builds == [] and len(calls) == 64 and len(sent) == 64
     # 64 columns of 8 chunks: only chunks whose nearest codeword ties are scored in floats
     assert sum(len(books) for books in scored) <= 4
+
+
+def test_warm_rlc_transfers_look_up_one_book_stack_per_chunk_size(monkeypatch):
+    cfg = harness.ExperimentConfig(scheme="genie", channel="bsc:0.02", code="rlc:3")
+    spec, ch, payload = CodeSpec.parse("rlc:3"), ChannelModel.bsc(0.02), [1, 0, 0] * 4 + [1, 1]
+    harness.run_trial(cfg, 4096, 0)
+    convey(spec, payload, ch, np.random.default_rng(0), matrix_seed=3)
+    cache, lookups = coding._BOOKS, []
+    misses = cache.misses
+    monkeypatch.setattr(coding, "_BOOKS", lambda k, b, seeds:
+                        lookups.append((k, b, list(seeds))) or cache(k, b, seeds))
+    harness.run_trial(cfg, 4096, 0)
+    assert len(lookups) == 64 and cache.misses == misses  # one lookup per 64-bit column
+    lookups.clear()
+    convey(spec, payload, ch, np.random.default_rng(0), matrix_seed=3)  # 14 bits: 8 + 6
+    first = 3 * SEED_STRIDE
+    assert lookups == [(8, 24, [first]), (6, 18, [first + 8])] and cache.misses == misses
+    books = cache(8, 24, range(first, first + 8, 8))
+    with pytest.raises(ValueError, match="read-only"):
+        books[0, 0, 0] ^= 1
 
 
 # ---------------------------------------------------------------------------
@@ -447,31 +472,40 @@ def _midway(book, b, word, partner, erase):
     return y
 
 
-@pytest.mark.parametrize("kind, param", [
-    ("bsc", 0.0), ("bsc", 0.02), ("bsc", 0.3), ("bsc", 0.5 - 1e-12), ("bsc", 0.5),
-    ("bsc", 0.7), ("bsc", 1.0), ("bec", 0.0), ("bec", 0.2), ("bec", 1.0)])
-def test_rlc_nearest_codeword_rule_equals_first_argmax_of_ml_scores(kind, param, monkeypatch):
-    ch = ChannelModel(kind, param)
+def _message_bits(index, k):
+    """The k bits of message ``index``, most significant first."""
+    return [(int(index) >> (k - 1 - i)) & 1 for i in range(k)]
+
+
+def _check_nearest_codeword_rule(ch, rates, monkeypatch, far=False):
+    """Send rlc:x transfers of three full chunks and then k = 1 .. 8 bits,
+    every other one with chunks 0 and 2 midway between two codewords and,
+    with ``far``, chunks 1 and 3 at the complement of the codeword sent.
+    Check the decoded bits against the first argmax of ``_ml_scores`` and
+    that exactly the tied or uncertified chunks are scored; return the
+    number of tied certified chunks."""
     score = coding._ml_scores
     transmit = ChannelModel.transmit
     scored = _scored_books(monkeypatch)
     draw = np.random.default_rng(29)
     ties = 0
     for k in range(1, RLC_CHUNK + 1):
-        for x in (1, 2, 3, 5):  # b = k * x: every k < 8 gives some b % 8 != 0
+        for x in rates:
             spec = CodeSpec("rlc", x)
             for trial in range(6):
                 length = 3 * RLC_CHUNK + k  # three full chunks, then k bits
                 payload = draw.integers(0, 2, length)
                 codes = _chunk_codes(spec, length, trial)
-                force = trial % 2  # every other transfer sends chunks 0 and 2 midway
+                force = trial % 2
 
                 def fake(self, bits, rng, codes=codes, force=force):
                     y, at = transmit(self, bits, rng), 0
                     for i, (size, b, book) in enumerate(codes):
                         if force and i % 2 == 0:
                             y[at: at + b] = _midway(book, b, bits[at: at + b],
-                                                    draw.integers(1, 1 << size), kind == "bec")
+                                                    draw.integers(1, 1 << size), ch.kind == "bec")
+                        elif force and far:
+                            y[at: at + b] = 1 - bits[at: at + b]
                         at += b
                     return y
 
@@ -483,11 +517,12 @@ def test_rlc_nearest_codeword_rule_equals_first_argmax_of_ml_scores(kind, param,
                 want, fallback, at = [], [], 0
                 for size, b, book in codes:
                     ll = ch.bit_log_likelihoods(y[at: at + b])
-                    want.extend(coding._index_bits(score(book, b, ll).argmax(), size).tolist())
+                    want.extend(_message_bits(score(book, b, ll).argmax(), size))
                     dist = _distances(book, b, y[at: at + b])
                     tied = np.count_nonzero(dist == dist.min()) > 1
                     decides = coding._distance_decides(ch, b, 0.0)
-                    assert decides == (kind == "bsc" and param < 0.5 or kind == "bec" and param < 1)
+                    assert decides == (ch.kind == "bsc" and ch.param < 0.5
+                                       or ch.kind == "bec" and ch.param < 1)
                     if tied or not decides:
                         fallback.append(book)
                     ties += tied and decides
@@ -496,8 +531,26 @@ def test_rlc_nearest_codeword_rule_equals_first_argmax_of_ml_scores(kind, param,
                 books = [book for call in scored for book in call]
                 assert len(books) == len(fallback)
                 assert all(np.array_equal(a, b) for a, b in zip(books, fallback))
+    return ties
+
+
+@pytest.mark.parametrize("kind, param", [
+    ("bsc", 0.0), ("bsc", 0.02), ("bsc", 0.3), ("bsc", 0.5 - 1e-12), ("bsc", 0.5),
+    ("bsc", 0.7), ("bsc", 1.0), ("bec", 0.0), ("bec", 0.2), ("bec", 1.0)])
+def test_rlc_nearest_codeword_rule_equals_first_argmax_of_ml_scores(kind, param, monkeypatch):
+    # b = k * x: every k < 8 gives some b % 8 != 0
+    ties = _check_nearest_codeword_rule(ChannelModel(kind, param), (1, 2, 3, 5), monkeypatch)
     if kind == "bec" and param < 1 or kind == "bsc" and param < 0.5:
         assert ties >= 50  # the forced midway chunks took the fallback
+
+
+@pytest.mark.parametrize("channel", ["bsc:0.02", "bec:0.2"])
+def test_rlc_nearest_codeword_rule_holds_past_255_bit_codewords(channel, monkeypatch):
+    # full chunks of b = 256 and 320 bits, short ones up to 280: a distance
+    # can pass 255, as on the complemented chunks, whose sent codeword is b away
+    ties = _check_nearest_codeword_rule(ChannelModel.parse(channel), (32, 40), monkeypatch,
+                                        far=True)
+    assert ties >= 20
 
 
 @pytest.mark.parametrize("code", ["rlc:2", "rlc:3"])
