@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channel import ChannelModel
-from .coding import CodeSpec
+from .coding import CodeSpec, TransferResult
 from .protocol import FiniteStateProtocol, Party, Table, _advance_rows, _bit_rows, walk
 from .vertical import (
     ColumnWire,
@@ -238,21 +238,21 @@ def _exchange_tail_tables(
     ch: ChannelModel,
     side_code: CodeSpec,
     rng: np.random.Generator,
-) -> tuple[dict[Party, np.ndarray], int, int]:
+) -> tuple[dict[Party, np.ndarray], tuple[TransferResult, ...]]:
     """Each party sends raw M-bit truth tables for its rounds in every
     block's tail. Returns, per party, its assembled (rows, tail, M) tables
-    (own rounds exact, counterpart rounds as decoded), plus the logical bits
-    and channel uses spent."""
+    (own rounds exact, counterpart rounds as decoded), plus the two
+    transfers."""
     start = m - tail if placement == "last" else 0  # columns before the tail
     tails = pp.tables.reshape(m, m, pp.M)[:, start:start + tail]
     # a party's tail columns: tail offsets whose round has its parity
     own = {q: np.s_[:, (q.parity - start - 1) % 2::2] for q in (Party.ALICE, Party.BOB)}
-    heard, bits_used, channel_uses = exchange({q: tails[own[q]] for q in own}, side_code,
-                                              ch, rng, matrix_seed=m + 5)
+    heard, transfers = exchange({q: tails[own[q]] for q in own}, side_code, ch, rng,
+                                matrix_seed=m + 5)
     assembled = {q: tails.copy() for q in own}
     for q in own:
         assembled[q][own[q.other]] = heard[q]
-    return assembled, bits_used, channel_uses
+    return assembled, transfers
 
 
 def _tail_finals(p: FiniteStateProtocol, tails: Mapping[Party, np.ndarray],
@@ -308,20 +308,17 @@ def tail_exhaustive_lookahead(p: FiniteStateProtocol, tail: int, placement: str,
         raise ValueError(f"placement must be one of {PLACEMENTS}, not {placement!r}")
     if not 1 <= tail <= m:
         raise ValueError(f"tail must be from 1 to {m} rounds, not {tail}")
-    tails, bits_used, channel_uses = _exchange_tail_tables(p, m, tail, placement, ch,
-                                                           side_code, rng)
+    tails, transfers = _exchange_tail_tables(p, m, tail, placement, ch, side_code, rng)
     if placement == "last":
         finals, bad = _tail_finals(p, tails, m - 1)
         return LookaheadResult((p.initial_state, *finals[Party.ALICE]),
-                               (p.initial_state, *finals[Party.BOB]),
-                               bits_used, channel_uses,
+                               (p.initial_state, *finals[Party.BOB]), transfers,
                                failure=_merge_failure(bad) if bad else None, tail_len=tail)
     _, bad = _tail_finals(p, tails, m)
     if bad:
-        return LookaheadResult((), (), bits_used, channel_uses,
-                               failure=_merge_failure(bad), tail_len=tail)
-    return LookaheadResult((), (), bits_used, channel_uses, tail_len=tail,
-                           coincidence_ok=True, wire=TailWire(tails))
+        return LookaheadResult((), (), transfers, failure=_merge_failure(bad), tail_len=tail)
+    return LookaheadResult((), (), transfers, tail_len=tail, coincidence_ok=True,
+                           wire=TailWire(tails))
 
 
 def tail_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: CodeSpec,
@@ -333,10 +330,10 @@ def tail_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: CodeSpe
     m = padded_side(pp)
     K = coincidence_horizon(pp.advance, pp.M)
     if K is None:
-        return LookaheadResult((), (), 0, 0, failure="advance function is not coinciding")
+        return LookaheadResult((), (), failure="advance function is not coinciding")
     tail = tail_length(pp.n, max(1, K))
     if tail > m:
-        return LookaheadResult((), (), 0, 0,
+        return LookaheadResult((), (),
                                failure=f"tail of {tail} rounds does not fit in blocks of {m}")
     return tail_exhaustive_lookahead(pp, tail, placement, ch, side_code, rng)
 

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channel import ChannelModel
-from .coding import CodeSpec
+from .coding import CodeSpec, TransferResult
 from .protocol import (
     FiniteStateProtocol,
     Party,
@@ -115,7 +115,7 @@ def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
     own_value = {q: np.where(own_last[q] > 0, value[rows, own_last[q] - 1], 0) for q in parties}
 
     # first exchange: per block, the compressed last-constant index and value
-    heard, bits_used, channel_uses = exchange(
+    heard, first = exchange(
         {q: np.hstack((_pack_index(own_last[q], _index_width(m, q)), own_value[q][:, None]))
          for q in parties}, side_code, ch, rng, matrix_seed=m + 1)
     heard_last = {q: _unpack_index(heard[q][:, :-1], m, q.other) for q in parties}
@@ -129,9 +129,7 @@ def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
         own[:, 1 - q.parity:m:2] = value[:, 1 - q.parity::2]
         after = np.bitwise_xor.accumulate(own[:, ::-1], axis=1)[:, ::-1]
         parities[q] = after[rows, np.maximum(own_last[q], heard_last[q])]
-    heard_parity, bits, uses = exchange(parities, side_code, ch, rng, matrix_seed=m + 3)
-    bits_used += bits
-    channel_uses += uses
+    heard_parity, second = exchange(parities, side_code, ch, rng, matrix_seed=m + 3)
 
     def fold(q: Party) -> tuple[int, ...]:
         # from entry state s a block ends in the later constant's value (or s when
@@ -142,7 +140,7 @@ def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
         return tuple(chain(ends ^ (parities[q] ^ heard_parity[q])[:, None],
                            p.initial_state).tolist())
 
-    return LookaheadResult(fold(Party.ALICE), fold(Party.BOB), bits_used, channel_uses)
+    return LookaheadResult(fold(Party.ALICE), fold(Party.BOB), first + second)
 
 
 def simulate_two_state(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpec,
@@ -198,10 +196,6 @@ def all_two_state_advances() -> tuple[tuple[tuple[int, int], tuple[int, int]], .
         ((a, b), (c, d))
         for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)
     )
-
-
-def interactive_two_state_advances() -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    return tuple(e for e in all_two_state_advances() if classify_advance(e).interactive)
 
 
 def random_two_state_protocol(n: int, seed: int | np.random.Generator,
@@ -260,22 +254,23 @@ class ExhaustiveWire(ColumnWire):
 
 
 def _merge_points(tables: np.ndarray, advance: np.ndarray, ch: ChannelModel, side_code: CodeSpec,
-                  rng: np.random.Generator) -> tuple[dict[Party, np.ndarray], int, int]:
+                  rng: np.random.Generator,
+                  ) -> tuple[dict[Party, np.ndarray], tuple[TransferResult, ...]]:
     """The exhaustive scheme's exchange over a (rows, m, 2) table grid: each
     party sends the compressed index of its first constant-making round per
     row and takes the earlier of the two (m + 1 if neither) as the row's
-    merge point. Returns each party's merge points, the bits and the uses."""
+    merge point. Returns each party's merge points and the two transfers."""
     m = tables.shape[1]
     parties = (Party.ALICE, Party.BOB)
     const, _ = _grid_composites(tables, advance, m)
     own_first = {q: _own_const_index(const, q, last=False) for q in parties}
-    heard, bits_used, channel_uses = exchange(
+    heard, transfers = exchange(
         {q: _pack_index(own_first[q], _index_width(m, q)) for q in parties},
         side_code, ch, rng, matrix_seed=m + 1)
     beliefs = {q: np.minimum(*(np.where(t > 0, t, m + 1)
                                for t in (own_first[q], _unpack_index(heard[q], m, q.other))))
                for q in parties}
-    return beliefs, bits_used, channel_uses
+    return beliefs, transfers
 
 
 def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.ndarray]], int]:
@@ -297,14 +292,14 @@ def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.
         raise ValueError(f"blocks must be a (blocks, m, 2) stack, not shape {tables.shape}")
     m = tables.shape[1]
     advance = np.array(eta, dtype=np.intp)
-    beliefs, bits_used, _ = _merge_points(tables, advance, ChannelModel.parse("bsc:0"),
-                                          CodeSpec.parse("rep:1"), np.random.default_rng(0))
+    beliefs, transfers = _merge_points(tables, advance, ChannelModel.parse("bsc:0"),
+                                       CodeSpec.parse("rep:1"), np.random.default_rng(0))
     both = np.tile(np.arange(2), (len(tables), 1))
     runs = run_columns({q: tables[:, 1 - q.parity::2] for q in beliefs}, advance,
                        {q: both for q in beliefs}, ExhaustiveWire(cls, beliefs, m),
                        lambda j, bits: bits)
-    return {q: (bits.transpose(1, 2, 0), states[-1])
-            for q, (bits, states) in runs.items()}, m + bits_used // len(tables)
+    return ({q: (bits.transpose(1, 2, 0), states[-1]) for q, (bits, states) in runs.items()},
+            m + sum(t.bits.size for t in transfers) // len(tables))
 
 
 def exhaustive_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: CodeSpec,
@@ -320,10 +315,9 @@ def exhaustive_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: C
     cls = classify_advance(pp.advance)
     if not cls.interactive:
         return genie_provider(pp, ch, side_code, rng)
-    beliefs, bits_used, channel_uses = _merge_points(pp.tables.reshape(m, m, 2),
-                                                     pp.advance_array, ch, side_code, rng)
-    return LookaheadResult((), (), bits_used, channel_uses,
-                           wire=ExhaustiveWire(cls, beliefs, m))
+    beliefs, transfers = _merge_points(pp.tables.reshape(m, m, 2), pp.advance_array, ch,
+                                       side_code, rng)
+    return LookaheadResult((), (), transfers, wire=ExhaustiveWire(cls, beliefs, m))
 
 
 def exhaustive_two_state(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpec,

@@ -23,6 +23,11 @@ only that wire mapping (``ColumnWire``). This module alone builds the
 ``SimulationReport`` and decides each party's correctness, by checking the
 states the column loop walked against the tables; it runs the protocol only
 after an error.
+
+Every count in a report is read from the trial's ledger: its transfers in
+send order, the provider's side transfers (``LookaheadResult.transfers``)
+first, then one per sent column. ``channel_uses`` sums the whole ledger, and
+``accounting`` checks it against the sums over the two parts.
 """
 
 from __future__ import annotations
@@ -99,21 +104,26 @@ class LookaheadResult:
 
     ``alice_states`` and ``bob_states`` are length-``rows`` tuples giving the
     state at the start of each row; they are empty when ``wire`` carries one
-    branch per start state instead. ``failure`` is a diagnostic string when
-    the provider could not commit to an answer (the simulation then aborts
-    rather than run from states known to be wrong). ``coincidence_ok`` is the
-    report's value for a run that does not abort; ``wire`` replaces the plain
+    branch per start state instead. ``transfers`` holds the provider's side
+    transfers in send order (none for the genie), and ``bits_used`` sums
+    their payload bits. ``failure`` is a diagnostic string when the provider
+    could not commit to an answer (the simulation then aborts rather than
+    run from states known to be wrong). ``coincidence_ok`` is the report's
+    value for a run that does not abort; ``wire`` replaces the plain
     transcript-bit columns.
     """
 
     alice_states: tuple[int, ...]
     bob_states: tuple[int, ...]
-    bits_used: int
-    channel_uses: int
+    transfers: tuple[TransferResult, ...] = ()
     failure: str | None = None
     tail_len: int | None = None
     coincidence_ok: bool | None = None
     wire: ColumnWire | None = None
+
+    @property
+    def bits_used(self) -> int:
+        return sum(t.bits.size for t in self.transfers)
 
 
 LookaheadProvider = Callable[
@@ -124,20 +134,16 @@ LookaheadProvider = Callable[
 
 def exchange(payloads: Mapping[Party, np.ndarray], side: CodeSpec, ch: ChannelModel,
              rng: np.random.Generator, matrix_seed: int,
-             ) -> tuple[dict[Party, np.ndarray], int, int]:
+             ) -> tuple[dict[Party, np.ndarray], tuple[TransferResult, ...]]:
     """One side exchange: Alice sends her payload, then Bob his, each as one
     coded transfer with ``side`` and generator seed ``matrix_seed + k``.
     Returns what each party heard from the other, in the shape of the sent
-    payload, plus the bits sent and the channel uses."""
-    heard: dict[Party, np.ndarray] = {}
-    bits_used = channel_uses = 0
-    for k, sender in enumerate((Party.ALICE, Party.BOB)):
-        payload = payloads[sender]
-        transfer = convey(side, payload.ravel(), ch, rng, matrix_seed=matrix_seed + k)
-        bits_used += payload.size
-        channel_uses += transfer.channel_uses
-        heard[sender.other] = transfer.bits.reshape(payload.shape)
-    return heard, bits_used, channel_uses
+    payload, plus Alice's and Bob's ``TransferResult``."""
+    senders = (Party.ALICE, Party.BOB)
+    transfers = tuple(convey(side, payloads[q].ravel(), ch, rng, matrix_seed=matrix_seed + k)
+                      for k, q in enumerate(senders))
+    return {q.other: t.bits.reshape(payloads[q].shape)
+            for q, t in zip(senders, transfers)}, transfers
 
 
 def genie_provider(pp: FiniteStateProtocol, ch: ChannelModel, side: CodeSpec | None,
@@ -148,7 +154,7 @@ def genie_provider(pp: FiniteStateProtocol, ch: ChannelModel, side: CodeSpec | N
     m = padded_side(pp)
     finals = walk(pp.advance_array, pp.tables.reshape(m, m, pp.M), np.arange(pp.M))[-1]
     states = tuple(chain(finals, pp.initial_state).tolist())
-    return LookaheadResult(states, states, 0, 0)
+    return LookaheadResult(states, states)
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,7 +283,7 @@ def simulate_vertical(
     m = grid_side(p.n)
     pp = pad_protocol(p, m * m)
     la = provider(pp, ch, side, rng)
-    transfers: list[TransferResult] = []
+    ledger = list(la.transfers)
     correct = {Party.ALICE: False, Party.BOB: False}
     if la.failure is None:
         wire = la.wire or ColumnWire()
@@ -290,7 +296,7 @@ def simulate_vertical(
 
         def carry(j: int, bits: np.ndarray) -> np.ndarray:
             transfer = convey(code_spec, bits, ch, rng, matrix_seed=j)
-            transfers.append(transfer)
+            ledger.append(transfer)
             return transfer.bits
 
         # with an even grid side (or one round) column j of a row is the owner's
@@ -299,7 +305,7 @@ def simulate_vertical(
         runs = run_columns(owned, pp.advance_array, starts, wire, carry)
         correct = _correct(pp, runs)
 
-    vertical_uses = sum(t.channel_uses for t in transfers)
+    sides, columns = ledger[:len(la.transfers)], ledger[len(la.transfers):]
     return SimulationReport(
         scheme=scheme,
         channel=sys.intern(ch.name),
@@ -310,15 +316,15 @@ def simulate_vertical(
         m=m,
         rows=m,
         states=p.M,
-        channel_uses=vertical_uses + la.channel_uses,
-        vertical_uses=vertical_uses,
-        lookahead_uses=la.channel_uses,
-        lookahead_bits=la.bits_used,
+        channel_uses=sum(t.channel_uses for t in ledger),
+        vertical_uses=sum(t.channel_uses for t in columns),
+        lookahead_uses=sum(t.channel_uses for t in sides),
+        lookahead_bits=sum(t.bits.size for t in sides),
         rate_target=code_spec.rate,
         side_rate=None if side is None else side.rate,
         alice_correct=correct[Party.ALICE],
         bob_correct=correct[Party.BOB],
-        column_errors=_shared(tuple(not t.intact for t in transfers)),
+        column_errors=_shared(tuple(not t.intact for t in columns)),
         lookahead_failure=la.failure,
         coincidence_ok=False if la.failure is not None else la.coincidence_ok,
         tail_len=la.tail_len,
@@ -361,7 +367,8 @@ def overhead_bound(report: SimulationReport) -> float:
 
 
 def accounting(report: SimulationReport) -> AuditRecord:
-    """Audit a report: overhead within bound, uses split exactly."""
+    """Audit a report: overhead within bound, and its total channel uses
+    (summed over the whole ledger) equal to its two phase sums."""
     ideal = report.n_padded / report.rate_target
     overhead = report.channel_uses - ideal
     bound = overhead_bound(report)

@@ -34,7 +34,6 @@ from icsim.threestate import (
     disj_via_protocol,
 )
 from icsim.twostate import (
-    interactive_two_state_advances,
     random_two_state_protocol,
     run_exhaustive_block,
     simulate_two_state,
@@ -42,6 +41,7 @@ from icsim.twostate import (
 
 NOISELESS = ChannelModel.bsc(0.0)
 MARKOV4 = tuple((((s << 1) & 3), ((s << 1) & 3) | 1) for s in range(4))
+INTERACTIVE = tuple(e for e in ts.all_two_state_advances() if ts.classify_advance(e).interactive)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ def test_criterion_1_oracle_equivalence_noiseless():
 
 def test_criterion_2_lookahead_algebra():
     by_type: dict[str, list] = {}
-    for eta in interactive_two_state_advances():
+    for eta in INTERACTIVE:
         by_type.setdefault(ts.classify_advance(eta).category, []).append(eta)
     reps = [eta for cat in sorted(by_type) for eta in sorted(by_type[cat])[:2]]
     assert len(reps) == 6
@@ -117,7 +117,7 @@ def test_criterion_3_exhaustive_two_state_blocks():
     for m in range(1, 7):
         budget = m + 2 * math.ceil(math.log2(m + 1)) + 2
         blocks = list(product(ts.ALL_TABLES2, repeat=m))
-        for eta in interactive_two_state_advances():
+        for eta in INTERACTIVE:
             runs, bits_used = run_exhaustive_block(eta, blocks)
             assert bits_used <= budget
             alice, bob = (runs[q][0].tolist() for q in (Party.ALICE, Party.BOB))

@@ -153,7 +153,7 @@ def test_exhaustive_starts_of_a_non_interactive_advance_match_run_protocol(advan
     pp = _protocol(2, advance, np.random.default_rng(seed).integers(0, 2, size=(m * m, 2)), s0)
     truth = run_protocol(pp).states[:-1:m]
     la = exhaustive_lookahead(pp, ChannelModel.parse("bsc:0"), REP1, np.random.default_rng(0))
-    assert (la.alice_states, la.bob_states, la.channel_uses) == (truth, truth, 0)
+    assert (la.alice_states, la.bob_states, la.transfers) == (truth, truth, ())
 
 
 def test_the_four_non_interactive_two_state_advances_are_covered():

@@ -310,7 +310,7 @@ def test_star_import_resolves_every_export():
     assert sorted(public.symmetric_difference(icsim.__all__)) == []
 
 
-# exports that no package module or perfbench script uses, each with its reason
+# public names that no package module or perfbench script uses, each with its reason
 UNUSED_EXPORTS = {
     "save_protocol": "the protocol-file writer, the inverse of load_protocol",
     "build_example2": "the reference construction the three-state tests compare against",
@@ -320,22 +320,29 @@ UNUSED_EXPORTS = {
 
 
 def test_every_export_is_used_outside_the_tests():
-    # a name is used where a module reads it (as a name or an attribute) or
-    # names it in a string, as perfbench's tracer does with what it patches;
-    # perfbench's own checks count, since the benchmark reads what they read
+    # every export, and every public module-level function or class of an
+    # icsim module, must be used: a name is used where a module reads it (as
+    # a name or an attribute) or names it in a string, as perfbench's tracer
+    # does with what it patches; perfbench's own checks count, since the
+    # benchmark reads what they read
     import icsim
 
     root = Path(icsim.__file__).parents[2]
     files = [p for p in (root / "src" / "icsim").glob("*.py") if p.name != "__init__.py"]
-    used = set()
+    public, used = set(icsim.__all__), set()
     for path in files + sorted((root / "perfbench").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        if path in files:
+            public.update(node.name for node in tree.body
+                          if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                          and not node.name.startswith("_"))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
-    unused = set(icsim.__all__) - used
+    unused = public - used
     assert sorted(unused - set(UNUSED_EXPORTS)) == []
     assert sorted(set(UNUSED_EXPORTS) - unused) == []  # an entry goes once its name is used

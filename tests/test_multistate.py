@@ -409,7 +409,8 @@ def test_mstate_tail_longer_than_block_fails_the_lookahead(placement):
 
 def reference_tail_exchange(pp, m, tail, placement, ch, side_code, rng):
     """Raw tail tables sent one round at a time; per party, each block's
-    list of tail tables (own exact, counterpart's as decoded)."""
+    list of tail tables (own exact, counterpart's as decoded), plus the
+    payload length and channel uses of each transfer."""
     M = pp.M
     parties = (Party.ALICE, Party.BOB)
     views = {q: party_view(pp, q) for q in parties}
@@ -421,20 +422,27 @@ def reference_tail_exchange(pp, m, tail, placement, ch, side_code, rng):
     positions = (list(range(m - tail + 1, m + 1)) if placement == "last"
                  else list(range(1, tail + 1)))
     own_pos = {q: [t for t in positions if t % 2 == q.parity] for q in parties}
-    bits_used = channel_uses = 0
+    sent = []
     heard = {}
     for k, sender in enumerate(parties):
         payload = [b for r in range(m) for t in own_pos[sender]
                    for b in own(sender, r * m + t)]
         transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 5 + k)
-        bits_used += len(payload)
-        channel_uses += transfer.channel_uses
+        sent.append((len(payload), transfer.channel_uses))
         slots = [(r, t) for r in range(m) for t in own_pos[sender]]
         heard[sender.other] = {rt: tuple(transfer.bits[i * M:(i + 1) * M].tolist())
                                for i, rt in enumerate(slots)}
     tails = {q: [[own(q, r * m + t) if t % 2 == q.parity else heard[q][(r, t)]
                   for t in positions] for r in range(m)] for q in parties}
-    return tails, bits_used, channel_uses
+    return tails, sent
+
+
+def assert_side_ledger(la, sent):
+    """``la`` made the reference's side transfers: each one's payload length
+    and channel uses, and their totals."""
+    assert [(t.bits.size, t.channel_uses) for t in la.transfers] == sent
+    assert (la.bits_used, sum(t.channel_uses for t in la.transfers)) == \
+        (sum(bits for bits, _ in sent), sum(uses for _, uses in sent))
 
 
 def reference_tail_walk(p, tails, blocks):
@@ -487,29 +495,28 @@ def test_tail_lookaheads_match_per_round_reference(case, channel, side):
 
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = tail_exhaustive_lookahead(p, tail, "last", ch, code, rng)
-    tails, bits_used, channel_uses = reference_tail_exchange(p, m, tail, "last", ch, code,
-                                                             ref_rng)
+    tails, sent = reference_tail_exchange(p, m, tail, "last", ch, code, ref_rng)
     finals, bad = reference_tail_walk(p, tails, m - 1)
     failure = f"trajectories did not merge in blocks {sorted(bad)}" if bad else None
-    assert got == LookaheadResult((p.initial_state, *finals[Party.ALICE]),
-                                  (p.initial_state, *finals[Party.BOB]),
-                                  bits_used, channel_uses, failure=failure, tail_len=tail)
+    assert replace(got, transfers=()) == LookaheadResult(
+        (p.initial_state, *finals[Party.ALICE]), (p.initial_state, *finals[Party.BOB]),
+        failure=failure, tail_len=tail)
+    assert_side_ledger(got, sent)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = tail_exhaustive_lookahead(p, tail, "first", ch, code, rng)
-    tails, bits_used, channel_uses = reference_tail_exchange(p, m, tail, "first", ch, code,
-                                                             ref_rng)
+    tails, sent = reference_tail_exchange(p, m, tail, "first", ch, code, ref_rng)
     _, bad = reference_tail_walk(p, tails, m)
+    assert_side_ledger(got, sent)
     if bad:
-        want = LookaheadResult((), (), bits_used, channel_uses,
+        want = LookaheadResult((), (),
                                failure=f"trajectories did not merge in blocks {sorted(bad)}",
                                tail_len=tail)
-        assert got == want
+        assert replace(got, transfers=()) == want
     else:
-        want = LookaheadResult((), (), bits_used, channel_uses, tail_len=tail,
-                               coincidence_ok=True)
-        assert replace(got, wire=None) == want
+        want = LookaheadResult((), (), tail_len=tail, coincidence_ok=True)
+        assert replace(got, wire=None, transfers=()) == want
         for q in (Party.ALICE, Party.BOB):
             assert np.array_equal(got.wire.tails[q], np.array(tails[q]).reshape(m, tail, -1))
     assert rng.bit_generator.state == ref_rng.bit_generator.state

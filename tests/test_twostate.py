@@ -27,7 +27,6 @@ from icsim.twostate import (
     classify_advance,
     exhaustive_lookahead,
     exhaustive_two_state,
-    interactive_two_state_advances,
     random_two_state_protocol,
     run_exhaustive_block,
     run_lookahead_exchange,
@@ -40,6 +39,7 @@ FOLLOW = ((0, 1), (0, 1))          # eta(s, tau) = tau
 AND = ((0, 0), (0, 1))             # eta(s, tau) = s and tau
 NAND = ((1, 1), (1, 0))            # eta(s, tau) = 1 xor (s and tau)
 PARTIES = (Party.ALICE, Party.BOB)
+INTERACTIVE = tuple(e for e in all_two_state_advances() if classify_advance(e).interactive)
 
 
 def _composites(p):
@@ -273,7 +273,7 @@ def _direct_block(eta, tables, s0):
 
 def test_exhaustive_block_exhaustive_m3():
     blocks = list(itertools.product(ALL_TABLES2, repeat=3))
-    for eta in interactive_two_state_advances():
+    for eta in INTERACTIVE:
         bits, finals = _agreed(run_exhaustive_block(eta, blocks)[0])
         for b, tables in enumerate(blocks):
             for s0 in (0, 1):
@@ -384,15 +384,14 @@ def reference_lookahead_exchange(p, ch, side_code, rng):
                 if constant:
                     t_last, val = t, value
             own_last[q].append((t_last, val))
-    bits_used = channel_uses = 0
+    sent = []
     heard1 = {}
     for k, sender in enumerate(parties):
         width = _ref_width(m, sender)
         payload = [b for t, v in own_last[sender]
                    for b in (*_ref_int_to_bits((t + 1) // 2, width), v)]
         transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 1 + k)
-        bits_used += len(payload)
-        channel_uses += transfer.channel_uses
+        sent.append((len(payload), transfer.channel_uses))
         chunks = [transfer.bits[r * (width + 1):(r + 1) * (width + 1)].tolist() for r in range(m)]
         heard1[sender.other] = [(_ref_decode_index(_ref_bits_to_int(c[:-1]), m, sender), c[-1])
                                 for c in chunks]
@@ -409,8 +408,7 @@ def reference_lookahead_exchange(p, ch, side_code, rng):
     heard2 = {}
     for k, sender in enumerate(parties):
         transfer = convey(side_code, parities[sender], ch, rng, matrix_seed=m + 3 + k)
-        bits_used += m
-        channel_uses += transfer.channel_uses
+        sent.append((m, transfer.channel_uses))
         heard2[sender.other] = transfer.bits.tolist()
 
     def fold(q):
@@ -426,38 +424,45 @@ def reference_lookahead_exchange(p, ch, side_code, rng):
             s ^= parities[q][r] ^ heard2[q][r]
         return tuple(vec)
 
-    return LookaheadResult(fold(Party.ALICE), fold(Party.BOB), bits_used, channel_uses)
+    return LookaheadResult(fold(Party.ALICE), fold(Party.BOB)), sent
 
 
 def reference_merge_points(p, ch, side_code, rng):
     """The exhaustive scheme's first-constant exchange, one block at a time:
-    each party's believed merge point per block, plus bits and uses spent."""
+    each party's believed merge point per block, plus the payload length and
+    channel uses of each transfer."""
     m = math.isqrt(p.n)
     parties = (Party.ALICE, Party.BOB)
     own_first = {q: [min((t for t, (constant, _) in _ref_composites(p, q, m, r).items()
                           if constant), default=0) for r in range(m)] for q in parties}
-    bits_used = channel_uses = 0
+    sent = []
     heard = {}
     for k, sender in enumerate(parties):
         w = _ref_width(m, sender)
         payload = [b for t in own_first[sender] for b in _ref_int_to_bits((t + 1) // 2, w)]
         transfer = convey(side_code, payload, ch, rng, matrix_seed=m + 1 + k)
-        bits_used += len(payload)
-        channel_uses += transfer.channel_uses
+        sent.append((len(payload), transfer.channel_uses))
         heard[sender.other] = [
             _ref_decode_index(_ref_bits_to_int(transfer.bits[r * w:(r + 1) * w]), m, sender)
             for r in range(m)]
     beliefs = {q: [min([t for t in (own_first[q][r], heard[q][r]) if t], default=m + 1)
                    for r in range(m)] for q in parties}
-    return beliefs, bits_used, channel_uses
+    return beliefs, sent
+
+
+def assert_side_ledger(la, sent):
+    """``la`` made the reference's side transfers: each one's payload length
+    and channel uses, and their totals."""
+    assert [(t.bits.size, t.channel_uses) for t in la.transfers] == sent
+    assert (la.bits_used, sum(t.channel_uses for t in la.transfers)) == \
+        (sum(bits for bits, _ in sent), sum(uses for _, uses in sent))
 
 
 def _noisy_two_state(n, seed, interactive):
     m = grid_side(n)
     advance = None
     if interactive:
-        advances = interactive_two_state_advances()
-        advance = advances[seed % len(advances)]
+        advance = INTERACTIVE[seed % len(INTERACTIVE)]
     return m, pad_protocol(random_two_state_protocol(n, seed, advance=advance), m * m)
 
 
@@ -472,7 +477,9 @@ def test_lookahead_exchange_matches_per_round_reference(n, seed, channel, side):
     ch, code = ChannelModel.parse(channel), CodeSpec.parse(side)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = run_lookahead_exchange(p, ch, code, rng)
-    assert got == reference_lookahead_exchange(p, ch, code, ref_rng)
+    want, sent = reference_lookahead_exchange(p, ch, code, ref_rng)
+    assert replace(got, transfers=()) == want
+    assert_side_ledger(got, sent)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -483,8 +490,9 @@ def test_exhaustive_merge_points_match_per_round_reference(n, seed, channel, sid
     ch, code = ChannelModel.parse(channel), CodeSpec.parse(side)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = exhaustive_lookahead(p, ch, code, rng)
-    beliefs, bits_used, channel_uses = reference_merge_points(p, ch, code, ref_rng)
-    assert replace(got, wire=None) == LookaheadResult((), (), bits_used, channel_uses)
+    beliefs, sent = reference_merge_points(p, ch, code, ref_rng)
+    assert replace(got, wire=None, transfers=()) == LookaheadResult((), ())
+    assert_side_ledger(got, sent)
     cols = np.arange(1, m + 1)
     for q in (Party.ALICE, Party.BOB):
         want = np.sign(cols - np.array(beliefs[q])[:, None]) + 1

@@ -1,5 +1,7 @@
 """Vertical simulation: scheduling, the genie, the column loop, accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import icsim.vertical
 from icsim.channel import ChannelModel
-from icsim.coding import CodeSpec
+from icsim.coding import CodeSpec, TransferResult
 from icsim.harness import ExperimentConfig, run_sweep, run_trial
 from icsim.multistate import all_tables, tail_exhaustive_lookahead, tail_lookahead
 from icsim.protocol import (
@@ -87,6 +89,25 @@ def _count_protocol_runs(monkeypatch) -> list[int]:
     return calls
 
 
+def _record_transfers(monkeypatch) -> list[tuple[int, int, int, bool]]:
+    """Record every transfer through ``icsim.vertical.convey``, side and
+    column alike, as (matrix seed, payload bits, channel uses, intact)."""
+    recorded = []
+    send = icsim.vertical.convey
+
+    def record(spec, bits, ch, rng, matrix_seed=0):
+        result = send(spec, bits, ch, rng, matrix_seed=matrix_seed)
+        recorded.append((matrix_seed, len(bits), result.channel_uses, result.intact))
+        return result
+
+    monkeypatch.setattr(icsim.vertical, "convey", record)
+    return recorded
+
+
+def _transfer(bits: int, uses: int) -> TransferResult:
+    return TransferResult(np.zeros(bits, dtype=np.uint8), uses, True)
+
+
 def test_noisy_genie_trial_runs_the_protocol_only_when_a_party_is_wrong(monkeypatch):
     calls = _count_protocol_runs(monkeypatch)
     cfg = ExperimentConfig(scheme="genie", channel="bsc:0.05", code="rep:3")
@@ -128,7 +149,8 @@ def test_above_capacity_oracle_code_fails_loudly():
 
 def test_lookahead_failure_aborts_without_guessing():
     def broken_provider(pp, ch, side, rng):
-        return LookaheadResult((), (), 12, 30, failure="no merge in block 2")
+        return LookaheadResult((), (), (_transfer(5, 10), _transfer(7, 20)),
+                               failure="no merge in block 2")
 
     p = random_two_state_protocol(16, seed=2)
     rng = np.random.default_rng(0)
@@ -136,8 +158,9 @@ def test_lookahead_failure_aborts_without_guessing():
                                broken_provider, rng, scheme="two-state")
     assert report.lookahead_failure == "no merge in block 2"
     assert not report.alice_correct and not report.bob_correct
-    assert report.channel_uses == 30
+    assert report.channel_uses == report.lookahead_uses == 30
     assert report.lookahead_bits == 12
+    assert report.vertical_uses == 0 and report.column_errors == ()
 
 
 def test_accounting_zero_overhead_when_rate_divides():
@@ -178,15 +201,65 @@ def test_mstate_last_overhead_needs_the_ceil_slack_term(seed):
 def test_accounting_exact_split():
     def costly_provider(pp, ch, side, rng):
         states = genie_provider(pp, ch, side, rng).alice_states
-        return LookaheadResult(states, states, 40, 100)
+        return LookaheadResult(states, states, (_transfer(25, 60), _transfer(15, 40)))
 
     p = random_two_state_protocol(64, seed=3)
     rng = np.random.default_rng(2)
     report = simulate_vertical(p, ChannelModel.bsc(0.05), CodeSpec.parse("oracle:0.3"),
                                costly_provider, rng, scheme="two-state")
     assert report.channel_uses == report.vertical_uses + report.lookahead_uses
-    assert report.lookahead_uses == 100
+    assert report.lookahead_uses == 100 and report.lookahead_bits == 40
     assert report.vertical_uses == 8 * int(np.ceil(8 / 0.3))
+    assert accounting(report).exact_split
+
+
+def test_accounting_rejects_a_split_that_drops_a_side_transfer(monkeypatch):
+    recorded = _record_transfers(monkeypatch)
+    cfg = ExperimentConfig(scheme="two-state", channel="bsc:0.05", code="rep:3")
+    report = run_trial(cfg, 1024, 0)
+    assert accounting(report).passed
+    _, _, uses, _ = recorded[0]  # Alice's first side transfer
+    audit = accounting(replace(report, lookahead_uses=report.lookahead_uses - uses))
+    assert (audit.exact_split, audit.passed, audit.note) == (False, False, "split mismatch")
+
+
+MARKOV2 = {"type": "markovian", "log_M": 1, "functions": "all"}
+
+
+@pytest.mark.parametrize("scheme, protocol, placement, sides", [
+    ("genie", {"type": "two-state"}, "last", 0),
+    ("two-state", {"type": "two-state"}, "last", 4),
+    ("two-state-exhaustive", {"type": "two-state", "advance": [[0, 1], [0, 1]]}, "last", 2),
+    ("m-state", MARKOV2, "last", 2),
+    ("m-state", MARKOV2, "first", 2),
+    # balanced tables never merge the two trajectories: every trial aborts
+    ("m-state", {**MARKOV2, "functions": "balanced"}, "last", 2),
+], ids=["genie", "two-state", "two-state-exhaustive", "m-state-last", "m-state-first",
+        "m-state-merge-failure"])
+def test_the_report_counts_every_transfer_of_its_trial(monkeypatch, scheme, protocol,
+                                                       placement, sides):
+    recorded = _record_transfers(monkeypatch)
+    cfg = ExperimentConfig(scheme=scheme, protocol=protocol, placement=placement,
+                           channel="bsc:0.05", code="rep:3", side_code="rep:1")
+    completed = 0
+    for trial in range(4):
+        recorded.clear()
+        report = run_trial(cfg, 1024, trial)
+        # side transfers take matrix seeds above m, column j takes seed j
+        side = [r for r in recorded if r[0] > report.m]
+        columns = recorded[len(side):]
+        assert side == recorded[:sides] and all(1 <= r[0] <= report.m for r in columns)
+        assert report.lookahead_bits == sum(bits for _, bits, _, _ in side)
+        assert report.lookahead_uses == sum(uses for _, _, uses, _ in side)
+        assert report.vertical_uses == sum(uses for _, _, uses, _ in columns)
+        assert report.channel_uses == sum(uses for _, _, uses, _ in recorded)
+        assert report.column_errors == tuple(not intact for *_, intact in columns)
+        if report.lookahead_failure is None:
+            completed += bool(columns)
+        else:  # a merge failure aborts after the side transfers
+            assert report.lookahead_failure.startswith("trajectories did not merge")
+            assert columns == []
+    assert completed == 0 if "balanced" in protocol.values() else completed > 0
 
 
 def test_noisy_decode_errors_show_up_per_column():
@@ -264,7 +337,7 @@ def test_a_wrong_row_start_falls_back_to_the_clean_execution(monkeypatch, tables
     def one_wrong_start(pp, ch, side, rng):
         states = list(genie_provider(pp, ch, side, rng).alice_states)
         states[2] ^= 1
-        return LookaheadResult(tuple(states), tuple(states), 0, 0)
+        return LookaheadResult(tuple(states), tuple(states))
 
     calls = _count_protocol_runs(monkeypatch)
     report = simulate_vertical(p, NOISELESS, CodeSpec.parse("rep:1"), one_wrong_start,
