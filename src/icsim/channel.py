@@ -7,10 +7,12 @@ Three channel families are supported, each a (kind, parameter) pair:
 * ``awgn`` : antipodal signaling 0 -> +1, 1 -> -1 plus Gaussian noise with
              standard deviation sigma; real-valued output
 
+``transmit`` takes only bits: an entry other than exactly 0 or 1 (0.5 or
+NaN included) raises ValueError, where an int64 cast would truncate it.
 ``bit_log_likelihoods`` gathers each bsc or bec output's row from a cached
-read-only table per channel; an output outside {0, 1} (bsc) or {0, 1,
-ERASURE} (bec), or of a float type, raises ValueError. ``discrete_outputs``
-makes that check, for ``convey``'s rep sign rule and rlc distances too.
+read-only table per channel; ``convey``'s decoders do not call it. An output
+outside {0, 1} (bsc) or {0, 1, ERASURE} (bec), or of a float type, raises
+ValueError; ``discrete_outputs`` makes that check, for the decoders too.
 
 Capacity is the mutual information under uniform inputs, in bits per use.
 ``gallager_e0`` is the random-coding exponent function
@@ -127,11 +129,11 @@ class ChannelModel:
 
     def transmit(self, bits, rng: np.random.Generator) -> np.ndarray:
         """Send a bit vector through one independent channel use per bit."""
-        x = np.asarray(bits, dtype=np.int64)
+        x = _int64(bits)
+        if x is None or np.count_nonzero(x & ~1):
+            raise ValueError("inputs must be bits")
         if x.ndim != 1:
             raise ValueError("transmit expects a flat bit vector")
-        if np.count_nonzero(x & ~1):
-            raise ValueError("inputs must be bits")
         if self.kind == "bsc":
             return x ^ (rng.random(x.size) < self.param)
         if self.kind == "bec":
@@ -185,6 +187,17 @@ class ChannelModel:
             raise ValueError(f"rate {rate} outside (0, capacity={cap:.6f}); bound is vacuous")
         er = self.error_exponent(rate)
         return min(1.0, copies * math.exp(-(block_bits / rate) * er * LN2))
+
+
+def _int64(values) -> np.ndarray | None:
+    """``values`` as an int64 array, or None where a non-integer dtype holds
+    anything but exactly 0 or 1 (0.5, 1.7 and NaN among them), which an
+    int64 cast would truncate. An integer or bool array costs only its
+    dtype-kind test."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "biu" and np.count_nonzero((raw != 0) & (raw != 1)):
+        return None
+    return raw.astype(np.int64, copy=False)
 
 
 def discrete_outputs(kind: str, outputs, size: int) -> np.ndarray:

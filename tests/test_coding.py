@@ -42,9 +42,50 @@ def _reference_codebook(code):
     return messages, (messages @ code.generator) % 2
 
 
-def _first_argmax(messages, cb, ll):
-    """The message of the first maximum of the float codeword scores."""
-    return tuple(messages[int(np.argmax(cb @ ll[:, 1] + (1 - cb) @ ll[:, 0]))].tolist())
+def _ml_keys(ch, cb, y):
+    """Keys, one per codeword of ``cb`` along the last axis, whose least
+    value marks the codewords of maximum likelihood for the outputs ``y``
+    (..., b) of one codeword, read from exact sums.
+
+    On bsc P(y | word) = eps^d (1 - eps)^(b - d), d the mismatches: it falls
+    with d below eps = 1/2, rises above it and is flat at 1/2. On bec a
+    mismatch is impossible and every codeword shares the erasures' factor,
+    so it falls with the unerased mismatches. Where every codeword has
+    likelihood 0 (bsc:0 or bsc:1 off the code, bec with a mismatch in every
+    codeword), the keys are those of the channels just inside the parameter
+    range. On awgn -log P(y | word) is a constant minus a positive multiple
+    of the correlation of y with the antipodal inputs, summed by math.fsum.
+    """
+    cb, y = np.asarray(cb, dtype=np.int64), np.asarray(y)
+    if ch.kind == "awgn":
+        terms = y[..., None, :] * (1 - 2 * cb)  # exact: each input is +1 or -1
+        sums = [math.fsum(row) for row in terms.reshape(-1, cb.shape[-1]).tolist()]
+        return -np.array(sums).reshape(terms.shape[:-1])
+    y = y[..., None, :]
+    mismatches = ((cb != y) & (y != ERASURE)).sum(axis=-1)
+    if ch.kind == "bec" or ch.param < 0.5:
+        return mismatches
+    return -mismatches if ch.param > 0.5 else 0 * mismatches
+
+
+def _ml_rep_bits(ch, y, r):
+    """The smallest message of maximum likelihood of each bit of a rep:r
+    word from its outputs ``y``: 1 only if the all-ones codeword's key is
+    the lesser."""
+    keys = _ml_keys(ch, [[0] * r, [1] * r], np.asarray(y).reshape(-1, r))
+    return tuple((keys[:, 1] < keys[:, 0]).astype(int).tolist())
+
+
+def _ml_messages(ch, cb, y):
+    """The indices of the codewords ``cb`` of maximum likelihood for ``y``."""
+    keys = _ml_keys(ch, cb, y)
+    return np.flatnonzero(keys == keys.min()).tolist()
+
+
+def _ml_message(ch, messages, cb, y):
+    """The smallest of the ``messages`` (in order, with codewords ``cb``)
+    of maximum likelihood for the outputs ``y``."""
+    return tuple(np.asarray(messages[_ml_messages(ch, cb, y)[0]]).tolist())
 
 
 def test_repetition_encode(monkeypatch):
@@ -237,8 +278,8 @@ def test_convey_deterministic_given_rng_state():
 
 
 @pytest.mark.parametrize("spec", ["bsc:0.02", "bsc:0.3", "bec:0.2", "awgn:0.8"])
-def test_linear_decode_is_first_argmax_of_float_score(spec, monkeypatch):
-    # on BSC many codewords tie in exact arithmetic; the float score decides
+def test_linear_decode_is_the_smallest_ml_message(spec, monkeypatch):
+    # on bsc and bec many codewords tie exactly; the smallest message wins
     ch, rlc = ChannelModel.parse(spec), CodeSpec.parse("rlc:2")
     sent = _transmits(monkeypatch)
     rng = np.random.default_rng(5)
@@ -250,12 +291,11 @@ def test_linear_decode_is_first_argmax_of_float_score(spec, monkeypatch):
             assert np.array_equal(sent[-1][0], word)
         for _ in range(5):
             got = convey(rlc, messages[rng.integers(64)], ch, rng, matrix_seed=seed)
-            ll = ch.bit_log_likelihoods(sent[-1][1])
-            assert tuple(got.bits.tolist()) == _first_argmax(messages, cb, ll)
+            assert tuple(got.bits.tolist()) == _ml_message(ch, messages, cb, sent[-1][1])
 
 
 def _convey_per_chunk(spec, payload, ch, rng, matrix_seed):
-    """One code, one transmit and one first-argmax decode per chunk."""
+    """One code, one transmit and one exact ML decode per chunk."""
     decoded, uses = [], 0
     for idx in range(0, len(payload), RLC_CHUNK):
         part = payload[idx: idx + RLC_CHUNK]
@@ -263,7 +303,7 @@ def _convey_per_chunk(spec, payload, ch, rng, matrix_seed):
                                 seed=matrix_seed * SEED_STRIDE + idx)
         messages, cb = _reference_codebook(code)
         out = ch.transmit(np.array(part) @ code.generator % 2, rng)
-        decoded.extend(_first_argmax(messages, cb, ch.bit_log_likelihoods(out)))
+        decoded.extend(_ml_message(ch, messages, cb, out))
         uses += code.codeword_length
     return tuple(decoded), uses, tuple(decoded) == tuple(payload)
 
@@ -401,11 +441,10 @@ def test_warm_rlc_trial_builds_no_codebook(monkeypatch):
     build, send = coding._codebooks, coding.convey
     monkeypatch.setattr(coding, "_codebooks", lambda g: builds.append(g.shape) or build(g))
     monkeypatch.setattr(vertical, "convey", lambda *a, **kw: calls.append(1) or send(*a, **kw))
-    sent, scored = _transmits(monkeypatch), _scored_books(monkeypatch)
+    sent = _transmits(monkeypatch)
+    likelihoods = _counted_calls(monkeypatch, ("bit_log_likelihoods",))
     harness.run_trial(cfg, 4096, 0)
-    assert builds == [] and len(calls) == 64 and len(sent) == 64
-    # 64 columns of 8 chunks: only chunks whose nearest codeword ties are scored in floats
-    assert sum(len(books) for books in scored) <= 4
+    assert builds == [] and len(calls) == 64 and len(sent) == 64 and likelihoods == []
 
 
 def test_warm_rlc_transfers_look_up_one_book_stack_per_chunk_size(monkeypatch):
@@ -429,16 +468,7 @@ def test_warm_rlc_transfers_look_up_one_book_stack_per_chunk_size(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the nearest-codeword rule of bsc and bec rlc transfers against _ml_scores
-
-def _scored_books(monkeypatch):
-    """The books of every ``_ml_scores`` call from now on, one array a call."""
-    books_scored = []
-    score = coding._ml_scores
-    monkeypatch.setattr(coding, "_ml_scores", lambda books, b, ll:
-                        books_scored.append(np.array(books)) or score(books, b, ll))
-    return books_scored
-
+# the rlc rule against exact ML, with forced ties, on every bsc and bec regime
 
 def _chunk_codes(spec, length, matrix_seed):
     """(chunk size, codeword length, byte-major book) of each chunk of a
@@ -449,13 +479,6 @@ def _chunk_codes(spec, length, matrix_seed):
         b = math.ceil(k * spec.value)
         codes.append((k, b, coding._BOOKS(k, b, [matrix_seed * SEED_STRIDE + start])[0]))
     return codes
-
-
-def _distances(book, b, y):
-    """Hamming distance of every codeword of a byte-major book to the
-    outputs ``y``, over the positions that are not erased."""
-    words = np.unpackbits(book.T, axis=-1, count=b).astype(np.int64)
-    return ((words != y) & (y != ERASURE)).sum(axis=1)
 
 
 def _midway(book, b, word, partner, erase):
@@ -477,16 +500,14 @@ def _message_bits(index, k):
     return [(int(index) >> (k - 1 - i)) & 1 for i in range(k)]
 
 
-def _check_nearest_codeword_rule(ch, rates, monkeypatch, far=False):
+def _check_smallest_ml_message_rule(ch, rates, monkeypatch, far=False):
     """Send rlc:x transfers of three full chunks and then k = 1 .. 8 bits,
     every other one with chunks 0 and 2 midway between two codewords and,
     with ``far``, chunks 1 and 3 at the complement of the codeword sent.
-    Check the decoded bits against the first argmax of ``_ml_scores`` and
-    that exactly the tied or uncertified chunks are scored; return the
-    number of tied certified chunks."""
-    score = coding._ml_scores
+    Check each decoded chunk against the smallest message of maximum
+    likelihood, and that no likelihoods are made; return the number of
+    chunks where more than one message has it."""
     transmit = ChannelModel.transmit
-    scored = _scored_books(monkeypatch)
     draw = np.random.default_rng(29)
     ties = 0
     for k in range(1, RLC_CHUNK + 1):
@@ -511,70 +532,53 @@ def _check_nearest_codeword_rule(ch, rates, monkeypatch, far=False):
 
                 monkeypatch.setattr(ChannelModel, "transmit", fake)
                 sent = _transmits(monkeypatch)
-                scored.clear()
+                likelihoods = _counted_calls(monkeypatch, ("bit_log_likelihoods",))
                 got = convey(spec, payload, ch, np.random.default_rng(trial), matrix_seed=trial)
                 y = sent[-1][1]
-                want, fallback, at = [], [], 0
+                want, at = [], 0
                 for size, b, book in codes:
-                    ll = ch.bit_log_likelihoods(y[at: at + b])
-                    want.extend(_message_bits(score(book, b, ll).argmax(), size))
-                    dist = _distances(book, b, y[at: at + b])
-                    tied = np.count_nonzero(dist == dist.min()) > 1
-                    decides = coding._distance_decides(ch, b, 0.0)
-                    assert decides == (ch.kind == "bsc" and ch.param < 0.5
-                                       or ch.kind == "bec" and ch.param < 1)
-                    if tied or not decides:
-                        fallback.append(book)
-                    ties += tied and decides
+                    best = _ml_messages(ch, np.unpackbits(book.T, axis=-1, count=b), y[at: at + b])
+                    want.extend(_message_bits(best[0], size))
+                    ties += len(best) > 1
                     at += b
                 assert got.bits.tolist() == want
-                books = [book for call in scored for book in call]
-                assert len(books) == len(fallback)
-                assert all(np.array_equal(a, b) for a, b in zip(books, fallback))
+                assert likelihoods == []
     return ties
 
 
 @pytest.mark.parametrize("kind, param", [
     ("bsc", 0.0), ("bsc", 0.02), ("bsc", 0.3), ("bsc", 0.5 - 1e-12), ("bsc", 0.5),
     ("bsc", 0.7), ("bsc", 1.0), ("bec", 0.0), ("bec", 0.2), ("bec", 1.0)])
-def test_rlc_nearest_codeword_rule_equals_first_argmax_of_ml_scores(kind, param, monkeypatch):
+def test_rlc_decodes_each_chunk_to_the_smallest_ml_message(kind, param, monkeypatch):
     # b = k * x: every k < 8 gives some b % 8 != 0
-    ties = _check_nearest_codeword_rule(ChannelModel(kind, param), (1, 2, 3, 5), monkeypatch)
-    if kind == "bec" and param < 1 or kind == "bsc" and param < 0.5:
-        assert ties >= 50  # the forced midway chunks took the fallback
+    ties = _check_smallest_ml_message_rule(ChannelModel(kind, param), (1, 2, 3, 5), monkeypatch)
+    if kind == "bec" or param <= 0.5:
+        assert ties >= 50  # the forced midway chunks tie, and at bsc:0.5 and bec:1 every chunk
 
 
 @pytest.mark.parametrize("channel", ["bsc:0.02", "bec:0.2"])
 def test_rlc_nearest_codeword_rule_holds_past_255_bit_codewords(channel, monkeypatch):
     # full chunks of b = 256 and 320 bits, short ones up to 280: a distance
     # can pass 255, as on the complemented chunks, whose sent codeword is b away
-    ties = _check_nearest_codeword_rule(ChannelModel.parse(channel), (32, 40), monkeypatch,
-                                        far=True)
+    ties = _check_smallest_ml_message_rule(ChannelModel.parse(channel), (32, 40), monkeypatch,
+                                           far=True)
     assert ties >= 20
 
 
 @pytest.mark.parametrize("code", ["rlc:2", "rlc:3"])
-def test_convey_rlc_makes_one_transmit_and_likelihoods_only_on_awgn(code, monkeypatch):
+def test_convey_rlc_makes_one_transmit_and_no_likelihood_call(code, monkeypatch):
     spec, rng = CodeSpec.parse(code), np.random.default_rng(0)
     payload = [1, 0, 0, 1, 1] * 8
     channels = ("bsc:0.05", "bec:0.1", "awgn:0.8")
     for channel in channels:  # caches the books before the calls are counted
         convey(spec, payload, ChannelModel.parse(channel), rng, matrix_seed=3)
-    scored, calls = _scored_books(monkeypatch), _counted_calls(monkeypatch)
+    calls = _counted_calls(monkeypatch)
     for channel in channels:
-        untied = 0
         for seed in range(10):
             calls.clear()
-            scored.clear()
             convey(spec, payload, ChannelModel.parse(channel), np.random.default_rng(seed),
                    matrix_seed=3)
-            if channel == "awgn:0.8":
-                assert calls == ["transmit", "bit_log_likelihoods"]
-                assert sum(len(books) for books in scored) == 5
-            else:  # the likelihoods are made only for a chunk that ties
-                assert calls == ["transmit"] + ["bit_log_likelihoods"] * bool(scored)
-                untied += not scored
-        assert untied >= 5 or channel == "awgn:0.8"
+            assert calls == ["transmit"]
 
 
 @pytest.mark.parametrize("channel, output", [("bsc:0.1", 2), ("bsc:0.1", -1),
@@ -597,6 +601,63 @@ def test_convey_rejects_non_bit_payloads(bad):
         convey(CodeSpec.parse("rep:3"), bad, NOISELESS, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("bad", [[0.5, 1.7], [0.0, 1.2], [1, 0.999], [float("nan"), 1.0],
+                                 np.array([1.0, np.inf]), np.array([0.0, -0.5])])
+def test_non_bit_floats_are_rejected_not_truncated(bad):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="message must be a bit vector"):
+        convey(CodeSpec.parse("rep:1"), bad, NOISELESS, rng)
+    with pytest.raises(ValueError, match="inputs must be bits"):
+        NOISELESS.transmit(bad, rng)
+    with pytest.raises(ValueError, match="message must be a bit vector"):
+        OracleCode(len(bad), 0.5, NOISELESS).oracle_transmit(bad, rng)
+    # bools and integral floats are bits
+    for good in ([1.0, 0.0, -0.0], [True, False, True], np.array([1.0, 0.0, 1.0])):
+        want = [int(v) for v in good]
+        assert convey(CodeSpec.parse("rep:1"), good, NOISELESS, rng).bits.tolist() == want
+        assert NOISELESS.transmit(good, rng).tolist() == want
+        assert list(OracleCode(3, 0.01, NOISELESS).oracle_transmit(good, rng)[0]) == want
+
+
+# ---------------------------------------------------------------------------
+# exhaustive: every output word of small codes, and random awgn outputs
+
+SMALL_RLC = [(k, k * x) for k in range(1, 5) for x in range(1, 11) if k * x <= 10]
+
+
+@pytest.mark.parametrize("channel", ["bsc:0", "bsc:0.02", "bsc:0.3", "bsc:0.5", "bsc:0.7",
+                                     "bsc:1", "bec:0", "bec:0.2", "bec:1", "awgn:0.3",
+                                     "awgn:1.2"])
+def test_small_codes_decode_to_the_smallest_ml_message(channel, monkeypatch):
+    # rep:1-4 and rlc chunk codes of k <= 4 message bits and b <= 10 code
+    # bits: every bsc output word, every bec word for b <= 8, and 300
+    # random awgn words per code
+    ch, draw = ChannelModel.parse(channel), np.random.default_rng(41)
+
+    def outputs(b):
+        if ch.kind == "awgn":
+            return draw.normal(0.0, 1.5, (300, b))
+        return np.array(list(itertools.product(range(2 if ch.kind == "bsc" else 3), repeat=b)))
+
+    sent = []
+    monkeypatch.setattr(ChannelModel, "transmit", lambda self, bits, rng: sent[-1].copy())
+    for r in range(1, 5):  # every word of rep:r in one transfer
+        words = outputs(r)
+        sent.append(words.ravel())
+        got = convey(CodeSpec("rep", r), np.zeros(len(words), dtype=np.int64), ch,
+                     np.random.default_rng(0))
+        assert tuple(got.bits.tolist()) == _ml_rep_bits(ch, words, r)
+    for k, b in SMALL_RLC:
+        if ch.kind == "bec" and b > 8:
+            continue
+        books = coding._BOOKS(k, b, [b])
+        words = outputs(b)
+        got = coding._rlc_decide(ch, np.broadcast_to(books, (len(words),) + books.shape[1:]),
+                                 words)
+        keys = _ml_keys(ch, np.unpackbits(books[0].T, axis=-1, count=b), words)
+        assert got.tolist() == (keys == keys.min(axis=1, keepdims=True)).argmax(axis=1).tolist()
+
+
 # ---------------------------------------------------------------------------
 # the repetition path against a plain reference: repeat, send, reshape and sum
 
@@ -609,7 +670,7 @@ def _reference_transmit(ch, x, rng):
 
 
 def _reference_log_likelihoods(ch, y):
-    """The per-symbol ``np.where`` formulas the likelihood table replaces."""
+    """The per-symbol ``np.where`` formulas of ``bit_log_likelihoods``."""
     out = np.empty((y.size, 2))
     if ch.kind == "bsc":
         eps = min(max(ch.param, 1e-300), 1.0 - 1e-16)
@@ -632,9 +693,7 @@ def _reference_log_likelihoods(ch, y):
 
 def _reference_rep_convey(r, payload, ch, rng):
     x = np.repeat(np.array(payload, dtype=np.int64), r)
-    ll = _reference_log_likelihoods(ch, _reference_transmit(ch, x, rng))
-    per_bit = ll.reshape(len(payload), r, 2).sum(axis=1)
-    decoded = tuple((per_bit[:, 1] > per_bit[:, 0] + 1e-9).astype(int).tolist())
+    decoded = _ml_rep_bits(ch, _reference_transmit(ch, x, rng), r)
     return decoded, len(payload) * r, decoded == tuple(payload)
 
 
@@ -682,32 +741,38 @@ def test_log_likelihoods_reject_outputs_outside_the_alphabet(channel, outputs):
         ChannelModel.parse(channel).bit_log_likelihoods(outputs)
 
 
-def test_convey_rep_makes_one_transmit_and_likelihoods_only_near_the_awgn_threshold(
-        monkeypatch):
+def test_convey_rep_makes_one_transmit_and_no_likelihood_call(monkeypatch):
     rng = np.random.default_rng(0)
-    specs = ("rep:1", "rep:3")
-    channels = ("bsc:0.1", "bec:0.1", "awgn:0.8")
-    for spec in specs:  # fills the certificate caches before the calls are counted
-        for channel in channels:
-            convey(CodeSpec.parse(spec), [1, 0], ChannelModel.parse(channel), rng)
     calls = _counted_calls(monkeypatch)
-    for spec in specs:
-        for channel in channels:
+    for spec in ("rep:1", "rep:3"):
+        for channel in ("bsc:0.1", "bec:0.1", "awgn:0.8"):
             calls.clear()
             convey(CodeSpec.parse(spec), [1, 0] * 20, ChannelModel.parse(channel), rng)
             assert calls == ["transmit"]
-    # the second bit's outputs sum to exactly 0: only the formula decides it
+    # the second bit's outputs sum to exactly 0: a tie, which goes to 0
     ch, word = ChannelModel.parse("awgn:0.8"), np.array([1.0, -2.0, 1.5, 0.5, -0.25, -0.25])
     monkeypatch.setattr(ChannelModel, "transmit",
                         lambda self, bits, rng: calls.append("transmit") or word.copy())
     calls.clear()
     got = convey(CodeSpec.parse("rep:3"), [1, 0], ch, rng)
-    assert calls == ["transmit", "bit_log_likelihoods"]
+    assert calls == ["transmit"]
     assert got.bits.tolist() == [0, 0]
 
 
+def test_awgn_rep_sums_each_bit_in_repeat_order(monkeypatch):
+    # both bits' outputs sum to exactly -1e-17, but the float sum in repeat
+    # order is (1 - 1e-17) - 1 = 0 for the first, a tie that goes to 0, and
+    # (-1 + 1) - 1e-17 < 0 for the second
+    word = np.array([1.0, -1e-17, -1.0, -1.0, 1.0, -1e-17])
+    monkeypatch.setattr(ChannelModel, "transmit", lambda self, bits, rng: word.copy())
+    got = convey(CodeSpec.parse("rep:3"), [0, 0], ChannelModel.biawgn(0.8),
+                 np.random.default_rng(0))
+    assert got.bits.tolist() == [0, 1]
+    assert math.fsum(word[:3]) == math.fsum(word[3:]) == -1e-17
+
+
 def test_warm_awgn_rep_trial_makes_no_likelihood_call(monkeypatch):
-    # the mstate-awgn-16k benchmark's trial: one transmit per convey, no fallback
+    # the mstate-awgn-16k benchmark's trial: one transmit per convey, no likelihoods
     cfg = harness.ExperimentConfig(
         scheme="m-state", placement="last", channel="awgn:0.4", code="rep:3",
         protocol={"type": "markovian", "log_M": 1, "functions": "all"})
@@ -721,27 +786,17 @@ def test_warm_awgn_rep_trial_makes_no_likelihood_call(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the sign-of-sum rule of awgn rep transfers against _repetition_decide
-
-def _inside_margin(ch, y, r):
-    """Whether some bit of the awgn outputs ``y`` lies within the margin of
-    ``_sum_margin``, so convey must fall back to the formula."""
-    a, b, cap = coding._sum_margin(ch, r)
-    y2 = y @ y
-    sums = y[0::r].copy()
-    for i in range(1, r):
-        sums += y[i::r]
-    return not y2 <= cap or not np.abs(sums).min() > a + b * y2
-
+# the sign-of-sum rule of awgn rep transfers against exact ML by math.fsum
 
 def _adversarial_words(ch, r, draw):
     """(kind, outputs) awgn rep:r transfers of 6 bits, one bit of each
-    built to sit near or just outside the margin, or at extreme scale."""
+    built to sum to 0 or to within an ulp of +-5e-10 sigma^2, the tie
+    offset of an earlier rule, or every output at extreme scale."""
     s2 = ch.param * ch.param
-    threshold = 1e-9 * s2 / 2
-    for target in (0.0, -0.0, threshold, -threshold,
-                   np.nextafter(threshold, 1), np.nextafter(threshold, 0),
-                   np.nextafter(-threshold, -1), np.nextafter(-threshold, 0)):
+    offset = 1e-9 * s2 / 2
+    for target in (0.0, -0.0, offset, -offset,
+                   np.nextafter(offset, 1), np.nextafter(offset, 0),
+                   np.nextafter(-offset, -1), np.nextafter(-offset, 0)):
         for split in (False, True):
             y = ch.transmit(draw.integers(0, 2, 6).repeat(r), draw)
             bit = draw.integers(0, 6) * r
@@ -754,145 +809,101 @@ def _adversarial_words(ch, r, draw):
     for kind, low, high in (("tiny", -300, -20), ("huge", 140, 150),
                             ("scaled", -300, 150), ("scaled", -3, 3)):
         yield kind, 10.0 ** draw.uniform(low, high, 6 * r) * draw.choice((-1.0, 1.0), 6 * r)
-    a = coding._sum_margin(ch, r)[0]
-    for _ in range(2):  # every bit's sum twice the margin
+    for _ in range(2):  # every bit's sum twice the old offset
         y = np.zeros(6 * r)
-        y[::r] = draw.choice((-2 * a, 2 * a), 6)
-        yield "outside", y
+        y[::r] = draw.choice((-2 * offset, 2 * offset), 6)
+        yield "small", y
+
+
+def _check_awgn_rep_words(ch, r, words, monkeypatch):
+    """Send each of the awgn ``words`` as a rep:r transfer; check its bits
+    against exact ML and that no likelihoods are made."""
+    sent = []
+    monkeypatch.setattr(ChannelModel, "transmit", lambda self, bits, rng: sent[-1].copy())
+    calls = _counted_calls(monkeypatch, ("bit_log_likelihoods",))
+    for kind, y in words:
+        sent.append(y)
+        got = convey(CodeSpec("rep", r), np.zeros(y.size // r, dtype=np.int64), ch,
+                     np.random.default_rng(0))
+        assert tuple(got.bits.tolist()) == _ml_rep_bits(ch, y, r), kind
+    assert calls == []
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.4, 1.3, 3.0, 50.0])
 @pytest.mark.parametrize("r", range(1, 10))
-def test_awgn_rep_sum_rule_equals_repetition_decide(sigma, r, monkeypatch):
-    ch, spec, draw = ChannelModel.biawgn(sigma), CodeSpec.parse(f"rep:{r}"), \
-        np.random.default_rng(int(sigma * 100) + r)
-    likelihoods = ChannelModel.bit_log_likelihoods
+def test_awgn_rep_sum_rule_equals_exact_ml(sigma, r, monkeypatch):
+    ch, draw = ChannelModel.biawgn(sigma), np.random.default_rng(int(sigma * 100) + r)
     words = [("random", ch.transmit(draw.integers(0, 2, k).repeat(r), draw))
              for k in (1, 2, 7, 64, 128, 300) for _ in range(5)]
     words += list(_adversarial_words(ch, r, draw))
-    sent = []
-    monkeypatch.setattr(ChannelModel, "transmit", lambda self, bits, rng: sent[-1].copy())
-    calls = _counted_calls(monkeypatch, ("bit_log_likelihoods",))
-    fallbacks = {}
-    for kind, y in words:
-        sent.append(y)
-        calls.clear()
-        got = convey(spec, np.zeros(y.size // r, dtype=np.int64), ch, draw)
-        want = coding._repetition_decide(likelihoods(ch, y), r)[1]
-        assert np.array_equal(got.bits, want), kind
-        assert bool(calls) == _inside_margin(ch, y, r), kind
-        fallbacks.setdefault(kind, set()).add(bool(calls))
-    assert fallbacks["random"] == fallbacks["outside"] == {False}
-    assert fallbacks["near"] == fallbacks["tiny"] == fallbacks["huge"] == {True}
+    _check_awgn_rep_words(ch, r, words, monkeypatch)
 
 
 @pytest.mark.parametrize("sigma", [1e-160, 1e-145, 1e140, 1e160])
 @pytest.mark.parametrize("r", [1, 3])
 def test_awgn_rep_sum_rule_at_extreme_sigma(sigma, r, monkeypatch):
-    # at sigma = 1e-145 outputs of 1e10 overflow the formula's terms to -inf,
-    # and the rule is outside its proven range below 2^-500 and above 2^500
-    ch, spec, draw = ChannelModel.biawgn(sigma), CodeSpec.parse(f"rep:{r}"), \
-        np.random.default_rng(r)
-    likelihoods = ChannelModel.bit_log_likelihoods
-    words = [draw.choice((-1.0, 1.0), 4 * r) * scale for scale in (1.0, 1e10, 1e100)]
-    words.append(ch.transmit(draw.integers(0, 2, 4 * r), draw))
-    sent = []
-    monkeypatch.setattr(ChannelModel, "transmit", lambda self, bits, rng: sent[-1].copy())
-    calls = _counted_calls(monkeypatch, ("bit_log_likelihoods",))
-    for y in words:
-        sent.append(y)
-        calls.clear()
-        with np.errstate(over="ignore", invalid="ignore"):  # the formula's overflows
-            got = convey(spec, np.zeros(4, dtype=np.int64), ch, draw)
-            want = coding._repetition_decide(likelihoods(ch, y), r)[1]
-            inside = coding._sum_margin(ch, r) is None or _inside_margin(ch, y, r)
-        assert np.array_equal(got.bits, want)
-        assert bool(calls) == inside
+    # the log-likelihoods of outputs of 1e10 overflow to -inf at sigma =
+    # 1e-145; the sums of the outputs stay finite
+    ch, draw = ChannelModel.biawgn(sigma), np.random.default_rng(r)
+    words = [("scaled", draw.choice((-1.0, 1.0), 4 * r) * scale) for scale in (1.0, 1e10, 1e100)]
+    words.append(("random", ch.transmit(draw.integers(0, 2, 4 * r), draw)))
+    _check_awgn_rep_words(ch, r, words, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# the sign rule of bsc and bec rep transfers against _repetition_decide
+# the sign rule of bsc and bec rep transfers against exact ML by vote counts
 
 @pytest.mark.parametrize("kind", ["bsc", "bec"])
 @pytest.mark.parametrize("param", [0.0, 0.02, 0.05, 0.5 - 3e-10, 0.5 - 2e-10, 0.5 - 1e-12,
                                    0.5, 1.0])
-def test_rep_decision_table_equals_the_formula_on_every_output_tuple(kind, param, monkeypatch):
-    # the decision table of (channel, r): every output tuple's bit, as convey
-    # decodes it, against the formula; at eps = 0.5 - 3e-10 the gap g of the
-    # likelihood table just clears the 1e-9 tie offset, at 0.5 - 2e-10 it does not
+def test_rep_decision_equals_exact_ml_on_every_output_tuple(kind, param, monkeypatch):
+    # every output tuple of r repeats, r = 1 .. 12 on bsc and 1 .. 7 on bec;
+    # just below eps = 0.5 the likelihood gap of a vote is below 1e-9, and
+    # the integer votes still decide
     ch = ChannelModel(kind, param)
     q, top = (2, 12) if kind == "bsc" else (3, 7)
-    refused = kind == "bsc" and param > 0.5 - 2.5e-10 or param == 1.0
-    likelihoods = ChannelModel.bit_log_likelihoods
     sent = []
     monkeypatch.setattr(ChannelModel, "transmit", lambda self, bits, rng: sent[-1].copy())
     calls = _counted_calls(monkeypatch, ("bit_log_likelihoods",))
     for r in range(1, top + 1):
-        tuples = list(itertools.product(range(q), repeat=r))
-        sent.append(np.array(tuples).ravel())
-        calls.clear()
+        tuples = np.array(list(itertools.product(range(q), repeat=r)))
+        sent.append(tuples.ravel())
         got = convey(CodeSpec("rep", r), np.zeros(len(tuples), dtype=np.int64), ch,
                      np.random.default_rng(0))
-        # one tuple at a time, so no other bit shares the formula's arrays
-        want = [coding._repetition_decide(likelihoods(ch, t), r)[1][0] for t in tuples]
-        assert got.bits.tolist() == want
-        assert coding._distance_decides(ch, r, 1e-9) == (not refused)
-        assert calls == ["bit_log_likelihoods"] * refused
+        assert tuple(got.bits.tolist()) == _ml_rep_bits(ch, tuples, r)
+    assert calls == []
 
 
-@pytest.mark.parametrize("channel, r, formula", [
-    ("bsc:0.05", 13, False), ("bsc:0.45", 13, False), ("bsc:0.45", 14, False),
-    ("bec:0.05", 8, False), ("bec:0.6", 8, False), ("bec:0.6", 9, False),
-    ("bsc:0.5", 3, True), ("bsc:0.7", 3, True), ("bsc:0.7", 13, True),
-    ("bec:1", 3, True), ("bec:1", 8, True)])
-def test_long_rep_codes_take_the_sign_rule_and_uncertified_channels_the_formula(
-        channel, r, formula, monkeypatch):
+@pytest.mark.parametrize("channel, r", [
+    ("bsc:0.05", 13), ("bsc:0.45", 13), ("bsc:0.45", 14),
+    ("bec:0.05", 8), ("bec:0.6", 8), ("bec:0.6", 9),
+    ("bsc:0.5", 3), ("bsc:0.7", 3), ("bsc:0.7", 13),
+    ("bec:1", 3), ("bec:1", 8)])
+def test_long_rep_codes_decide_by_exact_vote_counts(channel, r, monkeypatch):
     ch, spec, draw = ChannelModel.parse(channel), CodeSpec.parse(f"rep:{r}"), \
         np.random.default_rng(r)
-    likelihoods = ChannelModel.bit_log_likelihoods
     sent = _transmits(monkeypatch)
     calls = _counted_calls(monkeypatch, ("bit_log_likelihoods",))
     errors = 0
     for k in (1, 3, 40, 200):
         payload = draw.integers(0, 2, k)
-        calls.clear()
         got = convey(spec, payload, ch, draw)
-        want = coding._repetition_decide(likelihoods(ch, sent[-1][1]), r)[1]
-        assert got.bits.tolist() == want.tolist()
-        assert calls == ["bit_log_likelihoods"] * formula
+        assert tuple(got.bits.tolist()) == _ml_rep_bits(ch, sent[-1][1], r)
         assert got.channel_uses == k * r
         errors += not got.intact
+    assert calls == []
     assert errors or channel in ("bsc:0.05", "bec:0.05")
-
-
-@pytest.mark.parametrize("b, offset, refused, accepted", [
-    (24, 0.0, 0.5 - 1e-14, 0.5 - 1e-12),  # rlc: g must clear the rounding of b terms
-    (3, 1e-9, 0.5 - 2e-10, 0.5 - 3e-10),  # rep: and the 1e-9 tie offset on top
-])
-def test_distance_certificate_refuses_gaps_inside_its_bound(b, offset, refused, accepted):
-    assert not coding._distance_decides(ChannelModel.bsc(refused), b, offset)
-    assert coding._distance_decides(ChannelModel.bsc(accepted), b, offset)
-
-
-def test_rep_certificate_keeps_the_rounding_below_the_tie_offset():
-    # g = 690.8 on bsc:0 clears any offset, but from r = 81 the bound on the
-    # rounding of r such terms passes 1e-9, and an exact tie could tip to 1
-    ch = ChannelModel.bsc(0.0)
-    assert coding._distance_decides(ch, 80, 1e-9)
-    assert not coding._distance_decides(ch, 81, 1e-9)
-    assert coding._distance_decides(ch, 81, 0.0)
 
 
 @pytest.mark.parametrize("channel, output", [("bsc:0.1", 2), ("bsc:0.1", -1),
                                              ("bec:0.1", 3), ("bec:0.1", -1)])
 @pytest.mark.parametrize("r", [1, 3])
-def test_rep_table_path_keeps_the_alphabet_check(channel, output, r, monkeypatch):
+def test_rep_sign_rule_keeps_the_alphabet_check(channel, output, r, monkeypatch):
     # the sign rule reads the outputs without bit_log_likelihoods, and checks
     # their alphabet as it does
     ch = ChannelModel.parse(channel)
     with pytest.raises(ValueError, match="outputs must") as raised:
         ch.bit_log_likelihoods([output])
-    assert coding._distance_decides(ch, r, 1e-9)
     monkeypatch.setattr(ChannelModel, "transmit",
                         lambda self, bits, rng: np.where(np.arange(len(bits)) == 0, output, bits))
     monkeypatch.setattr(ChannelModel, "bit_log_likelihoods", None)  # the check must not need it

@@ -18,11 +18,15 @@ import dataclasses
 import io
 import json
 import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import icsim
 from icsim.cli import main
 from icsim.harness import ExperimentConfig, run_trial
 
@@ -150,6 +154,40 @@ def test_golden_bytes(name, tmp_path, monkeypatch):
     assert sorted(got) == sorted(want)
     for fname in want:
         assert got[fname] == want[fname], f"{name}/{fname} differs from the golden"
+
+
+def _openblas_dynamic_arch() -> bool:
+    """Whether numpy links an OpenBLAS built with DYNAMIC_ARCH, whose
+    kernel OPENBLAS_CORETYPE picks at load time."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in blas.get("name", "") and \
+        "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# every case that decodes rlc or crosses awgn, where a BLAS sum could decide
+KERNEL_CASES = sorted(name for name, case in CASES.items()
+                      if case["code"].startswith("rlc") or case["channel"].startswith("awgn"))
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or not _openblas_dynamic_arch(),
+                    reason="needs numpy on x86-64 with a DYNAMIC_ARCH OpenBLAS")
+def test_golden_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the oldest x86-64 kernel, Prescott, sums in another order than the
+    # kernels of current CPUs; the goldens must not see it
+    script = ("import sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+              "from test_golden import write_case; "
+              "[write_case(name, Path(sys.argv[2]) / name) for name in sys.argv[3:]]")
+    src = str(Path(icsim.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "ICSIM_OUTDIR"}
+    env.update(OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", script, str(GOLDEN.parent), str(tmp_path),
+                    *KERNEL_CASES], env=env, check=True, timeout=120)
+    for name in KERNEL_CASES:
+        got, want = _files(tmp_path / name), _files(GOLDEN / name)
+        assert sorted(got) == sorted(want)
+        for fname in want:
+            assert got[fname] == want[fname], f"{name}/{fname} differs under Prescott"
 
 
 def test_golden_matrix_covers_the_edge_cases():
