@@ -7,8 +7,8 @@ Three channel families are supported, each a (kind, parameter) pair:
 * ``awgn`` : antipodal signaling 0 -> +1, 1 -> -1 plus Gaussian noise with
              standard deviation sigma; real-valued output
 
-``transmit`` takes only bits: an entry other than exactly 0 or 1 (0.5 or
-NaN included) raises ValueError, where an int64 cast would truncate it.
+``transmit`` takes only bits, checked by ``protocol._bits`` (0.5 or NaN raises
+ValueError, never truncated); its outputs are uint8 on bsc and bec.
 ``bit_log_likelihoods`` gathers each bsc or bec output's row from a cached
 read-only table per channel; ``convey``'s decoders do not call it. An output
 outside {0, 1} (bsc) or {0, 1, ERASURE} (bec), or of a float type, raises
@@ -23,7 +23,8 @@ and ``error_exponent`` maximizes E0(rho) - rho*R over rho in [0, 1],
 returned in bits. ``block_error_bound`` is the union bound
 min(1, copies * exp(-(block_bits/R) * Er(R) * ln 2)).
 
-Gaussian-output integrals use fixed Gauss-Hermite quadrature (128 nodes).
+Gaussian-output integrals use fixed Gauss-Hermite quadrature (128 nodes),
+its terms summed exactly rounded by ``math.fsum``, so no BLAS kernel moves them.
 For E0 the integrand is folded into the bounded likelihood-ratio form
 E[(power mean)/(arithmetic mean)] so the quadrature stays stable for any
 sigma and rho.
@@ -36,6 +37,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .protocol import _bits
 
 LN2 = math.log(2.0)
 ERASURE = 2  # BEC output symbol standing for an erased bit
@@ -129,9 +132,7 @@ class ChannelModel:
 
     def transmit(self, bits, rng: np.random.Generator) -> np.ndarray:
         """Send a bit vector through one independent channel use per bit."""
-        x = _int64(bits)
-        if x is None or np.count_nonzero(x & ~1):
-            raise ValueError("inputs must be bits")
+        x = _bits(bits, "inputs must be bits")
         if x.ndim != 1:
             raise ValueError("transmit expects a flat bit vector")
         if self.kind == "bsc":
@@ -189,17 +190,6 @@ class ChannelModel:
         return min(1.0, copies * math.exp(-(block_bits / rate) * er * LN2))
 
 
-def _int64(values) -> np.ndarray | None:
-    """``values`` as an int64 array, or None where a non-integer dtype holds
-    anything but exactly 0 or 1 (0.5, 1.7 and NaN among them), which an
-    int64 cast would truncate. An integer or bool array costs only its
-    dtype-kind test."""
-    raw = np.asarray(values)
-    if raw.dtype.kind not in "biu" and np.count_nonzero((raw != 0) & (raw != 1)):
-        return None
-    return raw.astype(np.int64, copy=False)
-
-
 def discrete_outputs(kind: str, outputs, size: int) -> np.ndarray:
     """The bsc or bec ``outputs`` as a flat integer array, checked to lie in
     the channel's alphabet 0 .. size - 1."""
@@ -238,7 +228,7 @@ def _capacity(kind: str, param: float) -> float:
     y = 1.0 + math.sqrt(2.0) * sigma * t
     # E over Y ~ N(1, sigma^2) of log2(1 + exp(-2Y/sigma^2))
     loss = np.logaddexp(0.0, -2.0 * y / (sigma * sigma)) / LN2
-    return float(1.0 - np.dot(w, loss))
+    return 1.0 - math.fsum((w * loss).tolist())
 
 
 @lru_cache(maxsize=65536)
@@ -263,7 +253,7 @@ def _gallager_e0(kind: str, param: float, rho: float) -> float:
     # ratio of the order-a power mean to the arithmetic mean, always in (0, 1]
     log_f = np.logaddexp(a * lu + log_half, a * lv + log_half) / a
     log_q = np.logaddexp(lu + log_half, lv + log_half)
-    return -math.log(float(np.dot(w, np.exp(log_f - log_q))))
+    return -math.log(math.fsum((w * np.exp(log_f - log_q)).tolist()))
 
 
 @lru_cache(maxsize=65536)

@@ -13,6 +13,9 @@
                  the random-coding probability p* = exp(-(k/R) Er(R) ln 2)
                  and charges ceil(k/R) channel uses.
 
+A payload is checked by ``protocol._bits``; a uint8 one reaches ``transmit``
+with no copy or cast. The decoded bits are a new read-only uint8 array.
+
 Decoding is maximum likelihood under the channel law, by one rule per code
 on every channel. Each output gets an antipodal value s: +1 for a bsc or bec
 0, -1 for a 1, 0 for an erasure, and the output y itself on awgn. A
@@ -63,7 +66,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ERASURE, LN2, ChannelModel, _int64, discrete_outputs
+from .channel import ERASURE, LN2, ChannelModel, discrete_outputs
+from .protocol import _bits
 
 RLC_CHUNK = 8  # message bits per rlc chunk code; exhaustive ML decoding stays tractable
 # row d: -s of bsc/bec outputs 0, 1, ERASURE turned by _direction d (row -1 is the last);
@@ -73,9 +77,9 @@ _BIT = np.array([0, 1], dtype=np.uint8)
 
 
 def _as_bits(message: Sequence[int], k: int | None = None) -> np.ndarray:
-    """The message as an int64 bit vector, of length ``k`` when given."""
-    bits = _int64(message)
-    if bits is None or bits.ndim != 1 or np.count_nonzero(bits & ~1):
+    """The message as a uint8 bit vector, of length ``k`` when given."""
+    bits = _bits(message, "message must be a bit vector")
+    if bits.ndim != 1:
         raise ValueError("message must be a bit vector")
     if k is not None and bits.size != k:
         raise ValueError(f"expected {k} message bits")
@@ -366,7 +370,7 @@ def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
     """
     payload = _as_bits(bits)
     if not payload.size:
-        decoded, uses = payload.astype(np.uint8), 0
+        decoded, uses = payload.copy(), 0  # the caller's array is never marked read-only
     elif spec.kind == "oracle":  # a corrupted message always differs from the sent one
         code = OracleCode(payload.size, spec.value, ch)
         decoded = np.array(code.oracle_transmit(payload, rng)[0], dtype=np.uint8)

@@ -78,10 +78,11 @@ MAX_LOG_M = 16  # the largest window a markovian source may ask for
 Draw = Callable[[int, np.random.Generator], FiniteStateProtocol]  # (n, rng) -> protocol
 
 
-def protocol_draw(source: Mapping) -> Draw:
+def protocol_draw(source: Mapping, n_list: Sequence[int]) -> Draw:
     """Parse a protocol source, once and before any trial, into each trial's
     draw ``(n, rng) -> protocol``. The draw looks up this module's draw
-    functions by name at call time, so a wrapper put in their place sees it."""
+    functions by name at call time, so a wrapper put in their place sees it.
+    A file holds one protocol, so every n in ``n_list`` must be its n."""
     kind = source.get("type", "two-state")
     if not isinstance(kind, str) or kind not in PROTOCOL_KEYS:
         raise ValueError(f"unknown protocol source {kind!r}")
@@ -114,6 +115,9 @@ def protocol_draw(source: Mapping) -> Draw:
     if not isinstance(path, str):
         raise ValueError(f"protocol path must be a string, not {path!r}")
     protocol = load_protocol(path)  # read once; every trial runs this protocol
+    other = [n for n in n_list if n != protocol.n]
+    if other:
+        raise ValueError(f"n = {other[0]} is not the n = {protocol.n} of protocol file {path}")
     return lambda n, rng: protocol
 
 
@@ -166,7 +170,7 @@ class ExperimentConfig:
         put("code_spec", CodeSpec.parse(self.code))
         side = self.side_code
         put("side_spec", self.code_spec if side is None else CodeSpec.parse(side))
-        put("draw", protocol_draw(self.protocol))
+        put("draw", protocol_draw(self.protocol, self.n_list))
 
     @classmethod
     def from_json(cls, path: str | Path, **overrides) -> "ExperimentConfig":

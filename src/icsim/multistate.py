@@ -132,9 +132,7 @@ class UsefulnessReport:
 def is_useful(function_set: Sequence[Table], M: int) -> UsefulnessReport:
     """Check that every output pattern (t, t') on every ordered pair of
     distinct states is realized by some table in the set."""
-    tables = [tuple(int(b) for b in f) for f in function_set]
-    if any(len(f) != M for f in tables):
-        raise ValueError(f"every table must be defined on {M} states")
+    tables = _bit_rows(function_set, len(function_set), M).tolist()
     missing = []
     for s, s2 in product(range(M), repeat=2):
         if s == s2:
@@ -218,7 +216,7 @@ def coincidence_failure_trials(eta, function_set: Sequence[Table], p: int,
                                trials: int, base_seed: int) -> int:
     """Monte Carlo count of tails whose M trajectories fail to merge, with
     tables drawn i.i.d. uniform from the set, one seed per trial."""
-    fset = np.asarray(function_set, dtype=np.uint8)
+    fset = _bit_rows(function_set, len(function_set), len(eta))
     picks = np.stack([
         np.random.default_rng(base_seed + t).integers(0, len(fset), size=p)
         for t in range(trials)

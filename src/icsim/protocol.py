@@ -12,7 +12,8 @@ A protocol stores its n transmission tables once, as a read-only (n, M)
 uint8 array validated in one numpy pass, and its advance table also as an
 (M, 2) array. A party's view is the odd or even row stride of that array,
 so the schemes index tables for whole rows or columns of the vertical grid
-at once instead of walking rounds in Python.
+at once instead of walking rounds in Python. ``_bits`` is the one test of
+what a bit is; every entry point that takes bits calls it (not ``walk``).
 """
 
 from __future__ import annotations
@@ -46,6 +47,20 @@ class Party(Enum):
         return Party.BOB if self is Party.ALICE else Party.ALICE
 
 
+def _bits(values, error: str) -> np.ndarray:
+    """``values`` as uint8, the one test of what a bit is: dtype kind b, i, u
+    or f and every entry exactly 0 or 1, else ``ValueError(error)``, so 2 or
+    0.5 is rejected, never truncated. A uint8 array is returned uncopied."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind == "i":  # in the unsigned view a negative entry is above 1 too
+        arr = arr.view(f"u{arr.itemsize}")
+    if not (kind == "b" or kind in "iu" and np.maximum.reduce(arr, axis=None, initial=0) <= 1
+            or kind == "f" and ((arr == 0) | (arr == 1)).all()):
+        raise ValueError(error)
+    return arr.astype(np.uint8, copy=False)
+
+
 def _bit_rows(rows: Sequence[Sequence[int]] | np.ndarray, count: int, M: int) -> np.ndarray:
     """A read-only (count, M) uint8 copy of ``rows``, checked in one pass."""
     if not hasattr(rows, "__len__"):
@@ -58,9 +73,7 @@ def _bit_rows(rows: Sequence[Sequence[int]] | np.ndarray, count: int, M: int) ->
         raise ValueError(f"transmission tables are ragged; each needs {M} entries") from None
     if arr.ndim != 2 or arr.shape[1] != M:
         raise ValueError(f"transmission table needs {M} entries, got shape {arr.shape[1:]}")
-    if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
-        raise ValueError("transmission table entries must be bits")
-    tables = arr.astype(np.uint8, copy=False)
+    tables = _bits(arr, "transmission table entries must be bits")
     tables.flags.writeable = False
     return tables
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .protocol import FiniteStateProtocol, walk
+from .protocol import FiniteStateProtocol, _bits, walk
 
 EXAMPLE2_ADVANCE: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (2, 2))
 
@@ -30,10 +30,8 @@ def _tables(alpha, beta) -> np.ndarray:
 def build_example2(alpha, beta, initial_state: int = 0) -> FiniteStateProtocol:
     """The hardness protocol of the bit vectors ``alpha`` and ``beta``: odd
     entries belong to Alice, even ones to Bob."""
-    alpha, beta = tuple(alpha), tuple(beta)
-    for bits, name in ((alpha, "alpha"), (beta, "beta")):
-        if not set(bits) <= {0, 1}:  # 0.7 is rejected, not truncated to 0
-            raise ValueError(f"{name} must be a bit vector")
+    alpha, beta = (_bits(bits, f"{name} must be a bit vector")
+                   for bits, name in ((alpha, "alpha"), (beta, "beta")))
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must have equal length")
     if len(alpha) % 2:
@@ -49,12 +47,10 @@ def disj_via_protocol(x, y) -> np.ndarray:
     protocol whose alpha interleaves the rows, Alice's element k at 0-based
     round 2k - 2 and Bob's at 2k - 1, with beta zero, all in one walk: the
     walk hits the absorbing state exactly when some element is in both sets."""
-    x, y = np.asarray(x), np.asarray(y)
+    x, y = (_bits(bits, "x and y must hold only bits") for bits in (x, y))
     if x.ndim != 2 or x.shape != y.shape:
         raise ValueError(f"x and y must be 2-D arrays of one shape, not {x.shape} and {y.shape}")
     alpha = np.stack((x, y), axis=2).reshape(x.shape[0], 2 * x.shape[1])
-    if not np.isin(alpha, (0, 1)).all():
-        raise ValueError("x and y must hold only bits")
     finals = walk(EXAMPLE2_ADVANCE, _tables(alpha, np.zeros_like(alpha)), (0,))[-1, :, 0]
     return (finals != 2).astype(int)
 

@@ -33,6 +33,7 @@ from .protocol import (
     FiniteStateProtocol,
     Party,
     Table,
+    _bits,
     chain,
 )
 from .vertical import (
@@ -222,7 +223,7 @@ def _exhaustive_format(cls: AdvanceClass) -> tuple[np.ndarray, np.ndarray]:
     table the receiver rebuilds from wire bit w.
     """
     groups = (cls.free_tables, cls.constant_making)
-    naming = np.zeros((3, 2, 2, 2), dtype=np.intp)
+    naming = np.zeros((3, 2, 2, 2), dtype=np.uint8)
     for k, group in enumerate(groups):
         for w, (t0, t1) in enumerate(group):
             naming[k, t0, t1] = w
@@ -287,7 +288,7 @@ def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.
     cls = classify_advance(eta)
     if not cls.interactive:
         raise ValueError("the exhaustive scheme requires an interactive advance function")
-    tables = np.asarray(blocks, dtype=np.intp)
+    tables = _bits(blocks, "blocks must hold only bits")
     if tables.ndim != 3 or tables.shape[2] != 2:
         raise ValueError(f"blocks must be a (blocks, m, 2) stack, not shape {tables.shape}")
     m = tables.shape[1]

@@ -210,7 +210,7 @@ def run_columns(owned: Mapping[Party, np.ndarray], advance: np.ndarray,
     """
     cols = sum(a.shape[1] for a in owned.values())
     rows = np.arange(len(starts[Party.ALICE]))[:, None]
-    bits = {q: np.empty((cols, len(rows), wire.branches), dtype=np.intp) for q in starts}
+    bits = {q: np.empty((cols, len(rows), wire.branches), dtype=np.uint8) for q in starts}
     states = {q: np.empty((cols + 1, len(rows), wire.branches), dtype=np.intp) for q in starts}
     for q in starts:
         states[q][0] = starts[q]

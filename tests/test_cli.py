@@ -100,7 +100,7 @@ def test_simulate_defaults_are_the_config_defaults(tmp_path):
     assert (tmp_path / "s.csv").read_text() == expected
 
 
-def test_simulate_protocol_file(tmp_path):
+def test_simulate_protocol_file(tmp_path, capsys):
     import numpy as np
     from icsim.protocol import save_protocol
     from icsim.twostate import random_two_state_protocol
@@ -113,6 +113,9 @@ def test_simulate_protocol_file(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "s.json").read_text())
     assert doc["failures"] == 0
+    # without --n the default n = 256 would label the file's 36 rounds
+    assert main(["simulate", "--protocol", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "n = 256 is not the n = 36 of protocol file" in capsys.readouterr().err
 
 
 def test_simulate_mstate_family(tmp_path, capsys):

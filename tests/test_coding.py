@@ -10,8 +10,13 @@ import pytest
 from icsim import coding, harness, vertical
 from icsim.channel import ERASURE, ChannelModel
 from icsim.coding import RLC_CHUNK, CodeSpec, OracleCode, RandomLinearCode, convey
+from icsim.multistate import coincidence_failure_trials, is_useful, resolve_functions
+from icsim.protocol import FiniteStateProtocol, random_protocol
+from icsim.threestate import build_example2, disj_via_protocol
+from icsim.twostate import run_exhaustive_block
 
 NOISELESS = ChannelModel.bsc(0.0)
+FOLLOW = ((0, 1), (0, 1))  # the next state is the bit
 LN2 = math.log(2)
 SEED_STRIDE = 1000003  # an rlc chunk code's seed is matrix_seed * SEED_STRIDE + chunk offset
 
@@ -595,28 +600,60 @@ def test_rlc_distance_path_keeps_the_alphabet_check(channel, output, monkeypatch
     assert str(got.value) == str(raised.value)
 
 
-@pytest.mark.parametrize("bad", [[0, 2], [-1, 1], [[0, 1]]])
+@pytest.mark.parametrize("bad", [[0, 2], [-1, 1], [[0, 1]], np.array([0, 1], dtype=object)])
 def test_convey_rejects_non_bit_payloads(bad):
     with pytest.raises(ValueError, match="bit vector"):
         convey(CodeSpec.parse("rep:3"), bad, NOISELESS, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("bad", [[0.5, 1.7], [0.0, 1.2], [1, 0.999], [float("nan"), 1.0],
-                                 np.array([1.0, np.inf]), np.array([0.0, -0.5])])
+def _exhaustive_block(blocks):
+    runs, bits_used = run_exhaustive_block(FOLLOW, blocks)
+    return [(bits.tolist(), finals.tolist()) for bits, finals in runs.values()], bits_used
+
+
+TABLE_BITS = "transmission table entries must be bits"
+# every function that takes bits or bit tables: its error message, the shape
+# of its input (the eight bits of the four two-state tables, as tables, one
+# block of them or a flat vector) and a call whose result compares with ==
+BIT_ENTRY_POINTS = {
+    "FiniteStateProtocol": (TABLE_BITS, (4, 2), lambda t: FiniteStateProtocol(4, 2, FOLLOW, t)),
+    "random_protocol": (TABLE_BITS, (4, 2), lambda t: random_protocol(8, 2, t, 0, FOLLOW)),
+    "resolve_functions": (TABLE_BITS, (4, 2), lambda t: resolve_functions(list(t), 2).tolist()),
+    "is_useful": (TABLE_BITS, (4, 2), lambda t: is_useful(t, 2)),
+    "coincidence_failure_trials": (TABLE_BITS, (4, 2),
+                                   lambda t: coincidence_failure_trials(FOLLOW, t, 4, 10, 0)),
+    "run_exhaustive_block": ("blocks must hold only bits", (1, 4, 2), _exhaustive_block),
+    "disj_via_protocol": ("x and y must hold only bits", (4, 2),
+                          lambda t: disj_via_protocol(t, t[::-1]).tolist()),
+    "build_example2": ("alpha must be a bit vector", (8,), lambda v: build_example2(v, v)),
+    "convey": ("message must be a bit vector", (8,), lambda v: convey(
+        CodeSpec.parse("rep:1"), v, NOISELESS, np.random.default_rng(0)).bits.tolist()),
+    "oracle_transmit": ("message must be a bit vector", (8,), lambda v: OracleCode(
+        8, 0.5, NOISELESS).oracle_transmit(v, np.random.default_rng(0))),
+    "transmit": ("inputs must be bits", (8,),
+                 lambda v: NOISELESS.transmit(v, np.random.default_rng(0)).tolist()),
+}
+
+
+NON_BITS = [2, -1, 0.5, float("nan"), float("inf"), None, 1.7, 0.999, -0.5]
+
+
+@pytest.mark.parametrize("bad", NON_BITS, ids=[f"bad{i}" for i in range(len(NON_BITS))])
 def test_non_bit_floats_are_rejected_not_truncated(bad):
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="message must be a bit vector"):
-        convey(CodeSpec.parse("rep:1"), bad, NOISELESS, rng)
-    with pytest.raises(ValueError, match="inputs must be bits"):
-        NOISELESS.transmit(bad, rng)
-    with pytest.raises(ValueError, match="message must be a bit vector"):
-        OracleCode(len(bad), 0.5, NOISELESS).oracle_transmit(bad, rng)
-    # bools and integral floats are bits
-    for good in ([1.0, 0.0, -0.0], [True, False, True], np.array([1.0, 0.0, 1.0])):
-        want = [int(v) for v in good]
-        assert convey(CodeSpec.parse("rep:1"), good, NOISELESS, rng).bits.tolist() == want
-        assert NOISELESS.transmit(good, rng).tolist() == want
-        assert list(OracleCode(3, 0.01, NOISELESS).oracle_transmit(good, rng)[0]) == want
+    for name, (message, shape, call) in BIT_ENTRY_POINTS.items():
+        flat = [0, 0, 0, 1, 1, 0, 1, 1]
+        bits = np.array(flat, dtype=np.uint8).reshape(shape)
+        flat[3] = bad
+        with pytest.raises(ValueError, match=message):
+            call(np.array(flat, dtype=object if bad is None else None).reshape(shape))
+        # a list of ints, bools, other integer types and integral floats are bits
+        want = call(bits)
+        for good in (bits.tolist(), bits.astype(bool), bits.astype(np.int8),
+                     bits.astype(np.int64), np.where(bits, 1.0, -0.0)):
+            assert call(good) == want, name
+    for channel in ("bsc:0.1", "bec:0.1"):
+        assert ChannelModel.parse(channel).transmit([0, 1, 1], np.random.default_rng(0)).dtype \
+            == np.uint8
 
 
 # ---------------------------------------------------------------------------

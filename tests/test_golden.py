@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 import icsim
+from icsim.channel import ChannelModel
 from icsim.cli import main
 from icsim.harness import ExperimentConfig, run_trial
 
@@ -164,6 +165,17 @@ def _openblas_dynamic_arch() -> bool:
         "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
+def awgn_quadratures() -> str:
+    """The repr of bi-AWGN capacity, E0 at two rho and Er at half capacity,
+    one line per sigma: the Gauss-Hermite sums behind every awgn oracle."""
+    lines = []
+    for sigma in (0.4, 0.8, 1.3, 2.0):
+        ch = ChannelModel.biawgn(sigma)
+        lines.append(repr((ch.capacity(), ch.gallager_e0(0.5), ch.gallager_e0(1.0),
+                           ch.error_exponent(ch.capacity() / 2))))
+    return "\n".join(lines) + "\n"
+
+
 # every case that decodes rlc or crosses awgn, where a BLAS sum could decide
 KERNEL_CASES = sorted(name for name, case in CASES.items()
                       if case["code"].startswith("rlc") or case["channel"].startswith("awgn"))
@@ -173,16 +185,20 @@ KERNEL_CASES = sorted(name for name, case in CASES.items()
                     reason="needs numpy on x86-64 with a DYNAMIC_ARCH OpenBLAS")
 def test_golden_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     # the oldest x86-64 kernel, Prescott, sums in another order than the
-    # kernels of current CPUs; the goldens must not see it
+    # kernels of current CPUs; neither the goldens nor the awgn quadratures
+    # may see it
     script = ("import sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
-              "from test_golden import write_case; "
+              "from test_golden import awgn_quadratures, write_case; "
+              "print(awgn_quadratures(), end=''); "
               "[write_case(name, Path(sys.argv[2]) / name) for name in sys.argv[3:]]")
     src = str(Path(icsim.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "ICSIM_OUTDIR"}
     env.update(OPENBLAS_CORETYPE="Prescott",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", script, str(GOLDEN.parent), str(tmp_path),
-                    *KERNEL_CASES], env=env, check=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, str(GOLDEN.parent), str(tmp_path),
+                           *KERNEL_CASES], env=env, check=True, timeout=120,
+                          capture_output=True, text=True)
+    assert done.stdout == awgn_quadratures()
     for name in KERNEL_CASES:
         got, want = _files(tmp_path / name), _files(GOLDEN / name)
         assert sorted(got) == sorted(want)

@@ -163,6 +163,9 @@ def test_protocol_file_source(tmp_path):
                            n_list=(16,), trials=2)
     summary = run_sweep(cfg)
     assert summary.row(16).failures == 0
+    # every trial runs the file's 16 rounds, so no other n may label them
+    with pytest.raises(ValueError, match=f"n = 64 is not the n = 16 of protocol file {path}"):
+        replace(cfg, n_list=(16, 64, 150))
 
 
 def test_markovian_source_draws_valid_protocols():
