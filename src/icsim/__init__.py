@@ -20,7 +20,6 @@ from .harness import (
 )
 from .multistate import (
     CoincidenceCertificate,
-    all_blocks_coincidence_bound,
     balanced_tables,
     coincidence_bound,
     coincidence_failure_trials,
@@ -87,7 +86,6 @@ __all__ = [
     "SweepSummary",
     "TranscriptTrace",
     "accounting",
-    "all_blocks_coincidence_bound",
     "balanced_tables",
     "binary_entropy",
     "build_example2",

@@ -24,7 +24,9 @@ returned in bits. ``block_error_bound`` is the union bound
 min(1, copies * exp(-(block_bits/R) * Er(R) * ln 2)).
 
 Gaussian-output integrals use fixed Gauss-Hermite quadrature (128 nodes),
-its terms summed exactly rounded by ``math.fsum``, so no BLAS kernel moves them.
+its terms summed exactly rounded by ``math.fsum``, so no BLAS kernel moves them;
+E0 takes each term's exp from ``math.exp``, so numpy's SIMD dispatch does not
+either.
 For E0 the integrand is folded into the bounded likelihood-ratio form
 E[(power mean)/(arithmetic mean)] so the quadrature stays stable for any
 sigma and rho.
@@ -102,18 +104,6 @@ class ChannelModel:
             raise ValueError("noise standard deviation must be positive")
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def bsc(cls, eps: float) -> "ChannelModel":
-        return cls("bsc", eps)
-
-    @classmethod
-    def bec(cls, delta: float) -> "ChannelModel":
-        return cls("bec", delta)
-
-    @classmethod
-    def biawgn(cls, sigma: float) -> "ChannelModel":
-        return cls("awgn", sigma)
 
     @classmethod
     def parse(cls, spec: str) -> "ChannelModel":
@@ -253,7 +243,8 @@ def _gallager_e0(kind: str, param: float, rho: float) -> float:
     # ratio of the order-a power mean to the arithmetic mean, always in (0, 1]
     log_f = np.logaddexp(a * lu + log_half, a * lv + log_half) / a
     log_q = np.logaddexp(lu + log_half, lv + log_half)
-    return -math.log(math.fsum((w * np.exp(log_f - log_q)).tolist()))
+    return -math.log(math.fsum(wk * math.exp(dk)
+                               for wk, dk in zip(w.tolist(), (log_f - log_q).tolist())))
 
 
 @lru_cache(maxsize=65536)

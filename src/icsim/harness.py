@@ -23,10 +23,11 @@ import numpy as np
 from .channel import ChannelModel
 from .coding import CodeSpec
 from .multistate import PLACEMENTS, resolve_functions, simulate_mstate
-from .protocol import (FiniteStateProtocol, _advance_rows, load_protocol, markovian_advance,
-                       random_protocol, read_json)
+from .protocol import (FiniteStateProtocol, _advance_rows, _is_int, load_protocol,
+                       markovian_advance, random_protocol, read_json)
 from .twostate import exhaustive_two_state, random_two_state_protocol, simulate_two_state
-from .vertical import SimulationReport, accounting, genie_provider, simulate_vertical
+from .vertical import (AuditRecord, SimulationReport, accounting, genie_provider,
+                       simulate_vertical)
 
 SCHEMES = ("genie", "two-state", "two-state-exhaustive", "m-state")
 SCHEMA_VERSION = 1
@@ -66,10 +67,6 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # each protocol source's keys besides "type"
@@ -221,14 +218,12 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepSummary:
-    """A sweep's rows, and each row's reports in trial order."""
+    """A sweep's rows, each row's reports in trial order, and whether every
+    report passed its ``accounting`` audit."""
 
     rows: tuple[SweepRow, ...]
     reports: tuple[tuple[SimulationReport, ...], ...]
-
-    @property
-    def audits_passed(self) -> bool:
-        return all(accounting(r).passed for reports in self.reports for r in reports)
+    audits_passed: bool
 
     def row(self, n: int) -> SweepRow:
         for row in self.rows:
@@ -267,8 +262,9 @@ def sweep_csv(summary: SweepSummary, columns: Sequence[str] = CSV_COLUMNS) -> st
     return "\n".join(map(csv_line, (columns, *rows))) + "\n"
 
 
-def sweep_row(n: int, scheme: str, reports: Sequence[SimulationReport]) -> SweepRow:
-    """Aggregate one n's reports, in trial order."""
+def sweep_row(n: int, scheme: str, reports: Sequence[SimulationReport],
+              audits: Sequence[AuditRecord]) -> SweepRow:
+    """Aggregate one n's reports and their audits, in trial order."""
     failures = sum(1 for r in reports if not r.correct)
     low, high = wilson_interval(failures, len(reports))
     return SweepRow(
@@ -280,16 +276,17 @@ def sweep_row(n: int, scheme: str, reports: Sequence[SimulationReport]) -> Sweep
         wilson_low=low,
         wilson_high=high,
         mean_rate=float(np.mean([r.achieved_rate for r in reports])),
-        mean_overhead=float(np.mean(
-            [r.channel_uses - r.n_padded / r.rate_target for r in reports])),
+        mean_overhead=float(np.mean([a.overhead for a in audits])),
         coincidence_failures=sum(1 for r in reports if r.coincidence_ok is False),
     )
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepSummary:
     reports = tuple(tuple(run_trial(cfg, n, t) for t in range(cfg.trials)) for n in cfg.n_list)
-    rows = tuple(sweep_row(n, cfg.scheme, batch) for n, batch in zip(cfg.n_list, reports))
-    summary = SweepSummary(rows, reports)
+    audits = tuple(tuple(map(accounting, batch)) for batch in reports)  # one audit per report
+    rows = tuple(sweep_row(n, cfg.scheme, batch, audit)
+                 for n, batch, audit in zip(cfg.n_list, reports, audits))
+    summary = SweepSummary(rows, reports, all(a.passed for batch in audits for a in batch))
     if cfg.csv_path:
         write_out(cfg.csv_path, sweep_csv(summary))
     if cfg.json_path:

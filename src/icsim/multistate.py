@@ -189,13 +189,6 @@ def coincidence_bound(M: int, F_size: int, K: int, p: int) -> float:
     return min(1.0, (M - 1) * math.exp(-(F_size ** -K) * p / K))
 
 
-def all_blocks_coincidence_bound(M: int, F_size: int, K: int, n: int) -> float:
-    """Union bound over all sqrt(n) blocks, tail length n^(1/4)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return min(1.0, math.sqrt(n) * M * math.exp(-(F_size ** -K) * (n ** 0.25) / K))
-
-
 # ---------------------------------------------------------------------------
 # tail length and the trajectory machinery
 
@@ -216,12 +209,14 @@ def coincidence_failure_trials(eta, function_set: Sequence[Table], p: int,
                                trials: int, base_seed: int) -> int:
     """Monte Carlo count of tails whose M trajectories fail to merge, with
     tables drawn i.i.d. uniform from the set, one seed per trial."""
-    fset = _bit_rows(function_set, len(function_set), len(eta))
+    M = len(eta)
+    advance = _advance_rows(eta, M)
+    fset = _bit_rows(function_set, len(function_set), M)
     picks = np.stack([
         np.random.default_rng(base_seed + t).integers(0, len(fset), size=p)
         for t in range(trials)
     ])
-    finals = walk(eta, fset[picks], np.arange(fset.shape[1]))[-1]
+    finals = walk(advance, fset[picks], np.arange(M))[-1]
     return int((finals.min(axis=1) != finals.max(axis=1)).sum())
 
 

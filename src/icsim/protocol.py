@@ -13,13 +13,14 @@ uint8 array validated in one numpy pass, and its advance table also as an
 (M, 2) array. A party's view is the odd or even row stride of that array,
 so the schemes index tables for whole rows or columns of the vertical grid
 at once instead of walking rounds in Python. ``_bits`` is the one test of
-what a bit is; every entry point that takes bits calls it (not ``walk``).
+what a bit is, ``_advance_rows`` of an advance table and ``_is_int`` of an
+integer input; every entry point that takes such an input calls its test
+(not ``walk``, which is internal).
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -79,12 +80,17 @@ def _bit_rows(rows: Sequence[Sequence[int]] | np.ndarray, count: int, M: int) ->
 
 
 def _advance_rows(advance: Sequence[Sequence[int]] | np.ndarray, M: int) -> np.ndarray:
-    """A read-only (M, 2) copy of the advance table, checked in one pass."""
+    """A read-only (M, 2) copy of the advance table, checked in one pass: the
+    one test of an advance table. Its entries are integers in 0..M-1; a
+    float or a bool is no state index, also where numpy would turn a True
+    among ints into 1."""
     try:
         arr = np.array(advance)
     except ValueError:
         arr = None
-    if arr is None or arr.shape != (M, 2) or arr.dtype.kind not in "iu":
+    if arr is None or arr.shape != (M, 2) or arr.dtype.kind not in "iu" or (
+            not isinstance(advance, np.ndarray)
+            and any(isinstance(v, (bool, np.bool_)) for row in advance for v in row)):
         raise ValueError(f"advance table must be {M}x2 state indices")
     bad = arr[(arr < 0) | (arr >= M)]
     if bad.size:
@@ -316,9 +322,15 @@ def advance_table(raw) -> np.ndarray:
     return _advance_rows(raw, len(raw))
 
 
+def _is_int(value) -> bool:
+    """The one test of an integer input, such as a JSON number: a Python
+    int, never a bool and never a numpy integer."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_entry(d: dict, key: str, default: int | None = None) -> int:
     value = d[key] if default is None else d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_int(value):
         raise ValueError(f"{key} must be an integer, not {value!r}")
     return int(value)
 

@@ -33,6 +33,7 @@ from .protocol import (
     FiniteStateProtocol,
     Party,
     Table,
+    _advance_rows,
     _bits,
     chain,
 )
@@ -176,9 +177,8 @@ class AdvanceClass:
         return tuple(t for t in ALL_TABLES2 if t not in self.constant_making)
 
 
-def classify_advance(eta: Sequence[Sequence[int]]) -> AdvanceClass:
-    if len(eta) != 2 or any(len(row) != 2 or any(v not in (0, 1) for v in row) for row in eta):
-        raise ValueError("classification requires a two-state advance table")
+def classify_advance(eta: Sequence[Sequence[int]] | np.ndarray) -> AdvanceClass:
+    eta = _advance_rows(eta, 2).tolist()
     const0 = eta[0][0] == eta[0][1]
     const1 = eta[1][0] == eta[1][1]
     if const0 and const1:
@@ -285,14 +285,14 @@ def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.
     direct iteration; and the logical bits each block spends: m, plus its
     share of what the exchange sent.
     """
-    cls = classify_advance(eta)
+    advance = _advance_rows(eta, 2)
+    cls = classify_advance(advance)
     if not cls.interactive:
         raise ValueError("the exhaustive scheme requires an interactive advance function")
     tables = _bits(blocks, "blocks must hold only bits")
     if tables.ndim != 3 or tables.shape[2] != 2:
         raise ValueError(f"blocks must be a (blocks, m, 2) stack, not shape {tables.shape}")
     m = tables.shape[1]
-    advance = np.array(eta, dtype=np.intp)
     beliefs, transfers = _merge_points(tables, advance, ChannelModel.parse("bsc:0"),
                                        CodeSpec.parse("rep:1"), np.random.default_rng(0))
     both = np.tile(np.arange(2), (len(tables), 1))

@@ -39,7 +39,7 @@ from icsim.twostate import (
     simulate_two_state,
 )
 
-NOISELESS = ChannelModel.bsc(0.0)
+NOISELESS = ChannelModel("bsc", 0.0)
 MARKOV4 = tuple((((s << 1) & 3), ((s << 1) & 3) | 1) for s in range(4))
 INTERACTIVE = tuple(e for e in ts.all_two_state_advances() if ts.classify_advance(e).interactive)
 
@@ -132,10 +132,10 @@ def test_criterion_3_exhaustive_two_state_blocks():
 
 
 def test_criterion_4_capacity_and_exponent_numerics():
-    bsc11 = ChannelModel.bsc(0.11)
+    bsc11 = ChannelModel("bsc", 0.11)
     assert bsc11.capacity() == pytest.approx(0.50009, abs=1e-4)
 
-    bsc10 = ChannelModel.bsc(0.1)
+    bsc10 = ChannelModel("bsc", 0.1)
     cutoff = 1.0 - math.log2(1.0 + 2.0 * math.sqrt(0.1 * 0.9))
     assert bsc10.error_exponent(0.0) == pytest.approx(cutoff, abs=1e-3)
     assert abs(cutoff - 0.32193) < 1e-4
@@ -149,7 +149,7 @@ def test_criterion_4_capacity_and_exponent_numerics():
 
 
 def test_criterion_5_block_error_bound_audit(genie_sweep):
-    ch = ChannelModel.bsc(0.05)
+    ch = ChannelModel("bsc", 0.05)
     rows = []
     for n in (256, 1024, 4096):
         row = genie_sweep.row(n)

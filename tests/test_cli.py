@@ -25,7 +25,7 @@ def test_capacity_stdout(capsys):
     first_r, first_er = map(float, out[2].split(","))
     assert first_r == 0.0 and first_er > 0.2
     last_r, last_er = map(float, out[-1].split(","))
-    assert last_r == pytest.approx(ChannelModel.bsc(0.11).capacity(), abs=1e-6)
+    assert last_r == pytest.approx(ChannelModel("bsc", 0.11).capacity(), abs=1e-6)
     assert last_er == 0.0
 
 

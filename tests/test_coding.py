@@ -15,7 +15,7 @@ from icsim.protocol import FiniteStateProtocol, random_protocol
 from icsim.threestate import build_example2, disj_via_protocol
 from icsim.twostate import run_exhaustive_block
 
-NOISELESS = ChannelModel.bsc(0.0)
+NOISELESS = ChannelModel("bsc", 0.0)
 FOLLOW = ((0, 1), (0, 1))  # the next state is the bit
 LN2 = math.log(2)
 SEED_STRIDE = 1000003  # an rlc chunk code's seed is matrix_seed * SEED_STRIDE + chunk offset
@@ -109,7 +109,7 @@ def _rep_decode(monkeypatch, outputs, ch):
 
 
 def test_repetition_majority_decode(monkeypatch):
-    ch = ChannelModel.bsc(0.2)
+    ch = ChannelModel("bsc", 0.2)
     assert _rep_decode(monkeypatch, [1, 1, 0], ch) == (1,)
     assert _rep_decode(monkeypatch, [0, 1, 0], ch) == (0,)
 
@@ -117,7 +117,7 @@ def test_repetition_majority_decode(monkeypatch):
 @pytest.mark.parametrize("repeats", [1, 2, 3, 4, 5])
 def test_repetition_ml_equals_majority(repeats, monkeypatch):
     # ties (even splits) go to 0, the lexicographically smaller message
-    ch = ChannelModel.bsc(0.2)
+    ch = ChannelModel("bsc", 0.2)
     for pattern in itertools.product((0, 1), repeat=repeats):
         ones = sum(pattern)
         want = 1 if ones * 2 > repeats else 0
@@ -152,7 +152,7 @@ def test_linear_rejects_large_k():
 
 def test_linear_bhattacharyya_union_bound():
     eps = 0.05
-    spec, ch = CodeSpec.parse("rlc:3"), ChannelModel.bsc(eps)
+    spec, ch = CodeSpec.parse("rlc:3"), ChannelModel("bsc", eps)
     # weight enumerator of the 4-bit chunk code convey uses at matrix seed 0;
     # linearity makes the all-zeros transmission representative
     _, cb = _reference_codebook(RandomLinearCode(k=4, codeword_length=12, seed=0))
@@ -167,7 +167,7 @@ def test_linear_bhattacharyya_union_bound():
 
 
 def test_oracle_corruption_probability_formula():
-    ch = ChannelModel.bsc(0.1)
+    ch = ChannelModel("bsc", 0.1)
     code = OracleCode(k=8, rate=0.25, channel=ch)
     expected = math.exp(-(8 / 0.25) * ch.error_exponent(0.25) * LN2)
     assert code.corruption_probability == pytest.approx(expected, rel=1e-12)
@@ -175,7 +175,7 @@ def test_oracle_corruption_probability_formula():
 
 
 def test_oracle_tiny_rate_never_corrupts():
-    ch = ChannelModel.bsc(0.1)
+    ch = ChannelModel("bsc", 0.1)
     code = OracleCode(k=64, rate=0.01, channel=ch)
     rng = np.random.default_rng(0)
     msg = tuple(rng.integers(0, 2, 64))
@@ -185,7 +185,7 @@ def test_oracle_tiny_rate_never_corrupts():
 
 
 def test_oracle_corruption_rate_monte_carlo():
-    ch = ChannelModel.bsc(0.1)
+    ch = ChannelModel("bsc", 0.1)
     code = OracleCode(k=8, rate=0.25, channel=ch)
     p = code.corruption_probability
     assert 0.01 < p < 0.9  # the regime worth sampling
@@ -204,7 +204,7 @@ def test_oracle_corruption_rate_monte_carlo():
 
 
 def test_oracle_above_capacity_always_corrupts():
-    ch = ChannelModel.bsc(0.3)
+    ch = ChannelModel("bsc", 0.3)
     code = OracleCode(k=8, rate=0.9, channel=ch)
     assert code.corruption_probability == 1.0
     rng = np.random.default_rng(1)
@@ -226,7 +226,7 @@ def test_noiseless_round_trip_all_kinds():
 def test_channel_use_accounting():
     rep = convey(CodeSpec.parse("rep:3"), [1] * 8, NOISELESS, np.random.default_rng(0))
     assert rep.channel_uses == 24
-    ch = ChannelModel.bsc(0.1)
+    ch = ChannelModel("bsc", 0.1)
     for k, rate in [(64, 0.3), (10, 0.23), (1, 0.5)]:
         assert OracleCode(k=k, rate=rate, channel=ch).codeword_length == math.ceil(k / rate)
 
@@ -274,7 +274,7 @@ def test_convey_accounting_matches_spec_rate():
 
 
 def test_convey_deterministic_given_rng_state():
-    ch = ChannelModel.bsc(0.2)
+    ch = ChannelModel("bsc", 0.2)
     payload = tuple(np.random.default_rng(8).integers(0, 2, 24))
     a = convey(CodeSpec.parse("rlc:2"), payload, ch, np.random.default_rng(77), matrix_seed=1)
     b = convey(CodeSpec.parse("rlc:2"), payload, ch, np.random.default_rng(77), matrix_seed=1)
@@ -329,7 +329,7 @@ def test_convey_rlc_matches_per_chunk_transfers(code, channel):
 
 def test_convey_rlc_makes_one_transmit_call(monkeypatch):
     sent = _transmits(monkeypatch)
-    result = convey(CodeSpec.parse("rlc:3"), [1, 0] * 20, ChannelModel.bsc(0.1),
+    result = convey(CodeSpec.parse("rlc:3"), [1, 0] * 20, ChannelModel("bsc", 0.1),
                     np.random.default_rng(0), matrix_seed=2)
     assert [x.size for x, _ in sent] == [result.channel_uses] == [5 * 24]
 
@@ -346,7 +346,7 @@ def test_one_draw_equals_two_consecutive_draws(draw):
 
 def test_book_cache_holds_a_whole_large_trial():
     # a trial at n = 65536 sends 256-bit columns; one spare seed for a side transfer
-    spec, ch = CodeSpec.parse("rlc:2"), ChannelModel.bsc(0.0)
+    spec, ch = CodeSpec.parse("rlc:2"), ChannelModel("bsc", 0.0)
     payload = (1, 0, 0, 1) * 64
     rng = np.random.default_rng(0)
 
@@ -454,7 +454,7 @@ def test_warm_rlc_trial_builds_no_codebook(monkeypatch):
 
 def test_warm_rlc_transfers_look_up_one_book_stack_per_chunk_size(monkeypatch):
     cfg = harness.ExperimentConfig(scheme="genie", channel="bsc:0.02", code="rlc:3")
-    spec, ch, payload = CodeSpec.parse("rlc:3"), ChannelModel.bsc(0.02), [1, 0, 0] * 4 + [1, 1]
+    spec, ch, payload = CodeSpec.parse("rlc:3"), ChannelModel("bsc", 0.02), [1, 0, 0] * 4 + [1, 1]
     harness.run_trial(cfg, 4096, 0)
     convey(spec, payload, ch, np.random.default_rng(0), matrix_seed=3)
     cache, lookups = coding._BOOKS, []
@@ -802,7 +802,7 @@ def test_awgn_rep_sums_each_bit_in_repeat_order(monkeypatch):
     # (-1 + 1) - 1e-17 < 0 for the second
     word = np.array([1.0, -1e-17, -1.0, -1.0, 1.0, -1e-17])
     monkeypatch.setattr(ChannelModel, "transmit", lambda self, bits, rng: word.copy())
-    got = convey(CodeSpec.parse("rep:3"), [0, 0], ChannelModel.biawgn(0.8),
+    got = convey(CodeSpec.parse("rep:3"), [0, 0], ChannelModel("awgn", 0.8),
                  np.random.default_rng(0))
     assert got.bits.tolist() == [0, 1]
     assert math.fsum(word[:3]) == math.fsum(word[3:]) == -1e-17
@@ -869,7 +869,7 @@ def _check_awgn_rep_words(ch, r, words, monkeypatch):
 @pytest.mark.parametrize("sigma", [0.05, 0.4, 1.3, 3.0, 50.0])
 @pytest.mark.parametrize("r", range(1, 10))
 def test_awgn_rep_sum_rule_equals_exact_ml(sigma, r, monkeypatch):
-    ch, draw = ChannelModel.biawgn(sigma), np.random.default_rng(int(sigma * 100) + r)
+    ch, draw = ChannelModel("awgn", sigma), np.random.default_rng(int(sigma * 100) + r)
     words = [("random", ch.transmit(draw.integers(0, 2, k).repeat(r), draw))
              for k in (1, 2, 7, 64, 128, 300) for _ in range(5)]
     words += list(_adversarial_words(ch, r, draw))
@@ -881,7 +881,7 @@ def test_awgn_rep_sum_rule_equals_exact_ml(sigma, r, monkeypatch):
 def test_awgn_rep_sum_rule_at_extreme_sigma(sigma, r, monkeypatch):
     # the log-likelihoods of outputs of 1e10 overflow to -inf at sigma =
     # 1e-145; the sums of the outputs stay finite
-    ch, draw = ChannelModel.biawgn(sigma), np.random.default_rng(r)
+    ch, draw = ChannelModel("awgn", sigma), np.random.default_rng(r)
     words = [("scaled", draw.choice((-1.0, 1.0), 4 * r) * scale) for scale in (1.0, 1e10, 1e100)]
     words.append(("random", ch.transmit(draw.integers(0, 2, 4 * r), draw)))
     _check_awgn_rep_words(ch, r, words, monkeypatch)

@@ -170,7 +170,7 @@ def awgn_quadratures() -> str:
     one line per sigma: the Gauss-Hermite sums behind every awgn oracle."""
     lines = []
     for sigma in (0.4, 0.8, 1.3, 2.0):
-        ch = ChannelModel.biawgn(sigma)
+        ch = ChannelModel("awgn", sigma)
         lines.append(repr((ch.capacity(), ch.gallager_e0(0.5), ch.gallager_e0(1.0),
                            ch.error_exponent(ch.capacity() / 2))))
     return "\n".join(lines) + "\n"
@@ -181,29 +181,43 @@ KERNEL_CASES = sorted(name for name, case in CASES.items()
                       if case["code"].startswith("rlc") or case["channel"].startswith("awgn"))
 
 
+def _numpy_dispatches_avx512f() -> bool:
+    """Whether numpy's SIMD dispatch reports AVX512F on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX512F"))
+
+
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or not _openblas_dynamic_arch(),
                     reason="needs numpy on x86-64 with a DYNAMIC_ARCH OpenBLAS")
 def test_golden_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     # the oldest x86-64 kernel, Prescott, sums in another order than the
     # kernels of current CPUs; neither the goldens nor the awgn quadratures
-    # may see it
+    # may see it, nor numpy's own SIMD dispatch with its AVX-512 group off
     script = ("import sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
               "from test_golden import awgn_quadratures, write_case; "
               "print(awgn_quadratures(), end=''); "
               "[write_case(name, Path(sys.argv[2]) / name) for name in sys.argv[3:]]")
     src = str(Path(icsim.__file__).resolve().parents[1])
-    env = {key: value for key, value in os.environ.items() if key != "ICSIM_OUTDIR"}
-    env.update(OPENBLAS_CORETYPE="Prescott",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, str(GOLDEN.parent), str(tmp_path),
-                           *KERNEL_CASES], env=env, check=True, timeout=120,
-                          capture_output=True, text=True)
-    assert done.stdout == awgn_quadratures()
-    for name in KERNEL_CASES:
-        got, want = _files(tmp_path / name), _files(GOLDEN / name)
-        assert sorted(got) == sorted(want)
-        for fname in want:
-            assert got[fname] == want[fname], f"{name}/{fname} differs under Prescott"
+    settings = {"Prescott": {"OPENBLAS_CORETYPE": "Prescott"}}
+    if _numpy_dispatches_avx512f():
+        settings["X86_V4 off"] = {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+    for label, setting in settings.items():
+        env = {key: value for key, value in os.environ.items() if key != "ICSIM_OUTDIR"}
+        env.update(setting, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / label
+        done = subprocess.run([sys.executable, "-c", script, str(GOLDEN.parent), str(out),
+                               *KERNEL_CASES], env=env, check=True, timeout=120,
+                              capture_output=True, text=True)
+        assert done.stdout == awgn_quadratures(), label
+        for name in KERNEL_CASES:
+            got, want = _files(out / name), _files(GOLDEN / name)
+            assert sorted(got) == sorted(want)
+            for fname in want:
+                assert got[fname] == want[fname], f"{name}/{fname} differs under {label}"
 
 
 def test_golden_matrix_covers_the_edge_cases():

@@ -14,7 +14,6 @@ from icsim.channel import ChannelModel
 from icsim.coding import CodeSpec, convey
 from icsim.multistate import (
     CoincidenceCertificate,
-    all_blocks_coincidence_bound,
     all_tables,
     balanced_tables,
     coincidence_bound,
@@ -36,7 +35,7 @@ from icsim.protocol import (
 )
 from icsim.vertical import LookaheadResult, genie_provider, grid_side, simulate_vertical
 
-NOISELESS = ChannelModel.bsc(0.0)
+NOISELESS = ChannelModel("bsc", 0.0)
 EXAMPLE2 = ((0, 1), (0, 2), (2, 2))
 MARKOV2 = ((0, 1), (0, 1))
 MARKOV4 = tuple((((s << 1) & 3), ((s << 1) & 3) | 1) for s in range(4))
@@ -217,12 +216,6 @@ def test_coincidence_bound_values():
         coincidence_bound(4, 6, 2, 1)
     with pytest.raises(ValueError):
         coincidence_bound(4, 6, 2, 5)
-
-
-def test_all_blocks_bound_formula():
-    n = 6_250_000  # fourth root 50, sqrt 2500
-    got = all_blocks_coincidence_bound(4, 6, 2, n)
-    assert got == pytest.approx(min(1.0, 2500 * 4 * math.exp(-(6 ** -2) * 50 / 2)), rel=1e-12)
 
 
 def test_tail_length_exactness():

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icsim.harness import protocol_draw
+from icsim.multistate import coincidence_failure_trials, coincidence_horizon, is_coinciding
 from icsim.protocol import (
     FiniteStateProtocol,
     Party,
+    advance_table,
     make_markovian,
     pad_protocol,
     party_view,
@@ -22,7 +25,13 @@ from icsim.protocol import (
     save_protocol,
     load_protocol,
 )
-from icsim.twostate import ALL_TABLES2, all_two_state_advances, random_two_state_protocol
+from icsim.twostate import (
+    ALL_TABLES2,
+    all_two_state_advances,
+    classify_advance,
+    random_two_state_protocol,
+    run_exhaustive_block,
+)
 
 IDENTITY2 = ((0, 0), (1, 1))   # advance ignores the bit
 FOLLOW2 = ((0, 1), (0, 1))     # next state equals the bit
@@ -176,6 +185,10 @@ def test_serialization_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["advance"] == [v for row in p.advance for v in row]
     assert len(doc["advance"]) == 2 * p.M
+    # an integer entry is a Python int, as in the config: not a numpy integer
+    for key in ("n", "M", "initial_state"):
+        with pytest.raises(ValueError, match=f"{key} must be an integer, not np.int64"):
+            protocol_from_dict({**protocol_to_dict(p), key: np.int64(doc[key])})
 
 
 def test_tables_are_read_only():
@@ -215,6 +228,31 @@ def test_tuple_accessors_and_content_equality():
     assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
 
 
+def _exhaustive_runs(advance):
+    runs, bits_used = run_exhaustive_block(advance, [ALL_TABLES2])
+    return [(q, bits.tolist(), finals.tolist()) for q, (bits, finals) in runs.items()], bits_used
+
+
+# every public function that takes an advance table: the M it checks the
+# table against (None: the table's row count) and a call whose result
+# compares with ==; advance_table reads JSON, so an array goes in as its list
+ADVANCE_ENTRY_POINTS = {
+    "FiniteStateProtocol": (2, lambda a: FiniteStateProtocol(4, 2, a, ALL_TABLES2)),
+    "random_protocol": (2, lambda a: random_protocol(8, 2, ALL_TABLES2, 0, a)),
+    "random_two_state_protocol": (2, lambda a: random_two_state_protocol(8, 0, a)),
+    "two-state source": (2, lambda a: protocol_draw({"advance": a}, (8,))(
+        8, np.random.default_rng(0))),
+    "advance_table": (None, lambda a: advance_table(
+        a.tolist() if isinstance(a, np.ndarray) else a).tolist()),
+    "is_coinciding": (2, lambda a: is_coinciding(a, 2)),
+    "coincidence_horizon": (2, lambda a: coincidence_horizon(a, 2)),
+    "classify_advance": (2, classify_advance),
+    "coincidence_failure_trials": (None, lambda a: coincidence_failure_trials(
+        a, ALL_TABLES2, 4, 10, 0)),
+    "run_exhaustive_block": (2, _exhaustive_runs),
+}
+
+
 @pytest.mark.parametrize("change, message", [
     ({"transmissions": ((0, 1),) * 3}, "expected 4 transmission tables, got 3"),
     ({"transmissions": ((0, 1, 1),) * 4}, "needs 2 entries"),
@@ -227,11 +265,24 @@ def test_tuple_accessors_and_content_equality():
     ({"advance": ((0, 1), (-1, 1))}, r"advance entry -1 outside 0\.\.1"),
     ({"advance": ((0, 1),)}, "advance table must be 2x2"),
     ({"initial_state": 2}, "initial state out of range"),
+    ({"advance": ((0, 1), (0, 0.5))}, "advance table must be 2x2"),
+    ({"advance": ((0, 1), (0, True))}, "advance table must be 2x2"),
+    ({"advance": ((0, 1), (0,))}, "advance table must be 2x2"),
 ])
 def test_constructor_rejects_bad_input(change, message):
     args = {"n": 4, "M": 2, "advance": FOLLOW2, "transmissions": ((0, 1),) * 4, **change}
     with pytest.raises(ValueError, match=message):
         FiniteStateProtocol(**args)
+    if "advance" not in change:
+        return
+    bad = change["advance"]
+    for name, (M, call) in ADVANCE_ENTRY_POINTS.items():
+        # a one-row table is whole for M = 1, so where M is the row count it
+        # fails by its entry 1 outside 0..0 or by advance_table's two states
+        with pytest.raises(ValueError, match=message if M or len(bad) == 2 else None):
+            call(bad)
+        # a list of ints and an int64 array are the same table
+        assert call([list(row) for row in FOLLOW2]) == call(np.array(FOLLOW2, dtype=np.int64)), name
 
 
 @pytest.mark.parametrize("n", [1, 37, 1024])

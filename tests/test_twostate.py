@@ -34,7 +34,7 @@ from icsim.twostate import (
 )
 from icsim.vertical import LookaheadResult, accounting, exchange, genie_provider, grid_side
 
-NOISELESS = ChannelModel.bsc(0.0)
+NOISELESS = ChannelModel("bsc", 0.0)
 FOLLOW = ((0, 1), (0, 1))          # eta(s, tau) = tau
 AND = ((0, 0), (0, 1))             # eta(s, tau) = s and tau
 NAND = ((1, 1), (1, 0))            # eta(s, tau) = 1 xor (s and tau)
@@ -314,7 +314,7 @@ def test_two_state_scheme_end_to_end_noiseless():
 
 
 def test_two_state_scheme_survives_moderate_noise_with_strong_codes():
-    ch = ChannelModel.bsc(0.01)
+    ch = ChannelModel("bsc", 0.01)
     vertical = CodeSpec.parse("rep:9")
     side = CodeSpec.parse("rep:9")
     good = 0

@@ -36,7 +36,7 @@ from icsim.vertical import (
     simulate_vertical,
 )
 
-NOISELESS = ChannelModel.bsc(0.0)
+NOISELESS = ChannelModel("bsc", 0.0)
 FOLLOW2 = ((0, 1), (0, 1))
 
 
@@ -138,7 +138,7 @@ def test_noiseless_genie_run_matches_oracle_and_rate():
 
 
 def test_above_capacity_oracle_code_fails_loudly():
-    ch = ChannelModel.bsc(0.3)
+    ch = ChannelModel("bsc", 0.3)
     p = random_two_state_protocol(64, seed=1)
     rng = np.random.default_rng(4)
     report = simulate_vertical(p, ch, CodeSpec.parse("oracle:0.9"),
@@ -205,7 +205,7 @@ def test_accounting_exact_split():
 
     p = random_two_state_protocol(64, seed=3)
     rng = np.random.default_rng(2)
-    report = simulate_vertical(p, ChannelModel.bsc(0.05), CodeSpec.parse("oracle:0.3"),
+    report = simulate_vertical(p, ChannelModel("bsc", 0.05), CodeSpec.parse("oracle:0.3"),
                                costly_provider, rng, scheme="two-state")
     assert report.channel_uses == report.vertical_uses + report.lookahead_uses
     assert report.lookahead_uses == 100 and report.lookahead_bits == 40
@@ -263,7 +263,7 @@ def test_the_report_counts_every_transfer_of_its_trial(monkeypatch, scheme, prot
 
 
 def test_noisy_decode_errors_show_up_per_column():
-    ch = ChannelModel.bsc(0.05)
+    ch = ChannelModel("bsc", 0.05)
     p = random_two_state_protocol(256, seed=11)
     failures = 0
     for seed in range(40):
