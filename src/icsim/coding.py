@@ -34,16 +34,18 @@ eps = 0.5). A tie S = 0, and every bit on bsc:0.5, goes to 0.
 ``np.packbits`` and stored byte-major (byte j of every codeword, then byte
 j + 1). A cache bounded in bytes keeps one stacked read-only entry per
 transfer shape (k, b, seeds), so a warm transfer makes one lookup per chunk
-size. A chunk's message is one byte that picks its codeword's bytes; all
-codewords go through one ``ChannelModel.transmit`` call. ``_rlc_decide``
+size. A chunk's message is one byte that picks its codeword's bytes, and one
+flat ``take`` gathers those of every chunk (``_codewords``); all codewords
+go through one ``ChannelModel.transmit`` call. ``_rlc_decide``
 decodes a chunk to the smallest message among those whose codeword's ones
 hold the least sum of s:
 
 * on bsc and bec that sum is, up to a constant, the codeword's Hamming
   distance to the hard outputs over the unerased positions, an exact
   integer. So a chunk takes its first nearest codeword, by XOR and popcount
-  on the packed books and outputs; past eps = 0.5 the nearest to the
-  flipped outputs, and at eps = 0.5 message 0;
+  on the packed books and outputs (an erasure packs as a 1 and the mask of
+  unerased positions clears it); past eps = 0.5 the nearest to the flipped
+  outputs, and at eps = 0.5 message 0;
 * on awgn the sums are floats, added in one fixed order of elementwise adds
   (``_lightest_codewords``): a 256-entry table per chunk byte, built by
   doubling, then each codeword's bytes added left to right.
@@ -61,7 +63,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -189,6 +191,16 @@ class _BookCache:
 
 _BOOKS = _BookCache(_BOOK_CACHE_BYTES)
 
+
+@lru_cache(maxsize=64)
+def _book_offsets(count: int, size: int, words: int) -> np.ndarray:
+    """Read-only (count, size) flat offsets into a C-order (count, size,
+    words) book stack: of byte j of chunk c's first codeword. Adding each
+    chunk's message gives its codeword's bytes, for one flat ``take``."""
+    offsets = np.arange(0, count * size * words, words, dtype=np.intp).reshape(count, size)
+    offsets.flags.writeable = False
+    return offsets
+
 # chunk bytes per awgn pass: its table, index and gathered sums stay within 512 KB each
 _TABLE_BYTES = 256
 
@@ -233,8 +245,9 @@ def _rlc_decide(ch: ChannelModel, books: np.ndarray, y: np.ndarray) -> np.ndarra
         for i in range(0, len(books), step):
             best[i:i + step] = _lightest_codewords(books[i:i + step], y[i:i + step])
         return best
-    # ones of (codeword XOR hard outputs), over the unerased positions on bec
-    ones = books ^ np.packbits(y == 1 if direction > 0 else y == 0, axis=1)[..., None]
+    # ones of (codeword XOR hard outputs), over the unerased positions on bec; packbits
+    # sets the bit of every nonzero output, and the mask clears an erasure's
+    ones = books ^ np.packbits(y if direction > 0 else y == 0, axis=1)[..., None]
     if ch.kind == "bec":
         ones &= np.packbits(y != ERASURE, axis=1)[..., None]
     b = y.shape[1]  # uint8 holds every distance only while b <= 255
@@ -382,7 +395,7 @@ def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
     else:
         decoded, uses = _convey_rlc(spec, payload, ch, rng, matrix_seed)
     decoded.flags.writeable = False
-    return TransferResult(decoded, uses, not np.count_nonzero(decoded != payload))
+    return TransferResult(decoded, uses, decoded.tobytes() == payload.tobytes())
 
 
 def _convey_rlc(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,
@@ -393,26 +406,47 @@ def _convey_rlc(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,
     A chunk's message is one ``np.packbits`` byte."""
     n = payload.size
     short = n % RLC_CHUNK
+    whole = n - short
     first = matrix_seed * 1000003
     index = np.packbits(payload)  # one message byte per chunk
     if short:
         index[-1] >>= RLC_CHUNK - short
-    groups, words, uses = [], [], 0  # (first chunk, first bit, codeword length, books)
-    for size, start, stop in ((RLC_CHUNK, 0, n - short), (short, n - short, n)):
-        if start < stop:
-            at, b = start // RLC_CHUNK, math.ceil(size * spec.value)
-            books = _BOOKS(size, b, range(first + start, first + stop, size))
-            words.append(books[np.arange(len(books)), :, index[at: at + len(books)]])
-            groups.append((at, uses, b, books))
-            uses += len(books) * b
-    sent = words[0] if len(words) == 1 else np.concatenate(words, axis=None)
-    y = ch.transmit(np.unpackbits(sent, count=uses), rng)
-    if ch.kind != "awgn":
-        y = discrete_outputs(ch.kind, y, 2 if ch.kind == "bsc" else 3)
-    best = np.empty_like(index)
-    for at, bit, b, books in groups:
-        count = len(books)
-        best[at: at + count] = _rlc_decide(ch, books, y[bit: bit + count * b].reshape(count, b))
+    if not whole or not short:  # one chunk size: one book stack
+        size = short or RLC_CHUNK
+        b, books = _book_stack(spec, size, range(first, first + n, size))
+        uses = len(books) * b
+        y = _send(_codewords(books, index), uses, ch, rng)
+        best = _rlc_decide(ch, books, y.reshape(-1, b))
+    else:  # whole chunks, then a short one
+        b, books = _book_stack(spec, RLC_CHUNK, range(first, first + whole, RLC_CHUNK))
+        b_short, book = _book_stack(spec, short, range(first + whole, first + n, short))
+        split = len(books) * b
+        uses = split + b_short
+        sent = np.concatenate([_codewords(books, index[:-1]), _codewords(book, index[-1:])],
+                              axis=None)
+        y = _send(sent, uses, ch, rng)
+        best = np.concatenate([_rlc_decide(ch, books, y[:split].reshape(-1, b)),
+                               _rlc_decide(ch, book, y[split:].reshape(1, b_short))])
+    best = best.astype(np.uint8)
     if short:
         best[-1] <<= RLC_CHUNK - short
     return np.unpackbits(best, count=n), uses
+
+
+def _book_stack(spec: CodeSpec, size: int, seeds: range) -> tuple[int, np.ndarray]:
+    """The codeword length of ``size``-bit chunks and their books, one per seed."""
+    b = math.ceil(size * spec.value)
+    return b, _BOOKS(size, b, seeds)
+
+
+def _codewords(books: np.ndarray, messages: np.ndarray) -> np.ndarray:
+    """(count, ceil(b / 8), 2^k) books and one message byte per chunk -> the
+    (count, ceil(b / 8)) bytes of each chunk's codeword, by one flat take."""
+    return books.take(_book_offsets(*books.shape) + messages[:, None])
+
+
+def _send(words: np.ndarray, uses: int, ch: ChannelModel, rng: np.random.Generator) -> np.ndarray:
+    """The outputs of the first ``uses`` bits of the packed codewords, in one
+    transmit call; bsc and bec ones checked by ``discrete_outputs``."""
+    y = ch.transmit(np.unpackbits(words, count=uses), rng)
+    return y if ch.kind == "awgn" else discrete_outputs(ch.kind, y, 2 if ch.kind == "bsc" else 3)

@@ -208,8 +208,9 @@ def tail_length(n_padded: int, K: int) -> int:
 def coincidence_failure_trials(eta, function_set: Sequence[Table], p: int,
                                trials: int, base_seed: int) -> int:
     """Monte Carlo count of tails whose M trajectories fail to merge, with
-    tables drawn i.i.d. uniform from the set, one seed per trial."""
-    M = len(eta)
+    tables drawn i.i.d. uniform from the set, one seed per trial. M is the
+    advance table's row count; a table with no rows fails its check."""
+    M = len(eta) if hasattr(eta, "__len__") else 0
     advance = _advance_rows(eta, M)
     fset = _bit_rows(function_set, len(function_set), M)
     picks = np.stack([

@@ -228,7 +228,7 @@ def _exhaustive_format(cls: AdvanceClass) -> tuple[np.ndarray, np.ndarray]:
         for w, (t0, t1) in enumerate(group):
             naming[k, t0, t1] = w
     naming[2] = (0, 1)
-    return naming, np.array([*groups, ((0, 0), (1, 1))])
+    return naming, np.array([*groups, ((0, 0), (1, 1))], dtype=np.uint8)
 
 
 class ExhaustiveWire(ColumnWire):

@@ -19,10 +19,12 @@ row-start states are agreed, one per possible start state when they are
 not. For each column the owner maps its tables to one wire bit per row, one
 coded block carries them as an array, and the receiver reads one bit per
 row and branch off the decoded bits at its current states. A scheme changes
-only that wire mapping (``ColumnWire``). This module alone builds the
-``SimulationReport`` and decides each party's correctness, by checking the
-states the column loop walked against the tables; it runs the protocol only
-after an error.
+only that wire mapping (``ColumnWire``). From equal starts the two parties
+share one array of bits and one of states until the first column where the
+receiver applies other bits than the owner's; from there each walks its own.
+This module alone builds the ``SimulationReport`` and decides each party's
+correctness, by checking the states the column loop walked against the
+tables; it runs the protocol only after an error.
 
 Every count in a report is read from the trial's ledger: its transfers in
 send order, the provider's side transfers (``LookaheadResult.transfers``)
@@ -206,28 +208,54 @@ def run_columns(owned: Mapping[Party, np.ndarray], advance: np.ndarray,
     takes column j's wire bits to the receiver. Returns, per party, the
     (columns, rows, branches) transcript bits of every branch and the
     (columns + 1, rows, branches) states they drive through: ``[0]`` the
-    starts, ``[-1]`` the finals.
+    starts, ``[-1]`` the finals. The arrays are read-only.
+
+    From equal starts the parties share one bits and one states array (the
+    same objects in the result) for as long as each receiver applies
+    exactly the owner's bits (``_agrees``). At the first column where one
+    does not, the receiver gets a copy, and from there each walks its own.
     """
     cols = sum(a.shape[1] for a in owned.values())
     rows = np.arange(len(starts[Party.ALICE]))[:, None]
-    bits = {q: np.empty((cols, len(rows), wire.branches), dtype=np.uint8) for q in starts}
-    states = {q: np.empty((cols + 1, len(rows), wire.branches), dtype=np.intp) for q in starts}
+    shape = (len(rows), wire.branches)
+    runs = {q: (np.empty((cols,) + shape, dtype=np.uint8),
+                np.empty((cols + 1,) + shape, dtype=np.intp)) for q in starts}
+    if np.array_equal(starts[Party.ALICE], starts[Party.BOB]):
+        runs[Party.BOB] = runs[Party.ALICE]
     for q in starts:
-        states[q][0] = starts[q]
+        runs[q][1][0] = starts[q]
     turns = ((Party.BOB, Party.ALICE), (Party.ALICE, Party.BOB))  # (owner, receiver) by j % 2
     for j in range(1, cols + 1):
         owner, receiver = turns[j % 2]
+        (own_bits, own_states), (bits, states) = runs[owner], runs[receiver]
         tables = owned[owner][:, (j - 1) // 2]
-        at, was = states[owner][j - 1], states[receiver][j - 1]
+        at, was = own_states[j - 1], states[j - 1]
         taus = tables[rows, at]
         sent = wire.encode(owner, j, tables, taus)
         heard = None if sent is None else carry(j, sent)
         applied = wire.decode(receiver, j, heard, was)
-        bits[owner][j - 1] = taus
-        states[owner][j] = advance[at, taus]
-        bits[receiver][j - 1] = applied
-        states[receiver][j] = advance[was, applied]
-    return {q: (bits[q], states[q]) for q in starts}
+        own_bits[j - 1] = taus
+        own_states[j] = advance[at, taus]
+        if bits is own_bits:
+            if _agrees(applied, taus):
+                continue
+            runs[receiver] = bits, states = own_bits.copy(), own_states.copy()
+        bits[j - 1] = applied
+        states[j] = advance[was, applied]
+    for run in runs.values():
+        for a in run:
+            a.flags.writeable = False
+    return runs
+
+
+def _agrees(applied: np.ndarray, taus: np.ndarray) -> bool:
+    """Whether the receiver's bits ``applied``, broadcast to its row as the
+    column loop stores them, are the owner's ``taus`` byte for byte, in the
+    same dtype: then both parties' rows of bits and states are the same.
+    Bits of another dtype count as other bits."""
+    if applied.shape != taus.shape:
+        applied = np.broadcast_to(applied, taus.shape)
+    return applied.dtype == taus.dtype and applied.tobytes() == taus.tobytes()
 
 
 @lru_cache(maxsize=256)
@@ -243,13 +271,17 @@ def _correct(pp: FiniteStateProtocol,
     the transcript drives from the initial state. If a party's chosen rows
     chain (each starts where the previous one ended, the first in the
     initial state), the states its column loop walked are those states.
-    Otherwise, only after an error, compare with a fresh ``run_protocol``."""
+    Otherwise, only after an error, compare with a fresh ``run_protocol``.
+    A run both parties share (the same arrays) is decided once."""
     cols, m = runs[Party.ALICE][0].shape[:2]
     rows = np.arange(m)
     at = (cols * rows + np.arange(cols)[:, None]) * pp.M  # round r * m + j, by (j, r)
     truth = None
-    correct = {}
-    for q, (paths, states) in runs.items():
+    verdicts: dict[tuple[int, int], bool] = {}  # by the ids of a run's two arrays
+    for paths, states in runs.values():
+        key = id(paths), id(states)
+        if key in verdicts:
+            continue
         if states.shape[2] > 1:  # the branch of each row the last row ended in
             pick = chain(states[-1], pp.initial_state)
             paths, states = paths[:, rows, pick], states[:, rows, pick]
@@ -257,12 +289,12 @@ def _correct(pp: FiniteStateProtocol,
             paths, states = paths[..., 0], states[..., 0]
         begin, end = states[0], states[-1]
         if begin[0] == pp.initial_state and np.array_equal(begin[1:], end[:-1]):
-            correct[q] = bool((pp.tables.ravel().take(at + states[:-1]) == paths).all())
+            verdicts[key] = bool((pp.tables.ravel().take(at + states[:-1]) == paths).all())
         else:
             if truth is None:
                 truth = run_protocol(pp).bits
-            correct[q] = tuple(paths.T.ravel().tolist()) == truth
-    return correct
+            verdicts[key] = tuple(paths.T.ravel().tolist()) == truth
+    return {q: verdicts[id(paths), id(states)] for q, (paths, states) in runs.items()}
 
 
 def simulate_vertical(

@@ -1,6 +1,7 @@
 """Block codes through ``convey``: repetition, seeded random linear, the
 statistical oracle."""
 
+import functools
 import itertools
 import math
 
@@ -40,10 +41,18 @@ def _counted_calls(monkeypatch, names=("transmit", "bit_log_likelihoods")):
     return calls
 
 
+@functools.lru_cache(maxsize=None)
+def _messages(k):
+    """The k-bit messages in big-endian order, as read-only int64 rows."""
+    messages = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.int64)
+    messages.flags.writeable = False
+    return messages
+
+
 def _reference_codebook(code):
     """Messages in big-endian order and their codewords, from a plain int64
     matrix product."""
-    messages = np.array(list(itertools.product((0, 1), repeat=code.k)), dtype=np.int64)
+    messages = _messages(code.k)
     return messages, (messages @ code.generator) % 2
 
 
@@ -313,17 +322,22 @@ def _convey_per_chunk(spec, payload, ch, rng, matrix_seed):
     return tuple(decoded), uses, tuple(decoded) == tuple(payload)
 
 
-@pytest.mark.parametrize("channel", ["bsc:0.02", "bsc:0.3", "bec:0.2", "awgn:0.8"])
-@pytest.mark.parametrize("code", ["rlc:2", "rlc:3"])
+# every decision regime (bsc below, at and past eps = 0.5, bec, awgn), codes
+# from rate 1 to codewords past 255 bits, and every chunk layout: whole chunks
+# only (one book stack), a short chunk alone, and both
+@pytest.mark.parametrize("channel", ["bsc:0.02", "bsc:0.3", "bec:0.2", "awgn:0.8", "bsc:0",
+                                     "bsc:0.2", "bsc:0.5", "bsc:0.7", "bec:0.6", "awgn:0.5",
+                                     "awgn:1.2"])
+@pytest.mark.parametrize("code", ["rlc:2", "rlc:3", "rlc:1", "rlc:5", "rlc:9", "rlc:40"])
 def test_convey_rlc_matches_per_chunk_transfers(code, channel):
     spec, ch = CodeSpec.parse(code), ChannelModel.parse(channel)
     draw = np.random.default_rng(11)
-    for length in range(1, 41):  # the last chunk is short unless length % 8 == 0
+    for length in [*range(1, 42), 47, 48, 49, 55, 56, 57, 63, 64, 65, 66, 67]:
         payload = tuple(draw.integers(0, 2, length).tolist())
         rng_a, rng_b = np.random.default_rng(length), np.random.default_rng(length)
         got = convey(spec, payload, ch, rng_a, matrix_seed=length % 5)
         want = _convey_per_chunk(spec, payload, ch, rng_b, matrix_seed=length % 5)
-        assert (tuple(got.bits.tolist()), got.channel_uses, got.intact) == want
+        assert (tuple(got.bits.tolist()), got.channel_uses, got.intact) == want, length
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 

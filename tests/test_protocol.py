@@ -268,6 +268,7 @@ ADVANCE_ENTRY_POINTS = {
     ({"advance": ((0, 1), (0, 0.5))}, "advance table must be 2x2"),
     ({"advance": ((0, 1), (0, True))}, "advance table must be 2x2"),
     ({"advance": ((0, 1), (0,))}, "advance table must be 2x2"),
+    ({"advance": 5}, "advance table must be 2x2"),
 ])
 def test_constructor_rejects_bad_input(change, message):
     args = {"n": 4, "M": 2, "advance": FOLLOW2, "transmissions": ((0, 1),) * 4, **change}
@@ -276,10 +277,12 @@ def test_constructor_rejects_bad_input(change, message):
     if "advance" not in change:
         return
     bad = change["advance"]
+    two_rows = hasattr(bad, "__len__") and len(bad) == 2
     for name, (M, call) in ADVANCE_ENTRY_POINTS.items():
         # a one-row table is whole for M = 1, so where M is the row count it
-        # fails by its entry 1 outside 0..0 or by advance_table's two states
-        with pytest.raises(ValueError, match=message if M or len(bad) == 2 else None):
+        # fails by its entry 1 outside 0..0 or by advance_table's two states;
+        # a table with no rows fails by its shape or by advance_table's list test
+        with pytest.raises(ValueError, match=message if M or two_rows else None):
             call(bad)
         # a list of ints and an int64 array are the same table
         assert call([list(row) for row in FOLLOW2]) == call(np.array(FOLLOW2, dtype=np.int64)), name

@@ -11,7 +11,7 @@ import icsim.vertical
 from icsim.channel import ChannelModel
 from icsim.coding import CodeSpec, TransferResult
 from icsim.harness import ExperimentConfig, run_sweep, run_trial
-from icsim.multistate import all_tables, tail_exhaustive_lookahead, tail_lookahead
+from icsim.multistate import TailWire, all_tables, tail_exhaustive_lookahead, tail_lookahead
 from icsim.protocol import (
     FiniteStateProtocol,
     Party,
@@ -23,7 +23,14 @@ from icsim.protocol import (
     run_protocol,
     walk,
 )
-from icsim.twostate import exhaustive_lookahead, random_two_state_protocol, run_lookahead_exchange
+from icsim.twostate import (
+    ExhaustiveWire,
+    _merge_points,
+    classify_advance,
+    exhaustive_lookahead,
+    random_two_state_protocol,
+    run_lookahead_exchange,
+)
 from icsim.vertical import (
     ColumnWire,
     LookaheadResult,
@@ -351,7 +358,7 @@ def column_runs(draw):
     """A protocol on an m x m grid and, per party, the bits of every branch
     and the states they drive through from the row starts, as
     ``run_columns`` returns them, with flipped bits and wrong row starts
-    mixed in."""
+    mixed in; some runs are one pair of arrays both parties share."""
     M, m = draw(st.integers(2, 5)), draw(st.sampled_from([1, 2, 4, 6]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     advance = rng.integers(0, M, size=(M, 2))
@@ -360,9 +367,13 @@ def column_runs(draw):
                             initial_state=draw(st.integers(0, M - 1)))
     branches = draw(st.sampled_from([1, M]))
     flip, wrong_start = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5])), draw(st.booleans())
+    shared = draw(st.booleans())  # both parties hold the same arrays, as run_columns shares them
     row_starts = np.array(run_protocol(p).states[:-1:m])
     runs = {}
     for q in (Party.ALICE, Party.BOB):
+        if shared and runs:
+            runs[q] = runs[Party.ALICE]
+            continue
         if branches > 1:
             start = np.tile(np.arange(M), (m, 1))
         else:
@@ -438,6 +449,111 @@ def test_column_loop_states_are_the_walk_of_each_partys_tables(m, M, branches):
         assert bits.shape == (m, m, starts.shape[1])
         assert states.shape == (m + 1, m, starts.shape[1])
         assert np.array_equal(states, want)
+
+
+def _reference_columns(owned, advance, starts, wire, carry):
+    """The column loop with one bits and one states array per party from
+    the first column on, each party walking its own."""
+    cols = sum(a.shape[1] for a in owned.values())
+    rows = np.arange(len(starts[Party.ALICE]))[:, None]
+    bits = {q: np.empty((cols, len(rows), wire.branches), dtype=np.uint8) for q in starts}
+    states = {q: np.empty((cols + 1, len(rows), wire.branches), dtype=np.intp) for q in starts}
+    for q in starts:
+        states[q][0] = starts[q]
+    for j in range(1, cols + 1):
+        owner = Party.ALICE if j % 2 else Party.BOB
+        receiver = owner.other
+        tables = owned[owner][:, (j - 1) // 2]
+        at, was = states[owner][j - 1], states[receiver][j - 1]
+        taus = tables[rows, at]
+        sent = wire.encode(owner, j, tables, taus)
+        heard = None if sent is None else carry(j, sent)
+        applied = wire.decode(receiver, j, heard, was)
+        bits[owner][j - 1] = taus
+        states[owner][j] = advance[at, taus]
+        bits[receiver][j - 1] = applied
+        states[receiver][j] = advance[was, applied]
+    return {q: (bits[q], states[q]) for q in starts}
+
+
+def _column_case(kind, m, rng):
+    """A protocol on an m x m grid, a wire of that kind for it and the
+    starts for it. The exhaustive wire gets the rows' true merge points and
+    the tail wire two-round tails of a Markovian protocol, state-blind so
+    that its branches merge over them; with no decoding error the parties
+    agree on every column. ``-differ`` gives them other merge points or other tails in one
+    row, as a decoding error in the lookahead would."""
+    parties = (Party.ALICE, Party.BOB)
+    family = kind.split("-")[0]
+    M = {"exhaustive": 2, "tail": 4}.get(family, 3)
+    advance = {"exhaustive": FOLLOW2, "tail": markovian_advance(2)}.get(family)
+    tables = rng.integers(0, 2, size=(m, m, M))
+    if family == "tail":
+        tables[:, :2] = tables[:, :2, :1]
+    p = FiniteStateProtocol(n=m * m, M=M, transmissions=tables.reshape(m * m, M),
+                            advance=rng.integers(0, M, size=(M, 2)) if advance is None else advance)
+    all_states = np.tile(np.arange(M), (m, 1))
+    row = rng.integers(m)
+    if family == "column":
+        wire, all_states = ColumnWire(), rng.integers(0, M, size=(m, 1))
+    elif family == "table":
+        wire = _TableWire(M)
+    elif family == "exhaustive":
+        beliefs, _ = _merge_points(p.tables.reshape(m, m, M), p.advance_array, NOISELESS, REP1,
+                                   rng)
+        if kind.endswith("differ"):
+            beliefs[Party.BOB] = beliefs[Party.BOB].copy()
+            beliefs[Party.BOB][row] = beliefs[Party.BOB][row] % (m + 1) + 1
+        wire = ExhaustiveWire(classify_advance(p.advance), beliefs, m)
+    else:
+        tails = {q: p.tables.reshape(m, m, M)[:, :2].copy() for q in parties}
+        if kind.endswith("differ"):
+            tails[Party.BOB][row, 0] ^= 1
+        wire = TailWire(tails)
+    return p, wire, all_states
+
+
+COLUMN_WIRES = ["column", "table", "exhaustive-same", "exhaustive-differ", "tail-same",
+                "tail-differ"]
+
+
+@pytest.mark.parametrize("corrupt", ["none", "first", "middle", "last"])
+@pytest.mark.parametrize("starts_kind", ["equal", "unequal"])
+@pytest.mark.parametrize("kind", COLUMN_WIRES)
+def test_column_loop_equals_a_per_party_loop(kind, starts_kind, corrupt):
+    # run_columns shares one walk between the parties while they agree; each
+    # party's arrays must still be those of a loop that never shares
+    for m in (2, 4, 6):
+        rng = np.random.default_rng(10 * m + COLUMN_WIRES.index(kind))
+        p, wire, start = _column_case(kind, m, rng)
+        starts = {Party.ALICE: start, Party.BOB: start.copy()}  # equal, not the same array
+        if starts_kind == "unequal":
+            starts[Party.BOB][rng.integers(m), 0] += 1
+            starts[Party.BOB] %= p.M
+        bad = {"none": None, "first": 1, "middle": m // 2 + 1, "last": m}[corrupt]
+
+        def carry(j, bits):
+            if j != bad:
+                return bits
+            flipped = bits.copy()
+            flipped.reshape(-1)[0] ^= 1
+            return flipped
+
+        owned = {q: party_view(p, q).reshape(m, -1, p.M) for q in starts}
+        runs = run_columns(owned, p.advance_array, starts, wire, carry)
+        want = _reference_columns(owned, p.advance_array, starts, wire, carry)
+        for q in starts:
+            for got, ref in zip(runs[q], want[q]):
+                assert got.shape == ref.shape and np.array_equal(got, ref), (m, q)
+                assert not got.flags.writeable
+        # the parties share their arrays exactly when they never differed,
+        # which they do not from equal starts with no error anywhere
+        agree = starts_kind == "equal" and all(
+            np.array_equal(a, b) for a, b in zip(want[Party.ALICE], want[Party.BOB]))
+        assert (runs[Party.ALICE][0] is runs[Party.BOB][0]) == agree
+        assert (runs[Party.ALICE][1] is runs[Party.BOB][1]) == agree
+        if starts_kind == "equal" and corrupt == "none" and not kind.endswith("differ"):
+            assert agree, m
 
 
 def _markovian(n):
