@@ -251,8 +251,8 @@ def _rlc_decide(ch: ChannelModel, books: np.ndarray, y: np.ndarray) -> np.ndarra
     if ch.kind == "bec":
         ones &= np.packbits(y != ERASURE, axis=1)[..., None]
     b = y.shape[1]  # uint8 holds every distance only while b <= 255
-    dist = np.bitwise_count(ones, out=ones).sum(
-        axis=1, dtype=np.uint8 if b < 256 else np.min_scalar_type(b))
+    dist = np.add.reduce(np.bitwise_count(ones, out=ones), axis=1,
+                         dtype=np.uint8 if b < 256 else np.min_scalar_type(b))
     return dist.argmin(axis=1)
 
 

@@ -271,18 +271,28 @@ class TailWire(ColumnWire):
     The opening tail columns are never sent: each party runs all M branches
     through them with its own tables and the counterpart's tables it heard
     in the lookahead exchange. Later columns carry plain transcript bits.
+    ``heard`` holds, tail column by tail column, the tables its receiver
+    reads, so a block of tail columns decodes with one flat ``take``.
     """
 
     def __init__(self, tails: Mapping[Party, np.ndarray]):
-        _, self.p, self.branches = tails[Party.ALICE].shape
+        rows, self.unsent, self.branches = tails[Party.ALICE].shape
         self.tails = tails
+        # by tail column, the receiver's tables for it: Bob's for odd j, Alice's for even j
+        alice = np.arange(1, self.unsent + 1) % 2 == 1
+        heard = np.where(alice[:, None], tails[Party.BOB], tails[Party.ALICE])
+        self.heard = heard.swapaxes(0, 1).ravel()
+        self.offsets = (np.arange(self.unsent * rows) * self.branches).reshape(-1, rows, 1)
 
-    def encode(self, party, j, tables, taus):
-        return None if j <= self.p else super().encode(party, j, tables, taus)
-
-    def decode(self, party, j, bits, states):
-        return (super().decode(party, j, bits, states) if j > self.p
-                else self.tails[party][np.arange(len(states))[:, None], j - 1, states])
+    def decode(self, j, bits, states):
+        plain = super().decode(j, bits, states)
+        quiet = min(max(self.unsent - j + 1, 0), len(states))  # the block's unsent columns
+        if not quiet:
+            return plain
+        tail = self.heard.take(self.offsets[j - 1:j - 1 + quiet] + states[:quiet])
+        if quiet == len(states):
+            return tail
+        return np.concatenate((tail, np.broadcast_to(plain[quiet:], states[quiet:].shape)))
 
 
 def tail_exhaustive_lookahead(p: FiniteStateProtocol, tail: int, placement: str,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -190,25 +191,41 @@ def run_protocol(p: FiniteStateProtocol, initial_state: int | None = None) -> Tr
     return TranscriptTrace(tuple(bits), tuple(states))
 
 
+@lru_cache(maxsize=64)
+def _walk_layout(B: int, M: int, k: int) -> tuple:
+    """What ``walk`` reads for B sequences over M states from k starts: the
+    smallest unsigned dtype holding 2M, ``2s`` at each flat position ``b *
+    M + s``, ``b * M`` there, and ``b * M`` at each of row b's k starts,
+    the last two in the smallest unsigned dtype holding B * M."""
+    dtype = np.min_scalar_type(2 * M - 1)
+    base = np.arange(0, B * M, M, dtype=np.promote_types(dtype, np.min_scalar_type(B * M)))
+    arrays = (np.tile(np.arange(0, 2 * M, 2, dtype=dtype), B), base.repeat(M), base.repeat(k))
+    for a in arrays:
+        a.flags.writeable = False
+    return (dtype, *arrays)
+
+
 def walk(advance: Sequence[Sequence[int]] | np.ndarray, tables: np.ndarray,
          starts: Sequence[int] | np.ndarray) -> np.ndarray:
     """The (p + 1, B, k) noiseless states of a (B, p, M) stack of table
     sequences, each walked from its k ``starts`` ((B, k), or k shared ones):
-    ``tables[:, i]`` is read at ``[i]``, and ``[p]`` holds the finals. Each
-    round's next-state map is precomputed in the smallest unsigned dtype
-    holding the 2M advance entries, so a round is one flat ``take``."""
+    ``tables[:, i]`` is read at ``[i]``, and ``[p]`` holds the finals, in the
+    smallest unsigned dtype holding the 2M advance entries. Each round's map
+    is precomputed as the flat index ``b * M + s`` of every sequence's next
+    state, so a round is one gather."""
     tables = np.asarray(tables)
     B, p, M = tables.shape
-    dtype = np.min_scalar_type(2 * M - 1)
-    # step[i, b * M + s] = advance[s, tables[b, i, s]], at 2s + bit of the flat advance
-    entry = tables.transpose(1, 0, 2).astype(dtype) + np.arange(0, 2 * M, 2, dtype=dtype)
-    step = np.asarray(advance, dtype=dtype).ravel().take(entry).reshape(p, B * M)
-    states = np.empty((p + 1, B, np.shape(starts)[-1]), dtype=dtype)
-    states[0] = starts
-    offset = np.arange(0, B * M, M)[:, None]
+    k = np.shape(starts)[-1]
+    dtype, twice, rows, offset = _walk_layout(B, M, k)
+    # step[i, b * M + s] = b * M + advance[s, tables[b, i, s]], at 2s + bit of the flat advance
+    step = np.add(np.asarray(advance, dtype=dtype).ravel().take(
+        tables.transpose(1, 0, 2).reshape(p, B * M) + twice), rows, dtype=rows.dtype)
+    at = np.empty((p + 1, B * k), dtype=np.intp)
+    np.add(np.broadcast_to(starts, (B, k)).reshape(-1), offset, out=at[0])
     for i in range(p):
-        step[i].take(states[i] + offset, out=states[i + 1])
-    return states
+        at[i + 1] = step[i][at[i]]
+    at -= offset
+    return at.astype(dtype).reshape(p + 1, B, k)
 
 
 def chain(finals: np.ndarray, s0: int) -> np.ndarray:
@@ -264,7 +281,7 @@ def random_protocol(n: int, M: int, function_set: Sequence[Sequence[int]],
         n=n,
         M=M,
         advance=advance,
-        transmissions=fset[rng.integers(0, len(fset), size=n)],
+        transmissions=fset.take(rng.integers(0, len(fset), size=n), axis=0),
         initial_state=initial_state,
     )
 

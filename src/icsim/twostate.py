@@ -16,7 +16,9 @@ after that location.
 
 The schemes compute every block's reports at once from the protocol's
 table array: ``nu[:, s] = advance[s, tables[:, s]]``, and a round is
-constant where its two entries agree.
+constant where its two entries agree. The exhaustive scheme's column wire
+maps a block of columns at once, each way one flat ``take`` at per-column
+offsets of the owner's or the receiver's phase.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from .vertical import (
 )
 
 ALL_TABLES2: tuple[Table, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+_TABLES2 = np.array(ALL_TABLES2, dtype=np.uint8)  # the draw's rows, read-only
+_TABLES2.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +70,9 @@ def _grid_composites(tables: np.ndarray, advance: np.ndarray,
                      m: int) -> tuple[np.ndarray, np.ndarray]:
     """Every round's composite on the (rows, m) grid, from ``nu[:, s] =
     advance[s, tables[:, s]]``: a round is constant where its two entries
-    agree, and its value (the constant, or the flip's xor) is ``nu[:, 0]``."""
-    nu = advance[np.arange(2), tables].reshape(-1, m, 2)
+    agree, and its value (the constant, or the flip's xor) is ``nu[:, 0]``:
+    one flat ``take`` at ``2s + tables[:, s]``."""
+    nu = advance.ravel().take(tables + np.array((0, 2), dtype=np.uint8)).reshape(-1, m, 2)
     return nu[..., 0] == nu[..., 1], nu[..., 0]
 
 
@@ -206,7 +211,7 @@ def random_two_state_protocol(n: int, seed: int | np.random.Generator,
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if advance is None:
         advance = all_two_state_advances()[int(rng.integers(16))]
-    tables = np.array(ALL_TABLES2, dtype=np.uint8)[rng.integers(0, 4, size=n)]
+    tables = _TABLES2.take(rng.integers(0, 4, size=n), axis=0)
     return FiniteStateProtocol(n=n, M=2, advance=advance, transmissions=tables,
                                initial_state=initial_state)
 
@@ -231,27 +236,41 @@ def _exhaustive_format(cls: AdvanceClass) -> tuple[np.ndarray, np.ndarray]:
     return naming, np.array([*groups, ((0, 0), (1, 1))], dtype=np.uint8)
 
 
+_PAIR_CODE = np.array((4, 2), dtype=np.uint8)  # a table's place in the wire format
+
+
 class ExhaustiveWire(ColumnWire):
     """Wire format of the exhaustive scheme, one branch per entry state.
 
     Before a row's merge point the owner names its table among the two free
     tables, at the merge point among the two constant-making tables, and
     after it sends the transcript bit of branch 0. ``beliefs[q]`` holds party
-    q's merge point of every row, for a grid of ``m`` columns.
+    q's merge point of every row, for a grid of ``m`` columns, and
+    ``phase[q]`` its (rows, m) phase of every round. Both maps are one flat
+    ``take``, at each column's owner's (or receiver's) phase times the
+    stride of a phase in the format.
     """
 
     branches = 2
 
     def __init__(self, cls: AdvanceClass, beliefs: Mapping[Party, np.ndarray], m: int):
-        self.naming, self.tables = _exhaustive_format(cls)
+        naming, tables = _exhaustive_format(cls)
+        self.naming, self.tables = naming.ravel(), tables.ravel()
         cols = np.arange(1, m + 1)
         self.phase = {q: np.sign(cols - b[:, None]) + 1 for q, b in beliefs.items()}
+        alice = cols % 2 == 1  # the columns Alice owns and Bob receives
+        owners = np.where(alice, self.phase[Party.ALICE], self.phase[Party.BOB])
+        receivers = np.where(alice, self.phase[Party.BOB], self.phase[Party.ALICE])
+        self.sending = owners.T * naming[0].size  # (m, rows), by column
+        self.reading = (receivers.T * tables[0].size)[..., None]
 
-    def encode(self, party, j, tables, taus):
-        return self.naming[self.phase[party][:, j - 1], tables[:, 0], tables[:, 1], taus[:, 0]]
+    def encode(self, j, tables, taus):
+        code = tables @ _PAIR_CODE + taus[..., 0]  # t0 * 4 + t1 * 2 + tau
+        return self.naming.take(self.sending[j - 1:j - 1 + len(tables)] + code)
 
-    def decode(self, party, j, bits, states):
-        return self.tables[self.phase[party][:, j - 1, None], bits[:, None], states]
+    def decode(self, j, bits, states):
+        return self.tables.take(self.reading[j - 1:j - 1 + len(bits)] + bits[..., None] * 2
+                                + states)
 
 
 def _merge_points(tables: np.ndarray, advance: np.ndarray, ch: ChannelModel, side_code: CodeSpec,
@@ -296,9 +315,8 @@ def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.
     beliefs, transfers = _merge_points(tables, advance, ChannelModel.parse("bsc:0"),
                                        CodeSpec.parse("rep:1"), np.random.default_rng(0))
     both = np.tile(np.arange(2), (len(tables), 1))
-    runs = run_columns({q: tables[:, 1 - q.parity::2] for q in beliefs}, advance,
-                       {q: both for q in beliefs}, ExhaustiveWire(cls, beliefs, m),
-                       lambda j, bits: bits)
+    runs = run_columns(tables, advance, {q: both for q in beliefs},
+                       ExhaustiveWire(cls, beliefs, m), lambda j, bits: bits)
     return ({q: (bits.transpose(1, 2, 0), states[-1]) for q, (bits, states) in runs.items()},
             m + sum(t.bits.size for t in transfers) // len(tables))
 

@@ -19,9 +19,14 @@ row-start states are agreed, one per possible start state when they are
 not. For each column the owner maps its tables to one wire bit per row, one
 coded block carries them as an array, and the receiver reads one bit per
 row and branch off the decoded bits at its current states. A scheme changes
-only that wire mapping (``ColumnWire``). From equal starts the two parties
-share one array of bits and one of states until the first column where the
-receiver applies other bits than the owner's; from there each walks its own.
+only that wire mapping (``ColumnWire``), whose two maps take a block of
+consecutive columns. From equal starts the two parties share one array of
+bits and one of states, computed a segment of columns at a time: one
+``walk`` gives the segment's states, one ``take`` its transcript bits and
+one call of each wire map its payloads and what the receiver makes of them
+intact, so the loop over its columns only sends. At the first column where
+the receiver applies other bits than the owner's, each party walks its own
+from there, a column at a time.
 This module alone builds the ``SimulationReport`` and decides each party's
 correctness, by checking the states the column loop walked against the
 tables; it runs the protocol only after an error.
@@ -49,7 +54,6 @@ from .protocol import (
     Party,
     chain,
     pad_protocol,
-    party_view,
     run_protocol,
     walk,
 )
@@ -81,23 +85,26 @@ class ColumnWire:
     """What a sent column carries: here, the transcript bit of each row.
 
     A party keeps ``branches`` candidate states per row: one, or one per
-    possible row-start state (branch b then starts in state b). The owner of
-    column j maps its (rows x M) tables and the (rows x branches) transcript
-    bits they give on its branches to one wire bit per row, or to None when
-    the column is not sent. ``decode`` gives the receiver its bits at its
-    (rows x branches) states from the decoded bits (None for an unsent
-    column); a plain bit is the same on every branch, a (rows x 1) column.
+    possible row-start state (branch b then starts in state b). Column j is
+    Alice's for odd j and Bob's for even j. Both maps take a block of
+    consecutive columns j, j + 1, ..., column axis first; one column is a
+    block of one. ``encode`` maps the owners' (columns, rows, M) tables and
+    the (columns, rows, branches) transcript bits they give on the owners'
+    branches to each column's payload, ``[c]`` for column j + c. ``decode``
+    gives each receiver its (columns, rows, branches) bits at its states
+    from the payloads it heard; a plain bit is the same on every branch, a
+    branch axis of 1. Columns 1 .. ``unsent`` are never sent, and their
+    payloads reach ``decode`` unread.
     """
 
     branches = 1
+    unsent = 0
 
-    def encode(self, party: Party, j: int, tables: np.ndarray,
-               taus: np.ndarray) -> np.ndarray | None:
-        return taus[:, 0]
+    def encode(self, j: int, tables: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        return taus[..., 0]
 
-    def decode(self, party: Party, j: int, bits: np.ndarray | None,
-               states: np.ndarray) -> np.ndarray:
-        return bits[:, None]
+    def decode(self, j: int, bits: np.ndarray, states: np.ndarray) -> np.ndarray:
+        return bits[..., None]
 
 
 @dataclass(frozen=True)
@@ -197,65 +204,105 @@ class SimulationReport:
         return self.alice_correct and self.bob_correct
 
 
-def run_columns(owned: Mapping[Party, np.ndarray], advance: np.ndarray,
+_SEGMENT = 8  # columns in the first segment of a shared run; each next one is twice as long
+_SIDES = ((1, 0), (0, 1))  # (owner, receiver) by j % 2, as indices 0 = Alice, 1 = Bob
+
+
+def run_columns(grid: np.ndarray, advance: np.ndarray,
                 starts: Mapping[Party, np.ndarray], wire: ColumnWire,
                 carry: Callable[[int, np.ndarray], np.ndarray],
                 ) -> dict[Party, tuple[np.ndarray, np.ndarray]]:
     """The column loop of every scheme, and the one walk of its transcripts.
 
-    ``owned[q]`` holds party q's tables as a (rows, own columns, M) array in
-    round order, and ``starts[q]`` its (rows, branches) start states. ``carry(j, bits)``
-    takes column j's wire bits to the receiver. Returns, per party, the
-    (columns, rows, branches) transcript bits of every branch and the
-    (columns + 1, rows, branches) states they drive through: ``[0]`` the
-    starts, ``[-1]`` the finals. The arrays are read-only.
+    ``grid`` holds the (rows, columns, M) tables, column j's at
+    ``grid[:, j - 1]``, and ``starts[q]`` party q's (rows, branches) start
+    states. ``carry(j, payload)`` takes column j's payload to the receiver.
+    Returns, per party, the (columns, rows, branches) transcript bits of
+    every branch and the (columns + 1, rows, branches) states they drive
+    through: ``[0]`` the starts, ``[-1]`` the finals. The arrays are
+    read-only.
 
     From equal starts the parties share one bits and one states array (the
-    same objects in the result) for as long as each receiver applies
-    exactly the owner's bits (``_agrees``). At the first column where one
-    does not, the receiver gets a copy, and from there each walks its own.
+    same objects in the result) up to the first column where the receiver
+    applies other bits than the owner's (``_shared_columns``). From there,
+    and from unequal starts, each party walks its own, a column at a time;
+    both parties' bits and states of a column sit side by side, so one
+    gather advances both.
     """
-    cols = sum(a.shape[1] for a in owned.values())
-    rows = np.arange(len(starts[Party.ALICE]))[:, None]
-    shape = (len(rows), wire.branches)
-    runs = {q: (np.empty((cols,) + shape, dtype=np.uint8),
-                np.empty((cols + 1,) + shape, dtype=np.intp)) for q in starts}
+    rows, cols, M = grid.shape
+    bits = np.empty((cols, 2, rows, wire.branches), dtype=np.uint8)  # [:, 0] Alice's, [:, 1] Bob's
+    states = np.empty((cols + 1, 2, rows, wire.branches), dtype=np.intp)
+    states[0] = starts[Party.ALICE], starts[Party.BOB]
+    flat = grid.ravel()
+    # by (c, r, branch), the flat offset of the tables of round r * cols + c
+    at = ((np.arange(cols)[:, None] + cols * np.arange(rows)) * M)[..., None].repeat(
+        wire.branches, axis=2)
+    split = 0  # the column where the shared run split (0: none was shared), or None
     if np.array_equal(starts[Party.ALICE], starts[Party.BOB]):
-        runs[Party.BOB] = runs[Party.ALICE]
-    for q in starts:
-        runs[q][1][0] = starts[q]
-    turns = ((Party.BOB, Party.ALICE), (Party.ALICE, Party.BOB))  # (owner, receiver) by j % 2
-    for j in range(1, cols + 1):
-        owner, receiver = turns[j % 2]
-        (own_bits, own_states), (bits, states) = runs[owner], runs[receiver]
-        tables = owned[owner][:, (j - 1) // 2]
-        at, was = own_states[j - 1], states[j - 1]
-        taus = tables[rows, at]
-        sent = wire.encode(owner, j, tables, taus)
-        heard = None if sent is None else carry(j, sent)
-        applied = wire.decode(receiver, j, heard, was)
-        own_bits[j - 1] = taus
-        own_states[j] = advance[at, taus]
-        if bits is own_bits:
-            if _agrees(applied, taus):
-                continue
-            runs[receiver] = bits, states = own_bits.copy(), own_states.copy()
-        bits[j - 1] = applied
-        states[j] = advance[was, applied]
-    for run in runs.values():
-        for a in run:
-            a.flags.writeable = False
-    return runs
+        split = _shared_columns(grid, flat, at, advance, wire, carry, bits, states)
+    shared = split is None
+    tables = grid.swapaxes(0, 1)  # column j's at [j - 1]
+    for j in range(cols + 1 if shared else split + 1, cols + 1):
+        own, other = _SIDES[j % 2]
+        col = slice(j - 1, j)
+        bits[col, own] = taus = flat.take(at[col] + states[col, own])
+        sent = wire.encode(j, tables[col], taus)[0]
+        heard = carry(j, sent) if j > wire.unsent else sent
+        bits[col, other] = wire.decode(j, heard[None], states[col, other])
+        states[j] = advance[states[j - 1], bits[j - 1]]
+    bits.flags.writeable = states.flags.writeable = False
+    alice = bits[:, 0], states[:, 0]
+    return {Party.ALICE: alice, Party.BOB: alice if shared else (bits[:, 1], states[:, 1])}
 
 
-def _agrees(applied: np.ndarray, taus: np.ndarray) -> bool:
-    """Whether the receiver's bits ``applied``, broadcast to its row as the
-    column loop stores them, are the owner's ``taus`` byte for byte, in the
-    same dtype: then both parties' rows of bits and states are the same.
-    Bits of another dtype count as other bits."""
-    if applied.shape != taus.shape:
-        applied = np.broadcast_to(applied, taus.shape)
-    return applied.dtype == taus.dtype and applied.tobytes() == taus.tobytes()
+def _shared_columns(grid: np.ndarray, flat: np.ndarray, at: np.ndarray, advance: np.ndarray,
+                    wire: ColumnWire, carry: Callable[[int, np.ndarray], np.ndarray],
+                    bits: np.ndarray, states: np.ndarray) -> int | None:
+    """The run both parties share from equal starts, held in Alice's half of
+    ``bits`` and ``states``, a segment of columns at a time: one ``walk`` of
+    the segment's tables gives every state, one flat ``take`` at ``at``
+    every transcript bit, and one call of each wire map every column's
+    payload and the bits the receiver applies if it arrives intact. Then
+    each sent column is carried in turn.
+
+    Returns the first column j where the receiver applies other bits than
+    the owner's, or None when the run stays shared. Bob's half then holds a
+    copy of Alice's through column j, and the receiver's half its own bits
+    at j - 1 and states at j; the walk's bits and states past j stand in
+    Alice's half until the per-party loop overwrites both halves."""
+    cols = grid.shape[1]
+    shared_bits, shared_states = bits[:, 0], states[:, 0]
+    first, size = 1, _SEGMENT
+    while first <= cols:
+        last = min(cols, first + size - 1)
+        block = slice(first - 1, last)
+        was = shared_states[block]
+        shared_states[first:last + 1] = walk(advance, grid[:, block], was[0])[1:]
+        shared_bits[block] = taus = flat.take(at[block] + was)
+        sent = wire.encode(first, grid[:, block].swapaxes(0, 1), taus)
+        mapped = wire.decode(first, sent, was)
+        differs = (mapped != taus).any(axis=(1, 2)).tolist()
+        for c, j in enumerate(range(first, last + 1)):
+            applied = mapped[c]
+            if j > wire.unsent:
+                heard = carry(j, sent[c])
+                if not _same(heard, sent[c]):
+                    applied = wire.decode(j, heard[None], was[c:c + 1])[0]
+                    differs[c] = bool((applied != taus[c]).any())
+            if differs[c]:  # the per-party loop overwrites both halves past j
+                bits[:j, 1], states[:j + 1, 1] = shared_bits[:j], shared_states[:j + 1]
+                other = _SIDES[j % 2][1]
+                bits[j - 1, other] = applied
+                states[j, other] = advance[was[c], applied]
+                return j
+        first, size = last + 1, 2 * size
+    return None
+
+
+def _same(heard: np.ndarray, sent: np.ndarray) -> bool:
+    """Whether a column arrived intact: the same shape, dtype and bytes."""
+    return heard is sent or (heard.shape == sent.shape and heard.dtype == sent.dtype
+                             and heard.tobytes() == sent.tobytes())
 
 
 @lru_cache(maxsize=256)
@@ -331,10 +378,8 @@ def simulate_vertical(
             ledger.append(transfer)
             return transfer.bits
 
-        # with an even grid side (or one round) column j of a row is the owner's
-        # ((j - 1) // 2)-th round in that row, so a reshape of its row stride
-        owned = {q: party_view(pp, q).reshape(m, -1, pp.M) for q in starts}
-        runs = run_columns(owned, pp.advance_array, starts, wire, carry)
+        runs = run_columns(pp.tables.reshape(m, m, pp.M), pp.advance_array, starts, wire,
+                           carry)
         correct = _correct(pp, runs)
 
     sides, columns = ledger[:len(la.transfers)], ledger[len(la.transfers):]

@@ -68,13 +68,24 @@ def _ml_keys(ch, cb, y):
     likelihood 0 (bsc:0 or bsc:1 off the code, bec with a mismatch in every
     codeword), the keys are those of the channels just inside the parameter
     range. On awgn -log P(y | word) is a constant minus a positive multiple
-    of the correlation of y with the antipodal inputs, summed by math.fsum.
+    of the correlation of y with the antipodal inputs, exact from math.fsum
+    where it decides: every codeword of a word has terms +-y_i, so each
+    float64 sum is within gamma_n * S of the exact one, S = sum |y_i|. A
+    codeword whose float key lies more than twice that bound above the least
+    float key cannot hold the least exact key, and keeps its float key,
+    which stays above it; every other key is summed by math.fsum.
     """
     cb, y = np.asarray(cb, dtype=np.int64), np.asarray(y)
     if ch.kind == "awgn":
         terms = y[..., None, :] * (1 - 2 * cb)  # exact: each input is +1 or -1
-        sums = [math.fsum(row) for row in terms.reshape(-1, cb.shape[-1]).tolist()]
-        return -np.array(sums).reshape(terms.shape[:-1])
+        keys = -terms.sum(axis=-1)
+        n = cb.shape[-1]
+        gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
+        # S is itself a float sum, so 2 * gamma * S bounds gamma_n times the exact S
+        bound = 2 * gamma * np.abs(y).sum(axis=-1, keepdims=True)
+        near = keys <= keys.min(axis=-1, keepdims=True) + 2 * bound
+        keys[near] = [-math.fsum(row) for row in terms[near].tolist()]
+        return keys
     y = y[..., None, :]
     mismatches = ((cb != y) & (y != ERASURE)).sum(axis=-1)
     if ch.kind == "bec" or ch.param < 0.5:

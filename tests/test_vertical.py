@@ -18,7 +18,6 @@ from icsim.protocol import (
     make_markovian,
     markovian_advance,
     pad_protocol,
-    party_view,
     random_protocol,
     run_protocol,
     walk,
@@ -421,11 +420,11 @@ class _TableWire(ColumnWire):
     def __init__(self, branches):
         self.branches = branches
 
-    def encode(self, party, j, tables, taus):
+    def encode(self, j, tables, taus):
         return tables
 
-    def decode(self, party, j, bits, states):
-        return bits[np.arange(len(states))[:, None], states]
+    def decode(self, j, bits, states):
+        return np.take_along_axis(bits, states, axis=2)
 
 
 @pytest.mark.parametrize("branches", ["one", "all"])
@@ -440,10 +439,10 @@ def test_column_loop_states_are_the_walk_of_each_partys_tables(m, M, branches):
     else:
         wire, starts = _TableWire(M), np.tile(np.arange(M), (m, 1))
     parties = (Party.ALICE, Party.BOB)
-    owned = {q: party_view(p, q).reshape(m, -1, M) for q in parties}
-    runs = run_columns(owned, p.advance_array, {q: starts for q in parties}, wire,
+    grid = p.tables.reshape(m, m, M)
+    runs = run_columns(grid, p.advance_array, {q: starts for q in parties}, wire,
                        lambda j, bits: bits)
-    want = walk(p.advance_array, p.tables.reshape(m, m, M), starts)
+    want = walk(p.advance_array, grid, starts)
     for q in parties:
         bits, states = runs[q]
         assert bits.shape == (m, m, starts.shape[1])
@@ -451,24 +450,25 @@ def test_column_loop_states_are_the_walk_of_each_partys_tables(m, M, branches):
         assert np.array_equal(states, want)
 
 
-def _reference_columns(owned, advance, starts, wire, carry):
+def _reference_columns(grid, advance, starts, wire, carry):
     """The column loop with one bits and one states array per party from
-    the first column on, each party walking its own."""
-    cols = sum(a.shape[1] for a in owned.values())
-    rows = np.arange(len(starts[Party.ALICE]))[:, None]
-    bits = {q: np.empty((cols, len(rows), wire.branches), dtype=np.uint8) for q in starts}
-    states = {q: np.empty((cols + 1, len(rows), wire.branches), dtype=np.intp) for q in starts}
+    the first column on, each party walking its own, column j Alice's for
+    odd j; the wire maps one column at a time."""
+    rows, cols, _ = grid.shape
+    index = np.arange(rows)[:, None]
+    bits = {q: np.empty((cols, rows, wire.branches), dtype=np.uint8) for q in starts}
+    states = {q: np.empty((cols + 1, rows, wire.branches), dtype=np.intp) for q in starts}
     for q in starts:
         states[q][0] = starts[q]
     for j in range(1, cols + 1):
         owner = Party.ALICE if j % 2 else Party.BOB
         receiver = owner.other
-        tables = owned[owner][:, (j - 1) // 2]
+        tables = grid[:, j - 1]
         at, was = states[owner][j - 1], states[receiver][j - 1]
-        taus = tables[rows, at]
-        sent = wire.encode(owner, j, tables, taus)
-        heard = None if sent is None else carry(j, sent)
-        applied = wire.decode(receiver, j, heard, was)
+        taus = tables[index, at]
+        sent = wire.encode(j, tables[None], taus[None])[0]
+        heard = carry(j, sent) if j > wire.unsent else sent
+        applied = wire.decode(j, heard[None], was[None])[0]
         bits[owner][j - 1] = taus
         states[owner][j] = advance[at, taus]
         bits[receiver][j - 1] = applied
@@ -517,13 +517,38 @@ COLUMN_WIRES = ["column", "table", "exhaustive-same", "exhaustive-differ", "tail
                 "tail-differ"]
 
 
+@pytest.mark.parametrize("kind", COLUMN_WIRES)
+def test_a_wire_maps_a_block_as_its_columns_one_by_one(kind):
+    # the shared run maps a segment of columns in one call, the per-party
+    # loop one column at a time: both must give the same bits
+    m = 12
+    rng = np.random.default_rng(COLUMN_WIRES.index(kind))
+    p, wire, _ = _column_case(kind, m, rng)
+    tables = p.tables.reshape(m, m, p.M).swapaxes(0, 1)
+    for first, last in [(1, m), (1, 1), (2, 5), (3, 10), (m, m)]:
+        block = slice(first - 1, last)
+        states = rng.integers(0, p.M, size=(last - first + 1, m, wire.branches))
+        taus = np.take_along_axis(tables[block], states, axis=2)
+        sent = wire.encode(first, tables[block], taus)
+        heard = sent ^ rng.integers(0, 2, size=sent.shape, dtype=np.uint8)
+        got = wire.decode(first, heard, states)
+        for c, j in enumerate(range(first, last + 1)):
+            one = slice(c, c + 1)
+            assert np.array_equal(sent[c], wire.encode(j, tables[j - 1:j], taus[one])[0])
+            want = wire.decode(j, heard[one], states[one])[0]
+            assert np.array_equal(np.broadcast_to(got[c], states[c].shape),
+                                  np.broadcast_to(want, states[c].shape)), (first, j)
+
+
 @pytest.mark.parametrize("corrupt", ["none", "first", "middle", "last"])
 @pytest.mark.parametrize("starts_kind", ["equal", "unequal"])
 @pytest.mark.parametrize("kind", COLUMN_WIRES)
 def test_column_loop_equals_a_per_party_loop(kind, starts_kind, corrupt):
-    # run_columns shares one walk between the parties while they agree; each
-    # party's arrays must still be those of a loop that never shares
-    for m in (2, 4, 6):
+    # run_columns shares one walk between the parties while they agree and
+    # maps a segment of columns at once; each party's arrays, and the
+    # payloads it carries in column order, must still be those of a loop
+    # that never shares and maps one column at a time
+    for m in (2, 4, 6, 20, 30):
         rng = np.random.default_rng(10 * m + COLUMN_WIRES.index(kind))
         p, wire, start = _column_case(kind, m, rng)
         starts = {Party.ALICE: start, Party.BOB: start.copy()}  # equal, not the same array
@@ -531,17 +556,25 @@ def test_column_loop_equals_a_per_party_loop(kind, starts_kind, corrupt):
             starts[Party.BOB][rng.integers(m), 0] += 1
             starts[Party.BOB] %= p.M
         bad = {"none": None, "first": 1, "middle": m // 2 + 1, "last": m}[corrupt]
+        if bad is not None and bad <= wire.unsent:  # a tail column carries nothing
+            bad = wire.unsent + 1
 
-        def carry(j, bits):
-            if j != bad:
-                return bits
-            flipped = bits.copy()
-            flipped.reshape(-1)[0] ^= 1
-            return flipped
+        def carrier(log):
+            def carry(j, bits):
+                log.append((j, bits.shape, bits.tobytes()))
+                if j != bad:
+                    return bits
+                flipped = bits.copy()
+                flipped.reshape(-1)[0] ^= 1
+                return flipped
+            return carry
 
-        owned = {q: party_view(p, q).reshape(m, -1, p.M) for q in starts}
-        runs = run_columns(owned, p.advance_array, starts, wire, carry)
-        want = _reference_columns(owned, p.advance_array, starts, wire, carry)
+        grid = p.tables.reshape(m, m, p.M)
+        got_log, want_log = [], []
+        runs = run_columns(grid, p.advance_array, starts, wire, carrier(got_log))
+        want = _reference_columns(grid, p.advance_array, starts, wire, carrier(want_log))
+        assert got_log == want_log, m
+        assert [j for j, _, _ in got_log] == list(range(wire.unsent + 1, m + 1))
         for q in starts:
             for got, ref in zip(runs[q], want[q]):
                 assert got.shape == ref.shape and np.array_equal(got, ref), (m, q)
