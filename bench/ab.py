@@ -10,13 +10,13 @@ alike. The trees must give equal reports, and the script says so.
     python bench/ab.py PARENT_TREE CHANGED_TREE perfbench/workloads/exhaustive-bec-4k.json \\
         --trials 1000 --seed-base 5
 
-A tree is a checkout (its ``src`` directory is used) or a directory that
-holds the ``icsim`` package. CONFIG is a sweep config or a perfbench
-workload (read, never written); ``--set KEY=VALUE`` overrides a key of it,
-the value read as JSON when it parses (``--set n=4096 --set channel=bsc:0.05``).
-The run uses the config's first n. It prints, per tree, p50 and p90 of the
-trial times in ms, and the median over trials of B's time over A's. It
-exits 1 when the trees' reports differ in any trial.
+A tree is a checkout, whose ``src/icsim`` is imported. CONFIG is a sweep
+config or a perfbench workload (read, never written); ``--set KEY=VALUE``
+overrides a key of it, the value read as JSON when it parses (``--set
+n=4096 --set channel=bsc:0.05``). The run uses the config's first n. It
+prints, per tree, p50 and p90 of the trial times in ms, and the median over
+trials of B's time over A's. It exits 1 when the trees' reports differ in
+any trial.
 """
 
 from __future__ import annotations
@@ -32,13 +32,15 @@ from pathlib import Path
 import numpy as np
 
 
+WARMUP = 2  # untimed trials per tree before the timed ones
+
+
 def package_dir(tree: str) -> Path:
-    """The directory that holds ``tree``'s icsim package."""
-    root = Path(tree).resolve()
-    for candidate in (root / "src", root):
-        if (candidate / "icsim" / "__init__.py").is_file():
-            return candidate
-    raise SystemExit(f"no icsim package under {tree}")
+    """The ``src`` directory of checkout ``tree``, which holds its icsim package."""
+    src = Path(tree).resolve() / "src"
+    if not (src / "icsim" / "__init__.py").is_file():
+        raise SystemExit(f"no icsim package at {src / 'icsim'}")
+    return src
 
 
 def load(tree: str) -> dict:
@@ -79,7 +81,6 @@ def main(argv=None) -> int:
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed-base", type=int, default=0)
-    ap.add_argument("--warmup", type=int, default=2, help="untimed trials per tree first")
     args = ap.parse_args(argv)
     if args.trials < 1:
         raise SystemExit("--trials must be at least 1")
@@ -103,7 +104,7 @@ def main(argv=None) -> int:
             del sys.modules[key]
         return seconds * 1e3, report
 
-    for t in range(args.warmup):
+    for t in range(WARMUP):
         trial(0, t), trial(1, t)
     ms = np.empty((2, args.trials))
     differ = 0

@@ -191,18 +191,24 @@ def run_protocol(p: FiniteStateProtocol, initial_state: int | None = None) -> Tr
     return TranscriptTrace(tuple(bits), tuple(states))
 
 
-@lru_cache(maxsize=64)
+# ``walk`` takes at most this many (round, sequence, state or start) entries at
+# once, so its intp running indices and each cached layout stay small
+_WALK_SPAN = 1 << 17
+
+
+@lru_cache(maxsize=16)
 def _walk_layout(B: int, M: int, k: int) -> tuple:
-    """What ``walk`` reads for B sequences over M states from k starts: the
-    smallest unsigned dtype holding 2M, ``2s`` at each flat position ``b *
-    M + s``, ``b * M`` there, and ``b * M`` at each of row b's k starts,
-    the last two in the smallest unsigned dtype holding B * M."""
+    """What ``walk`` reads for B sequences over M states from k starts:
+    ``2s`` at each flat position ``b * M + s`` in the smallest unsigned dtype
+    holding 2M, ``b * M`` there, and ``b * M`` at each of row b's k starts,
+    the last two in the smallest unsigned dtype holding B * M. B * (M + k)
+    is at most ``_WALK_SPAN``, so an entry holds under 1 MiB."""
     dtype = np.min_scalar_type(2 * M - 1)
     base = np.arange(0, B * M, M, dtype=np.promote_types(dtype, np.min_scalar_type(B * M)))
     arrays = (np.tile(np.arange(0, 2 * M, 2, dtype=dtype), B), base.repeat(M), base.repeat(k))
     for a in arrays:
         a.flags.writeable = False
-    return (dtype, *arrays)
+    return arrays
 
 
 def walk(advance: Sequence[Sequence[int]] | np.ndarray, tables: np.ndarray,
@@ -210,22 +216,35 @@ def walk(advance: Sequence[Sequence[int]] | np.ndarray, tables: np.ndarray,
     """The (p + 1, B, k) noiseless states of a (B, p, M) stack of table
     sequences, each walked from its k ``starts`` ((B, k), or k shared ones):
     ``tables[:, i]`` is read at ``[i]``, and ``[p]`` holds the finals, in the
-    smallest unsigned dtype holding the 2M advance entries. Each round's map
-    is precomputed as the flat index ``b * M + s`` of every sequence's next
-    state, so a round is one gather."""
+    smallest unsigned dtype holding the 2M advance entries. The sequences go
+    in blocks of at most ``_WALK_SPAN`` entries, (p + 1) * (M + k) a row."""
     tables = np.asarray(tables)
     B, p, M = tables.shape
-    k = np.shape(starts)[-1]
-    dtype, twice, rows, offset = _walk_layout(B, M, k)
+    starts = np.asarray(starts)
+    if starts.ndim == 1:  # k shared starts
+        starts = np.broadcast_to(starts, (B, starts.size))
+    states = np.empty((p + 1, *starts.shape), dtype=np.min_scalar_type(2 * M - 1))
+    flat = np.asarray(advance, dtype=states.dtype).ravel()
+    rows = max(1, _WALK_SPAN // ((p + 1) * (M + starts.shape[1])))
+    for lo in range(0, B, rows):
+        _walk_rows(flat, tables[lo:lo + rows], starts[lo:lo + rows], states[:, lo:lo + rows])
+    return states
+
+
+def _walk_rows(flat: np.ndarray, tables: np.ndarray, starts: np.ndarray, out: np.ndarray) -> None:
+    """``walk`` of one block into its ``out`` rows. Each round's map is
+    precomputed as the flat index ``b * M + s`` of every sequence's next
+    state, so a round is one gather."""
+    B, p, M = tables.shape
+    twice, rows, offset = _walk_layout(B, M, starts.shape[1])
     # step[i, b * M + s] = b * M + advance[s, tables[b, i, s]], at 2s + bit of the flat advance
-    step = np.add(np.asarray(advance, dtype=dtype).ravel().take(
-        tables.transpose(1, 0, 2).reshape(p, B * M) + twice), rows, dtype=rows.dtype)
-    at = np.empty((p + 1, B * k), dtype=np.intp)
-    np.add(np.broadcast_to(starts, (B, k)).reshape(-1), offset, out=at[0])
+    step = np.add(flat.take(tables.transpose(1, 0, 2).reshape(p, B * M) + twice), rows,
+                  dtype=rows.dtype)
+    at = np.empty((p + 1, offset.size), dtype=np.intp)
+    np.add(starts.reshape(-1), offset, out=at[0])
     for i in range(p):
         at[i + 1] = step[i][at[i]]
-    at -= offset
-    return at.astype(dtype).reshape(p + 1, B, k)
+    np.subtract(at.reshape(out.shape), offset.reshape(out.shape[1:]), out=out, casting="unsafe")
 
 
 def chain(finals: np.ndarray, s0: int) -> np.ndarray:

@@ -234,7 +234,8 @@ def run_columns(grid: np.ndarray, advance: np.ndarray,
     states = np.empty((cols + 1, 2, rows, wire.branches), dtype=np.intp)
     states[0] = starts[Party.ALICE], starts[Party.BOB]
     flat = grid.ravel()
-    # by (c, r, branch), the flat offset of the tables of round r * cols + c
+    # by (c, r, branch), the flat offset of the tables of round r * cols + c; repeated,
+    # since adding states to a stride-0 branch axis takes twice as long
     at = ((np.arange(cols)[:, None] + cols * np.arange(rows)) * M)[..., None].repeat(
         wire.branches, axis=2)
     split = 0  # the column where the shared run split (0: none was shared), or None
@@ -285,8 +286,9 @@ def _shared_columns(grid: np.ndarray, flat: np.ndarray, at: np.ndarray, advance:
         for c, j in enumerate(range(first, last + 1)):
             applied = mapped[c]
             if j > wire.unsent:
-                heard = carry(j, sent[c])
-                if not _same(heard, sent[c]):
+                payload = sent[c]
+                heard = carry(j, payload)
+                if not _same(heard, payload):
                     applied = wire.decode(j, heard[None], was[c:c + 1])[0]
                     differs[c] = bool((applied != taus[c]).any())
             if differs[c]:  # the per-party loop overwrites both halves past j
@@ -301,8 +303,8 @@ def _shared_columns(grid: np.ndarray, flat: np.ndarray, at: np.ndarray, advance:
 
 def _same(heard: np.ndarray, sent: np.ndarray) -> bool:
     """Whether a column arrived intact: the same shape, dtype and bytes."""
-    return heard is sent or (heard.shape == sent.shape and heard.dtype == sent.dtype
-                             and heard.tobytes() == sent.tobytes())
+    return (heard.shape == sent.shape and heard.dtype == sent.dtype
+            and heard.tobytes() == sent.tobytes())
 
 
 @lru_cache(maxsize=256)

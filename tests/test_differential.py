@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icsim import protocol
 from icsim.channel import ChannelModel
 from icsim.coding import CodeSpec
 from icsim.multistate import is_coinciding, simulate_mstate
@@ -115,6 +116,23 @@ def test_walk_matches_run_protocol(M, kind, B, p, k, seed):
         s = int(starts[b, j])
         expected = run_protocol(_protocol(M, advance, tables[b], s)).states if p else (s,)
         assert states[:, b, j].tolist() == list(expected)
+
+
+@pytest.mark.parametrize("span", [1, 200, 1000])
+def test_walk_in_blocks_of_rows_equals_one_walk(monkeypatch, span):
+    """``walk`` takes at most ``_WALK_SPAN`` entries, (p + 1) * (M + k) a
+    row, at once: blocks of one row, of two with one left over, and of 12
+    and 11 give the states of one block, from shared and per-row starts."""
+    rng = np.random.default_rng(span)
+    M, B, p, k = 5, 23, 9, 3
+    advance = _advance("random", M, rng)
+    tables = rng.integers(0, 2, size=(B, p, M))
+    for starts in (rng.integers(0, M, size=(B, k)), rng.integers(0, M, size=k)):
+        whole = walk(advance, tables, starts)
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "_WALK_SPAN", span)
+            blocked = walk(advance, tables, starts)
+        assert blocked.dtype == whole.dtype and np.array_equal(blocked, whole)
 
 
 @settings(max_examples=200)
