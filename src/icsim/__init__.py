@@ -8,7 +8,7 @@ lookahead schemes, and the coinciding m-state scheme with tail exchange.
 """
 
 from .channel import ERASURE, ChannelModel, binary_entropy
-from .coding import CodeSpec, OracleCode, RandomLinearCode, convey
+from .coding import CodeSpec, RandomLinearCode, convey
 from .harness import (
     ExperimentConfig,
     SweepRow,
@@ -78,7 +78,6 @@ __all__ = [
     "ExperimentConfig",
     "FiniteStateProtocol",
     "LookaheadResult",
-    "OracleCode",
     "Party",
     "RandomLinearCode",
     "SimulationReport",

@@ -7,11 +7,14 @@
                  1/x per chunk of ``RLC_CHUNK`` bits, exact ML decoding by
                  exhaustive search. ``RandomLinearCode`` gives one chunk
                  code's generator matrix.
-* ``oracle:R`` : ``OracleCode``, a statistical stand-in for an optimal code.
-                 Nothing is physically transmitted; ``oracle_transmit``
-                 corrupts the message to a uniformly random wrong one with
-                 the random-coding probability p* = exp(-(k/R) Er(R) ln 2)
-                 and charges ceil(k/R) channel uses.
+* ``oracle:R`` : a statistical stand-in for an optimal code
+                 (``_convey_oracle``). Nothing is physically transmitted:
+                 the payload is corrupted to a uniformly random wrong one
+                 with the random-coding probability
+                 p* = exp(-(k/R) Er(R) ln 2) (``oracle_corruption``), and
+                 ceil(k/R) channel uses are charged. Rates at or above
+                 capacity have Er = 0, so p* = 1 and every transfer is
+                 corrupted.
 
 A payload is checked by ``protocol._bits``; a uint8 one reaches ``transmit``
 with no copy or cast. The decoded bits are a new read-only uint8 array.
@@ -78,13 +81,11 @@ _VOTES = np.array([[0, 0, 0], [-1, 1, 0], [1, -1, 0]], dtype=np.int64)
 _BIT = np.array([0, 1], dtype=np.uint8)
 
 
-def _as_bits(message: Sequence[int], k: int | None = None) -> np.ndarray:
-    """The message as a uint8 bit vector, of length ``k`` when given."""
+def _as_bits(message: Sequence[int]) -> np.ndarray:
+    """The message as a uint8 bit vector."""
     bits = _bits(message, "message must be a bit vector")
     if bits.ndim != 1:
         raise ValueError("message must be a bit vector")
-    if k is not None and bits.size != k:
-        raise ValueError(f"expected {k} message bits")
     return bits
 
 
@@ -280,46 +281,6 @@ class RandomLinearCode:
         return np.unpackbits(rows, axis=-1, count=b).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class OracleCode:
-    """Statistical model of a capacity-approaching block code.
-
-    Rates at or above capacity are allowed and degrade gracefully: the
-    exponent is 0 there, so every transmission is corrupted (p* = 1).
-    """
-
-    k: int
-    rate: float
-    channel: ChannelModel
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-
-    @property
-    def codeword_length(self) -> int:
-        return math.ceil(self.k / self.rate)
-
-    @cached_property
-    def corruption_probability(self) -> float:
-        er = self.channel.error_exponent(self.rate)
-        return math.exp(-(self.k / self.rate) * er * LN2)
-
-    def oracle_transmit(self, message: Sequence[int],
-                        rng: np.random.Generator) -> tuple[tuple[int, ...], bool]:
-        """Return (possibly corrupted message, error flag); always consumes
-        exactly one uniform draw for the corruption decision."""
-        bits = tuple(_as_bits(message, self.k).tolist())
-        if rng.random() >= self.corruption_probability:
-            return bits, False
-        while True:
-            wrong = tuple(int(b) for b in rng.integers(0, 2, size=self.k))
-            if wrong != bits:
-                return wrong, True
-
-
 # ---------------------------------------------------------------------------
 # code specs and the transport helper used by the simulation engines
 
@@ -327,7 +288,7 @@ class OracleCode:
 class CodeSpec:
     """Parsed form of a --code flag.
 
-    * ``oracle:<rate>``   : OracleCode at that rate
+    * ``oracle:<rate>``   : the oracle code at that rate, in (0, 1]
     * ``rep:<r>``         : r repeats of each bit (rate 1/r)
     * ``rlc:<x>``         : random linear codes at rate 1/x, one per chunk
                             of at most ``RLC_CHUNK`` message bits
@@ -384,10 +345,8 @@ def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
     payload = _as_bits(bits)
     if not payload.size:
         decoded, uses = payload.copy(), 0  # the caller's array is never marked read-only
-    elif spec.kind == "oracle":  # a corrupted message always differs from the sent one
-        code = OracleCode(payload.size, spec.value, ch)
-        decoded = np.array(code.oracle_transmit(payload, rng)[0], dtype=np.uint8)
-        uses = code.codeword_length
+    elif spec.kind == "oracle":
+        decoded, uses = _convey_oracle(spec, payload, ch, rng)
     elif spec.kind == "rep":
         r = int(spec.value)
         y = ch.transmit(payload if r == 1 else payload.repeat(r), rng)
@@ -396,6 +355,27 @@ def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
         decoded, uses = _convey_rlc(spec, payload, ch, rng, matrix_seed)
     decoded.flags.writeable = False
     return TransferResult(decoded, uses, decoded.tobytes() == payload.tobytes())
+
+
+def oracle_corruption(k: int, rate: float, ch: ChannelModel) -> float:
+    """p* = exp(-(k/R) Er(R) ln 2), the chance that an ``oracle:R``
+    transfer of k bits over ``ch`` is corrupted; 1 at or above capacity."""
+    return math.exp(-(k / rate) * ch.error_exponent(rate) * LN2)
+
+
+def _convey_oracle(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,
+                   rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """One uniform draw decides whether the payload is corrupted (with
+    probability ``oracle_corruption``); a corrupted one becomes the first
+    uniformly drawn word that differs from it. Returns a new uint8 array of
+    the decoded bits and the ceil(k/R) channel uses."""
+    k, uses = payload.size, math.ceil(payload.size / spec.value)
+    if rng.random() >= oracle_corruption(k, spec.value, ch):
+        return payload.copy(), uses
+    word = rng.integers(0, 2, size=k)  # int64 draws pin the stream: uint8 ones give other bits
+    while np.array_equal(word, payload):
+        word = rng.integers(0, 2, size=k)
+    return word.astype(np.uint8), uses
 
 
 def _convey_rlc(spec: CodeSpec, payload: np.ndarray, ch: ChannelModel,

@@ -23,7 +23,7 @@ import numpy as np
 from .channel import ChannelModel
 from .coding import CodeSpec
 from .multistate import PLACEMENTS, resolve_functions, simulate_mstate
-from .protocol import (FiniteStateProtocol, _advance_rows, _is_int, load_protocol,
+from .protocol import (FiniteStateProtocol, _is_int, advance_table, load_protocol,
                        markovian_advance, random_protocol, read_json)
 from .twostate import exhaustive_two_state, random_two_state_protocol, simulate_two_state
 from .vertical import (AuditRecord, SimulationReport, accounting, genie_provider,
@@ -90,7 +90,7 @@ def protocol_draw(source: Mapping, n_list: Sequence[int]) -> Draw:
     if kind == "two-state":
         advance = source.get("advance")
         try:
-            rows = None if advance is None else _advance_rows(advance, 2)
+            rows = None if advance is None else advance_table(advance, 2)
         except ValueError as exc:
             raise ValueError("protocol advance must be null or a list of integer rows, "
                              f"not {advance!r} ({exc})") from None

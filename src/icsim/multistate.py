@@ -277,7 +277,6 @@ class TailWire(ColumnWire):
 
     def __init__(self, tails: Mapping[Party, np.ndarray]):
         rows, self.unsent, self.branches = tails[Party.ALICE].shape
-        self.tails = tails
         # by tail column, the receiver's tables for it: Bob's for odd j, Alice's for even j
         alice = np.arange(1, self.unsent + 1) % 2 == 1
         heard = np.where(alice[:, None], tails[Party.BOB], tails[Party.ALICE])

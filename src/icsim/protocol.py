@@ -343,16 +343,21 @@ def protocol_to_dict(p: FiniteStateProtocol) -> dict:
     }
 
 
-def advance_table(raw) -> np.ndarray:
+def advance_table(raw, M: int | None = None) -> np.ndarray:
     """A read-only (M, 2) advance table from its JSON form: a list of M
     [next on 0, next on 1] rows, or the same entries flat in row-major
-    order."""
-    if not isinstance(raw, (list, tuple)):
-        raise ValueError(f"advance table must be a list of rows or a flat list, not {raw!r}")
-    if raw and not isinstance(raw[0], (list, tuple)):
+    order. M is the row count, at least two, unless given; a given M is
+    checked by ``_advance_rows``, which also takes any value that is not a
+    list, an array among them, as it is."""
+    is_list = isinstance(raw, (list, tuple))
+    if is_list and raw and not isinstance(raw[0], (list, tuple)):
         if len(raw) % 2:
             raise ValueError("flat advance table must have 2M entries")
         raw = [raw[k:k + 2] for k in range(0, len(raw), 2)]
+    if M is not None:
+        return _advance_rows(raw, M)
+    if not is_list:
+        raise ValueError(f"advance table must be a list of rows or a flat list, not {raw!r}")
     if len(raw) < 2:
         raise ValueError(f"advance table needs at least two states, not {len(raw)}")
     return _advance_rows(raw, len(raw))

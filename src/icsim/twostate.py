@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channel import ChannelModel
-from .coding import CodeSpec, TransferResult
+from .coding import CodeSpec, TransferResult, convey
 from .protocol import (
     FiniteStateProtocol,
     Party,
@@ -298,11 +298,11 @@ def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.
 
     ``blocks`` is a (blocks, m, 2) stack of transmission tables, one block
     per row. The blocks run as the rows of one grid through the scheme's own
-    exchange (over ``bsc:0`` with ``rep:1``) and column loop. Returns, per
-    party, the (blocks, 2, m) transcripts and the (blocks, 2) final states
-    from entry states 0 and 1, which must agree with each other and with
-    direct iteration; and the logical bits each block spends: m, plus its
-    share of what the exchange sent.
+    exchange and column loop, every transfer over ``bsc:0`` with ``rep:1``.
+    Returns, per party, the (blocks, 2, m) transcripts and the (blocks, 2)
+    final states from entry states 0 and 1, which must agree with each
+    other and with direct iteration; and the logical bits each block spends:
+    m, plus its share of what the exchange sent.
     """
     advance = _advance_rows(eta, 2)
     cls = classify_advance(advance)
@@ -312,11 +312,12 @@ def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.
     if tables.ndim != 3 or tables.shape[2] != 2:
         raise ValueError(f"blocks must be a (blocks, m, 2) stack, not shape {tables.shape}")
     m = tables.shape[1]
-    beliefs, transfers = _merge_points(tables, advance, ChannelModel.parse("bsc:0"),
-                                       CodeSpec.parse("rep:1"), np.random.default_rng(0))
+    ch, code, rng = ChannelModel.parse("bsc:0"), CodeSpec.parse("rep:1"), np.random.default_rng(0)
+    beliefs, transfers = _merge_points(tables, advance, ch, code, rng)
     both = np.tile(np.arange(2), (len(tables), 1))
     runs = run_columns(tables, advance, {q: both for q in beliefs},
-                       ExhaustiveWire(cls, beliefs, m), lambda j, bits: bits)
+                       ExhaustiveWire(cls, beliefs, m),
+                       lambda j, bits: convey(code, bits, ch, rng, matrix_seed=j))
     return ({q: (bits.transpose(1, 2, 0), states[-1]) for q, (bits, states) in runs.items()},
             m + sum(t.bits.size for t in transfers) // len(tables))
 

@@ -24,9 +24,9 @@ consecutive columns. From equal starts the two parties share one array of
 bits and one of states, computed a segment of columns at a time: one
 ``walk`` gives the segment's states, one ``take`` its transcript bits and
 one call of each wire map its payloads and what the receiver makes of them
-intact, so the loop over its columns only sends. At the first column where
-the receiver applies other bits than the owner's, each party walks its own
-from there, a column at a time.
+intact, so the loop over its columns only sends and reads each transfer's
+``intact``. At the first column where the receiver applies other bits than
+the owner's, each party walks its own from there, a column at a time.
 This module alone builds the ``SimulationReport`` and decides each party's
 correctness, by checking the states the column loop walked against the
 tables; it runs the protocol only after an error.
@@ -210,13 +210,14 @@ _SIDES = ((1, 0), (0, 1))  # (owner, receiver) by j % 2, as indices 0 = Alice, 1
 
 def run_columns(grid: np.ndarray, advance: np.ndarray,
                 starts: Mapping[Party, np.ndarray], wire: ColumnWire,
-                carry: Callable[[int, np.ndarray], np.ndarray],
+                carry: Callable[[int, np.ndarray], TransferResult],
                 ) -> dict[Party, tuple[np.ndarray, np.ndarray]]:
     """The column loop of every scheme, and the one walk of its transcripts.
 
     ``grid`` holds the (rows, columns, M) tables, column j's at
     ``grid[:, j - 1]``, and ``starts[q]`` party q's (rows, branches) start
-    states. ``carry(j, payload)`` takes column j's payload to the receiver.
+    states. ``carry(j, payload)`` takes column j's payload to the receiver
+    and returns its ``TransferResult``, whose ``intact`` the loop trusts.
     Returns, per party, the (columns, rows, branches) transcript bits of
     every branch and the (columns + 1, rows, branches) states they drive
     through: ``[0]`` the starts, ``[-1]`` the finals. The arrays are
@@ -248,7 +249,7 @@ def run_columns(grid: np.ndarray, advance: np.ndarray,
         col = slice(j - 1, j)
         bits[col, own] = taus = flat.take(at[col] + states[col, own])
         sent = wire.encode(j, tables[col], taus)[0]
-        heard = carry(j, sent) if j > wire.unsent else sent
+        heard = carry(j, sent).bits if j > wire.unsent else sent
         bits[col, other] = wire.decode(j, heard[None], states[col, other])
         states[j] = advance[states[j - 1], bits[j - 1]]
     bits.flags.writeable = states.flags.writeable = False
@@ -257,14 +258,15 @@ def run_columns(grid: np.ndarray, advance: np.ndarray,
 
 
 def _shared_columns(grid: np.ndarray, flat: np.ndarray, at: np.ndarray, advance: np.ndarray,
-                    wire: ColumnWire, carry: Callable[[int, np.ndarray], np.ndarray],
+                    wire: ColumnWire, carry: Callable[[int, np.ndarray], TransferResult],
                     bits: np.ndarray, states: np.ndarray) -> int | None:
     """The run both parties share from equal starts, held in Alice's half of
     ``bits`` and ``states``, a segment of columns at a time: one ``walk`` of
     the segment's tables gives every state, one flat ``take`` at ``at``
     every transcript bit, and one call of each wire map every column's
     payload and the bits the receiver applies if it arrives intact. Then
-    each sent column is carried in turn.
+    each sent column is carried in turn, and only one that did not arrive
+    intact is decoded again.
 
     Returns the first column j where the receiver applies other bits than
     the owner's, or None when the run stays shared. Bob's half then holds a
@@ -286,10 +288,9 @@ def _shared_columns(grid: np.ndarray, flat: np.ndarray, at: np.ndarray, advance:
         for c, j in enumerate(range(first, last + 1)):
             applied = mapped[c]
             if j > wire.unsent:
-                payload = sent[c]
-                heard = carry(j, payload)
-                if not _same(heard, payload):
-                    applied = wire.decode(j, heard[None], was[c:c + 1])[0]
+                transfer = carry(j, sent[c])
+                if not transfer.intact:
+                    applied = wire.decode(j, transfer.bits[None], was[c:c + 1])[0]
                     differs[c] = bool((applied != taus[c]).any())
             if differs[c]:  # the per-party loop overwrites both halves past j
                 bits[:j, 1], states[:j + 1, 1] = shared_bits[:j], shared_states[:j + 1]
@@ -299,12 +300,6 @@ def _shared_columns(grid: np.ndarray, flat: np.ndarray, at: np.ndarray, advance:
                 return j
         first, size = last + 1, 2 * size
     return None
-
-
-def _same(heard: np.ndarray, sent: np.ndarray) -> bool:
-    """Whether a column arrived intact: the same shape, dtype and bytes."""
-    return (heard.shape == sent.shape and heard.dtype == sent.dtype
-            and heard.tobytes() == sent.tobytes())
 
 
 @lru_cache(maxsize=256)
@@ -375,10 +370,10 @@ def simulate_vertical(
             both = np.tile(np.arange(wire.branches), (m, 1))
             starts = {Party.ALICE: both, Party.BOB: both}
 
-        def carry(j: int, bits: np.ndarray) -> np.ndarray:
+        def carry(j: int, bits: np.ndarray) -> TransferResult:
             transfer = convey(code_spec, bits, ch, rng, matrix_seed=j)
             ledger.append(transfer)
-            return transfer.bits
+            return transfer
 
         runs = run_columns(pp.tables.reshape(m, m, pp.M), pp.advance_array, starts, wire,
                            carry)

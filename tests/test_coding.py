@@ -10,7 +10,7 @@ import pytest
 
 from icsim import coding, harness, vertical
 from icsim.channel import ERASURE, ChannelModel
-from icsim.coding import RLC_CHUNK, CodeSpec, OracleCode, RandomLinearCode, convey
+from icsim.coding import RLC_CHUNK, CodeSpec, RandomLinearCode, convey
 from icsim.multistate import coincidence_failure_trials, is_useful, resolve_functions
 from icsim.protocol import FiniteStateProtocol, random_protocol
 from icsim.threestate import build_example2, disj_via_protocol
@@ -186,61 +186,93 @@ def test_linear_bhattacharyya_union_bound():
     assert errors / trials <= union + 3 * math.sqrt(union * (1 - min(union, 1)) / trials) + 1e-9
 
 
+def _oracle_reference(payload, rate, ch, rng):
+    """The oracle transfer as a tuple loop, independent of ``coding``: one
+    uniform draw against p* = exp(-(k/R) Er(R) ln 2), then int64 words until
+    one differs. Returns (decoded bits, intact, channel uses)."""
+    bits = tuple(int(b) for b in payload)
+    k = len(bits)
+    uses = math.ceil(k / rate)
+    if rng.random() >= math.exp(-(k / rate) * ch.error_exponent(rate) * LN2):
+        return bits, True, uses
+    while True:
+        wrong = tuple(int(b) for b in rng.integers(0, 2, size=k))
+        if wrong != bits:
+            return wrong, False, uses
+
+
+ORACLE_CHANNELS = ["bsc:0", "bsc:0.05", "bsc:0.2", "bec:0.3", "awgn:0.8"]
+
+
+@pytest.mark.parametrize("channel", ORACLE_CHANNELS)
+def test_oracle_convey_matches_the_tuple_reference(channel):
+    # rates from far below to above capacity, so some transfers never and
+    # some always corrupt; the generator must end where the reference's does
+    ch = ChannelModel.parse(channel)
+    for rate in np.round(np.arange(0.1, 1.01, 0.1), 10):
+        spec = CodeSpec("oracle", float(rate))
+        for k in (1, 2, 3, 8, 33):
+            for seed in range(40):
+                payload = np.random.default_rng(seed + 1000).integers(0, 2, size=k,
+                                                                      dtype=np.uint8)
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = convey(spec, payload, ch, rng, matrix_seed=seed)
+                bits, intact, uses = _oracle_reference(payload, spec.value, ch, ref_rng)
+                assert (tuple(got.bits.tolist()), got.intact, got.channel_uses) == \
+                    (bits, intact, uses), (rate, k, seed)
+                assert got.bits.dtype == np.uint8 and not got.bits.flags.writeable
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_oracle_corruption_probability_formula():
     ch = ChannelModel("bsc", 0.1)
-    code = OracleCode(k=8, rate=0.25, channel=ch)
     expected = math.exp(-(8 / 0.25) * ch.error_exponent(0.25) * LN2)
-    assert code.corruption_probability == pytest.approx(expected, rel=1e-12)
-    assert code.codeword_length == 32
+    assert coding.oracle_corruption(8, 0.25, ch) == pytest.approx(expected, rel=1e-12)
+    got = convey(CodeSpec.parse("oracle:0.25"), [0] * 8, ch, np.random.default_rng(0))
+    assert got.channel_uses == 32
 
 
 def test_oracle_tiny_rate_never_corrupts():
     ch = ChannelModel("bsc", 0.1)
-    code = OracleCode(k=64, rate=0.01, channel=ch)
+    spec = CodeSpec.parse("oracle:0.01")
     rng = np.random.default_rng(0)
-    msg = tuple(rng.integers(0, 2, 64))
+    msg = tuple(rng.integers(0, 2, 64).tolist())
     for _ in range(200):
-        got, flag = code.oracle_transmit(msg, rng)
-        assert not flag and got == msg
+        got = convey(spec, msg, ch, rng)
+        assert got.intact and tuple(got.bits.tolist()) == msg
 
 
 def test_oracle_corruption_rate_monte_carlo():
     ch = ChannelModel("bsc", 0.1)
-    code = OracleCode(k=8, rate=0.25, channel=ch)
-    p = code.corruption_probability
+    spec = CodeSpec.parse("oracle:0.25")
+    p = coding.oracle_corruption(8, 0.25, ch)
     assert 0.01 < p < 0.9  # the regime worth sampling
     rng = np.random.default_rng(42)
     trials = 20_000
     msg = (1, 0, 1, 1, 0, 0, 1, 0)
     corrupted = 0
     for _ in range(trials):
-        got, flag = code.oracle_transmit(msg, rng)
-        if flag:
-            corrupted += 1
-            assert got != msg
-        else:
-            assert got == msg
+        got = convey(spec, msg, ch, rng)
+        assert (tuple(got.bits.tolist()) == msg) == got.intact
+        corrupted += not got.intact
     assert abs(corrupted / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
 
 def test_oracle_above_capacity_always_corrupts():
     ch = ChannelModel("bsc", 0.3)
-    code = OracleCode(k=8, rate=0.9, channel=ch)
-    assert code.corruption_probability == 1.0
+    assert coding.oracle_corruption(8, 0.9, ch) == 1.0
     rng = np.random.default_rng(1)
-    got, flag = code.oracle_transmit((0,) * 8, rng)
-    assert flag and got != (0,) * 8
+    for _ in range(20):
+        got = convey(CodeSpec.parse("oracle:0.9"), (0,) * 8, ch, rng)
+        assert not got.intact and got.bits.any()
 
 
 def test_noiseless_round_trip_all_kinds():
     rng = np.random.default_rng(2)
     msg = tuple(rng.integers(0, 2, 8).tolist())
-    for spec in ("rep:3", "rlc:2"):
+    for spec in ("rep:3", "rlc:2", "oracle:0.5"):
         got = convey(CodeSpec.parse(spec), msg, NOISELESS, rng, matrix_seed=5)
-        assert got.bits.tolist() == list(msg)
-    oracle = OracleCode(k=8, rate=0.5, channel=NOISELESS)
-    got, flag = oracle.oracle_transmit(msg, rng)
-    assert got == msg and not flag
+        assert got.bits.tolist() == list(msg) and got.intact
 
 
 def test_channel_use_accounting():
@@ -248,7 +280,8 @@ def test_channel_use_accounting():
     assert rep.channel_uses == 24
     ch = ChannelModel("bsc", 0.1)
     for k, rate in [(64, 0.3), (10, 0.23), (1, 0.5)]:
-        assert OracleCode(k=k, rate=rate, channel=ch).codeword_length == math.ceil(k / rate)
+        got = convey(CodeSpec("oracle", rate), [1] * k, ch, np.random.default_rng(0))
+        assert got.channel_uses == math.ceil(k / rate)
 
 
 def test_code_spec_parsing():
@@ -653,8 +686,8 @@ BIT_ENTRY_POINTS = {
     "build_example2": ("alpha must be a bit vector", (8,), lambda v: build_example2(v, v)),
     "convey": ("message must be a bit vector", (8,), lambda v: convey(
         CodeSpec.parse("rep:1"), v, NOISELESS, np.random.default_rng(0)).bits.tolist()),
-    "oracle_transmit": ("message must be a bit vector", (8,), lambda v: OracleCode(
-        8, 0.5, NOISELESS).oracle_transmit(v, np.random.default_rng(0))),
+    "convey-oracle": ("message must be a bit vector", (8,), lambda v: convey(
+        CodeSpec.parse("oracle:0.5"), v, NOISELESS, np.random.default_rng(0)).bits.tolist()),
     "transmit": ("inputs must be bits", (8,),
                  lambda v: NOISELESS.transmit(v, np.random.default_rng(0)).tolist()),
 }

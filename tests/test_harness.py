@@ -213,6 +213,17 @@ def test_config_parses_protocol_tables_before_any_trial(protocol, message):
         ExperimentConfig(protocol=protocol)
 
 
+def test_a_flat_advance_draws_the_protocols_of_its_nested_form():
+    # a config reads an advance table as a protocol file and --advance do
+    import numpy as np
+    flat = harness.protocol_draw({"type": "two-state", "advance": [0, 1, 1, 0]}, (64,))
+    nested = harness.protocol_draw({"type": "two-state", "advance": [[0, 1], [1, 0]]}, (64,))
+    for seed in range(4):
+        drawn = flat(64, np.random.default_rng(seed))
+        assert drawn.advance == ((0, 1), (1, 0))
+        assert drawn == nested(64, np.random.default_rng(seed))
+
+
 def _counting(monkeypatch, name: str) -> list:
     """Replace ``harness.<name>`` with a wrapper that records each call."""
     calls = []

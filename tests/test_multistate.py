@@ -510,6 +510,8 @@ def test_tail_lookaheads_match_per_round_reference(case, channel, side):
     else:
         want = LookaheadResult((), (), tail_len=tail, coincidence_ok=True)
         assert replace(got, wire=None, transfers=()) == want
-        for q in (Party.ALICE, Party.BOB):
-            assert np.array_equal(got.wire.tails[q], np.array(tails[q]).reshape(m, tail, -1))
+        # tail column t is read by Bob for odd t, by Alice for even t
+        heard = [np.array(tails[Party.BOB if t % 2 else Party.ALICE])[:, t - 1]
+                 for t in range(1, tail + 1)]
+        assert np.array_equal(got.wire.heard, np.array(heard).ravel())
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -441,7 +441,7 @@ def test_column_loop_states_are_the_walk_of_each_partys_tables(m, M, branches):
     parties = (Party.ALICE, Party.BOB)
     grid = p.tables.reshape(m, m, M)
     runs = run_columns(grid, p.advance_array, {q: starts for q in parties}, wire,
-                       lambda j, bits: bits)
+                       lambda j, bits: TransferResult(bits, bits.size, True))
     want = walk(p.advance_array, grid, starts)
     for q in parties:
         bits, states = runs[q]
@@ -467,7 +467,7 @@ def _reference_columns(grid, advance, starts, wire, carry):
         at, was = states[owner][j - 1], states[receiver][j - 1]
         taus = tables[index, at]
         sent = wire.encode(j, tables[None], taus[None])[0]
-        heard = carry(j, sent) if j > wire.unsent else sent
+        heard = carry(j, sent).bits if j > wire.unsent else sent
         applied = wire.decode(j, heard[None], was[None])[0]
         bits[owner][j - 1] = taus
         states[owner][j] = advance[at, taus]
@@ -562,11 +562,10 @@ def test_column_loop_equals_a_per_party_loop(kind, starts_kind, corrupt):
         def carrier(log):
             def carry(j, bits):
                 log.append((j, bits.shape, bits.tobytes()))
-                if j != bad:
-                    return bits
-                flipped = bits.copy()
-                flipped.reshape(-1)[0] ^= 1
-                return flipped
+                heard = bits.copy()
+                if j == bad:
+                    heard.reshape(-1)[0] ^= 1
+                return TransferResult(heard, bits.size, bool(np.array_equal(heard, bits)))
             return carry
 
         grid = p.tables.reshape(m, m, p.M)
