@@ -14,9 +14,10 @@ A tree is a checkout, whose ``src/icsim`` is imported. CONFIG is a sweep
 config or a perfbench workload (read, never written); ``--set KEY=VALUE``
 overrides a key of it, the value read as JSON when it parses (``--set
 n=4096 --set channel=bsc:0.05``). The run uses the config's first n. It
-prints, per tree, p50 and p90 of the trial times in ms, and the median over
-trials of B's time over A's. It exits 1 when the trees' reports differ in
-any trial.
+prints, per tree, p50 and p90 of the trial times in ms, the median over
+trials of B's time over A's, and under it how many trials B ran faster
+(equal times count for neither) and the quartiles of that per-trial ratio.
+It exits 1 when the trees' reports differ in any trial.
 """
 
 from __future__ import annotations
@@ -121,7 +122,12 @@ def main(argv=None) -> int:
     for label, row in zip("AB", ms):
         p50, p90 = np.percentile(row, (50, 90))
         print(f"  {label}  p50 {p50:.3f} ms  p90 {p90:.3f} ms")
-    print(f"  ratio B/A, median per trial: {float(np.median(ms[1] / ms[0])):.4f}")
+    ratio = ms[1] / ms[0]
+    q1, median, q3 = np.percentile(ratio, (25, 50, 75))
+    wins = int(np.count_nonzero(ratio < 1.0))
+    print(f"  ratio B/A, median per trial: {median:.4f}")
+    print(f"  B faster in {wins} of {args.trials} trials ({wins / args.trials:.1%}), "
+          f"ratio quartiles {q1:.4f} to {q3:.4f}")
     return 1 if differ else 0
 
 

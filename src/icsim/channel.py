@@ -11,8 +11,12 @@ Three channel families are supported, each a (kind, parameter) pair:
 ValueError, never truncated); its outputs are uint8 on bsc and bec.
 ``bit_log_likelihoods`` gathers each bsc or bec output's row from a cached
 read-only table per channel; ``convey``'s decoders do not call it. An output
-outside {0, 1} (bsc) or {0, 1, ERASURE} (bec), or of a float type, raises
-ValueError; ``discrete_outputs`` makes that check, for the decoders too.
+outside the channel's alphabet (``_ALPHABET``: {0, 1} on bsc, {0, 1, ERASURE}
+on bec), or of a float type, raises ValueError; ``discrete_outputs`` makes
+that check, for the decoders too. Both checks test an integer array with
+``protocol._in_alphabet``: one byte scan when it is uint8 of at most
+``protocol._SCAN_BYTES`` bytes, as every transfer's payload and outputs
+are, else one ufunc maximum.
 
 Capacity is the mutual information under uniform inputs, in bits per use.
 ``gallager_e0`` is the random-coding exponent function
@@ -40,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .protocol import _bits
+from .protocol import _bits, _in_alphabet
 
 LN2 = math.log(2.0)
 ERASURE = 2  # BEC output symbol standing for an erased bit
@@ -49,7 +53,7 @@ _QUAD_NODES = 128
 _SIGNS = np.array([1.0, -1.0])  # awgn signal of input bit 0 and of input bit 1
 
 _KINDS = ("bsc", "bec", "awgn")
-_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}  # by itemsize
+_ALPHABET = {"bsc": 2, "bec": ERASURE + 1}  # output alphabet size of each discrete channel
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +143,7 @@ class ChannelModel:
         """Return an array L with L[j, b] = log P(outputs[j] | input bit b)."""
         if self.kind != "awgn":
             table = _likelihood_table(self.kind, self.param)
-            return table.take(discrete_outputs(self.kind, outputs, len(table)), axis=0)
+            return table.take(discrete_outputs(self.kind, outputs), axis=0)
         y = np.asarray(outputs).reshape(-1)
         s2 = self.param * self.param
         norm = -0.5 * math.log(2.0 * math.pi * s2)
@@ -180,13 +184,12 @@ class ChannelModel:
         return min(1.0, copies * math.exp(-(block_bits / rate) * er * LN2))
 
 
-def discrete_outputs(kind: str, outputs, size: int) -> np.ndarray:
-    """The bsc or bec ``outputs`` as a flat integer array, checked to lie in
-    the channel's alphabet 0 .. size - 1."""
+def discrete_outputs(kind: str, outputs) -> np.ndarray:
+    """The bsc or bec ``outputs`` as a flat integer array, checked by
+    ``protocol._in_alphabet`` to lie in the channel's alphabet 0 ..
+    _ALPHABET[kind] - 1, in any byte order; a negative output is outside it."""
     y = np.asarray(outputs).reshape(-1)
-    # in the unsigned view a negative output is out of range too; an empty one has no maximum
-    if y.dtype.kind not in "iu" or (
-            y.size and np.maximum.reduce(y.view(_UNSIGNED[y.itemsize])) >= size):
+    if y.dtype.kind not in "iu" or not _in_alphabet(y, _ALPHABET[kind]):
         raise ValueError(f"{kind} outputs must be integers in its alphabet")
     return y
 

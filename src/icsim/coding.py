@@ -113,7 +113,7 @@ def _rep_decide(ch: ChannelModel, y: np.ndarray, r: int) -> np.ndarray:
     ``_direction``, is below 0."""
     if ch.kind == "awgn":
         return np.less(_strided_sum(y, r), 0.0).view(np.uint8)
-    outputs = discrete_outputs(ch.kind, y, 2 if ch.kind == "bsc" else 3)
+    outputs = discrete_outputs(ch.kind, y)
     return _BIT.take(_strided_sum(_VOTES[_direction(ch)].take(outputs), r), mode="clip")
 
 
@@ -429,4 +429,4 @@ def _send(words: np.ndarray, uses: int, ch: ChannelModel, rng: np.random.Generat
     """The outputs of the first ``uses`` bits of the packed codewords, in one
     transmit call; bsc and bec ones checked by ``discrete_outputs``."""
     y = ch.transmit(np.unpackbits(words, count=uses), rng)
-    return y if ch.kind == "awgn" else discrete_outputs(ch.kind, y, 2 if ch.kind == "bsc" else 3)
+    return y if ch.kind == "awgn" else discrete_outputs(ch.kind, y)

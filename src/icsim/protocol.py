@@ -9,13 +9,13 @@ block schemes, lookahead exchanges) treats ``run_protocol`` as the ground
 truth it has to reproduce.
 
 A protocol stores its n transmission tables once, as a read-only (n, M)
-uint8 array validated in one numpy pass, and its advance table also as an
-(M, 2) array. A party's view is the odd or even row stride of that array,
-so the schemes index tables for whole rows or columns of the vertical grid
-at once instead of walking rounds in Python. ``_bits`` is the one test of
-what a bit is, ``_advance_rows`` of an advance table and ``_is_int`` of an
-integer input; every entry point that takes such an input calls its test
-(not ``walk``, which is internal).
+uint8 array whose entries ``_bits`` checks in one pass, and its advance
+table also as an (M, 2) array. A party's view is the odd or even row
+stride of that array, so the schemes index tables for whole rows or
+columns of the vertical grid at once instead of walking rounds in Python.
+``_bits`` is the one test of what a bit is, ``_advance_rows`` of an
+advance table and ``_is_int`` of an integer input; every entry point that
+takes such an input calls its test (not ``walk``, which is internal).
 """
 
 from __future__ import annotations
@@ -49,15 +49,32 @@ class Party(Enum):
         return Party.BOB if self is Party.ALICE else Party.ALICE
 
 
+_SCAN_BYTES = 1024  # a byte scan grows with size; past ~2 KiB a ufunc reduce is cheaper
+_DIGITS = bytes(range(256))  # _DIGITS[:size] is the alphabet 0 .. size - 1 as bytes
+
+
+def _in_alphabet(arr: np.ndarray, size: int) -> bool:
+    """Whether the integer array ``arr`` holds only values 0 .. size - 1. A
+    signed array is read in the unsigned view of its own byte order, where
+    a negative entry lies above every alphabet. A one-byte array of at most
+    ``_SCAN_BYTES`` bytes is checked by deleting the alphabet's bytes from
+    its ``tobytes()`` and finding nothing left; any other by its maximum."""
+    if arr.dtype.kind == "i":
+        arr = arr.view(arr.dtype.str.replace("i", "u"))
+    if arr.itemsize == 1 and arr.size <= _SCAN_BYTES:
+        return not arr.tobytes().translate(None, _DIGITS[:size])
+    return np.maximum.reduce(arr, axis=None, initial=0) < size
+
+
 def _bits(values, error: str) -> np.ndarray:
     """``values`` as uint8, the one test of what a bit is: dtype kind b, i, u
-    or f and every entry exactly 0 or 1, else ``ValueError(error)``, so 2 or
-    0.5 is rejected, never truncated. A uint8 array is returned uncopied."""
+    or f and every entry exactly 0 or 1, else ``ValueError(error)``, so 2,
+    -1 or 0.5 is rejected, never truncated. Integers are checked by
+    ``_in_alphabet``, one byte scan for the short uint8 payloads of a
+    transfer. A uint8 array is returned uncopied."""
     arr = np.asarray(values)
     kind = arr.dtype.kind
-    if kind == "i":  # in the unsigned view a negative entry is above 1 too
-        arr = arr.view(f"u{arr.itemsize}")
-    if not (kind == "b" or kind in "iu" and np.maximum.reduce(arr, axis=None, initial=0) <= 1
+    if not (kind == "b" or kind in "iu" and _in_alphabet(arr, 2)
             or kind == "f" and ((arr == 0) | (arr == 1)).all()):
         raise ValueError(error)
     return arr.astype(np.uint8, copy=False)

@@ -17,3 +17,9 @@ def test_ab_script_times_a_tree_against_itself():
     assert "reports equal" in lines[0]
     assert [line.split()[0] for line in lines[1:3]] == ["A", "B"]
     assert sum("ratio B/A" in line for line in lines) == 1
+    median = float(lines[3].split()[-1])
+    words = lines[4].split()
+    assert words[:3] == ["B", "faster", "in"] and words[4:6] == ["of", "4"]
+    assert 0 <= int(words[3]) <= 4
+    assert words[6] == "trials" and words[8:10] == ["ratio", "quartiles"]
+    assert float(words[10]) <= median <= float(words[12])

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from icsim.channel import ERASURE, ChannelModel, binary_entropy
+from icsim import protocol
+from icsim.channel import ERASURE, ChannelModel, binary_entropy, discrete_outputs
+from icsim.protocol import _bits
 
 LN2 = math.log(2)
 
@@ -211,3 +213,108 @@ def test_log_likelihoods_prefer_the_sent_bit():
 def test_channel_name_is_stable():
     assert ChannelModel("bsc", 0.05).name == "bsc:0.05"
     assert ChannelModel.parse(ChannelModel("awgn", 0.8).name) == ChannelModel("awgn", 0.8)
+
+
+# ---------------------------------------------------------------------------
+# the bit and output checks against the one-reduce rule they replaced
+
+
+def _reference_in_alphabet(arr, size):
+    # one ufunc maximum of the unsigned view in the array's own byte order
+    if arr.dtype.kind == "i":
+        arr = arr.view(np.dtype(f"u{arr.itemsize}").newbyteorder(arr.dtype.byteorder))
+    return np.maximum.reduce(arr, axis=None, initial=0) < size
+
+
+def _reference_bits(values, error):
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if not (kind == "b" or kind in "iu" and _reference_in_alphabet(arr, 2)
+            or kind == "f" and ((arr == 0) | (arr == 1)).all()):
+        raise ValueError(error)
+    return arr.astype(np.uint8, copy=False)
+
+
+def _reference_outputs(kind, outputs, size):
+    y = np.asarray(outputs).reshape(-1)
+    if y.dtype.kind not in "iu" or not _reference_in_alphabet(y, size):
+        raise ValueError(f"{kind} outputs must be integers in its alphabet")
+    return y
+
+
+CHECK_DTYPES = ["uint8", "bool", "int8", "int16", "int32", "int64", "uint16", "float32",
+                "float64", "object", ">i4", ">u2", ">i8", ">f8"]
+CHECK_BAD = [None, 2, 3, 255, -1, 0.5, float("nan")]
+
+
+def _holds(dtype, value):
+    """Whether ``dtype`` stores ``value`` exactly, so it can be injected."""
+    with np.errstate(all="ignore"):
+        stored = np.array([value]).astype(dtype)[0]
+    return stored == value or value != value and stored != stored
+
+
+def _check_layouts(values):
+    """``values`` flat, as a 2-D stack, as a 0-d array, and for uint8 as
+    two non-contiguous views."""
+    yield values
+    yield np.stack((values, values[::-1]))
+    if values.size == 1:
+        yield values.reshape(())
+    if values.dtype == np.uint8:
+        yield np.repeat(values, 2)[::2]
+        yield np.stack((values, values), axis=1)[:, 0]
+
+
+def _outcome(check, arr):
+    try:
+        return check(arr), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("dtype", CHECK_DTYPES)
+def test_alphabet_checks_match_the_one_reduce_rule(dtype):
+    scan = protocol._SCAN_BYTES
+    draw = np.random.default_rng(len(dtype))
+    checks = [("bits", 2, lambda a: _bits(a, "not bits"),
+               lambda a: _reference_bits(a, "not bits")),
+              ("bsc", 2, lambda a: discrete_outputs("bsc", a),
+               lambda a: _reference_outputs("bsc", a, 2)),
+              ("bec", 3, lambda a: discrete_outputs("bec", a),
+               lambda a: _reference_outputs("bec", a, 3))]
+    cases = 0
+    for size in (0, 1, 31, scan - 1, scan, scan + 1, 4096):
+        for name, alphabet, check, reference in checks:
+            clean = draw.integers(0, alphabet, size).astype(dtype)
+            for bad in CHECK_BAD:
+                values = clean
+                if bad is not None:
+                    if not (size and _holds(dtype, bad)):
+                        continue
+                    values = clean.copy()
+                    values[-1] = bad
+                for arr in _check_layouts(values):
+                    got, error = _outcome(check, arr)
+                    want, want_error = _outcome(reference, arr)
+                    assert error == want_error, (name, size, arr.shape, bad)
+                    cases += 1
+                    if error is None:
+                        assert got.dtype == want.dtype and np.array_equal(got, want)
+                        assert np.shares_memory(got, arr) == np.shares_memory(want, arr)
+                        if name == "bits" and arr.dtype == np.uint8:
+                            assert got is arr  # a uint8 input is returned uncopied
+    assert cases >= 42  # 7 sizes, 3 checks, 2 layouts at least
+
+
+def test_big_endian_bits_and_outputs_are_read_in_their_own_byte_order():
+    assert _bits(np.array([0, 1, 1], dtype=">i4"), "not bits").tolist() == [0, 1, 1]
+    assert _bits(np.array([1, 0], dtype=">u8"), "not bits").tolist() == [1, 0]
+    assert discrete_outputs("bsc", np.array([[1], [0]], dtype=">i4")).tolist() == [1, 0]
+    assert discrete_outputs("bec", np.array([0, 1, ERASURE], dtype=">u2")).tolist() == [0, 1, 2]
+    for bad in ([0, 2], [-1, 0]):
+        with pytest.raises(ValueError, match="not bits"):
+            _bits(np.array(bad, dtype=">i2"), "not bits")
+    for kind, bad in (("bsc", [0, 2]), ("bec", [0, 3]), ("bec", [-1, 0])):
+        with pytest.raises(ValueError, match=f"{kind} outputs must be integers"):
+            discrete_outputs(kind, np.array(bad, dtype=">i4"))
