@@ -31,7 +31,9 @@ point the other way, and at eps = 0.5 it is 0 and every word ties
 ``rep:r`` makes one ``ChannelModel.transmit`` call for the r-fold repeated
 payload. ``_rep_decide`` decodes a bit to 1 when the sum S of its r values
 of s, added left to right in repeat order, is below 0 (above 0 on bsc past
-eps = 0.5). A tie S = 0, and every bit on bsc:0.5, goes to 0.
+eps = 0.5). A tie S = 0, and every bit on bsc:0.5, goes to 0. On bsc and
+bec, rep:1 reads each decision off one composed table (``_DECIDE1``), one
+``take`` a transfer: a sum of one vote is the vote.
 
 ``rlc`` gives each chunk its own seeded code, packed to bits by
 ``np.packbits`` and stored byte-major (byte j of every codeword, then byte
@@ -79,6 +81,8 @@ RLC_CHUNK = 8  # message bits per rlc chunk code; exhaustive ML decoding stays t
 # _BIT.take(V, mode="clip") is 1 iff a sum V of them is positive
 _VOTES = np.array([[0, 0, 0], [-1, 1, 0], [1, -1, 0]], dtype=np.int64)
 _BIT = np.array([0, 1], dtype=np.uint8)
+_DECIDE1 = _BIT.take(_VOTES, mode="clip")  # rep:1's decisions: a sum of one vote is the vote
+_DECIDE1.flags.writeable = False
 
 
 def _as_bits(message: Sequence[int]) -> np.ndarray:
@@ -114,6 +118,8 @@ def _rep_decide(ch: ChannelModel, y: np.ndarray, r: int) -> np.ndarray:
     if ch.kind == "awgn":
         return np.less(_strided_sum(y, r), 0.0).view(np.uint8)
     outputs = discrete_outputs(ch.kind, y)
+    if r == 1:
+        return _DECIDE1[_direction(ch)].take(outputs)
     return _BIT.take(_strided_sum(_VOTES[_direction(ch)].take(outputs), r), mode="clip")
 
 

@@ -14,18 +14,19 @@ value of its last own-parity constant, then, the overall last-constant
 location being settled, each party reports the flip parity of its rounds
 after that location.
 
-The schemes compute every block's reports at once from the protocol's
-table array: ``nu[:, s] = advance[s, tables[:, s]]``, and a round is
-constant where its two entries agree. The exhaustive scheme's column wire
-maps a block of columns at once, each way one flat ``take`` at per-column
-offsets of the owner's or the receiver's phase.
+Both exchanges read every round's composite by one ``take`` into a stacked
+(rows, party, slot) layout, party axis 0 Alice's odd rounds and 1 Bob's
+even ones, so each report is one array op for both parties; at m = 1 Bob
+owns no round and his reports carry no index bits. The exhaustive scheme's
+column wire maps a block of columns at once, each way one flat ``take`` at
+per-column offsets of the owner's or the receiver's phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,101 +54,103 @@ from .vertical import (
 ALL_TABLES2: tuple[Table, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 _TABLES2 = np.array(ALL_TABLES2, dtype=np.uint8)  # the draw's rows, read-only
 _TABLES2.flags.writeable = False
+_TWO = np.arange(2)  # the party axis of the stacked layout, or a block's entry states
 
 
 # ---------------------------------------------------------------------------
 # the lookahead exchange over the whole grid
 
-def _own_round_count(m: int, party: Party) -> int:
-    return (m + party.parity) // 2
+@lru_cache(maxsize=None)
+def _composite_codes(advance: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Read-only table from a round's code t0 + 256 t1 (its table's two bytes
+    as one little-endian uint16) to its composite's code: 2 + the constant
+    where both states advance to it, else the flip's xor ``nu[0]``. Code 2,
+    which no table has, is the identity: 0."""
+    codes = np.zeros(258, dtype=np.intp)
+    for t0, t1 in ALL_TABLES2:  # nu[s] = advance[s][t_s]
+        codes[t0 + 256 * t1] = 2 * (advance[0][t0] == advance[1][t1]) + advance[0][t0]
+    codes.flags.writeable = False
+    return codes
 
 
-def _index_width(m: int, party: Party) -> int:
-    return _own_round_count(m, party).bit_length()
+def _stacked_composites(tables: np.ndarray, advance: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The composite code of every round of a (rows, m, 2) table grid of bits,
+    in the stacked layout (rows, 2, K), K = (m + 1) // 2: slot [r, p, k] is
+    row r's block-local round 2k + 1 + p, so party axis 0 holds Alice's odd
+    rounds and 1 Bob's even ones. One ``take`` of ``_composite_codes`` at
+    the rounds' uint16 codes; on odd m Bob's last slot is the identity."""
+    rows, m = tables.shape[:2]
+    codes = np.ascontiguousarray(tables, dtype=np.uint8).view("<u2")[..., 0]
+    if m % 2:
+        codes = np.concatenate((codes, np.full((rows, 1), 2, dtype="<u2")), axis=1)
+    return _composite_codes(advance).take(codes.reshape(rows, -1, 2).swapaxes(1, 2))
 
 
-def _grid_composites(tables: np.ndarray, advance: np.ndarray,
-                     m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every round's composite on the (rows, m) grid, from ``nu[:, s] =
-    advance[s, tables[:, s]]``: a round is constant where its two entries
-    agree, and its value (the constant, or the flip's xor) is ``nu[:, 0]``:
-    one flat ``take`` at ``2s + tables[:, s]``."""
-    nu = advance.ravel().take(tables + np.array((0, 2), dtype=np.uint8)).reshape(-1, m, 2)
-    return nu[..., 0] == nu[..., 1], nu[..., 0]
+@lru_cache(maxsize=None)
+def _slots(m: int) -> tuple:
+    """Read-only constants of the stacked layout of an m-column grid. A
+    report names round t by its index (t + 1) // 2, slot k's k + 1, in w
+    bits, big-endian; w is Alice's width, and Bob's is ``trim`` bits less.
+    Returns ``evens`` 2k by slot, which a constant's code raises to 2 (k + 1)
+    + its value; ``firsts`` K - k by slot; ``rounds`` (2, K), each slot's
+    block-local round; ``shifts`` w .. 0, the bits of an index and a value
+    bit ([1:] an index's); ``decode``, flat (2^w, 2): [e, p] the round of
+    index e of party p, 0 if none; ``merge``, that with m + 1 for none; and
+    ``trim``."""
+    K, w = (m + 1) // 2, ((m + 1) // 2).bit_length()
+    k, e = np.arange(K), np.arange(1 << w)[:, None]
+    decode = np.where((e >= 1) & (e <= (K, m // 2)), 2 * e - 1 + _TWO, 0)
+    arrays = (2 * k, K - k, 2 * k + 1 + _TWO[:, None], np.arange(w, -1, -1), decode.ravel(),
+              np.where(decode > 0, decode, m + 1).ravel())
+    for a in arrays:
+        a.flags.writeable = False
+    return *arrays, w - (m // 2).bit_length()
 
 
-def _own_const_index(const: np.ndarray, party: Party, last: bool) -> np.ndarray:
-    """Block-local (1-based) index of each row's last, or first, constant
-    composite at ``party``'s rounds; 0 in rows where it has none."""
-    own = np.zeros_like(const)
-    own[:, 1 - party.parity::2] = const[:, 1 - party.parity::2]
-    if last:
-        index = const.shape[1] - own[:, ::-1].argmax(axis=1)
-    else:
-        index = own.argmax(axis=1) + 1
-    return np.where(own.any(axis=1), index, 0)
-
-
-def _pack_index(t: np.ndarray, width: int) -> np.ndarray:
-    """(rows, width) big-endian bits of each index compressed to
-    ``(t + 1) // 2``: both parities map to 1..count and 0 stays "none"."""
-    return ((t + 1) // 2)[:, None] >> np.arange(width - 1, -1, -1) & 1
-
-
-def _unpack_index(bits: np.ndarray, m: int, party: Party) -> np.ndarray:
-    """Block-local indices from received (rows, width) bits; a code outside
-    1..count decodes to 0."""
-    e = (bits << np.arange(bits.shape[1] - 1, -1, -1)).sum(axis=1)
-    ok = (e >= 1) & (e <= _own_round_count(m, party))
-    return np.where(ok, 2 * e - party.parity, 0)
+def _send_codes(codes: np.ndarray, shifts: np.ndarray, trim: int, side: CodeSpec,
+                ch: ChannelModel, rng: np.random.Generator,
+                matrix_seed: int) -> tuple[np.ndarray, tuple[TransferResult, ...]]:
+    """One ``exchange`` of Alice's and Bob's (rows, 2) ``codes`` as their
+    bits at ``shifts``, Bob's ``trim`` leading ones dropped. Returns what
+    each party heard, as (rows, 2) integers, and the two transfers."""
+    bits = (codes[..., None] >> shifts & 1).astype(np.uint8)
+    heard, transfers = exchange({Party.ALICE: bits[:, 0], Party.BOB: bits[:, 1, trim:]},
+                                side, ch, rng, matrix_seed=matrix_seed)
+    got = np.zeros_like(bits)
+    got[:, 0, trim:], got[:, 1] = heard[Party.ALICE], heard[Party.BOB]
+    return got @ (1 << shifts), transfers
 
 
 def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
                            side_code: CodeSpec, rng: np.random.Generator) -> LookaheadResult:
-    """Both parties compute the block-initial state vector via the parity
-    algorithm, exchanging their reports over the channel with ``side_code``.
-
-    Returns each party's vector as it believes it; decode errors make the
-    vectors differ or drift from the truth, which the end-to-end oracle
-    comparison catches downstream.
-    """
+    """Each party's block-initial state vector as it believes it, by the
+    parity algorithm, the reports exchanged with ``side_code``. Decode errors
+    make the vectors differ or drift from the truth, which the end-to-end
+    oracle comparison catches downstream."""
     m = padded_side(p)
     if p.M != 2:
         raise ValueError("the parity lookahead requires a two-state protocol")
-    parties = (Party.ALICE, Party.BOB)
-    rows = np.arange(m)
-    const, value = _grid_composites(p.tables, p.advance_array, m)
-    own_last = {q: _own_const_index(const, q, last=True) for q in parties}
-    # the value at index t; t - 1 = -1 wraps harmlessly where t = 0
-    own_value = {q: np.where(own_last[q] > 0, value[rows, own_last[q] - 1], 0) for q in parties}
+    codes = _stacked_composites(p.tables.reshape(m, m, 2), p.advance)
+    evens, _, rounds, shifts, decode, _, trim = _slots(m)
+    # each party's last constant as one key 2 * index + value, 0 where it has none;
+    # every (rows, 2) array below holds Alice's report in column 0 and Bob's in 1
+    key = ((codes >> 1) * (codes + evens)).max(axis=-1)
+    heard, first = _send_codes(key, shifts, trim, side_code, ch, rng, m + 1)
+    mine = decode.take((key & -2) + _TWO)
+    theirs = decode.take((heard & -2) + 1 - _TWO)
+    agreed = np.maximum(mine, theirs)
 
-    # first exchange: per block, the compressed last-constant index and value
-    heard, first = exchange(
-        {q: np.hstack((_pack_index(own_last[q], _index_width(m, q)), own_value[q][:, None]))
-         for q in parties}, side_code, ch, rng, matrix_seed=m + 1)
-    heard_last = {q: _unpack_index(heard[q][:, :-1], m, q.other) for q in parties}
-    heard_value = {q: heard[q][:, -1] for q in parties}
+    # second exchange: the xor of each party's flips after the agreed last constant
+    parities = (codes & (rounds > agreed[..., None])).sum(axis=-1) & 1
+    heard_parity, second = _send_codes(parities, shifts[-1:], 0, side_code, ch, rng, m + 3)
 
-    # second exchange: flip parities after each block's agreed last constant;
-    # after[:, i] is the xor of the party's values at block-local rounds > i
-    parities: dict[Party, np.ndarray] = {}
-    for q in parties:
-        own = np.zeros((m, m + 1), dtype=value.dtype)
-        own[:, 1 - q.parity:m:2] = value[:, 1 - q.parity::2]
-        after = np.bitwise_xor.accumulate(own[:, ::-1], axis=1)[:, ::-1]
-        parities[q] = after[rows, np.maximum(own_last[q], heard_last[q])]
-    heard_parity, second = exchange(parities, side_code, ch, rng, matrix_seed=m + 3)
-
-    def fold(q: Party) -> tuple[int, ...]:
-        # from entry state s a block ends in the later constant's value (or s when
-        # neither party has one) xored with both parities; chain those (m, 2) maps
-        mine, theirs = own_last[q], heard_last[q]
-        base = np.where(mine > theirs, own_value[q], heard_value[q])[:, None]
-        ends = np.where(np.maximum(mine, theirs)[:, None] > 0, base, np.arange(2))
-        return tuple(chain(ends ^ (parities[q] ^ heard_parity[q])[:, None],
-                           p.initial_state).tolist())
-
-    return LookaheadResult(fold(Party.ALICE), fold(Party.BOB), first + second)
+    # from entry state s a block ends in the later constant's value (or s when
+    # neither party has one) xored with both parities; chain those (m, 2) maps
+    base = np.where(mine > theirs, key, heard) & 1
+    ends = np.where(agreed[..., None] > 0, base[..., None], _TWO) ^ \
+        (parities ^ heard_parity)[..., None]
+    alice, bob = (tuple(chain(ends[:, q], p.initial_state).tolist()) for q in (0, 1))
+    return LookaheadResult(alice, bob, first + second)
 
 
 def simulate_two_state(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpec,
@@ -198,10 +201,11 @@ def classify_advance(eta: Sequence[Sequence[int]] | np.ndarray) -> AdvanceClass:
 
 
 def all_two_state_advances() -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    return tuple(
-        ((a, b), (c, d))
-        for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)
-    )
+    return tuple(((a, b), (c, d)) for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1))
+
+
+_ADVANCES2 = all_two_state_advances()  # the draw's choices
+_advance_class = lru_cache(maxsize=None)(classify_advance)  # by a protocol's advance tuple
 
 
 def random_two_state_protocol(n: int, seed: int | np.random.Generator,
@@ -210,7 +214,7 @@ def random_two_state_protocol(n: int, seed: int | np.random.Generator,
     uniform transmission tables."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if advance is None:
-        advance = all_two_state_advances()[int(rng.integers(16))]
+        advance = _ADVANCES2[int(rng.integers(16))]
     tables = _TABLES2.take(rng.integers(0, 4, size=n), axis=0)
     return FiniteStateProtocol(n=n, M=2, advance=advance, transmissions=tables,
                                initial_state=initial_state)
@@ -244,25 +248,23 @@ class ExhaustiveWire(ColumnWire):
 
     Before a row's merge point the owner names its table among the two free
     tables, at the merge point among the two constant-making tables, and
-    after it sends the transcript bit of branch 0. ``beliefs[q]`` holds party
-    q's merge point of every row, for a grid of ``m`` columns, and
-    ``phase[q]`` its (rows, m) phase of every round. Both maps are one flat
-    ``take``, at each column's owner's (or receiver's) phase times the
-    stride of a phase in the format.
+    after it sends the transcript bit of branch 0. ``beliefs`` holds the
+    (rows, 2) merge points of ``_merge_points`` on a grid of ``m`` columns,
+    and ``phase[p]`` party p's (rows, m) phase of every round. Both maps are
+    one flat ``take``, at each column's owner's (or receiver's) phase times
+    the stride of a phase in the format.
     """
 
     branches = 2
 
-    def __init__(self, cls: AdvanceClass, beliefs: Mapping[Party, np.ndarray], m: int):
+    def __init__(self, cls: AdvanceClass, beliefs: np.ndarray, m: int):
         naming, tables = _exhaustive_format(cls)
         self.naming, self.tables = naming.ravel(), tables.ravel()
-        cols = np.arange(1, m + 1)
-        self.phase = {q: np.sign(cols - b[:, None]) + 1 for q, b in beliefs.items()}
-        alice = cols % 2 == 1  # the columns Alice owns and Bob receives
-        owners = np.where(alice, self.phase[Party.ALICE], self.phase[Party.BOB])
-        receivers = np.where(alice, self.phase[Party.BOB], self.phase[Party.ALICE])
-        self.sending = owners.T * naming[0].size  # (m, rows), by column
-        self.reading = (receivers.T * tables[0].size)[..., None]
+        cols = np.arange(m)
+        self.phase = np.sign(cols + 1 - beliefs.T[..., None]) + 1
+        owner = cols % 2  # column j's owner on the party axis: Alice for odd j
+        self.sending = self.phase[owner, :, cols] * naming[0].size  # (m, rows), by column
+        self.reading = (self.phase[1 - owner, :, cols] * tables[0].size)[..., None]
 
     def encode(self, j, tables, taus):
         code = tables @ _PAIR_CODE + taus[..., 0]  # t0 * 4 + t1 * 2 + tau
@@ -273,24 +275,22 @@ class ExhaustiveWire(ColumnWire):
                                 + states)
 
 
-def _merge_points(tables: np.ndarray, advance: np.ndarray, ch: ChannelModel, side_code: CodeSpec,
-                  rng: np.random.Generator,
-                  ) -> tuple[dict[Party, np.ndarray], tuple[TransferResult, ...]]:
+def _merge_points(tables: np.ndarray, advance: tuple[tuple[int, int], ...], ch: ChannelModel,
+                  side_code: CodeSpec, rng: np.random.Generator,
+                  ) -> tuple[np.ndarray, tuple[TransferResult, ...]]:
     """The exhaustive scheme's exchange over a (rows, m, 2) table grid: each
     party sends the compressed index of its first constant-making round per
     row and takes the earlier of the two (m + 1 if neither) as the row's
-    merge point. Returns each party's merge points and the two transfers."""
+    merge point. Returns the (rows, 2) merge points, column 0 Alice's belief
+    and 1 Bob's, and the two transfers."""
     m = tables.shape[1]
-    parties = (Party.ALICE, Party.BOB)
-    const, _ = _grid_composites(tables, advance, m)
-    own_first = {q: _own_const_index(const, q, last=False) for q in parties}
-    heard, transfers = exchange(
-        {q: _pack_index(own_first[q], _index_width(m, q)) for q in parties},
-        side_code, ch, rng, matrix_seed=m + 1)
-    beliefs = {q: np.minimum(*(np.where(t > 0, t, m + 1)
-                               for t in (own_first[q], _unpack_index(heard[q], m, q.other))))
-               for q in parties}
-    return beliefs, transfers
+    _, firsts, _, shifts, _, merge, trim = _slots(m)
+    # K - k of each party's first constant slot k, 0 where it has none; K + 1 less
+    # that, mod K + 1, is the index k + 1 it sends, and 0 for none
+    K = len(firsts)
+    codes = (K + 1 - ((_stacked_composites(tables, advance) >> 1) * firsts).max(axis=-1)) % (K + 1)
+    heard, transfers = _send_codes(codes, shifts[1:], trim, side_code, ch, rng, m + 1)
+    return np.minimum(merge.take(2 * codes + _TWO), merge.take(2 * heard + 1 - _TWO)), transfers
 
 
 def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.ndarray]], int]:
@@ -305,7 +305,8 @@ def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.
     m, plus its share of what the exchange sent.
     """
     advance = _advance_rows(eta, 2)
-    cls = classify_advance(advance)
+    rows = tuple(map(tuple, advance.tolist()))
+    cls = _advance_class(rows)
     if not cls.interactive:
         raise ValueError("the exhaustive scheme requires an interactive advance function")
     tables = _bits(blocks, "blocks must hold only bits")
@@ -313,9 +314,9 @@ def run_exhaustive_block(eta, blocks) -> tuple[dict[Party, tuple[np.ndarray, np.
         raise ValueError(f"blocks must be a (blocks, m, 2) stack, not shape {tables.shape}")
     m = tables.shape[1]
     ch, code, rng = ChannelModel.parse("bsc:0"), CodeSpec.parse("rep:1"), np.random.default_rng(0)
-    beliefs, transfers = _merge_points(tables, advance, ch, code, rng)
+    beliefs, transfers = _merge_points(tables, rows, ch, code, rng)
     both = np.tile(np.arange(2), (len(tables), 1))
-    runs = run_columns(tables, advance, {q: both for q in beliefs},
+    runs = run_columns(tables, advance, {Party.ALICE: both, Party.BOB: both},
                        ExhaustiveWire(cls, beliefs, m),
                        lambda j, bits: convey(code, bits, ch, rng, matrix_seed=j))
     return ({q: (bits.transpose(1, 2, 0), states[-1]) for q, (bits, states) in runs.items()},
@@ -332,11 +333,10 @@ def exhaustive_lookahead(pp: FiniteStateProtocol, ch: ChannelModel, side_code: C
     starts locally, as the genie does, and the columns carry plain bits.
     """
     m = padded_side(pp)
-    cls = classify_advance(pp.advance)
+    cls = _advance_class(pp.advance)
     if not cls.interactive:
         return genie_provider(pp, ch, side_code, rng)
-    beliefs, transfers = _merge_points(pp.tables.reshape(m, m, 2), pp.advance_array, ch,
-                                       side_code, rng)
+    beliefs, transfers = _merge_points(pp.tables.reshape(m, m, 2), pp.advance, ch, side_code, rng)
     return LookaheadResult((), (), transfers, wire=ExhaustiveWire(cls, beliefs, m))
 
 

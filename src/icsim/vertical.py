@@ -204,6 +204,17 @@ class SimulationReport:
         return self.alice_correct and self.bob_correct
 
 
+@lru_cache(maxsize=8)  # a sweep runs one grid shape per n; a large grid's table is megabytes
+def _round_offsets(cols: int, rows: int, M: int, branches: int) -> np.ndarray:
+    """Read-only (cols, rows, branches) flat offsets (c + cols * r) * M of the
+    tables of round r * cols + c in a (rows, cols, M) grid, repeated on the
+    branch axis, since adding states to a stride-0 axis takes twice as long."""
+    at = ((np.arange(cols)[:, None] + cols * np.arange(rows)) * M)[..., None].repeat(branches,
+                                                                                    axis=2)
+    at.flags.writeable = False
+    return at
+
+
 _SEGMENT = 8  # columns in the first segment of a shared run; each next one is twice as long
 _SIDES = ((1, 0), (0, 1))  # (owner, receiver) by j % 2, as indices 0 = Alice, 1 = Bob
 
@@ -235,10 +246,7 @@ def run_columns(grid: np.ndarray, advance: np.ndarray,
     states = np.empty((cols + 1, 2, rows, wire.branches), dtype=np.intp)
     states[0] = starts[Party.ALICE], starts[Party.BOB]
     flat = grid.ravel()
-    # by (c, r, branch), the flat offset of the tables of round r * cols + c; repeated,
-    # since adding states to a stride-0 branch axis takes twice as long
-    at = ((np.arange(cols)[:, None] + cols * np.arange(rows)) * M)[..., None].repeat(
-        wire.branches, axis=2)
+    at = _round_offsets(cols, rows, M, wire.branches)
     split = 0  # the column where the shared run split (0: none was shared), or None
     if np.array_equal(starts[Party.ALICE], starts[Party.BOB]):
         split = _shared_columns(grid, flat, at, advance, wire, carry, bits, states)
@@ -319,7 +327,7 @@ def _correct(pp: FiniteStateProtocol,
     A run both parties share (the same arrays) is decided once."""
     cols, m = runs[Party.ALICE][0].shape[:2]
     rows = np.arange(m)
-    at = (cols * rows + np.arange(cols)[:, None]) * pp.M  # round r * m + j, by (j, r)
+    at = _round_offsets(cols, m, pp.M, 1)[..., 0]  # round r * m + j, by (j, r)
     truth = None
     verdicts: dict[tuple[int, int], bool] = {}  # by the ids of a run's two arrays
     for paths, states in runs.values():

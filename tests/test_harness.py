@@ -369,3 +369,34 @@ def test_every_export_is_used_outside_the_tests():
     assert sorted(unused - set(UNUSED_EXPORTS)) == []
     assert sorted(set(UNUSED_EXPORTS) - unused) == []  # an entry goes once its name is used
     assert sorted(f"{cls}.{name}" for cls, name in methods if name not in read) == []
+
+
+def test_every_private_name_is_read_by_the_program():
+    # every private module-level function, class and constant of an icsim
+    # module must be read, as a name or an attribute, by an icsim module or a
+    # perfbench script: a helper kept alive only by the tests fails here.
+    # Dunder names are Python's, not the package's
+    import icsim
+
+    root = Path(icsim.__file__).parents[2]
+    files = sorted((root / "src" / "icsim").glob("*.py"))
+    private, read = set(), set()
+    for path in files + sorted((root / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path in files:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                private.update(n for n in names if n.startswith("_") and not n.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert len(private) > 50  # the walk found the modules' private names
+    assert sorted(private - read) == []

@@ -43,9 +43,10 @@ INTERACTIVE = tuple(e for e in all_two_state_advances() if classify_advance(e).i
 
 
 def _composites(p):
-    """(constant, value) of every round of ``p``, as the lookahead reads them."""
-    const, value = ts._grid_composites(p.tables, p.advance_array, p.n)
-    return list(zip(const[0].tolist(), value[0].tolist()))
+    """(constant, value) of every round of ``p``, as the lookahead reads them:
+    one row of n rounds, whose slots are its rounds in order."""
+    codes = ts._stacked_composites(p.tables.reshape(1, p.n, 2), p.advance).swapaxes(1, 2)
+    return [(c >= 2, c & 1) for c in codes.ravel().tolist()][:p.n]
 
 
 def test_composite_identity():
@@ -100,7 +101,8 @@ def _block_run(monkeypatch, block, entry):
 
 def _last_const_indices(first):
     """Row 0's last-constant index per party, decoded from the first exchange."""
-    return [int(ts._unpack_index(first[q][:, :-1], 4, q)[0]) for q in PARTIES]
+    _, _, _, _, decode, _, _ = ts._slots(4)  # decode[2e + p]: the round of party p's index e
+    return [int(decode[2 * _ref_bits_to_int(first[q][0, :-1]) + k]) for k, q in enumerate(PARTIES)]
 
 
 def test_block_lookahead_worked_example(monkeypatch):
@@ -463,17 +465,16 @@ def _noisy_two_state(n, seed, interactive):
     advance = None
     if interactive:
         advance = INTERACTIVE[seed % len(INTERACTIVE)]
-    return m, pad_protocol(random_two_state_protocol(n, seed, advance=advance), m * m)
+    return pad_protocol(random_two_state_protocol(n, seed, advance=advance), m * m)
 
 
 NOISY = st.sampled_from(["bsc:0.05", "bec:0.1"])
 SIDE = st.sampled_from(["rep:1", "rep:3", "rlc:2"])
 
 
-@settings(max_examples=60)
-@given(n=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1), channel=NOISY, side=SIDE)
-def test_lookahead_exchange_matches_per_round_reference(n, seed, channel, side):
-    _, p = _noisy_two_state(n, seed, interactive=False)
+def check_lookahead_exchange(p, channel, side, seed):
+    """The parity exchange on ``p`` equals the per-round reference: the
+    same beliefs, side ledger and rng end state. Returns the payload sizes."""
     ch, code = ChannelModel.parse(channel), CodeSpec.parse(side)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = run_lookahead_exchange(p, ch, code, rng)
@@ -481,12 +482,14 @@ def test_lookahead_exchange_matches_per_round_reference(n, seed, channel, side):
     assert replace(got, transfers=()) == want
     assert_side_ledger(got, sent)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return [bits for bits, _ in sent]
 
 
-@settings(max_examples=60)
-@given(n=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1), channel=NOISY, side=SIDE)
-def test_exhaustive_merge_points_match_per_round_reference(n, seed, channel, side):
-    m, p = _noisy_two_state(n, seed, interactive=True)
+def check_merge_points(p, channel, side, seed):
+    """The exhaustive lookahead on ``p`` equals the per-round merge-point
+    reference: the same phases, side ledger and rng end state. Returns the
+    payload sizes."""
+    m = math.isqrt(p.n)
     ch, code = ChannelModel.parse(channel), CodeSpec.parse(side)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = exhaustive_lookahead(p, ch, code, rng)
@@ -494,7 +497,42 @@ def test_exhaustive_merge_points_match_per_round_reference(n, seed, channel, sid
     assert replace(got, wire=None, transfers=()) == LookaheadResult((), ())
     assert_side_ledger(got, sent)
     cols = np.arange(1, m + 1)
-    for q in (Party.ALICE, Party.BOB):
+    for k, q in enumerate(PARTIES):
         want = np.sign(cols - np.array(beliefs[q])[:, None]) + 1
-        assert np.array_equal(got.wire.phase[q], want)
+        assert np.array_equal(got.wire.phase[k], want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return [bits for bits, _ in sent]
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1), channel=NOISY, side=SIDE)
+def test_lookahead_exchange_matches_per_round_reference(n, seed, channel, side):
+    check_lookahead_exchange(_noisy_two_state(n, seed, interactive=False), channel, side, seed)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1), channel=NOISY, side=SIDE)
+def test_exhaustive_merge_points_match_per_round_reference(n, seed, channel, side):
+    check_merge_points(_noisy_two_state(n, seed, interactive=True), channel, side, seed)
+
+
+# the smallest grids, m = 1 (n = 1) and m = 2 (n = 2..4): Alice owns the only
+# round of m = 1, and Bob's reports there carry no index bits
+SMALL_GRIDS = [(n, side) for n in (1, 2, 3, 4) for side in ("rep:1", "rlc:2")]
+
+
+@pytest.mark.parametrize("n, side", SMALL_GRIDS)
+def test_lookahead_exchange_matches_reference_on_the_smallest_grids(n, side):
+    m = grid_side(n)
+    for seed, advance in enumerate(all_two_state_advances()):
+        p = pad_protocol(random_two_state_protocol(n, seed, advance=advance), m * m)
+        assert check_lookahead_exchange(p, "bsc:0.3", side, seed) == \
+            {1: [2, 1, 1, 1], 2: [4, 4, 2, 2]}[m]
+
+
+@pytest.mark.parametrize("n, side", SMALL_GRIDS)
+def test_merge_points_match_reference_on_the_smallest_grids(n, side):
+    m = grid_side(n)
+    for seed, advance in enumerate(INTERACTIVE):
+        p = pad_protocol(random_two_state_protocol(n, seed, advance=advance), m * m)
+        assert check_merge_points(p, "bsc:0.3", side, seed) == {1: [1, 0], 2: [2, 2]}[m]

@@ -499,11 +499,11 @@ def _column_case(kind, m, rng):
     elif family == "table":
         wire = _TableWire(M)
     elif family == "exhaustive":
-        beliefs, _ = _merge_points(p.tables.reshape(m, m, M), p.advance_array, NOISELESS, REP1,
+        beliefs, _ = _merge_points(p.tables.reshape(m, m, M), p.advance, NOISELESS, REP1,
                                    rng)
         if kind.endswith("differ"):
-            beliefs[Party.BOB] = beliefs[Party.BOB].copy()
-            beliefs[Party.BOB][row] = beliefs[Party.BOB][row] % (m + 1) + 1
+            beliefs = beliefs.copy()
+            beliefs[row, 1] = beliefs[row, 1] % (m + 1) + 1
         wire = ExhaustiveWire(classify_advance(p.advance), beliefs, m)
     else:
         tails = {q: p.tables.reshape(m, m, M)[:, :2].copy() for q in parties}
