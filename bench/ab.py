@@ -17,7 +17,9 @@ n=4096 --set channel=bsc:0.05``). The run uses the config's first n. It
 prints, per tree, p50 and p90 of the trial times in ms, the median over
 trials of B's time over A's, and under it how many trials B ran faster
 (equal times count for neither) and the quartiles of that per-trial ratio.
-It exits 1 when the trees' reports differ in any trial.
+A last line gives, per tree, how many trials had a column error and p50
+and p90 of their times, then the median ratio over the trials where either
+tree had one. It exits 1 when the trees' reports differ in any trial.
 """
 
 from __future__ import annotations
@@ -108,12 +110,14 @@ def main(argv=None) -> int:
     for t in range(WARMUP):
         trial(0, t), trial(1, t)
     ms = np.empty((2, args.trials))
+    erred = np.zeros((2, args.trials), dtype=bool)  # trials with a column error, per tree
     differ = 0
     for t in range(args.trials):
         order = (0, 1) if t % 2 == 0 else (1, 0)
         reports = [None, None]
         for side in order:
             ms[side, t], reports[side] = trial(side, t)
+            erred[side, t] = any(reports[side].column_errors)
         differ += astuple(reports[0]) != astuple(reports[1])
 
     name = Path(args.config).stem + "".join(f" {s}" for s in args.set)
@@ -128,6 +132,15 @@ def main(argv=None) -> int:
     print(f"  ratio B/A, median per trial: {median:.4f}")
     print(f"  B faster in {wins} of {args.trials} trials ({wins / args.trials:.1%}), "
           f"ratio quartiles {q1:.4f} to {q3:.4f}")
+    tail = []
+    for label, row, hit in zip("AB", ms, erred):
+        tail.append(f"{label} {np.count_nonzero(hit)}")
+        if hit.any():
+            tail[-1] += " p50 {:.3f} ms p90 {:.3f} ms".format(*np.percentile(row[hit], (50, 90)))
+    either = erred.any(axis=0)
+    if either.any():
+        tail.append(f"median ratio {np.median(ratio[either]):.4f}")
+    print("  with a column error: " + ", ".join(tail))
     return 1 if differ else 0
 
 

@@ -248,15 +248,26 @@ def walk(advance: Sequence[Sequence[int]] | np.ndarray, tables: np.ndarray,
     return states
 
 
+@lru_cache(maxsize=16)
+def _item(size: int) -> np.dtype:
+    """The void dtype of ``size`` bytes, which moves one round's M table
+    entries as one item."""
+    return np.dtype((np.void, size))
+
+
 def _walk_rows(flat: np.ndarray, tables: np.ndarray, starts: np.ndarray, out: np.ndarray) -> None:
     """``walk`` of one block into its ``out`` rows. Each round's map is
     precomputed as the flat index ``b * M + s`` of every sequence's next
     state, so a round is one gather."""
     B, p, M = tables.shape
     twice, rows, offset = _walk_layout(B, M, starts.shape[1])
+    if tables.strides[-1] != tables.itemsize:  # a void view needs contiguous entries
+        tables = np.ascontiguousarray(tables)
+    # round-major, each round's M entries moved as one item
+    rounds = np.ascontiguousarray(tables.view(_item(M * tables.itemsize))[..., 0].T)
+    rounds = rounds.view(tables.dtype)
     # step[i, b * M + s] = b * M + advance[s, tables[b, i, s]], at 2s + bit of the flat advance
-    step = np.add(flat.take(tables.transpose(1, 0, 2).reshape(p, B * M) + twice), rows,
-                  dtype=rows.dtype)
+    step = np.add(flat.take(rounds + twice), rows, dtype=rows.dtype)
     at = np.empty((p + 1, offset.size), dtype=np.intp)
     np.add(starts.reshape(-1), offset, out=at[0])
     for i in range(p):

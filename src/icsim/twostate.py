@@ -38,7 +38,6 @@ from .protocol import (
     Table,
     _advance_rows,
     _bits,
-    chain,
 )
 from .vertical import (
     ColumnWire,
@@ -149,8 +148,13 @@ def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
     base = np.where(mine > theirs, key, heard) & 1
     ends = np.where(agreed[..., None] > 0, base[..., None], _TWO) ^ \
         (parities ^ heard_parity)[..., None]
-    alice, bob = (tuple(chain(ends[:, q], p.initial_state).tolist()) for q in (0, 1))
-    return LookaheadResult(alice, bob, first + second)
+    starts = [], []
+    alice = bob = p.initial_state
+    for to_alice, to_bob in ends.tolist():  # both parties' chains in one pass over the rows
+        starts[0].append(alice)
+        starts[1].append(bob)
+        alice, bob = to_alice[alice], to_bob[bob]
+    return LookaheadResult(tuple(starts[0]), tuple(starts[1]), first + second)
 
 
 def simulate_two_state(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpec,

@@ -20,16 +20,17 @@ not. For each column the owner maps its tables to one wire bit per row, one
 coded block carries them as an array, and the receiver reads one bit per
 row and branch off the decoded bits at its current states. A scheme changes
 only that wire mapping (``ColumnWire``), whose two maps take a block of
-consecutive columns. From equal starts the two parties share one array of
-bits and one of states, computed a segment of columns at a time: one
-``walk`` gives the segment's states, one ``take`` its transcript bits and
-one call of each wire map its payloads and what the receiver makes of them
-intact, so the loop over its columns only sends and reads each transfer's
-``intact``. At the first column where the receiver applies other bits than
-the owner's, each party walks its own from there, a column at a time.
-This module alone builds the ``SimulationReport`` and decides each party's
-correctness, by checking the states the column loop walked against the
-tables; it runs the protocol only after an error.
+consecutive columns. While the two parties' states are equal they share
+one stretch of bits and states, computed a segment of columns at a time:
+one ``walk`` gives the segment's states, one ``take`` its transcript bits
+and one call of each wire map its payloads and what the receiver makes of
+them intact, so the loop over its columns only sends and reads each
+transfer's ``intact``. At a column where the receiver applies other bits
+than the owner's, each party walks its own, a column at a time, but only
+while their states differ: equal again after two intact columns, they
+share the next stretch. This module alone builds the ``SimulationReport``
+and decides each party's correctness, by checking the states the column
+loop walked against the tables; it runs the protocol only after an error.
 
 Every count in a report is read from the trial's ledger: its transfers in
 send order, the provider's side transfers (``LookaheadResult.transfers``)
@@ -215,7 +216,11 @@ def _round_offsets(cols: int, rows: int, M: int, branches: int) -> np.ndarray:
     return at
 
 
-_SEGMENT = 8  # columns in the first segment of a shared run; each next one is twice as long
+_SEGMENT = 8  # columns in the first segment of a shared stretch; each next one is twice as long
+# intact per-party columns, each ending in equal states, before a shared stretch
+# resumes: resuming at once was slower on noisy channels, where the next error
+# cut most stretches short
+_HEALED = 2
 _SIDES = ((1, 0), (0, 1))  # (owner, receiver) by j % 2, as indices 0 = Alice, 1 = Bob
 
 
@@ -232,14 +237,16 @@ def run_columns(grid: np.ndarray, advance: np.ndarray,
     Returns, per party, the (columns, rows, branches) transcript bits of
     every branch and the (columns + 1, rows, branches) states they drive
     through: ``[0]`` the starts, ``[-1]`` the finals. The arrays are
-    read-only.
+    read-only, and the same objects for both parties only when they never
+    split.
 
-    From equal starts the parties share one bits and one states array (the
-    same objects in the result) up to the first column where the receiver
-    applies other bits than the owner's (``_shared_columns``). From there,
-    and from unequal starts, each party walks its own, a column at a time;
-    both parties' bits and states of a column sit side by side, so one
-    gather advances both.
+    While the parties' states are equal they share one stretch of columns
+    (``_shared_columns``), up to a column where the receiver applies other
+    bits than the owner's. From there, and from unequal starts, each party
+    walks its own, a column at a time, only while their states differ: once
+    they are equal after ``_HEALED`` consecutive intact columns, a shared
+    stretch resumes from the next column. Both parties' bits and states of
+    a column sit side by side, so one gather advances both.
     """
     rows, cols, M = grid.shape
     bits = np.empty((cols, 2, rows, wire.branches), dtype=np.uint8)  # [:, 0] Alice's, [:, 1] Bob's
@@ -247,43 +254,55 @@ def run_columns(grid: np.ndarray, advance: np.ndarray,
     states[0] = starts[Party.ALICE], starts[Party.BOB]
     flat = grid.ravel()
     at = _round_offsets(cols, rows, M, wire.branches)
-    split = 0  # the column where the shared run split (0: none was shared), or None
-    if np.array_equal(starts[Party.ALICE], starts[Party.BOB]):
-        split = _shared_columns(grid, flat, at, advance, wire, carry, bits, states)
-    shared = split is None
     tables = grid.swapaxes(0, 1)  # column j's at [j - 1]
-    for j in range(cols + 1 if shared else split + 1, cols + 1):
+    done = 0  # columns walked
+    # intact columns in a row that ended in equal states; a shared stretch starts at _HEALED
+    calm = _HEALED if np.array_equal(starts[Party.ALICE], starts[Party.BOB]) else 0
+    while done < cols:
+        if calm == _HEALED:
+            split = _shared_columns(grid, flat, at, advance, wire, carry, bits, states, done + 1)
+            if split is None:
+                break
+            done, calm = split, 0
+            continue
+        j = done = done + 1
         own, other = _SIDES[j % 2]
         col = slice(j - 1, j)
         bits[col, own] = taus = flat.take(at[col] + states[col, own])
         sent = wire.encode(j, tables[col], taus)[0]
-        heard = carry(j, sent).bits if j > wire.unsent else sent
-        bits[col, other] = wire.decode(j, heard[None], states[col, other])
+        transfer = carry(j, sent) if j > wire.unsent else None
+        bits[col, other] = wire.decode(j, (sent if transfer is None else transfer.bits)[None],
+                                       states[col, other])
         states[j] = advance[states[j - 1], bits[j - 1]]
+        intact = transfer is None or transfer.intact
+        calm = calm + 1 if intact and states[j, 0].tobytes() == states[j, 1].tobytes() else 0
     bits.flags.writeable = states.flags.writeable = False
     alice = bits[:, 0], states[:, 0]
-    return {Party.ALICE: alice, Party.BOB: alice if shared else (bits[:, 1], states[:, 1])}
+    return {Party.ALICE: alice,  # done is 0 only when the first shared stretch ran to the end
+            Party.BOB: alice if done == 0 else (bits[:, 1], states[:, 1])}
 
 
 def _shared_columns(grid: np.ndarray, flat: np.ndarray, at: np.ndarray, advance: np.ndarray,
                     wire: ColumnWire, carry: Callable[[int, np.ndarray], TransferResult],
-                    bits: np.ndarray, states: np.ndarray) -> int | None:
-    """The run both parties share from equal starts, held in Alice's half of
-    ``bits`` and ``states``, a segment of columns at a time: one ``walk`` of
-    the segment's tables gives every state, one flat ``take`` at ``at``
-    every transcript bit, and one call of each wire map every column's
-    payload and the bits the receiver applies if it arrives intact. Then
-    each sent column is carried in turn, and only one that did not arrive
-    intact is decoded again.
+                    bits: np.ndarray, states: np.ndarray, start: int) -> int | None:
+    """The stretch both parties share from column ``start``, whose start
+    states they hold equal in ``states[start - 1]``. It is held in Alice's
+    half of ``bits`` and ``states`` and computed a segment of columns at a
+    time: one ``walk`` of the segment's tables gives every state, one flat
+    ``take`` at ``at`` every transcript bit, and one call of each wire map
+    every column's payload and the bits the receiver applies if it arrives
+    intact. Then each sent column is carried in turn, and only one that did
+    not arrive intact is decoded again.
 
     Returns the first column j where the receiver applies other bits than
-    the owner's, or None when the run stays shared. Bob's half then holds a
-    copy of Alice's through column j, and the receiver's half its own bits
-    at j - 1 and states at j; the walk's bits and states past j stand in
-    Alice's half until the per-party loop overwrites both halves."""
+    the owner's, or None when the stretch runs to the last column. Bob's
+    half then holds a copy of the stretch through column j, or to the end
+    unless the stretch is the whole run, and the receiver's half its own
+    bits at j - 1 and states at j; the walk's bits and states past j stand
+    in Alice's half until the per-party loop overwrites both halves."""
     cols = grid.shape[1]
     shared_bits, shared_states = bits[:, 0], states[:, 0]
-    first, size = 1, _SEGMENT
+    first, size = start, _SEGMENT
     while first <= cols:
         last = min(cols, first + size - 1)
         block = slice(first - 1, last)
@@ -301,12 +320,16 @@ def _shared_columns(grid: np.ndarray, flat: np.ndarray, at: np.ndarray, advance:
                     applied = wire.decode(j, transfer.bits[None], was[c:c + 1])[0]
                     differs[c] = bool((applied != taus[c]).any())
             if differs[c]:  # the per-party loop overwrites both halves past j
-                bits[:j, 1], states[:j + 1, 1] = shared_bits[:j], shared_states[:j + 1]
+                bits[start - 1:j, 1] = shared_bits[start - 1:j]
+                states[start:j + 1, 1] = shared_states[start:j + 1]
                 other = _SIDES[j % 2][1]
                 bits[j - 1, other] = applied
                 states[j, other] = advance[was[c], applied]
                 return j
         first, size = last + 1, 2 * size
+    if start > 1:
+        bits[start - 1:, 1] = shared_bits[start - 1:]
+        states[start:, 1] = shared_states[start:]
     return None
 
 

@@ -135,6 +135,30 @@ def test_walk_in_blocks_of_rows_equals_one_walk(monkeypatch, span):
         assert blocked.dtype == whole.dtype and np.array_equal(blocked, whole)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+@pytest.mark.parametrize("layout", ["strided-states", "strided-rounds", "transposed"])
+def test_walk_reads_strided_table_stacks(layout, dtype):
+    """``walk`` moves each round's M entries as one item, which needs a
+    contiguous M axis: a stack whose M axis is strided, or whose other axes
+    are, walks as ``run_protocol`` does."""
+    rng = np.random.default_rng(ADVANCE_KINDS.index("random"))
+    M, B, p, k = 3, 5, 7, 2
+    advance = _advance("random", M, rng)
+    big = rng.integers(0, 2, size=(2 * B, 2 * p, 2 * M)).astype(dtype)
+    tables = {"strided-states": big[:B, :p, ::2],
+              "strided-rounds": big[::2, 1::2, :M],
+              "transposed": big[:p, :B, :M].transpose(1, 0, 2)}[layout]
+    assert tables.shape == (B, p, M) and not tables.flags.c_contiguous
+    assert (tables.strides[-1] == tables.itemsize) == (layout != "strided-states")
+    starts = rng.integers(0, M, size=(B, k))
+    states = walk(advance, tables, starts)
+    assert np.array_equal(states, walk(advance, np.ascontiguousarray(tables), starts))
+    for b, j in np.ndindex(B, k):
+        s = int(starts[b, j])
+        protocol_b = _protocol(M, advance, tables[b].astype(np.uint8), s)
+        assert states[:, b, j].tolist() == list(run_protocol(protocol_b).states)
+
+
 @settings(max_examples=200)
 @given(M=st.integers(2, 8), kind=st.sampled_from(ADVANCE_KINDS), rows=st.integers(1, 8),
        length=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))

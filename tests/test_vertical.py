@@ -540,14 +540,33 @@ def test_a_wire_maps_a_block_as_its_columns_one_by_one(kind):
                                   np.broadcast_to(want, states[c].shape)), (first, j)
 
 
-@pytest.mark.parametrize("corrupt", ["none", "first", "middle", "last"])
+def _carrier(log, bad):
+    """A ``carry`` that logs each payload and flips the first bit of each
+    column in ``bad``."""
+    def carry(j, bits):
+        log.append((j, bits.shape, bits.tobytes()))
+        heard = bits.copy()
+        if j in bad:
+            heard.reshape(-1)[0] ^= 1
+        return TransferResult(heard, bits.size, bool(np.array_equal(heard, bits)))
+    return carry
+
+
+CORRUPT = {"none": lambda m: (), "first": lambda m: (1,), "middle": lambda m: (m // 2 + 1,),
+           "last": lambda m: (m,), "twice": lambda m: (2, m // 2 + 2),
+           "every-fifth": lambda m: range(3, m + 1, 5)}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPT))
 @pytest.mark.parametrize("starts_kind", ["equal", "unequal"])
 @pytest.mark.parametrize("kind", COLUMN_WIRES)
 def test_column_loop_equals_a_per_party_loop(kind, starts_kind, corrupt):
-    # run_columns shares one walk between the parties while they agree and
-    # maps a segment of columns at once; each party's arrays, and the
-    # payloads it carries in column order, must still be those of a loop
-    # that never shares and maps one column at a time
+    # run_columns shares one walk between the parties while their states
+    # agree, resumes it once split parties agree again, and maps a segment
+    # of columns at once; each party's arrays, and the payloads it carries
+    # in column order, must still be those of a loop that never shares and
+    # maps one column at a time. "twice" and "every-fifth" split, heal and
+    # split again
     for m in (2, 4, 6, 20, 30):
         rng = np.random.default_rng(10 * m + COLUMN_WIRES.index(kind))
         p, wire, start = _column_case(kind, m, rng)
@@ -555,18 +574,11 @@ def test_column_loop_equals_a_per_party_loop(kind, starts_kind, corrupt):
         if starts_kind == "unequal":
             starts[Party.BOB][rng.integers(m), 0] += 1
             starts[Party.BOB] %= p.M
-        bad = {"none": None, "first": 1, "middle": m // 2 + 1, "last": m}[corrupt]
-        if bad is not None and bad <= wire.unsent:  # a tail column carries nothing
-            bad = wire.unsent + 1
+        # a tail column carries nothing: corrupt the first sent one instead
+        bad = {max(j, wire.unsent + 1) for j in CORRUPT[corrupt](m)}
 
         def carrier(log):
-            def carry(j, bits):
-                log.append((j, bits.shape, bits.tobytes()))
-                heard = bits.copy()
-                if j == bad:
-                    heard.reshape(-1)[0] ^= 1
-                return TransferResult(heard, bits.size, bool(np.array_equal(heard, bits)))
-            return carry
+            return _carrier(log, bad)
 
         grid = p.tables.reshape(m, m, p.M)
         got_log, want_log = [], []
@@ -586,6 +598,39 @@ def test_column_loop_equals_a_per_party_loop(kind, starts_kind, corrupt):
         assert (runs[Party.ALICE][1] is runs[Party.BOB][1]) == agree
         if starts_kind == "equal" and corrupt == "none" and not kind.endswith("differ"):
             assert agree, m
+
+
+@pytest.mark.parametrize("starts_kind", ["equal", "unequal"])
+def test_the_shared_walk_resumes_once_split_parties_agree_again(monkeypatch, starts_kind):
+    # this advance ignores the bit, so a wrong column leaves both parties in
+    # equal states from equal starts, and they share a walk again after two
+    # intact columns; it permutes the states, so unequal starts stay unequal
+    # and the per-party loop runs every column
+    m = 20
+    rng = np.random.default_rng(3)
+    p = FiniteStateProtocol(n=m * m, M=3, transmissions=rng.integers(0, 2, size=(m * m, 3)),
+                            advance=((1, 1), (2, 2), (0, 0)))
+    start = rng.integers(0, 3, size=(m, 1))
+    starts = {Party.ALICE: start, Party.BOB: (start + (starts_kind == "unequal")) % 3}
+    walked = []
+
+    def counting_walk(advance, tables, starts):
+        walked.append(tables.shape[1])
+        return walk(advance, tables, starts)
+
+    monkeypatch.setattr(icsim.vertical, "walk", counting_walk)
+    grid = p.tables.reshape(m, m, 3)
+    got_log, want_log = [], []
+    runs = run_columns(grid, p.advance_array, starts, ColumnWire(), _carrier(got_log, {3, 15}))
+    want = _reference_columns(grid, p.advance_array, starts, ColumnWire(),
+                              _carrier(want_log, {3, 15}))
+    assert got_log == want_log
+    for q in starts:
+        assert all(np.array_equal(got, ref) for got, ref in zip(runs[q], want[q]))
+    assert runs[Party.ALICE][0] is not runs[Party.BOB][0]
+    # columns 1-8 split at 3, 4 and 5 run per party, 6-13 and 14-20 split at
+    # 15, 16 and 17 run per party, and 18-20 end the run
+    assert walked == ([8, 8, 7, 3] if starts_kind == "equal" else [])
 
 
 def _markovian(n):
