@@ -21,16 +21,17 @@ coded block carries them as an array, and the receiver reads one bit per
 row and branch off the decoded bits at its current states. A scheme changes
 only that wire mapping (``ColumnWire``), whose two maps take a block of
 consecutive columns. While the two parties' states are equal they share
-one stretch of bits and states, computed a segment of columns at a time:
-one ``walk`` gives the segment's states, one ``take`` its transcript bits
-and one call of each wire map its payloads and what the receiver makes of
-them intact, so the loop over its columns only sends and reads each
-transfer's ``intact``. At a column where the receiver applies other bits
-than the owner's, each party walks its own, a column at a time, but only
-while their states differ: equal again after two intact columns, they
-share the next stretch. This module alone builds the ``SimulationReport``
-and decides each party's correctness, by checking the states the column
-loop walked against the tables; it runs the protocol only after an error.
+one stretch of bits and states. Its first column is sent from the states
+they hold; once it arrives without a split, one ``walk`` gives the states
+of the rest of the grid, one ``take`` its transcript bits and one call of
+each wire map its payloads and what the receiver makes of them intact, so
+the loop over its columns only sends and reads each transfer's
+``intact``. At a column where the receiver applies other bits than the
+owner's, each party walks its own, a column at a time, but only while their
+states differ: equal again after two intact columns, they share the next
+stretch. This module alone builds the ``SimulationReport`` and decides each
+party's correctness, by checking the states the column loop walked against
+the tables; it runs the protocol only after an error.
 
 Every count in a report is read from the trial's ledger: its transfers in
 send order, the provider's side transfers (``LookaheadResult.transfers``)
@@ -216,10 +217,11 @@ def _round_offsets(cols: int, rows: int, M: int, branches: int) -> np.ndarray:
     return at
 
 
-_SEGMENT = 8  # columns in the first segment of a shared stretch; each next one is twice as long
 # intact per-party columns, each ending in equal states, before a shared stretch
-# resumes: resuming at once was slower on noisy channels, where the next error
-# cut most stretches short
+# resumes. Neither 1 nor 3 beat 2: their median per-trial time ratios to 2
+# were 0.991-1.013 and 0.989-1.003 on the perfbench workloads and bench/guards
+# (bench/ab.py, 400 trials each at seed bases 900 and 1300), as wide as the
+# 0.992-1.007 of the noiseless workload, which never splits
 _HEALED = 2
 _SIDES = ((1, 0), (0, 1))  # (owner, receiver) by j % 2, as indices 0 = Alice, 1 = Bob
 
@@ -241,12 +243,13 @@ def run_columns(grid: np.ndarray, advance: np.ndarray,
     split.
 
     While the parties' states are equal they share one stretch of columns
-    (``_shared_columns``), up to a column where the receiver applies other
-    bits than the owner's. From there, and from unequal starts, each party
-    walks its own, a column at a time, only while their states differ: once
-    they are equal after ``_HEALED`` consecutive intact columns, a shared
-    stretch resumes from the next column. Both parties' bits and states of
-    a column sit side by side, so one gather advances both.
+    (``_shared_columns``: its first column, then the rest of the grid in one
+    piece), up to a column where the receiver applies other bits than the
+    owner's. From there, and from unequal starts, each party walks its own,
+    a column at a time, only while their states differ: once they are equal
+    after ``_HEALED`` consecutive intact columns, a shared stretch resumes
+    from the next column. Both parties' bits and states of a column sit side
+    by side, so one gather advances both.
     """
     rows, cols, M = grid.shape
     bits = np.empty((cols, 2, rows, wire.branches), dtype=np.uint8)  # [:, 0] Alice's, [:, 1] Bob's
@@ -286,13 +289,15 @@ def _shared_columns(grid: np.ndarray, flat: np.ndarray, at: np.ndarray, advance:
                     wire: ColumnWire, carry: Callable[[int, np.ndarray], TransferResult],
                     bits: np.ndarray, states: np.ndarray, start: int) -> int | None:
     """The stretch both parties share from column ``start``, whose start
-    states they hold equal in ``states[start - 1]``. It is held in Alice's
-    half of ``bits`` and ``states`` and computed a segment of columns at a
-    time: one ``walk`` of the segment's tables gives every state, one flat
-    ``take`` at ``at`` every transcript bit, and one call of each wire map
-    every column's payload and the bits the receiver applies if it arrives
-    intact. Then each sent column is carried in turn, and only one that did
-    not arrive intact is decoded again.
+    states they hold equal in ``states[start - 1]``; it is held in Alice's
+    half of ``bits`` and ``states``. Column ``start`` is sent from those
+    states alone: one flat ``take`` at ``at`` and one ``encode``. Once it
+    has arrived without a split, the rest of the grid is computed in one
+    piece: one ``walk`` from ``states[start - 1]`` gives every state, one
+    ``take`` every transcript bit, and one call of each wire map every
+    column's payload and the bits the receiver applies if it arrives
+    intact. Then each later sent column is carried in turn, and only a
+    column that did not arrive intact is decoded again.
 
     Returns the first column j where the receiver applies other bits than
     the owner's, or None when the stretch runs to the last column. Bob's
@@ -302,35 +307,43 @@ def _shared_columns(grid: np.ndarray, flat: np.ndarray, at: np.ndarray, advance:
     in Alice's half until the per-party loop overwrites both halves."""
     cols = grid.shape[1]
     shared_bits, shared_states = bits[:, 0], states[:, 0]
-    first, size = start, _SEGMENT
-    while first <= cols:
-        last = min(cols, first + size - 1)
-        block = slice(first - 1, last)
-        was = shared_states[block]
-        shared_states[first:last + 1] = walk(advance, grid[:, block], was[0])[1:]
-        shared_bits[block] = taus = flat.take(at[block] + was)
-        sent = wire.encode(first, grid[:, block].swapaxes(0, 1), taus)
-        mapped = wire.decode(first, sent, was)
-        differs = (mapped != taus).any(axis=(1, 2)).tolist()
-        for c, j in enumerate(range(first, last + 1)):
+    block = slice(start - 1, start)
+    was = shared_states[block]
+    taus = flat.take(at[block] + was)
+    sent = wire.encode(start, grid[:, block].swapaxes(0, 1), taus)
+    mapped = None  # the piece's bits as the receiver applies them intact, once mapped
+    for c, j in enumerate(range(start, cols + 1)):
+        intact = j <= wire.unsent or (transfer := carry(j, sent[c])).intact
+        if not intact:
+            applied = wire.decode(j, transfer.bits[None], was[c:c + 1])[0]
+            if (applied != taus[c]).any():
+                break
+        if mapped is None:  # column start did not split: walk and map the rest of the grid
+            block = slice(start - 1, cols)
+            shared_states[start:] = walk(advance, grid[:, block], was[0])[1:]
+            was = shared_states[block]
+            shared_bits[block] = taus = flat.take(at[block] + was)
+            sent = wire.encode(start, grid[:, block].swapaxes(0, 1), taus)
+            mapped = wire.decode(start, sent, was)
+            differs = (mapped != taus).any(axis=(1, 2)).tolist()
+        if intact and differs[c]:
             applied = mapped[c]
-            if j > wire.unsent:
-                transfer = carry(j, sent[c])
-                if not transfer.intact:
-                    applied = wire.decode(j, transfer.bits[None], was[c:c + 1])[0]
-                    differs[c] = bool((applied != taus[c]).any())
-            if differs[c]:  # the per-party loop overwrites both halves past j
-                bits[start - 1:j, 1] = shared_bits[start - 1:j]
-                states[start:j + 1, 1] = shared_states[start:j + 1]
-                other = _SIDES[j % 2][1]
-                bits[j - 1, other] = applied
-                states[j, other] = advance[was[c], applied]
-                return j
-        first, size = last + 1, 2 * size
-    if start > 1:
-        bits[start - 1:, 1] = shared_bits[start - 1:]
-        states[start:, 1] = shared_states[start:]
-    return None
+            break
+    else:
+        if start > 1:
+            bits[start - 1:, 1] = shared_bits[start - 1:]
+            states[start:, 1] = shared_states[start:]
+        return None
+    if mapped is None:  # a split at column start, which no walk or piece has written
+        shared_bits[start - 1] = taus[0]
+        shared_states[start] = advance[was[0], taus[0]]
+    # the per-party loop overwrites both halves past j
+    bits[start - 1:j, 1] = shared_bits[start - 1:j]
+    states[start:j + 1, 1] = shared_states[start:j + 1]
+    other = _SIDES[j % 2][1]
+    bits[j - 1, other] = applied
+    states[j, other] = advance[was[c], applied]
+    return j
 
 
 @lru_cache(maxsize=256)

@@ -31,6 +31,7 @@ from icsim.twostate import (
     run_lookahead_exchange,
 )
 from icsim.vertical import (
+    _HEALED,
     ColumnWire,
     LookaheadResult,
     _correct,
@@ -519,7 +520,7 @@ COLUMN_WIRES = ["column", "table", "exhaustive-same", "exhaustive-differ", "tail
 
 @pytest.mark.parametrize("kind", COLUMN_WIRES)
 def test_a_wire_maps_a_block_as_its_columns_one_by_one(kind):
-    # the shared run maps a segment of columns in one call, the per-party
+    # a shared stretch maps the rest of the grid in one call, the per-party
     # loop one column at a time: both must give the same bits
     m = 12
     rng = np.random.default_rng(COLUMN_WIRES.index(kind))
@@ -552,9 +553,40 @@ def _carrier(log, bad):
     return carry
 
 
+def _stretch_firsts(grid, advance, starts, wire):
+    """The columns to corrupt so that the first sent column of every shared
+    stretch of ``run_columns`` arrives corrupted: column 1 (or the first
+    sent one), and the first column after each heal. Found column by column
+    on the reference loop, since each corrupted column moves the later
+    stretches: a stretch starts once the parties' states are equal after
+    ``_HEALED`` intact columns in a row, and runs to the first column whose
+    bits the parties apply differently."""
+    cols = grid.shape[1]
+    bad = set()
+    while True:
+        runs = _reference_columns(grid, advance, starts, wire, _carrier([], bad))
+        (alice_bits, alice_states), (bob_bits, bob_states) = runs[Party.ALICE], runs[Party.BOB]
+        calm = _HEALED if np.array_equal(alice_states[0], bob_states[0]) else 0
+        done, firsts = 0, []
+        while done < cols:
+            if calm == _HEALED:
+                firsts.append(max(done + 1, wire.unsent + 1))
+                done = next((j for j in range(done + 1, cols + 1)
+                             if not np.array_equal(alice_bits[j - 1], bob_bits[j - 1])), cols)
+                calm = 0
+                continue
+            done += 1
+            calm = calm + 1 if done not in bad and np.array_equal(alice_states[done],
+                                                                 bob_states[done]) else 0
+        missed = [j for j in firsts if j not in bad and j <= cols]
+        if not missed:
+            return bad
+        bad.add(missed[0])
+
+
 CORRUPT = {"none": lambda m: (), "first": lambda m: (1,), "middle": lambda m: (m // 2 + 1,),
            "last": lambda m: (m,), "twice": lambda m: (2, m // 2 + 2),
-           "every-fifth": lambda m: range(3, m + 1, 5)}
+           "every-fifth": lambda m: range(3, m + 1, 5), "stretch-firsts": None}
 
 
 @pytest.mark.parametrize("corrupt", list(CORRUPT))
@@ -562,11 +594,11 @@ CORRUPT = {"none": lambda m: (), "first": lambda m: (1,), "middle": lambda m: (m
 @pytest.mark.parametrize("kind", COLUMN_WIRES)
 def test_column_loop_equals_a_per_party_loop(kind, starts_kind, corrupt):
     # run_columns shares one walk between the parties while their states
-    # agree, resumes it once split parties agree again, and maps a segment
-    # of columns at once; each party's arrays, and the payloads it carries
-    # in column order, must still be those of a loop that never shares and
-    # maps one column at a time. "twice" and "every-fifth" split, heal and
-    # split again
+    # agree, resumes it once split parties agree again, and maps the rest of
+    # the grid at once; each party's arrays, and the payloads it carries in
+    # column order, must still be those of a loop that never shares and maps
+    # one column at a time. "twice" and "every-fifth" split, heal and split
+    # again; "stretch-firsts" splits at the first column of every stretch
     for m in (2, 4, 6, 20, 30):
         rng = np.random.default_rng(10 * m + COLUMN_WIRES.index(kind))
         p, wire, start = _column_case(kind, m, rng)
@@ -574,13 +606,15 @@ def test_column_loop_equals_a_per_party_loop(kind, starts_kind, corrupt):
         if starts_kind == "unequal":
             starts[Party.BOB][rng.integers(m), 0] += 1
             starts[Party.BOB] %= p.M
-        # a tail column carries nothing: corrupt the first sent one instead
-        bad = {max(j, wire.unsent + 1) for j in CORRUPT[corrupt](m)}
+        grid = p.tables.reshape(m, m, p.M)
+        if corrupt == "stretch-firsts":
+            bad = _stretch_firsts(grid, p.advance_array, starts, wire)
+        else:  # a tail column carries nothing: corrupt the first sent one instead
+            bad = {max(j, wire.unsent + 1) for j in CORRUPT[corrupt](m)}
 
         def carrier(log):
             return _carrier(log, bad)
 
-        grid = p.tables.reshape(m, m, p.M)
         got_log, want_log = [], []
         runs = run_columns(grid, p.advance_array, starts, wire, carrier(got_log))
         want = _reference_columns(grid, p.advance_array, starts, wire, carrier(want_log))
@@ -600,37 +634,45 @@ def test_column_loop_equals_a_per_party_loop(kind, starts_kind, corrupt):
             assert agree, m
 
 
-@pytest.mark.parametrize("starts_kind", ["equal", "unequal"])
-def test_the_shared_walk_resumes_once_split_parties_agree_again(monkeypatch, starts_kind):
+@pytest.mark.parametrize("starts_kind, bad, walked", [
+    # columns 1-20 are walked as one stretch, which splits at 3; 4 and 5 run
+    # per party, 6-20 are walked and split at 15, 16 and 17 run per party,
+    # and 18-20 are walked and end the run
+    pytest.param("equal", {3, 15}, [20, 15, 3], id="equal"),
+    # unequal starts stay unequal, so the per-party loop runs every column
+    pytest.param("unequal", {3, 15}, [], id="unequal"),
+    # every stretch's first column arrives corrupted: each splits there
+    # before any walk, and the two per-party columns after it heal
+    pytest.param("equal", set(range(1, 21, 3)), [], id="first-corrupted"),
+])
+def test_the_shared_walk_resumes_once_split_parties_agree_again(monkeypatch, starts_kind, bad,
+                                                                walked):
     # this advance ignores the bit, so a wrong column leaves both parties in
-    # equal states from equal starts, and they share a walk again after two
+    # equal states from equal starts, and they share a stretch again after two
     # intact columns; it permutes the states, so unequal starts stay unequal
-    # and the per-party loop runs every column
     m = 20
     rng = np.random.default_rng(3)
     p = FiniteStateProtocol(n=m * m, M=3, transmissions=rng.integers(0, 2, size=(m * m, 3)),
                             advance=((1, 1), (2, 2), (0, 0)))
     start = rng.integers(0, 3, size=(m, 1))
     starts = {Party.ALICE: start, Party.BOB: (start + (starts_kind == "unequal")) % 3}
-    walked = []
+    got_walks = []
 
     def counting_walk(advance, tables, starts):
-        walked.append(tables.shape[1])
+        got_walks.append(tables.shape[1])
         return walk(advance, tables, starts)
 
     monkeypatch.setattr(icsim.vertical, "walk", counting_walk)
     grid = p.tables.reshape(m, m, 3)
     got_log, want_log = [], []
-    runs = run_columns(grid, p.advance_array, starts, ColumnWire(), _carrier(got_log, {3, 15}))
+    runs = run_columns(grid, p.advance_array, starts, ColumnWire(), _carrier(got_log, bad))
     want = _reference_columns(grid, p.advance_array, starts, ColumnWire(),
-                              _carrier(want_log, {3, 15}))
+                              _carrier(want_log, bad))
     assert got_log == want_log
     for q in starts:
         assert all(np.array_equal(got, ref) for got, ref in zip(runs[q], want[q]))
     assert runs[Party.ALICE][0] is not runs[Party.BOB][0]
-    # columns 1-8 split at 3, 4 and 5 run per party, 6-13 and 14-20 split at
-    # 15, 16 and 17 run per party, and 18-20 end the run
-    assert walked == ([8, 8, 7, 3] if starts_kind == "equal" else [])
+    assert got_walks == walked
 
 
 def _markovian(n):
