@@ -23,9 +23,10 @@ error and p50 and p90 of their times, then the median ratio over the
 trials where either tree had one. It exits 1 when the trees' reports
 differ in any trial of any config.
 
-``bench/guards/`` holds three noisy configs on which a change to the column
+``bench/guards/`` holds four noisy configs on which a change to the column
 loop must not be slower: no stretch of theirs runs far before a column
-error splits it.
+error splits it. One of them sends rep:5 over bec, the largest r whose
+decisions ``coding`` reads off a table.
 
     python bench/ab.py PARENT_TREE CHANGED_TREE bench/guards/*.json --trials 300 --seed-base 700
 """

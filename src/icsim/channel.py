@@ -13,10 +13,10 @@ ValueError, never truncated); its outputs are uint8 on bsc and bec.
 read-only table per channel; ``convey``'s decoders do not call it. An output
 outside the channel's alphabet (``_ALPHABET``: {0, 1} on bsc, {0, 1, ERASURE}
 on bec), or of a float type, raises ValueError; ``discrete_outputs`` makes
-that check, for the decoders too. Both checks test an integer array with
-``protocol._in_alphabet``: one byte scan when it is uint8 of at most
-``protocol._SCAN_BYTES`` bytes, as every transfer's payload and outputs
-are, else one ufunc maximum.
+that check, for the decoders too. A flat uint8 ndarray of at most
+``protocol._SCAN_BYTES`` bytes (``protocol._short_u8``), as every
+transfer's payload and outputs are, is checked by one byte scan and
+returned as it is; any other integer array by ``protocol._in_alphabet``.
 
 Capacity is the mutual information under uniform inputs, in bits per use.
 ``gallager_e0`` is the random-coding exponent function
@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .protocol import _bits, _in_alphabet
+from .protocol import _DIGITS, _bits, _in_alphabet, _short_u8
 
 LN2 = math.log(2.0)
 ERASURE = 2  # BEC output symbol standing for an erased bit
@@ -125,15 +125,22 @@ class ChannelModel:
     # -- sampling -----------------------------------------------------------
 
     def transmit(self, bits, rng: np.random.Generator) -> np.ndarray:
-        """Send a bit vector through one independent channel use per bit."""
+        """Send a bit vector through one independent channel use per bit,
+        checked by ``protocol._bits``. bsc and bec draw one uniform per bit
+        and return a new uint8 array: on bsc the bits XOR the flip mask, read
+        as uint8; on bec a copy of the bits with ERASURE put where erased.
+        awgn draws one standard normal per bit and returns float64."""
         x = _bits(bits, "inputs must be bits")
         if x.ndim != 1:
             raise ValueError("transmit expects a flat bit vector")
         if self.kind == "bsc":
-            return x ^ (rng.random(x.size) < self.param)
+            y = (rng.random(x.size) < self.param).view(np.uint8)
+            y ^= x
+            return y
         if self.kind == "bec":
-            erased = rng.random(x.size) < self.param
-            return np.where(erased, ERASURE, x)
+            y = x.copy()
+            np.putmask(y, rng.random(x.size) < self.param, ERASURE)
+            return y
         y = rng.standard_normal(x.size)
         y *= self.param
         y += _SIGNS.take(x)
@@ -185,11 +192,19 @@ class ChannelModel:
 
 
 def discrete_outputs(kind: str, outputs) -> np.ndarray:
-    """The bsc or bec ``outputs`` as a flat integer array, checked by
-    ``protocol._in_alphabet`` to lie in the channel's alphabet 0 ..
-    _ALPHABET[kind] - 1, in any byte order; a negative output is outside it."""
-    y = np.asarray(outputs).reshape(-1)
-    if y.dtype.kind not in "iu" or not _in_alphabet(y, _ALPHABET[kind]):
+    """The bsc or bec ``outputs`` as a flat integer array in the channel's
+    alphabet 0 .. _ALPHABET[kind] - 1, else ValueError. A
+    ``protocol._short_u8`` array, as ``transmit`` returns, is checked by one
+    byte scan and returned as it is; any other is flattened and checked by
+    ``protocol._in_alphabet``, in any byte order, where a negative output is
+    outside the alphabet."""
+    size = _ALPHABET[kind]
+    if _short_u8(outputs):
+        y, ok = outputs, not outputs.tobytes().translate(None, _DIGITS[:size])
+    else:
+        y = np.asarray(outputs).reshape(-1)
+        ok = y.dtype.kind in "iu" and _in_alphabet(y, size)
+    if not ok:
         raise ValueError(f"{kind} outputs must be integers in its alphabet")
     return y
 

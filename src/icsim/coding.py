@@ -17,7 +17,9 @@
                  corrupted.
 
 A payload is checked by ``protocol._bits``; a uint8 one reaches ``transmit``
-with no copy or cast. The decoded bits are a new read-only uint8 array.
+with no copy or cast, and a flat one of at most ``protocol._SCAN_BYTES``
+bytes, with its bsc or bec outputs, is checked by one byte scan each. The
+decoded bits are a new read-only uint8 array.
 
 Decoding is maximum likelihood under the channel law, by one rule per code
 on every channel. Each output gets an antipodal value s: +1 for a bsc or bec
@@ -32,8 +34,12 @@ point the other way, and at eps = 0.5 it is 0 and every word ties
 payload. ``_rep_decide`` decodes a bit to 1 when the sum S of its r values
 of s, added left to right in repeat order, is below 0 (above 0 on bsc past
 eps = 0.5). A tie S = 0, and every bit on bsc:0.5, goes to 0. On bsc and
-bec, rep:1 reads each decision off one composed table (``_DECIDE1``), one
-``take`` a transfer: a sum of one vote is the vote.
+bec, while 3^r <= 256 (r <= ``_TABLE_R``), the rule is evaluated once per
+output pattern at import, into one read-only table per (direction, r)
+(``_DECIDE``). A transfer reads it with one uint8 ``reshape(-1, r) @
+weights``, each bit's outputs as a base-3 number, and one ``take``; rep:1
+takes the outputs themselves. Integer arithmetic throughout, no float and
+no BLAS. Longer codes add each bit's votes (``_sign_rule``).
 
 ``rlc`` gives each chunk its own seeded code, packed to bits by
 ``np.packbits`` and stored byte-major (byte j of every codeword, then byte
@@ -81,8 +87,7 @@ RLC_CHUNK = 8  # message bits per rlc chunk code; exhaustive ML decoding stays t
 # _BIT.take(V, mode="clip") is 1 iff a sum V of them is positive
 _VOTES = np.array([[0, 0, 0], [-1, 1, 0], [1, -1, 0]], dtype=np.int64)
 _BIT = np.array([0, 1], dtype=np.uint8)
-_DECIDE1 = _BIT.take(_VOTES, mode="clip")  # rep:1's decisions: a sum of one vote is the vote
-_DECIDE1.flags.writeable = False
+_TABLE_R = 5  # the largest r with 3^r <= 256: a table's uint8 index outputs @ weights never wraps
 
 
 def _as_bits(message: Sequence[int]) -> np.ndarray:
@@ -111,6 +116,27 @@ def _direction(ch: ChannelModel) -> int:
     return -1 if ch.param > 0.5 else 0
 
 
+def _sign_rule(direction: int, outputs: np.ndarray, r: int) -> np.ndarray:
+    """The uint8 rep:r decision of each bit from its r bsc or bec outputs:
+    1 where the sum of their votes, turned by ``direction``, is positive."""
+    return _BIT.take(_strided_sum(_VOTES[direction].take(outputs), r), mode="clip")
+
+
+def _decision_tables(r: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """uint8 weights 3^(r-1), ..., 1 and, for directions 0, 1 and -1 (the
+    last), a read-only table whose entry ``outputs @ weights`` is
+    ``_sign_rule`` of those r outputs, for each of the 3^r patterns."""
+    weights = 3 ** np.arange(r - 1, -1, -1, dtype=np.uint8)
+    patterns = np.indices((3,) * r, dtype=np.uint8).reshape(r, -1).T.ravel()
+    tables = [_sign_rule(direction, patterns, r) for direction in (0, 1, -1)]
+    for table in tables:
+        table.flags.writeable = False
+    return weights, tables
+
+
+_DECIDE = [_decision_tables(r) for r in range(1, _TABLE_R + 1)]  # entry r - 1
+
+
 def _rep_decide(ch: ChannelModel, y: np.ndarray, r: int) -> np.ndarray:
     """The uint8 rep:r decision of each bit from the flat outputs ``y`` of
     ``transmit``: 1 where the sum of its r antipodal values, turned by
@@ -118,9 +144,10 @@ def _rep_decide(ch: ChannelModel, y: np.ndarray, r: int) -> np.ndarray:
     if ch.kind == "awgn":
         return np.less(_strided_sum(y, r), 0.0).view(np.uint8)
     outputs = discrete_outputs(ch.kind, y)
-    if r == 1:
-        return _DECIDE1[_direction(ch)].take(outputs)
-    return _BIT.take(_strided_sum(_VOTES[_direction(ch)].take(outputs), r), mode="clip")
+    if r > _TABLE_R:
+        return _sign_rule(_direction(ch), outputs, r)
+    weights, tables = _DECIDE[r - 1]
+    return tables[_direction(ch)].take(outputs if r == 1 else outputs.reshape(-1, r) @ weights)
 
 
 def _codebooks(generators: np.ndarray) -> np.ndarray:

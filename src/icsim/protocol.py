@@ -51,6 +51,15 @@ class Party(Enum):
 
 _SCAN_BYTES = 1024  # a byte scan grows with size; past ~2 KiB a ufunc reduce is cheaper
 _DIGITS = bytes(range(256))  # _DIGITS[:size] is the alphabet 0 .. size - 1 as bytes
+_U8 = np.dtype(np.uint8)
+
+
+def _short_u8(values) -> bool:
+    """Whether ``values`` is a flat uint8 ``np.ndarray``, not a subclass, of
+    at most ``_SCAN_BYTES`` bytes, as every transfer's payload and outputs
+    are: such an array is checked by one byte scan and returned as it is."""
+    return (type(values) is np.ndarray and values.dtype is _U8 and values.ndim == 1
+            and values.size <= _SCAN_BYTES)
 
 
 def _in_alphabet(arr: np.ndarray, size: int) -> bool:
@@ -69,9 +78,13 @@ def _in_alphabet(arr: np.ndarray, size: int) -> bool:
 def _bits(values, error: str) -> np.ndarray:
     """``values`` as uint8, the one test of what a bit is: dtype kind b, i, u
     or f and every entry exactly 0 or 1, else ``ValueError(error)``, so 2,
-    -1 or 0.5 is rejected, never truncated. Integers are checked by
-    ``_in_alphabet``, one byte scan for the short uint8 payloads of a
-    transfer. A uint8 array is returned uncopied."""
+    -1 or 0.5 is rejected, never truncated. A ``_short_u8`` array, such as
+    a transfer's payload, is checked by one byte scan with no other step;
+    other integers by ``_in_alphabet``. A uint8 array is returned uncopied."""
+    if _short_u8(values):
+        if values.tobytes().translate(None, _DIGITS[:2]):
+            raise ValueError(error)
+        return values
     arr = np.asarray(values)
     kind = arr.dtype.kind
     if not (kind == "b" or kind in "iu" and _in_alphabet(arr, 2)

@@ -53,9 +53,9 @@ def test_ab_script_times_the_trials_with_a_column_error_apart():
 
 def test_ab_script_prints_one_block_per_config_from_one_load():
     guard = ROOT / "bench" / "guards" / "twostate-bsc0.05-rep1-4k.json"
-    assert [g.stem for g in GUARDS] == ["exhaustive-bec0.3-rep1-4k", "mstate-awgn0.8-rep1-16k",
-                                        "twostate-bsc0.05-rep1-4k"]
-    assert all(ExperimentConfig.from_json(g).code == "rep:1" for g in GUARDS)
+    assert {g.stem: ExperimentConfig.from_json(g).code for g in GUARDS} == {
+        "exhaustive-bec0.3-rep1-4k": "rep:1", "mstate-awgn0.8-rep1-16k": "rep:1",
+        "twostate-bec0.3-rep5-4k": "rep:5", "twostate-bsc0.05-rep1-4k": "rep:1"}
     lines = _ab(configs=(WORKLOAD, guard))
     assert len(lines) == 12
     assert lines[0].startswith("twostate-noiseless-1k: n=1024, 4 trials from seed 0")

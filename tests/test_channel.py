@@ -61,6 +61,25 @@ def test_bsc_complement_symmetry_matched_seeds():
     assert np.array_equal(out_a, 1 - out_b)
 
 
+@pytest.mark.parametrize("kind", ["bsc", "bec"])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+def test_transmit_equals_the_where_and_xor_formulas(kind, p):
+    # the outputs, their dtype and the generator's end state, against the
+    # formulas x ^ (u < p) and np.where(u < p, ERASURE, x) on one uniform draw
+    ch, draw = ChannelModel(kind, p), np.random.default_rng(int(p * 100))
+    for size in (0, 1, 31, 1023, 1024, 1025, 4096):
+        x = draw.integers(0, 2, size).astype(np.uint8)
+        for sent in (x, x.astype(np.int64)):
+            rng_a, rng_b = np.random.default_rng(size), np.random.default_rng(size)
+            got = ch.transmit(sent, rng_a)
+            flips = rng_b.random(size) < p
+            want = x ^ flips if kind == "bsc" else np.where(flips, ERASURE, x)
+            assert got.dtype == want.dtype == np.uint8
+            assert got.tobytes() == want.tobytes(), (size, sent.dtype)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            assert not np.shares_memory(got, sent)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         ChannelModel("bsc", 1.5)
@@ -254,9 +273,14 @@ def _holds(dtype, value):
     return stored == value or value != value and stored != stored
 
 
+class _Tagged(np.ndarray):
+    """An ndarray subclass, which the checks' uint8 scan path does not take."""
+
+
 def _check_layouts(values):
     """``values`` flat, as a 2-D stack, as a 0-d array, and for uint8 as
-    two non-contiguous views."""
+    two non-contiguous views, a read-only copy, a column and a subclass
+    view."""
     yield values
     yield np.stack((values, values[::-1]))
     if values.size == 1:
@@ -264,6 +288,11 @@ def _check_layouts(values):
     if values.dtype == np.uint8:
         yield np.repeat(values, 2)[::2]
         yield np.stack((values, values), axis=1)[:, 0]
+        frozen = values.copy()
+        frozen.flags.writeable = False
+        yield frozen
+        yield values.reshape(-1, 1)
+        yield values.view(_Tagged)
 
 
 def _outcome(check, arr):
@@ -301,9 +330,14 @@ def test_alphabet_checks_match_the_one_reduce_rule(dtype):
                     cases += 1
                     if error is None:
                         assert got.dtype == want.dtype and np.array_equal(got, want)
+                        assert got.shape == want.shape and type(got) is type(want)
+                        assert got.flags.writeable == want.flags.writeable
                         assert np.shares_memory(got, arr) == np.shares_memory(want, arr)
-                        if name == "bits" and arr.dtype == np.uint8:
+                        plain = type(arr) is np.ndarray and arr.dtype == np.uint8
+                        if name == "bits" and plain:
                             assert got is arr  # a uint8 input is returned uncopied
+                        if plain and arr.ndim == 1 and arr.size <= scan:
+                            assert got is arr  # the one byte scan returns it as it is
     assert cases >= 42  # 7 sizes, 3 checks, 2 layouts at least
 
 

@@ -644,6 +644,28 @@ def test_convey_rlc_makes_one_transmit_and_no_likelihood_call(code, monkeypatch)
             assert calls == ["transmit"]
 
 
+def _reference_sign_rule(direction, pattern):
+    """1 where the votes of the outputs (a 1 for 1, -1 for 0, 0 for an
+    erasure), turned by ``direction``, sum above 0; a tie goes to 0."""
+    return int(direction * sum((o == 1) - (o == 0) for o in pattern) > 0)
+
+
+@pytest.mark.parametrize("channel", ["bsc:0.05", "bsc:0.5", "bsc:0.7", "bec:0.3"])
+def test_rep_decisions_equal_the_sign_rule_on_every_output_pattern(channel):
+    # r = 1 .. 5 read a table; r = 6 is past it, back on the vote sum
+    ch = ChannelModel.parse(channel)
+    direction = {"bsc:0.5": 0, "bsc:0.7": -1}.get(channel, 1)
+    assert coding._direction(ch) == direction
+    alphabet = range(2) if ch.kind == "bsc" else range(3)
+    for r in range(1, 7):
+        patterns = list(itertools.product(alphabet, repeat=r))
+        want = [_reference_sign_rule(direction, pattern) for pattern in patterns]
+        y = np.array(patterns, dtype=np.uint8).reshape(-1)
+        for outputs in (y, y.astype(np.int64)):
+            got = coding._rep_decide(ch, outputs, r)
+            assert got.dtype == np.uint8 and got.tolist() == want, (r, outputs.dtype)
+
+
 @pytest.mark.parametrize("channel, output", [("bsc:0.1", 2), ("bsc:0.1", -1),
                                              ("bec:0.1", 3), ("bec:0.1", -1)])
 def test_rlc_distance_path_keeps_the_alphabet_check(channel, output, monkeypatch):
@@ -704,6 +726,9 @@ def test_non_bit_floats_are_rejected_not_truncated(bad):
         flat[3] = bad
         with pytest.raises(ValueError, match=message):
             call(np.array(flat, dtype=object if bad is None else None).reshape(shape))
+        if bad in (2, -1):  # as uint8 (-1 is 255): a flat one takes the one byte scan
+            with pytest.raises(ValueError, match=message):
+                call(np.array(flat, dtype=np.int64).astype(np.uint8).reshape(shape))
         # a list of ints, bools, other integer types and integral floats are bits
         want = call(bits)
         for good in (bits.tolist(), bits.astype(bool), bits.astype(np.int8),
