@@ -16,7 +16,8 @@ on bec), or of a float type, raises ValueError; ``discrete_outputs`` makes
 that check, for the decoders too. A flat uint8 ndarray of at most
 ``protocol._SCAN_BYTES`` bytes (``protocol._short_u8``), as every
 transfer's payload and outputs are, is checked by one byte scan and
-returned as it is; any other integer array by ``protocol._in_alphabet``.
+returned as it is; any other integer array by ``protocol._in_alphabet``'s
+one maximum.
 
 Capacity is the mutual information under uniform inputs, in bits per use.
 ``gallager_e0`` is the random-coding exponent function
@@ -24,8 +25,7 @@ Capacity is the mutual information under uniform inputs, in bits per use.
     E0(rho) = -ln sum_y ( sum_x 1/2 * P(y|x)^(1/(1+rho)) )^(1+rho)   [nats]
 
 and ``error_exponent`` maximizes E0(rho) - rho*R over rho in [0, 1],
-returned in bits. ``block_error_bound`` is the union bound
-min(1, copies * exp(-(block_bits/R) * Er(R) * ln 2)).
+returned in bits.
 
 Gaussian-output integrals use fixed Gauss-Hermite quadrature (128 nodes),
 its terms summed exactly rounded by ``math.fsum``, so no BLAS kernel moves them;
@@ -106,17 +106,24 @@ class ChannelModel:
             raise ValueError("erasure probability must be in [0, 1]")
         if self.kind == "awgn" and p <= 0.0:
             raise ValueError("noise standard deviation must be positive")
+        if self.kind == "awgn" and p * p == 0.0:  # every E0 quadrature term would be nan
+            raise ValueError(f"noise standard deviation {p:g} is too small: its square is 0")
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def parse(cls, spec: str) -> "ChannelModel":
-        """Parse "bsc:0.05" / "bec:0.2" / "awgn:0.8"."""
+        """Parse "bsc:0.05" / "bec:0.2" / "awgn:0.8"; the error of a spec the
+        constructor rejects gives its reason."""
         try:
             kind, raw = spec.split(":", 1)
-            return cls(kind.strip().lower(), float(raw))
+            kind, param = kind.strip().lower(), float(raw)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"bad channel spec {spec!r}") from exc
+        try:
+            return cls(kind, param)
+        except ValueError as exc:
+            raise ValueError(f"bad channel spec {spec!r}: {exc}") from None
 
     @property
     def name(self) -> str:
@@ -177,19 +184,6 @@ class ChannelModel:
             raise ValueError("rate must be nonnegative")
         return _error_exponent(self.kind, self.param, float(rate))
 
-    def block_error_bound(self, block_bits: int, rate: float, copies: int) -> float:
-        """Union bound on the error of ``copies`` ML-decoded blocks of
-        ``block_bits`` message bits each, sent at ``rate``."""
-        if block_bits < 1:
-            raise ValueError("block must carry at least one bit")
-        if copies < 0:
-            raise ValueError("copies must be nonnegative")
-        cap = self.capacity()
-        if not 0.0 < rate < cap:
-            raise ValueError(f"rate {rate} outside (0, capacity={cap:.6f}); bound is vacuous")
-        er = self.error_exponent(rate)
-        return min(1.0, copies * math.exp(-(block_bits / rate) * er * LN2))
-
 
 def discrete_outputs(kind: str, outputs) -> np.ndarray:
     """The bsc or bec ``outputs`` as a flat integer array in the channel's
@@ -234,8 +228,10 @@ def _capacity(kind: str, param: float) -> float:
     sigma = param
     t, w = _hermgauss(_QUAD_NODES)
     y = 1.0 + math.sqrt(2.0) * sigma * t
-    # E over Y ~ N(1, sigma^2) of log2(1 + exp(-2Y/sigma^2))
-    loss = np.logaddexp(0.0, -2.0 * y / (sigma * sigma)) / LN2
+    # E over Y ~ N(1, sigma^2) of log2(1 + exp(-2Y/sigma^2)); a tiny sigma sends
+    # the exponent to -inf, which is its exact limit here
+    with np.errstate(over="ignore"):
+        loss = np.logaddexp(0.0, -2.0 * y / (sigma * sigma)) / LN2
     return 1.0 - math.fsum((w * loss).tolist())
 
 
@@ -255,8 +251,9 @@ def _gallager_e0(kind: str, param: float, rho: float) -> float:
     t, w = _hermgauss(_QUAD_NODES)
     y = 1.0 + math.sqrt(2.0) * sigma * t
     s2 = sigma * sigma
-    lu = -((y - 1.0) ** 2) / (2.0 * s2)  # log-density shape for input 0
-    lv = -((y + 1.0) ** 2) / (2.0 * s2)  # log-density shape for input 1
+    with np.errstate(over="ignore"):  # a tiny sigma sends the far input's shape to -inf
+        lu = -((y - 1.0) ** 2) / (2.0 * s2)  # log-density shape for input 0
+        lv = -((y + 1.0) ** 2) / (2.0 * s2)  # log-density shape for input 1
     log_half = math.log(0.5)
     # ratio of the order-a power mean to the arithmetic mean, always in (0, 1]
     log_f = np.logaddexp(a * lu + log_half, a * lv + log_half) / a

@@ -90,14 +90,6 @@ _BIT = np.array([0, 1], dtype=np.uint8)
 _TABLE_R = 5  # the largest r with 3^r <= 256: a table's uint8 index outputs @ weights never wraps
 
 
-def _as_bits(message: Sequence[int]) -> np.ndarray:
-    """The message as a uint8 bit vector."""
-    bits = _bits(message, "message must be a bit vector")
-    if bits.ndim != 1:
-        raise ValueError("message must be a bit vector")
-    return bits
-
-
 def _strided_sum(x: np.ndarray, r: int) -> np.ndarray:
     """Each group's sum of r consecutive entries, ``x[0::r] + x[1::r] +
     ...`` added left to right by elementwise adds, so in one order on every
@@ -168,35 +160,28 @@ def _codebooks(generators: np.ndarray) -> np.ndarray:
     return books.swapaxes(0, -2)
 
 
-def _packed_book(k: int, b: int, seed: int) -> np.ndarray:
-    """The codebook of the rlc chunk code of that seed, packed to bits by
-    ``np.packbits`` and stored byte-major: byte j of every codeword, in
-    message order, then byte j + 1, a C-order (ceil(b / 8), 2^k) array.
-
-    Generators are drawn from successive seeds until one has rank k, which
-    holds exactly when every codeword but the first (message 0) is nonzero.
-    """
-    attempt = seed
-    while True:
-        # an int64 draw pins the codes: a uint8 draw gives other bits
-        g = np.random.default_rng(attempt).integers(0, 2, size=(k, b), dtype=np.int64)
-        book = _codebooks(g.astype(np.uint8))
-        if book[1:].any(axis=1).all():
-            return np.ascontiguousarray(np.packbits(book.T, axis=0))
-        attempt += 1
-
-
 def _packed_books(k: int, b: int, seeds: Sequence[int]) -> np.ndarray:
-    """``_packed_book`` of each seed, stacked, in one pass: every seed's
-    first generator drawn as there, one stacked ``_codebooks``, one rank
-    check and one ``packbits``; only the seeds whose first draw fails the
-    check go through ``_packed_book``."""
-    g = np.stack([np.random.default_rng(seed).integers(0, 2, size=(k, b), dtype=np.int64)
-                  for seed in seeds])
-    books = _codebooks(g.astype(np.uint8))
-    packed = np.ascontiguousarray(np.packbits(books.swapaxes(1, 2), axis=1))
-    for i in np.flatnonzero(~books[:, 1:].any(axis=2).all(axis=1)).tolist():
-        packed[i] = _packed_book(k, b, seeds[i])
+    """The codebook of each seed's rlc chunk code, stacked: packed to bits by
+    ``np.packbits`` and stored byte-major, byte j of every codeword in
+    message order, then byte j + 1, a C-order (len(seeds), ceil(b / 8), 2^k)
+    array.
+
+    A seed's generator is drawn from it and its successors until one has
+    rank k, which holds exactly when every codeword but the first (message
+    0) is nonzero. Every seed draws in the first round, and each round after
+    redraws, from its next seed, only those whose last draw failed: one
+    stacked ``_codebooks``, rank check and ``packbits`` a round.
+    """
+    packed = np.empty((len(seeds), -(-b // 8), 1 << k), dtype=np.uint8)
+    todo, step = list(range(len(seeds))), 0
+    while todo:
+        rngs = (np.random.default_rng(seeds[i] + step) for i in todo)
+        # an int64 draw pins the codes: a uint8 draw gives other bits
+        g = np.stack([rng.integers(0, 2, size=(k, b), dtype=np.int64) for rng in rngs])
+        books = _codebooks(g.astype(np.uint8))
+        packed[todo] = np.packbits(books.swapaxes(1, 2), axis=1)
+        ranked = books[:, 1:].any(axis=2).all(axis=1).tolist()
+        todo, step = [i for i, ok in zip(todo, ranked) if not ok], step + 1
     return packed
 
 
@@ -389,7 +374,9 @@ def convey(spec: CodeSpec, bits: Sequence[int], ch: ChannelModel,
     ``matrix_seed`` pins the generator matrices of rlc chunks so that both
     parties (and reruns) agree on the code; it must not depend on rng state.
     """
-    payload = _as_bits(bits)
+    payload = _bits(bits, "message must be a bit vector")
+    if payload.ndim != 1:
+        raise ValueError("message must be a bit vector")
     if not payload.size:
         decoded, uses = payload.copy(), 0  # the caller's array is never marked read-only
     elif spec.kind == "oracle":

@@ -63,15 +63,11 @@ def _short_u8(values) -> bool:
 
 
 def _in_alphabet(arr: np.ndarray, size: int) -> bool:
-    """Whether the integer array ``arr`` holds only values 0 .. size - 1. A
-    signed array is read in the unsigned view of its own byte order, where
-    a negative entry lies above every alphabet. A one-byte array of at most
-    ``_SCAN_BYTES`` bytes is checked by deleting the alphabet's bytes from
-    its ``tobytes()`` and finding nothing left; any other by its maximum."""
+    """Whether the integer array ``arr`` holds only values 0 .. size - 1, by
+    one ufunc maximum. A signed array is read in the unsigned view of its
+    own byte order, where a negative entry lies above every alphabet."""
     if arr.dtype.kind == "i":
         arr = arr.view(arr.dtype.str.replace("i", "u"))
-    if arr.itemsize == 1 and arr.size <= _SCAN_BYTES:
-        return not arr.tobytes().translate(None, _DIGITS[:size])
     return np.maximum.reduce(arr, axis=None, initial=0) < size
 
 

@@ -38,6 +38,7 @@ from .protocol import (
     Table,
     _advance_rows,
     _bits,
+    chain,
 )
 from .vertical import (
     ColumnWire,
@@ -144,17 +145,12 @@ def run_lookahead_exchange(p: FiniteStateProtocol, ch: ChannelModel,
     heard_parity, second = _send_codes(parities, shifts[-1:], 0, side_code, ch, rng, m + 3)
 
     # from entry state s a block ends in the later constant's value (or s when
-    # neither party has one) xored with both parities; chain those (m, 2) maps
+    # neither party has one) xored with both parities; chain each party's (m, 2) maps
     base = np.where(mine > theirs, key, heard) & 1
     ends = np.where(agreed[..., None] > 0, base[..., None], _TWO) ^ \
         (parities ^ heard_parity)[..., None]
-    starts = [], []
-    alice = bob = p.initial_state
-    for to_alice, to_bob in ends.tolist():  # both parties' chains in one pass over the rows
-        starts[0].append(alice)
-        starts[1].append(bob)
-        alice, bob = to_alice[alice], to_bob[bob]
-    return LookaheadResult(tuple(starts[0]), tuple(starts[1]), first + second)
+    alice, bob = (tuple(chain(ends[:, q], p.initial_state).tolist()) for q in (0, 1))
+    return LookaheadResult(alice, bob, first + second)
 
 
 def simulate_two_state(p: FiniteStateProtocol, ch: ChannelModel, code_spec: CodeSpec,

@@ -19,7 +19,7 @@ import pytest
 import icsim.twostate as ts
 from icsim.channel import ChannelModel
 from icsim.cli import main
-from icsim.coding import CodeSpec
+from icsim.coding import CodeSpec, oracle_corruption
 from icsim.harness import ExperimentConfig, compare_bounds, run_sweep
 from icsim.multistate import (
     balanced_tables,
@@ -154,7 +154,7 @@ def test_criterion_5_block_error_bound_audit(genie_sweep):
     for n in (256, 1024, 4096):
         row = genie_sweep.row(n)
         m = int(math.isqrt(n))
-        bound = ch.block_error_bound(m, 0.3, m)
+        bound = min(1.0, m * oracle_corruption(m, 0.3, ch))  # union bound over m columns
         rows.append((f"n={n}", row.failures, row.trials, bound))
     audits = compare_bounds(rows)
     assert all(a.passed for a in audits)

@@ -7,6 +7,7 @@ import pytest
 
 from icsim import protocol
 from icsim.channel import ERASURE, ChannelModel, binary_entropy, discrete_outputs
+from icsim.coding import oracle_corruption
 from icsim.protocol import _bits
 
 LN2 = math.log(2)
@@ -89,6 +90,30 @@ def test_parameter_validation():
         ChannelModel("awgn", 0.0)
     with pytest.raises(ValueError):
         ChannelModel.parse("laplace:1")
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1.5e-162, 5e-324])
+def test_awgn_rejects_a_sigma_whose_square_is_zero(sigma):
+    # sigma^2 rounding to 0 made every E0 quadrature term nan, so the oracle
+    # drew against nan and corrupted every transfer
+    assert sigma * sigma == 0.0
+    with pytest.raises(ValueError, match="too small: its square is 0"):
+        ChannelModel("awgn", sigma)
+    with pytest.raises(ValueError, match=f"bad channel spec 'awgn:{sigma!r}': noise standard"):
+        ChannelModel.parse(f"awgn:{sigma!r}")
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1.6e-162, 1e-154])
+def test_awgn_with_a_subnormal_or_tiny_square_sigma_still_works(sigma):
+    # sigma^2 is subnormal or -2/sigma^2 overflows: the quadrature's terms go
+    # to their exact limits, with no warning and no nan
+    ch = ChannelModel("awgn", sigma)
+    assert ch.capacity() == 1.0
+    assert ch.gallager_e0(1.0) == pytest.approx(math.log(2), rel=1e-12)
+    assert ch.error_exponent(0.5) == pytest.approx(0.5, rel=1e-12)
+    assert oracle_corruption(64, 0.5, ch) == pytest.approx(2.0 ** -64, rel=1e-9)
+    out = ch.transmit([0, 1, 1], np.random.default_rng(0))
+    assert np.array_equal(np.sign(out), [1, -1, -1])
 
 
 def test_parse_round_trip():
@@ -189,33 +214,6 @@ def test_exponent_nonincreasing(spec):
     values = [ch.error_exponent(cap * k / 99) for k in range(100)]
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
     assert values[0] > 0
-
-
-def test_block_bound_no_copies():
-    assert ChannelModel("bsc", 0.1).block_error_bound(64, 0.2, 0) == 0.0
-
-
-def test_block_bound_matches_exponent():
-    ch = ChannelModel("bsc", 0.1)
-    got = ch.block_error_bound(64, 0.2, 1)
-    expected = math.exp(-(64 / 0.2) * ch.error_exponent(0.2) * LN2)
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_block_bound_union_linearity():
-    ch = ChannelModel("bsc", 0.1)
-    one = ch.block_error_bound(64, 0.2, 1)
-    assert ch.block_error_bound(64, 0.2, 2) == pytest.approx(2 * one, rel=1e-12)
-    # saturation clamps at one
-    assert ch.block_error_bound(2, 0.44, 10**9) == 1.0
-
-
-def test_block_bound_rejects_rates_outside_capacity():
-    ch = ChannelModel("bsc", 0.1)
-    with pytest.raises(ValueError):
-        ch.block_error_bound(64, ch.capacity() + 0.01, 1)
-    with pytest.raises(ValueError):
-        ch.block_error_bound(64, 0.0, 1)
 
 
 def test_log_likelihoods_prefer_the_sent_bit():

@@ -340,6 +340,11 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
     (["capacity", "--channel", "awgn:inf"], None, "bad channel spec 'awgn:inf'"),
     (["simulate", "--channel", "awgn:nan", "--code", "rep:3", "--n", "16", "--trials", "2"],
      None, "bad channel spec 'awgn:nan'"),
+    (["capacity", "--channel", "awgn:1e-300"], None,
+     "bad channel spec 'awgn:1e-300': noise standard deviation 1e-300 is too small"),
+    (["simulate", "--scheme", "genie", "--channel", "awgn:1e-300", "--code", "oracle:0.5",
+      "--n", "64", "--trials", "3"], None,
+     "bad channel spec 'awgn:1e-300': noise standard deviation 1e-300 is too small"),
     (["classify", "--advance", "markovian:17"], None,
      "markovian log_M must be from 1 to 16, not 17"),
     (["classify", "--advance", "markovian:64"], None,
@@ -397,7 +402,8 @@ def test_sweep_bad_config_exits_2_with_one_error_line(tmp_path, capsys, doc, arg
         "disjointness-zero-universe", "disjointness-zero-universe-exhaustive",
         "disjointness-negative-universe", "disjointness-negative-universe-exhaustive",
         "code-rep-inf", "code-rlc-inf", "code-oracle-nan", "channel-awgn-nan",
-        "channel-awgn-inf", "simulate-channel-awgn-nan", "markovian-17", "markovian-64",
+        "channel-awgn-inf", "simulate-channel-awgn-nan", "capacity-awgn-square-zero",
+        "simulate-oracle-awgn-square-zero", "markovian-17", "markovian-64",
         "markovian-not-integer", "markovian-empty", "markovian-11",
         "markovian-16", "simulate-huge-n", "simulate-negative-seed",
         "coincidence-negative-seed", "disjointness-negative-seed", "advance-not-json",
@@ -415,6 +421,19 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, mess
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert message.replace("{file}", str(path)) in captured.err
+
+
+def test_awgn_with_a_subnormal_square_sigma_runs(capsys):
+    # sigma = 1e-160 squares to a subnormal, not to 0: the channel is all but
+    # noiseless, so every oracle transfer at rate 0.5 arrives intact
+    assert main(["capacity", "--channel", "awgn:1e-160", "--points", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[2:] == ["0.000000,1.000000", "0.500000,0.500000", "1.000000,0.000000"]
+    assert main(["simulate", "--scheme", "genie", "--channel", "awgn:1e-160", "--code",
+                 "oracle:0.5", "--n", "64", "--trials", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [line.split(",")[3:] for line in captured.out.splitlines()[1:4]] == [["1", "1"]] * 3
 
 
 def test_outputs_honor_outdir_env(tmp_path, monkeypatch):

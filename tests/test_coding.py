@@ -435,29 +435,43 @@ def _gf2_rank(rows):
     return rank
 
 
-def _old_generator(k, b, seed):
-    """Draw generators from successive seeds until one has GF(2) rank k."""
+def _old_draw(k, b, seed):
+    """Draw generators from successive seeds until one has GF(2) rank k;
+    return how many seeds failed first, and the generator."""
     attempt = seed
     while True:
         g = np.random.default_rng(attempt).integers(0, 2, size=(k, b), dtype=np.int64)
         if _gf2_rank([int("".join(map(str, row)), 2) for row in g]) == k:
-            return g
+            return attempt - seed, g
         attempt += 1
+
+
+def _old_generator(k, b, seed):
+    return _old_draw(k, b, seed)[1]
 
 
 @pytest.mark.parametrize("k", range(1, 17))
 def test_rank_test_draws_the_generators_of_the_gf2_rank_draw(k):
-    # past RLC_CHUNK, which RandomLinearCode stops at, the draw is read off
-    # _packed_book directly: the rows of the messages with one bit set
+    # each (k, b)'s seeds go through one stacked _packed_books call, whose
+    # redraw rounds must give every seed the generator of its own rank draw;
+    # at b = k the rank often fails, so seeds that need different numbers of
+    # redraws share a stack. The generator is read off the books, as the
+    # rows of the messages with one bit set; up to RLC_CHUNK, where
+    # RandomLinearCode stops, it must also be that code's generator
+    seeds = [seed * SEED_STRIDE + k for seed in range(12 if k < 14 else 4)]
     for b in sorted({k, k + 1, k + 3, 2 * k}):
-        for seed in range(0, 12 if k < 14 else 4):
-            seed = seed * SEED_STRIDE + k
-            book = np.frombuffer(coding._packed_book(k, b, seed), dtype=np.uint8)
-            rows = book.reshape(-1, 1 << k).T[1 << np.arange(k - 1, -1, -1)]
-            drawn = np.unpackbits(rows, axis=-1, count=b)
-            assert np.array_equal(drawn, _old_generator(k, b, seed))
+        books = coding._packed_books(k, b, seeds)
+        assert books.shape == (len(seeds), math.ceil(b / 8), 1 << k)
+        rows = books.swapaxes(1, 2)[:, 1 << np.arange(k - 1, -1, -1)]
+        redraws = []
+        for seed, drawn in zip(seeds, np.unpackbits(rows, axis=-1, count=b)):
+            skipped, generator = _old_draw(k, b, seed)
+            redraws.append(skipped)
+            assert np.array_equal(drawn, generator)
             if k <= RLC_CHUNK:
                 assert np.array_equal(RandomLinearCode(k, b, seed=seed).generator, drawn)
+        if b == k:  # the stack mixes seeds of at least three redraw counts
+            assert len(set(redraws)) >= 3
 
 
 def test_cached_packed_books_equal_freshly_built_codebooks():
